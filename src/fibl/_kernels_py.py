@@ -11,7 +11,13 @@ Everything here is exact integer arithmetic; no kernel ever rounds.
 
 from __future__ import annotations
 
+from itertools import accumulate
+from operator import add, sub
+
 BACKEND = "python"
+
+# window sums with at least this step go block by block (see _window_sum)
+_BLOCK_STEP = 24
 
 
 def trim(coeffs):
@@ -21,41 +27,52 @@ def trim(coeffs):
     return coeffs
 
 
+def _window_sum(a, b, step):
+    """Return the list y of len(a) with y[i] = a[i] - b[i] + y[i - step],
+    where y[i] = a[i] - b[i] for i < step; b is at least as long as a.
+
+    Small steps sum along the ``step`` residue classes; larger ones go
+    block by block, which reads memory in order.  Either way the
+    interpreter loops at most max(_BLOCK_STEP, len(a) / _BLOCK_STEP) times
+    and the per-coefficient work runs in C.
+    """
+    if step == 1:
+        return list(accumulate(map(sub, a, b)))
+    if step < _BLOCK_STEP:
+        y = [0] * len(a)
+        for j in range(step):
+            y[j::step] = accumulate(map(sub, a[j::step], b[j::step]))
+        return y
+    y = list(map(sub, a[:step], b[:step]))
+    for k in range(step, len(a), step):
+        y += map(add, map(sub, a[k:k + step], b[k:k + step]), y[k - step:k])
+    return y
+
+
 def mul_qnumber(coeffs, t, stride=1):
     """Multiply ``coeffs`` by 1 + q^s + q^{2s} + ... + q^{(t-1)s}.
 
-    Sliding-window recurrence: r[i] = r[i-s] + p[i] - p[i-ts], which costs
-    one add and one sub per output coefficient instead of a full convolution.
+    Uses [t]_{q^s} = (1 - q^{ts}) / (1 - q^s): the product r is p - q^{ts} p
+    summed with stride s, r[i] = p[i] - p[i-ts] + r[i-s].
     Returns a new trimmed list; t = 0 gives the zero polynomial.
     """
     if t <= 0 or not coeffs:
         return []
     if t == 1:
         return trim(list(coeffs))
-    n = len(coeffs) + (t - 1) * stride
-    plen = len(coeffs)
     ts = t * stride
-    out = [0] * n
-    for i in range(n):
-        acc = out[i - stride] if i >= stride else 0
-        if i < plen:
-            acc += coeffs[i]
-        j = i - ts
-        if 0 <= j < plen:
-            acc -= coeffs[j]
-        out[i] = acc
-    return trim(out)
+    return trim(_window_sum(coeffs + [0] * (ts - stride), [0] * ts + coeffs, stride))
 
 
 def div_qnumber(coeffs, t, stride=1):
     """Exactly divide ``coeffs`` by 1 + q^s + ... + q^{(t-1)s}.
 
     Returns the quotient list, or None when the division is not exact.
-    Inverts the mul_qnumber window: p[i] = r[i] - r[i-s] + p[i-ts] is the
-    power-series expansion of r / [t]_{q^s} (valid because the divisor has
-    constant term 1); the input is divisible iff the series terminates, so
-    it suffices to run the recurrence one divisor-length past deg(r) and
-    demand zeros beyond the target degree.
+    The power series of r / [t]_{q^s} = r (1 - q^s) / (1 - q^{ts}) is
+    r - q^s r summed with period ts, p[i] = r[i] - r[i-s] + p[i-ts].  The
+    input is divisible iff the series stops at the target degree
+    deg(r) - (t-1)s; past deg(r) + s it repeats with period ts, so the ts
+    coefficients after the target settle it.
     """
     if t <= 0:
         raise ZeroDivisionError("division by zero polynomial")
@@ -63,25 +80,13 @@ def div_qnumber(coeffs, t, stride=1):
         return []
     if t == 1:
         return trim(list(coeffs))
-    rlen = len(coeffs)
     ts = t * stride
-    target = rlen - 1 - (t - 1) * stride
+    target = len(coeffs) - 1 - (t - 1) * stride
     if target < 0:
         return None
-    n = rlen + ts
-    p = [0] * n
-    for i in range(n):
-        acc = coeffs[i] if i < rlen else 0
-        j = i - stride
-        if 0 <= j < rlen:
-            acc -= coeffs[j]
-        j = i - ts
-        if j >= 0:
-            acc += p[j]
-        p[i] = acc
-    for i in range(target + 1, n):
-        if p[i] != 0:
-            return None
+    p = _window_sum(coeffs + [0] * stride, [0] * stride + coeffs, ts)
+    if any(p[target + 1:]):
+        return None
     del p[target + 1:]
     return trim(p)
 
@@ -118,10 +123,4 @@ def coeff_min_max(coeffs):
     """Return (min, max) over the dense coefficients, or None if empty."""
     if not coeffs:
         return None
-    lo = hi = coeffs[0]
-    for c in coeffs:
-        if c < lo:
-            lo = c
-        elif c > hi:
-            hi = c
-    return lo, hi
+    return min(coeffs), max(coeffs)

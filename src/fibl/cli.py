@@ -13,6 +13,7 @@ Exit codes: 0 pass, 1 check failure, 2 usage error, 3 resource cap,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -187,12 +188,24 @@ def _emit_payload(ns, payload: dict, text_line: str) -> int:
 # ---------------------------------------------------------------------------
 # Commands
 
+@contextlib.contextmanager
+def _degree_cap(cap: Optional[int]):
+    """Apply a --cap degree override for one command, then restore the old cap."""
+    if not cap:
+        yield
+        return
+    old = qpoly.set_degree_cap(cap)
+    try:
+        yield
+    finally:
+        qpoly.set_degree_cap(old)
+
+
 def _cmd_fibonomial(ns) -> int:
     if ns.m < 0 or ns.n < 0:
         raise ValueError("m and n must be >= 0")
-    if ns.cap:
-        qpoly.set_degree_cap(ns.cap)
-    poly = qpoly.q_fibonomial(ns.m, ns.n)
+    with _degree_cap(ns.cap):
+        poly = qpoly.q_fibonomial(ns.m, ns.n)
     if ns.eval_q1:
         val = poly.eval_q1()
         return _emit_payload(ns, {"m": ns.m, "n": ns.n, "value_at_1": val}, str(val))
@@ -235,38 +248,37 @@ def _cmd_spiral(ns) -> int:
 
 
 def _cmd_catalan(ns) -> int:
-    if ns.cap:
-        qpoly.set_degree_cap(ns.cap)
-    if ns.what == "rational":
-        m, n = _int_args(ns.args, 2, "catalan rational M N")
-        verdict = cat.q_fibo_catalan_rational(m, n)
-        return _emit_verdict(ns, verdict, {"m": m, "n": n, "gcd": math.gcd(m, n)})
-    if ns.what == "ordinary":
-        (n,) = _int_args(ns.args, 1, "catalan ordinary N")
-        verdict = cat.q_fibo_catalan_ordinary(n)
-        return _emit_verdict(ns, verdict, {"n": n})
-    if ns.what == "coxeter":
-        if len(ns.args) != 2:
-            raise ValueError("usage: catalan coxeter FAMILY A (e.g. F4 2, A4 3)")
-        ct = _parse_coxeter(ns.args[0])
-        a = int(ns.args[1])
-        verdict = cat.coxeter_q_fibo_catalan(ct, a)
-        return _emit_verdict(ns, verdict, {"type": ct.label(), "a": a,
-                                           "coprime": math.gcd(a, ct.coxeter_number) == 1})
-    # sweep
-    max_mn = ns.max if ns.max else 15
-    rows = cat.q_fibo_catalan_positivity_sweep(max_mn)
-    lines = cat.sweep_csv_lines(rows)
-    if ns.format == "json":
-        from dataclasses import asdict
-        doc = {"schema": SCHEMA, "command": "catalan-sweep",
-               "config": _config_dict(ns, {"max": max_mn}),
-               "rows": [asdict(r) for r in rows]}
-        _write(json.dumps(doc, sort_keys=True, indent=2) + "\n", ns.out)
-    else:
-        _write("\n".join(lines) + "\n", ns.out)
-    bad = [r for r in rows if not r.is_polynomial or (r.min_coeff or 0) < 0]
-    return EXIT_CHECK_FAILED if bad else EXIT_OK
+    with _degree_cap(ns.cap):
+        if ns.what == "rational":
+            m, n = _int_args(ns.args, 2, "catalan rational M N")
+            verdict = cat.q_fibo_catalan_rational(m, n)
+            return _emit_verdict(ns, verdict, {"m": m, "n": n, "gcd": math.gcd(m, n)})
+        if ns.what == "ordinary":
+            (n,) = _int_args(ns.args, 1, "catalan ordinary N")
+            verdict = cat.q_fibo_catalan_ordinary(n)
+            return _emit_verdict(ns, verdict, {"n": n})
+        if ns.what == "coxeter":
+            if len(ns.args) != 2:
+                raise ValueError("usage: catalan coxeter FAMILY A (e.g. F4 2, A4 3)")
+            ct = _parse_coxeter(ns.args[0])
+            a = int(ns.args[1])
+            verdict = cat.coxeter_q_fibo_catalan(ct, a)
+            return _emit_verdict(ns, verdict, {"type": ct.label(), "a": a,
+                                               "coprime": math.gcd(a, ct.coxeter_number) == 1})
+        # sweep
+        max_mn = ns.max if ns.max else 15
+        rows = cat.q_fibo_catalan_positivity_sweep(max_mn)
+        lines = cat.sweep_csv_lines(rows)
+        if ns.format == "json":
+            from dataclasses import asdict
+            doc = {"schema": SCHEMA, "command": "catalan-sweep",
+                   "config": _config_dict(ns, {"max": max_mn}),
+                   "rows": [asdict(r) for r in rows]}
+            _write(json.dumps(doc, sort_keys=True, indent=2) + "\n", ns.out)
+        else:
+            _write("\n".join(lines) + "\n", ns.out)
+        bad = [r for r in rows if not r.is_polynomial or (r.min_coeff or 0) < 0]
+        return EXIT_CHECK_FAILED if bad else EXIT_OK
 
 
 def _emit_verdict(ns, verdict, inputs: dict) -> int:

@@ -3,13 +3,14 @@ import os
 
 import pytest
 
-from fibl import qpoly
-from fibl.catalan import (CoxeterType, coxeter_catalan_q1, coxeter_exponents,
-                          coxeter_q_fibo_catalan, q_fibo_catalan_divisibility_check,
+from fibl import kernels, qpoly
+from fibl.catalan import (_REMAINDER_WORK_LIMIT, CoxeterType, coxeter_catalan_q1,
+                          coxeter_exponents, coxeter_q_fibo_catalan,
+                          q_fibo_catalan_divisibility_check,
                           q_fibo_catalan_ordinary, q_fibo_catalan_positivity_sweep,
                           q_fibo_catalan_rational, sweep_csv_lines)
 from fibl.fib import fib
-from fibl.qpoly import IntPoly
+from fibl.qpoly import IntPoly, long_division
 
 
 class TestExponentTable:
@@ -140,8 +141,76 @@ class TestCoxeter:
             assert v.quotient.eval_q1() == coxeter_catalan_q1(ct, a)
 
 
+class TestAgainstDivisionRoute:
+    """The cyclotomic counting verdicts against the route they replaced:
+    multiply out the numerator, divide by the denominator factors in
+    descending order and long-divide by the rest at the first inexact step."""
+
+    # coefficient steps; cases whose remainder needs a heavier long
+    # division are passed over (the engine's own limit is far higher)
+    LONG_DIVISION_BUDGET = 10**6
+
+    def division_route(self, num_factors, den_factors):
+        """(is_polynomial, quotient, remainder_degree), or None when the
+        remainder's long division is over the budget."""
+        num = [1]
+        for t in num_factors:
+            num = kernels.mul_qnumber(num, t)
+        remaining = sorted(den_factors, reverse=True)
+        for pos, t in enumerate(remaining):
+            nxt = kernels.div_qnumber(num, t)
+            if nxt is None:
+                den = [1]
+                for u in remaining[pos:]:
+                    den = kernels.mul_qnumber(den, u)
+                work = len(num) * len(den)
+                if work > _REMAINDER_WORK_LIMIT:
+                    return False, None, None
+                if work > self.LONG_DIVISION_BUDGET:
+                    return None
+                return False, None, long_division(IntPoly(num), IntPoly(den)).remainder.degree
+            num = nxt
+        return True, IntPoly(num), None
+
+    def matches(self, verdict, num_factors, den_factors) -> bool:
+        """Assert agreement; False when the case was passed over."""
+        want = self.division_route(num_factors, den_factors)
+        if want is None:
+            return False
+        v = verdict()
+        assert (v.is_polynomial, v.quotient, v.remainder_degree) == want
+        return True
+
+    def test_rational_any_gcd(self):
+        checked = 0
+        for m in range(1, 10):
+            for n in range(1, 10):
+                lo, hi = sorted((m, n))
+                checked += self.matches(lambda: q_fibo_catalan_rational(m, n),
+                                        [fib(k) for k in range(hi + 1, m + n)],
+                                        [fib(k) for k in range(1, lo + 1)])
+        assert checked == 81
+
+    def coxeter_cases(self, ct, a_values) -> int:
+        exps = ct.exponents
+        return sum(self.matches(lambda: coxeter_q_fibo_catalan(ct, a),
+                                [fib(a + e) for e in exps], [fib(e + 1) for e in exps])
+                   for a in a_values)
+
+    def test_coxeter_table(self):
+        types = ([CoxeterType("A", n) for n in range(2, 9)]
+                 + [CoxeterType("B", n) for n in range(2, 9)]
+                 + [CoxeterType("D", n) for n in range(4, 9)]
+                 + [CoxeterType(f) for f in ("E6", "E7", "F4", "G2")])
+        checked = sum(self.coxeter_cases(ct, range(1, 9)) for ct in types)
+        assert checked == 170           # of 184; 14 remainders over budget
+
+    def test_e8(self):
+        assert self.coxeter_cases(CoxeterType("E8"), range(1, 4)) == 3
+
+
 @pytest.mark.skipif(not os.environ.get("FIBL_SLOW_TESTS"),
-                    reason="multi-minute, ~2 GB; set FIBL_SLOW_TESTS=1 to run")
+                    reason="~7 s, ~0.85 GB peak; set FIBL_SLOW_TESTS=1 to run")
 def test_e8_a7_polynomial_positive_slow():
     old = qpoly.set_degree_cap(2 * 10**7)
     try:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from fibl import qpoly
 from fibl.cli import main
 
 
@@ -93,6 +94,21 @@ class TestCatalanCommand:
     def test_bad_family(self, capsys):
         code, _, err = run(capsys, "catalan", "coxeter", "Z9", "2")
         assert code == 2
+
+
+class TestDegreeCapOverride:
+    @pytest.mark.parametrize("argv, want", [
+        (("catalan", "rational", "3", "2", "--cap", "50"), 0),
+        (("catalan", "coxeter", "E8", "3", "--cap", "50"), 3),
+        (("fibonomial", "4", "3", "--cap", "100"), 0),
+        (("fibonomial", "9", "9", "--cap", "100"), 3),
+    ])
+    def test_cap_is_restored(self, capsys, argv, want):
+        assert qpoly.degree_cap() == qpoly.DEFAULT_DEGREE_CAP
+        qpoly.reset_caches()            # a cached q-Fibonomial skips the cap
+        code, _, _ = run(capsys, *argv)
+        assert code == want
+        assert qpoly.degree_cap() == qpoly.DEFAULT_DEGREE_CAP
 
 
 class TestSpiralCommand:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fibl import _kernels_py
+from fibl.qpoly import IntPoly, long_division
 
 BACKENDS = [_kernels_py]
 try:
@@ -105,3 +106,28 @@ def test_backends_agree_on_window_ops(p, t, s):
         pytest.skip("extension not built")
     assert _kernels_py.mul_qnumber(list(p), t, s) == _kernels_c.mul_qnumber(list(p), t, s)
     assert _kernels_py.div_qnumber(list(p), t, s) == _kernels_c.div_qnumber(list(p), t, s)
+
+
+# Properties of the pure-Python window kernels against independent routes.
+# The window sums take both their paths (per residue class and block by
+# block): division sums with period t*s, multiplication with stride s.
+padded_polys = st.builds(lambda p, pad: p + [0] * pad, small_polys,
+                         st.integers(min_value=0, max_value=4))
+window_t = st.integers(min_value=1, max_value=30)
+window_s = st.integers(min_value=1, max_value=6)
+
+
+@given(padded_polys, window_t, st.integers(min_value=1, max_value=30))
+def test_mul_qnumber_is_dense_product(p, t, s):
+    assert _kernels_py.mul_qnumber(list(p), t, s) == _kernels_py.mul_dense(
+        list(p), naive_qnumber(t, s))
+
+
+@given(padded_polys, window_t, window_s, st.booleans(), st.integers(min_value=0, max_value=3))
+def test_div_qnumber_agrees_with_long_division(p, t, s, divisible, pad):
+    r = (_kernels_py.mul_qnumber(list(p), t, s) if divisible else list(p)) + [0] * pad
+    res = long_division(IntPoly(r), IntPoly(naive_qnumber(t, s)))
+    # a nonempty list shorter than the divisor is reported inexact, even
+    # when all zero
+    exact = res.remainder.is_zero() and (not r or len(r) > (t - 1) * s)
+    assert _kernels_py.div_qnumber(list(r), t, s) == (list(res.quotient.coeffs) if exact else None)
