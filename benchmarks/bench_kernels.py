@@ -2,9 +2,11 @@
 """Benchmark the compiled kernel extension against the pure-Python twin.
 
 Times the window multiply/divide (the hot loops behind q-factorial ratios),
-the schoolbook dense product and the coefficient scans, on inputs sized
-like the real workloads (the largest Catalan-sweep numerator has degree
-~830k).  Run from a checkout where the extension has been built:
+the dense product and the coefficient scans, on inputs sized like the real
+workloads (the largest Catalan-sweep numerator has degree ~830k).  The
+dense product is Kronecker substitution in pure Python and a schoolbook
+loop in the compiled twin; fibl.kernels uses the pure-Python one with
+either backend.  Run from a checkout where the extension has been built:
 
     python benchmarks/bench_kernels.py [--sizes small|full]
 """

@@ -4,14 +4,15 @@ All functions operate on plain lists of Python ints indexed by exponent
 (dense form, possibly with trailing zeros).  They are the hot loops behind
 q-number products, exact factorial-ratio divisions and coefficient scans;
 `fibl._kernels_c` is the compiled twin with the same contracts, and
-`fibl.kernels` picks whichever is importable.
+`fibl.kernels` picks whichever is importable (``mul_dense`` always comes
+from here).
 
 Everything here is exact integer arithmetic; no kernel ever rounds.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, repeat
 from operator import add, sub
 
 BACKEND = "python"
@@ -91,16 +92,50 @@ def div_qnumber(coeffs, t, stride=1):
     return trim(p)
 
 
+def _pack(coeffs, width):
+    """The integer sum of coeffs[i] * 2^(8 * width * i), coefficients >= 0."""
+    return int.from_bytes(b"".join(map(int.to_bytes, coeffs, repeat(width),
+                                       repeat("little"))), "little")
+
+
+def _pack_signed(coeffs, width):
+    """Like _pack, for coefficients of either sign: the positive and the
+    negative parts are packed apart and subtracted."""
+    if min(coeffs) >= 0:
+        return _pack(coeffs, width)
+    return (_pack([c if c > 0 else 0 for c in coeffs], width)
+            - _pack([-c if c < 0 else 0 for c in coeffs], width))
+
+
 def mul_dense(a, b):
-    """Schoolbook product of two dense coefficient lists."""
+    """Exact product of two dense coefficient lists by Kronecker substitution.
+
+    Both factors are evaluated at q = 2^k as single integers (k a multiple
+    of 8), multiplied with CPython's Karatsuba big-int product, and the
+    coefficients are read back k bits at a time.  A product coefficient
+    is bounded by max|a| * max|b| * min(len(a), len(b)); k holds that
+    bound, each input coefficient (so an all-zero factor still packs) and
+    a sign bit.  With a negative coefficient anywhere, 2^(k-1) is added to
+    every slot before reading, which keeps each slot in [0, 2^k) and so
+    free of borrows, and subtracted again after.
+    """
     if not a or not b:
         return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
+    big_a = max(max(a), -min(a))
+    big_b = max(max(b), -min(b))
+    bits = max((big_a * big_b * min(len(a), len(b))).bit_length(),
+               big_a.bit_length(), big_b.bit_length()) + 1
+    width = (bits + 7) // 8
+    size = len(a) + len(b) - 1
+    product = _pack_signed(a, width) * _pack_signed(b, width)
+    signed = min(a) < 0 or min(b) < 0
+    if signed:
+        half = 1 << (8 * width - 1)
+        product += _pack([half] * size, width)
+    raw = product.to_bytes(size * width, "little")
+    out = [int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width)]
+    if signed:
+        out = [c - half for c in out]
     return trim(out)
 
 

@@ -94,6 +94,7 @@ class PolynomialityVerdict:
     quotient: Optional[IntPoly] = None
     remainder_degree: Optional[int] = None
     all_coeffs_nonnegative: Optional[bool] = None
+    coeff_range: Optional[tuple[int, int]] = None     # quotient's (min, max)
 
     @property
     def degree(self) -> Optional[int]:
@@ -130,7 +131,7 @@ def _ratio_verdict(num_factors: Iterable[int], den_factors: Iterable[int]) -> Po
     lohi = kernels.coeff_min_max(quotient)
     nonneg = lohi is None or lohi[0] >= 0
     return PolynomialityVerdict(True, quotient=IntPoly(quotient),
-                                all_coeffs_nonnegative=nonneg)
+                                all_coeffs_nonnegative=nonneg, coeff_range=lohi)
 
 
 @lru_cache(maxsize=1024)
@@ -221,8 +222,7 @@ def q_fibo_catalan_positivity_sweep(max_mn: int) -> list[SweepRow]:
                 continue
             verdict = q_fibo_catalan_rational(m, n)
             if verdict.is_polynomial:
-                lohi = kernels.coeff_min_max(list(verdict.quotient.coeffs))
-                lo, hi = lohi if lohi else (0, 0)
+                lo, hi = verdict.coeff_range or (0, 0)
                 rows[(m, n)] = SweepRow(m, n, g, True, verdict.quotient.degree, lo, hi)
             else:
                 rows[(m, n)] = SweepRow(m, n, g, False, None, None, None)

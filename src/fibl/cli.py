@@ -120,12 +120,19 @@ def _build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 # Output
 
+@contextlib.contextmanager
+def _output(out: Optional[str]):
+    """The --out file, opened for writing, or stdout."""
+    if not out:
+        yield sys.stdout
+        return
+    with open(out, "w") as fh:
+        yield fh
+
+
 def _write(text: str, out: Optional[str]) -> None:
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _output(out) as fh:
+        fh.write(text)
 
 
 def _emit_reports(ns, reports: list[VerificationReport], extra_config=None) -> int:
@@ -225,20 +232,16 @@ def _cmd_enumerate(ns) -> int:
     if expected > cap:
         raise ResourceLimitError(
             f"enumeration of {expected} tilings exceeds the cap {cap}", cap=cap)
+    enumerate_tilings = (tilings.enumerate_rect_tilings if ns.model == "rect"
+                         else tilings.enumerate_staircase_tilings)
     if ns.count_only:
-        if ns.model == "rect":
-            count = tilings.enumerate_rect_tilings(ns.a, ns.b, cap=cap)
-        else:
-            count = tilings.enumerate_staircase_tilings(ns.a, ns.b, cap=cap)
+        count = enumerate_tilings(ns.a, ns.b, cap=cap)
         return _emit_payload(ns, {"model": ns.model, "dims": [ns.a, ns.b],
                                   "count": count}, str(count))
-    lines = []
-    sink = lambda t: lines.append(json.dumps(t.to_json(), sort_keys=True))  # noqa: E731
-    if ns.model == "rect":
-        count = tilings.enumerate_rect_tilings(ns.a, ns.b, sink, cap=cap)
-    else:
-        count = tilings.enumerate_staircase_tilings(ns.a, ns.b, sink, cap=cap)
-    _write("\n".join(lines) + "\n", ns.out)
+    with _output(ns.out) as fh:      # one JSON line per tiling, as it comes
+        enumerate_tilings(ns.a, ns.b,
+                          lambda t: fh.write(json.dumps(t.to_json(), sort_keys=True) + "\n"),
+                          cap=cap)
     return EXIT_OK
 
 

@@ -234,18 +234,6 @@ class DivisionResult:
     remainder: IntPoly
 
 
-def add(a: IntPoly, b: IntPoly) -> IntPoly:
-    return a + b
-
-
-def mul(a: IntPoly, b: IntPoly) -> IntPoly:
-    return a * b
-
-
-def shift(a: IntPoly, exponent: int) -> IntPoly:
-    return a.shift(exponent)
-
-
 def substitute_power(poly: IntPoly, m: int) -> IntPoly:
     return poly.substitute_power(m)
 
@@ -343,19 +331,24 @@ def q_fib_factorial(n: int) -> IntPoly:
     return IntPoly._wrap(_fact_coeffs(n))
 
 
-@lru_cache(maxsize=256)
 def q_fibonomial(m: int, n: int) -> IntPoly:
     """The q-Fibonomial via the factorial-ratio (division) route.
 
     Computed as prod_{k=hi+1}^{m+n} [F_k] divided factor-by-factor by the
     q-factorial of lo = min(m, n); each window division is checked exact,
-    which re-proves polynomiality on every call.
+    which re-proves polynomiality on every computation.  Results are
+    memoized, but the degree cap is checked on every call, so a capped
+    call fails whether or not the value is cached.
     """
     if m < 0 or n < 0:
         raise ValueError("q_fibonomial needs m, n >= 0")
+    _ensure_cap(_fibonomial_degree(m, n))
+    return _q_fibonomial_cached(m, n)
+
+
+@lru_cache(maxsize=256)
+def _q_fibonomial_cached(m: int, n: int) -> IntPoly:
     lo, hi = sorted((m, n))
-    deg = _fibonomial_degree(m, n)
-    _ensure_cap(deg)
     out = [1]
     for k in range(hi + 1, m + n + 1):
         out = kernels.mul_qnumber(out, fib(k))
@@ -367,6 +360,10 @@ def q_fibonomial(m: int, n: int) -> IntPoly:
                 "this signals an implementation bug")
         out = nxt
     return IntPoly._wrap(out)
+
+
+q_fibonomial.cache_info = _q_fibonomial_cached.cache_info
+q_fibonomial.cache_clear = _q_fibonomial_cached.cache_clear
 
 
 def _fibonomial_degree(m: int, n: int) -> int:
@@ -401,17 +398,18 @@ def q_fibonomial_recurrence(m: int, n: int) -> IntPoly:
 
     G(m, n) = [F_{m+1}]_{q^{F_n}} G(m, n-1)
               + q^{F_n F_{m+1}} [F_{n-1}]_{q^{F_m}} G(m-1, n),
-    with G(m, 0) = G(0, n) = 1.  Memoized; independent of the ratio route.
+    with G(m, 0) = G(0, n) = 1.  Memoized (the degree cap is checked on
+    every call); independent of the ratio route.
     """
     if m < 0 or n < 0:
         raise ValueError("q_fibonomial_recurrence needs m, n >= 0")
     if m == 0 or n == 0:
         return _ONE
+    _ensure_cap(_fibonomial_degree(m, n))
     with _rec_lock:
         got = _rec_cache.get((m, n))
     if got is not None:
         return got
-    _ensure_cap(_fibonomial_degree(m, n))
     for mm in range(1, m + 1):
         for nn in range(1, n + 1):
             with _rec_lock:

@@ -18,6 +18,16 @@ Two models are implemented:
 Coordinates: cell (c, r) is the unit square with top-right corner (c, r),
 columns 1..m left to right, rows 1..n bottom to top.
 
+Once the path is fixed, every strip (a row or column segment) is tiled on
+its own and a tiling's weight is a product over its strips.  Each model
+therefore has one builder of a path's strips, ``(index, length, forced)``
+triples, and one rule for a strip's weight exponent.  Enumeration
+combines the strips' tilings; the generating functions never list
+tilings: they multiply the strips' exponent tables ({exponent: count}
+over the strip's tilings, cached per strip) along each path and sum over
+paths.  Tilings are enumerated only for ``fibl enumerate``, the elliptic
+checks and the small Catalan partial-tiling counterexample.
+
 Enumeration is streaming and deterministic: paths in lexicographic step
 order (E < N, N < W), strip tilings in lexicographic tile order (D < M).
 Counts are bounded by a configurable cap (default 10**8), rejected up
@@ -27,15 +37,15 @@ front by comparing the exact integer Fibonomial against the cap.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from typing import Callable, Iterator, Optional
+from itertools import product
+from typing import Callable, Iterable, Iterator, Optional
 
 from fibl.errors import ResourceLimitError
 from fibl.fib import fib
-from fibl.qpoly import IntPoly, exact_div, fibonomial_int, q_fib_factorial, q_fibonomial
+from fibl.qpoly import IntPoly, exact_div, fibonomial_int, q_fib_factorial
 from fibl.report import VerificationReport, exact_report
 
 DEFAULT_ENUMERATION_CAP = 10**8
@@ -97,6 +107,7 @@ class StaircaseTiling:
                    rows=tuple(obj["rows"]))
 
 
+
 # ---------------------------------------------------------------------------
 # Strips
 
@@ -118,6 +129,59 @@ def _strip_options(length: int) -> tuple[str, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=256)
+def _strip_choices(length: int, forced: bool) -> tuple[str, ...]:
+    """Tilings of one strip of a path.  A forced strip starts with the
+    special domino against the path, so a one-cell forced strip has none."""
+    if not forced:
+        return _strip_options(length)
+    if length == 1:
+        return ()
+    if length == 0:
+        return ("",)
+    return tuple(SPECIAL + rest for rest in _strip_options(length - 2))
+
+
+def _strip_product(strips: list) -> Iterator[tuple[str, ...]]:
+    """Every choice of one tiling per strip, in lexicographic order."""
+    return product(*(_strip_choices(length, forced) for _, length, forced in strips))
+
+
+@lru_cache(maxsize=4096)
+def _strip_table(exponent: Callable, index: int, length: int,
+                 forced: bool) -> tuple[tuple[int, int], ...]:
+    """The strip's (exponent, count) pairs over its tilings; empty when it
+    has no tiling.  ``exponent`` is a model's per-strip weight rule."""
+    counts: dict[int, int] = {}
+    for strip in _strip_choices(length, forced):
+        e = exponent(index, length, forced, strip)
+        counts[e] = counts.get(e, 0) + 1
+    return tuple(counts.items())
+
+
+def _generating_function(paths_strips: Iterable[list], exponent: Callable) -> IntPoly:
+    """Sum over paths of the product of the paths' strip tables."""
+    total: dict[int, int] = {}
+    for strips in paths_strips:
+        acc = {0: 1}
+        for strip in strips:
+            table = _strip_table(exponent, *strip)
+            nxt: dict[int, int] = {}
+            for e, c in acc.items():
+                for f, d in table:
+                    nxt[e + f] = nxt.get(e + f, 0) + c * d
+            acc = nxt
+        for e, c in acc.items():
+            total[e] = total.get(e, 0) + c
+    return _poly_from_counts(total)
+
+
+def _check_cap(expected: int, cap: int) -> None:
+    if expected > cap:
+        raise ResourceLimitError(
+            f"enumeration of {expected} tilings exceeds the cap {cap}", cap=cap)
+
+
 def enumerate_strips(length: int, sink: Optional[Callable[[str], None]] = None) -> int:
     """Emit every strip tiling; the returned count equals F_{length+1}."""
     opts = _strip_options(length)
@@ -129,19 +193,8 @@ def enumerate_strips(length: int, sink: Optional[Callable[[str], None]] = None) 
 
 def q_strip_sum(length: int) -> IntPoly:
     """Sum of q-weights over strip tilings, with a domino ending at cell i
-    weighing q^{F_i}; equals [F_{length+1}]."""
-    total: dict[int, int] = {}
-    for strip in _strip_options(length):
-        e = 0
-        i = 0
-        for t in strip:
-            if t == MONOMINO:
-                i += 1
-            else:
-                i += 2
-                e += fib(i)
-        total[e] = total.get(e, 0) + 1
-    return _poly_from_counts(total)
+    weighing q^{F_i} (row 1 of the rectangle model); equals [F_{length+1}]."""
+    return _generating_function([[(1, length, False)]], _rect_strip_exponent)
 
 
 def _poly_from_counts(counts: dict[int, int]) -> IntPoly:
@@ -190,33 +243,49 @@ def rect_path_profile(path: str, m: int, n: int) -> tuple[list, list]:
     return row_len, col_height
 
 
-def _product(options: list) -> Iterator[tuple]:
-    """Cartesian product in lexicographic order, lazily."""
-    if not options:
-        yield ()
-        return
-    for first in options[0]:
-        for rest in _product(options[1:]):
-            yield (first,) + rest
+
+def _rect_strips(path: str, m: int, n: int) -> list[tuple[int, int, bool]]:
+    """The strips of one path as (index, length, forced): rows 1..n above
+    the path, then columns 1..m below it, which are forced."""
+    row_len, col_height = rect_path_profile(path, m, n)
+    return ([(r, length, False) for r, length in enumerate(row_len, start=1)]
+            + [(c, h, True) for c, h in enumerate(col_height, start=1)])
+
+
+def _rect_strip_exponent(index: int, length: int, forced: bool, strip: str) -> int:
+    """Weight exponent of one strip of the rectangle model.
+
+    Row r (unforced) runs west to east: a horizontal domino ending in
+    column i weighs F_i F_r.  Column c (forced) of height ``length`` runs
+    top to bottom: a vertical domino whose top cell is in row j weighs
+    F_c F_j, the special one F_{c+1} F_j.
+    """
+    e = 0
+    if forced:
+        j = length
+        for tile in strip:
+            if tile == MONOMINO:
+                j -= 1
+            else:
+                e += fib(index + 1 if tile == SPECIAL else index) * fib(j)
+                j -= 2
+    else:
+        i = 0
+        for tile in strip:
+            if tile == MONOMINO:
+                i += 1
+            else:
+                i += 2
+                e += fib(i) * fib(index)
+    return e
 
 
 def iter_rect_tilings(m: int, n: int) -> Iterator[PathDominoTiling]:
     if m < 0 or n < 0:
         raise ValueError("rectangle dimensions must be >= 0")
     for path in _iter_rect_paths(m, n):
-        row_len, col_height = rect_path_profile(path, m, n)
-        if any(h == 1 for h in col_height):
-            continue       # a one-cell column cannot hold its special domino
-        row_opts = [_strip_options(L) for L in row_len]
-        col_opts = []
-        for h in col_height:
-            if h == 0:
-                col_opts.append(("",))
-            else:
-                col_opts.append(tuple(SPECIAL + rest for rest in _strip_options(h - 2)))
-        for rows in _product(row_opts):
-            for cols in _product(col_opts):
-                yield PathDominoTiling(m=m, n=n, path=path, rows=rows, cols=cols)
+        for strips in _strip_product(_rect_strips(path, m, n)):
+            yield PathDominoTiling(m=m, n=n, path=path, rows=strips[:n], cols=strips[n:])
 
 
 def enumerate_rect_tilings(m: int, n: int,
@@ -227,10 +296,7 @@ def enumerate_rect_tilings(m: int, n: int,
     The count equals the integer Fibonomial, which is computed first and
     checked against ``cap`` so oversized requests fail before enumeration.
     """
-    expected = fibonomial_int(m, n)
-    if expected > cap:
-        raise ResourceLimitError(
-            f"enumeration of {expected} tilings exceeds the cap {cap}", cap=cap)
+    _check_cap(fibonomial_int(m, n), cap)
     count = 0
     for t in iter_rect_tilings(m, n):
         count += 1
@@ -241,28 +307,8 @@ def enumerate_rect_tilings(m: int, n: int,
 
 def rect_weight_exponent(t: PathDominoTiling) -> int:
     """The exponent e with q_weight_rect(t) = q^e."""
-    row_len, col_height = rect_path_profile(t.path, t.m, t.n)
-    e = 0
-    for r in range(1, t.n + 1):
-        i = 0
-        for tile in t.rows[r - 1]:
-            if tile == MONOMINO:
-                i += 1
-            else:
-                i += 2
-                e += fib(i) * fib(r)     # horizontal domino, top-right (i, r)
-    for c in range(1, t.m + 1):
-        j = col_height[c - 1]
-        for tile in t.cols[c - 1]:
-            if tile == SPECIAL:
-                e += fib(c + 1) * fib(j)
-                j -= 2
-            elif tile == DOMINO:
-                e += fib(c) * fib(j)     # vertical domino, top-right (c, j)
-                j -= 2
-            else:
-                j -= 1
-    return e
+    strips = _rect_strips(t.path, t.m, t.n)
+    return sum(_rect_strip_exponent(*s, tiles) for s, tiles in zip(strips, t.rows + t.cols))
 
 
 def q_weight_rect(t: PathDominoTiling) -> IntPoly:
@@ -270,46 +316,17 @@ def q_weight_rect(t: PathDominoTiling) -> IntPoly:
     return IntPoly.monomial(rect_weight_exponent(t))
 
 
-def rect_generating_function(m: int, n: int, cap: int = DEFAULT_ENUMERATION_CAP,
-                             workers: int = 1) -> IntPoly:
+def rect_generating_function(m: int, n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> IntPoly:
     """Sum of q-weights over all tilings of the m x n rectangle.
 
-    Must coincide with q_fibonomial(m, n); keeping the sum enumeration-based
-    makes it an oracle independent of the division and recurrence routes.
-    Aggregation is a commutative exponent-count merge, so the result is
-    identical for any worker count.
+    Must coincide with q_fibonomial(m, n).  It is computed from the tiling
+    model alone (per-path products of strip tables), never from
+    q-factorials, so it is an oracle independent of the division and
+    recurrence routes.  ``cap`` bounds the number of tilings summed.
     """
-    expected = fibonomial_int(m, n)
-    if expected > cap:
-        raise ResourceLimitError(
-            f"enumeration of {expected} tilings exceeds the cap {cap}", cap=cap)
-    paths = list(_iter_rect_paths(m, n))
-
-    def handle(path: str) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        row_len, col_height = rect_path_profile(path, m, n)
-        if any(h == 1 for h in col_height):
-            return counts
-        row_opts = [_strip_options(L) for L in row_len]
-        col_opts = [("",) if h == 0 else
-                    tuple(SPECIAL + rest for rest in _strip_options(h - 2))
-                    for h in col_height]
-        for rows in _product(row_opts):
-            for cols in _product(col_opts):
-                e = rect_weight_exponent(PathDominoTiling(m, n, path, rows, cols))
-                counts[e] = counts.get(e, 0) + 1
-        return counts
-
-    total: dict[int, int] = {}
-    if workers <= 1:
-        partials = map(handle, paths)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(handle, paths))
-    for part in partials:
-        for e, c in part.items():
-            total[e] = total.get(e, 0) + c
-    return _poly_from_counts(total)
+    _check_cap(fibonomial_int(m, n), cap)
+    return _generating_function((_rect_strips(p, m, n) for p in _iter_rect_paths(m, n)),
+                                _rect_strip_exponent)
 
 
 def validate_rect_tiling(t: PathDominoTiling) -> None:
@@ -430,28 +447,43 @@ def staircase_path_profile(path: str, n: int, k: int) -> tuple[list, list]:
     return xs, forced
 
 
+def _staircase_strips(path: str, n: int, k: int) -> list[tuple[int, int, bool]]:
+    """The row strips of one path, bottom to top, as (row_len, length,
+    forced): row r has row_len = n - r boxes; an unforced row tiles the
+    boxes left of its north step, a forced row the boxes right of it."""
+    xs, forced = staircase_path_profile(path, n, k)
+    return [(n - r, n - r - x if f else x, f)
+            for r, (x, f) in enumerate(zip(xs, forced), start=1)]
+
+
+def _staircase_strip_stats(row_len: int, length: int, forced: bool,
+                           strip: str) -> list[tuple[str, int, int]]:
+    """Per-domino (kind, floor, height) of one row strip; see
+    staircase_tile_stats."""
+    height = 1 + row_len - length
+    out = []
+    done = 0
+    for tile in strip:
+        if tile == MONOMINO:
+            done += 1
+        else:
+            out.append((tile, length - done if forced else done + 2, height))
+            done += 2
+    return out
+
+
+def _staircase_strip_exponent(row_len: int, length: int, forced: bool, strip: str) -> int:
+    """Weight exponent of one row strip: a domino gives F_floor * F_height,
+    a special domino F_floor * F_{height+1}."""
+    return sum(fib(floor) * fib(height + 1 if kind == SPECIAL else height)
+               for kind, floor, height in _staircase_strip_stats(row_len, length, forced, strip))
+
+
 def iter_staircase_tilings(n: int, k: int) -> Iterator[StaircaseTiling]:
     if n < 0 or k < 0 or k > n:
         raise ValueError("need n >= k >= 0")
     for path in _iter_staircase_paths(n, k):
-        xs, forced = staircase_path_profile(path, n, k)
-        opts = []
-        dead = False
-        for r in range(1, n + 1):
-            if forced[r - 1]:
-                b = (n - r) - xs[r - 1]
-                if b == 1:
-                    dead = True     # one box cannot hold the special domino
-                    break
-                if b == 0:
-                    opts.append(("",))
-                else:
-                    opts.append(tuple(SPECIAL + rest for rest in _strip_options(b - 2)))
-            else:
-                opts.append(_strip_options(xs[r - 1]))
-        if dead:
-            continue
-        for rows in _product(opts):
+        for rows in _strip_product(_staircase_strips(path, n, k)):
             yield StaircaseTiling(n=n, k=k, path=path, rows=rows)
 
 
@@ -460,10 +492,7 @@ def enumerate_staircase_tilings(n: int, k: int,
                                 cap: int = DEFAULT_ENUMERATION_CAP) -> int:
     """Stream every (n, k)-tiling once; the count equals the integer
     Fibonomial with parts (n - k, k)."""
-    expected = fibonomial_int(n - k, k)
-    if expected > cap:
-        raise ResourceLimitError(
-            f"enumeration of {expected} tilings exceeds the cap {cap}", cap=cap)
+    _check_cap(fibonomial_int(n - k, k), cap)
     count = 0
     for t in iter_staircase_tilings(n, k):
         count += 1
@@ -482,44 +511,16 @@ def staircase_tile_stats(t: StaircaseTiling) -> list[tuple[str, int, int]]:
     tile's western border; height is 1 + boxes from the western border to
     the forced north step).
     """
-    xs, forced = staircase_path_profile(t.path, t.n, t.k)
-    out = []
-    for r in range(1, t.n + 1):
-        row_len = t.n - r
-        x = xs[r - 1]
-        if forced[r - 1]:
-            pos = x
-            for tile in t.rows[r - 1]:
-                if tile == MONOMINO:
-                    pos += 1
-                else:
-                    pos += 2
-                    floor = row_len - (pos - 2)
-                    height = 1 + x
-                    out.append((tile, floor, height))
-        else:
-            pos = 0
-            for tile in t.rows[r - 1]:
-                if tile == MONOMINO:
-                    pos += 1
-                else:
-                    pos += 2
-                    floor = pos
-                    height = 1 + (row_len - x)
-                    out.append((tile, floor, height))
-    return out
+    strips = _staircase_strips(t.path, t.n, t.k)
+    return [stat for s, tiles in zip(strips, t.rows)
+            for stat in _staircase_strip_stats(*s, tiles)]
 
 
 def staircase_weight_exponent(t: StaircaseTiling) -> int:
     """Exponent of the q-weight: dominos give F_floor * F_height, special
     dominos F_floor * F_{height+1}."""
-    e = 0
-    for kind, floor, height in staircase_tile_stats(t):
-        if kind == SPECIAL:
-            e += fib(floor) * fib(height + 1)
-        else:
-            e += fib(floor) * fib(height)
-    return e
+    strips = _staircase_strips(t.path, t.n, t.k)
+    return sum(_staircase_strip_exponent(*s, tiles) for s, tiles in zip(strips, t.rows))
 
 
 def q_weight_staircase(t: StaircaseTiling) -> IntPoly:
@@ -527,50 +528,15 @@ def q_weight_staircase(t: StaircaseTiling) -> IntPoly:
 
 
 def staircase_generating_function(n: int, k: int,
-                                  cap: int = DEFAULT_ENUMERATION_CAP,
-                                  workers: int = 1) -> IntPoly:
-    """Sum of q-weights over all (n, k)-tilings; equals q_fibonomial(n-k, k)."""
-    expected = fibonomial_int(n - k, k)
-    if expected > cap:
-        raise ResourceLimitError(
-            f"enumeration of {expected} tilings exceeds the cap {cap}", cap=cap)
-    paths = list(_iter_staircase_paths(n, k))
+                                  cap: int = DEFAULT_ENUMERATION_CAP) -> IntPoly:
+    """Sum of q-weights over all (n, k)-tilings; equals q_fibonomial(n-k, k).
 
-    def handle(path: str) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for t in _tilings_of_staircase_path(n, k, path):
-            e = staircase_weight_exponent(t)
-            counts[e] = counts.get(e, 0) + 1
-        return counts
-
-    total: dict[int, int] = {}
-    if workers <= 1:
-        partials = map(handle, paths)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(handle, paths))
-    for part in partials:
-        for e, c in part.items():
-            total[e] = total.get(e, 0) + c
-    return _poly_from_counts(total)
-
-
-def _tilings_of_staircase_path(n: int, k: int, path: str) -> Iterator[StaircaseTiling]:
-    xs, forced = staircase_path_profile(path, n, k)
-    opts = []
-    for r in range(1, n + 1):
-        if forced[r - 1]:
-            b = (n - r) - xs[r - 1]
-            if b == 1:
-                return
-            if b == 0:
-                opts.append(("",))
-            else:
-                opts.append(tuple(SPECIAL + rest for rest in _strip_options(b - 2)))
-        else:
-            opts.append(_strip_options(xs[r - 1]))
-    for rows in _product(opts):
-        yield StaircaseTiling(n=n, k=k, path=path, rows=rows)
+    Computed as per-path products of strip tables, like
+    rect_generating_function."""
+    _check_cap(fibonomial_int(n - k, k), cap)
+    return _generating_function(
+        (_staircase_strips(p, n, k) for p in _iter_staircase_paths(n, k)),
+        _staircase_strip_exponent)
 
 
 def validate_staircase_tiling(t: StaircaseTiling) -> None:
@@ -610,29 +576,18 @@ def validate_staircase_tiling(t: StaircaseTiling) -> None:
                 raise ValueError(f"row {r} strip covers {seen} of {x} boxes")
 
 
+
+
 # ---------------------------------------------------------------------------
 # Cross-model checks
 
 def model_bijection_check(m: int, n: int,
                           cap: int = DEFAULT_ENUMERATION_CAP) -> VerificationReport:
     """The weight multiset of rectangle (m, n) tilings equals that of
-    staircase (m+n, n) tilings."""
-    rect_ms: dict[int, int] = {}
-
-    def rsink(t: PathDominoTiling):
-        e = rect_weight_exponent(t)
-        rect_ms[e] = rect_ms.get(e, 0) + 1
-
-    stair_ms: dict[int, int] = {}
-
-    def ssink(t: StaircaseTiling):
-        e = staircase_weight_exponent(t)
-        stair_ms[e] = stair_ms.get(e, 0) + 1
-
-    enumerate_rect_tilings(m, n, rsink, cap=cap)
-    enumerate_staircase_tilings(m + n, n, ssink, cap=cap)
+    staircase (m+n, n) tilings, i.e. their generating functions agree."""
     return exact_report("model-bijection", {"m": m, "n": n},
-                        _poly_from_counts(rect_ms), _poly_from_counts(stair_ms))
+                        rect_generating_function(m, n, cap=cap),
+                        staircase_generating_function(m + n, n, cap=cap))
 
 
 def catalan_partial_tilings(size: int) -> Iterator[StaircaseTiling]:
@@ -645,49 +600,20 @@ def catalan_partial_tilings(size: int) -> Iterator[StaircaseTiling]:
         raise ValueError("size must be an even integer >= 2")
     n, k = size, size // 2 - 1
     for path in _iter_staircase_paths(n, k):
-        xs, forced = staircase_path_profile(path, n, k)
-        opts = []
-        dead = False
-        for r in range(1, n + 1):
-            if r == 1:
-                if forced[0]:
-                    b = (n - 1) - xs[0]
-                    if b == 1:
-                        dead = True
-                        break
-                    opts.append(("",) if b == 0 else (SPECIAL,))
-                else:
-                    opts.append(("",))  # blank row, untiled boxes allowed
-            elif forced[r - 1]:
-                b = (n - r) - xs[r - 1]
-                if b == 1:
-                    dead = True
-                    break
-                if b == 0:
-                    opts.append(("",))
-                else:
-                    opts.append(tuple(SPECIAL + rest for rest in _strip_options(b - 2)))
-            else:
-                opts.append(_strip_options(xs[r - 1]))
-        if dead:
-            continue
-        for rows in _product(opts):
+        first, *rest = _staircase_strips(path, n, k)
+        _, b, forced = first
+        if forced and b == 1:
+            continue        # one box cannot hold the special domino
+        blank = (SPECIAL,) if forced and b else ("",)   # untiled boxes allowed
+        for rows in product(blank, *(_strip_choices(length, f) for _, length, f in rest)):
             yield StaircaseTiling(n=n, k=k, path=path, rows=rows)
 
 
 def catalan_partial_weight_exponent(t: StaircaseTiling) -> int:
-    """Weight exponent of a Catalan partial tiling (row 1 contributes only
-    its special domino, if present)."""
-    xs, forced = staircase_path_profile(t.path, t.n, t.k)
-    e = 0
-    if forced[0] and t.rows[0] == SPECIAL:
-        row_len = t.n - 1
-        x = xs[0]
-        floor = row_len - x
-        height = 1 + x
-        e += fib(floor) * fib(height + 1)
-    trimmed = StaircaseTiling(n=t.n, k=t.k, path=t.path, rows=("",) + t.rows[1:])
-    return e + staircase_weight_exponent(trimmed)
+    """Weight exponent of a Catalan partial tiling.  Row 1 holds at most its
+    special domino, which weighs what it weighs in any forced row, so this
+    is the staircase weight exponent."""
+    return staircase_weight_exponent(t)
 
 
 def catalan_partial_tiling_counterexample(size: int = 6) -> VerificationReport:

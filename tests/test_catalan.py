@@ -236,3 +236,11 @@ class TestOrdinary:
         # equals the central q-Fibonomial (parts n, n) divided by [F_{n+1}]
         expected = qpoly.exact_div(qpoly.q_fibonomial(5, 5), qpoly.q_number(fib(6)))
         assert v.quotient == expected
+
+
+def test_verdict_carries_the_quotient_coefficient_range():
+    for m, n in ((3, 5), (4, 7), (6, 7)):
+        verdict = q_fibo_catalan_rational(m, n)
+        coeffs = verdict.quotient.coeffs
+        assert verdict.coeff_range == (min(coeffs), max(coeffs))
+    assert q_fibo_catalan_rational(3, 6).coeff_range is None       # not a polynomial

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from fibl import qpoly
+from fibl import qpoly, tilings
 from fibl.cli import main
 
 
@@ -61,6 +61,32 @@ class TestEnumerateCommand:
         assert len(lines) == 6
         assert all(doc["model"] == "rect" for doc in lines)
 
+    @pytest.mark.parametrize("model, a, b", [("rect", "3", "2"), ("staircase", "6", "3")])
+    def test_lines_are_written_as_tilings_arrive(self, capsys, monkeypatch, tmp_path,
+                                                 model, a, b):
+        name = "iter_rect_tilings" if model == "rect" else "iter_staircase_tilings"
+        real = getattr(tilings, name)
+        out = tmp_path / "tilings.jsonl"
+        expected = "".join(json.dumps(t.to_json(), sort_keys=True) + "\n"
+                           for t in real(int(a), int(b)))
+
+        streamed = []
+
+        def checked(*args):
+            for count, t in enumerate(real(*args)):
+                # every earlier tiling is already on the stream
+                streamed.append(capsys.readouterr().out)
+                assert "".join(streamed).count("\n") == count
+                yield t
+
+        monkeypatch.setattr(tilings, name, checked)
+        code, rest, _ = run(capsys, "enumerate", model, a, b)
+        assert code == 0
+        assert "".join(streamed) + rest == expected
+        monkeypatch.undo()
+        assert run(capsys, "enumerate", model, a, b, "--out", str(out))[0] == 0
+        assert out.read_text() == expected
+
     def test_cap_exit_code(self, capsys):
         code, _, err = run(capsys, "enumerate", "rect", "6", "6", "--cap", "10",
                            "--count-only")
@@ -105,10 +131,16 @@ class TestDegreeCapOverride:
     ])
     def test_cap_is_restored(self, capsys, argv, want):
         assert qpoly.degree_cap() == qpoly.DEFAULT_DEGREE_CAP
-        qpoly.reset_caches()            # a cached q-Fibonomial skips the cap
         code, _, _ = run(capsys, *argv)
         assert code == want
         assert qpoly.degree_cap() == qpoly.DEFAULT_DEGREE_CAP
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_cap_holds_for_cached_values(self, capsys, warm):
+        qpoly.reset_caches()
+        if warm:
+            assert run(capsys, "fibonomial", "9", "9")[0] == 0
+        assert run(capsys, "fibonomial", "9", "9", "--cap", "100")[0] == 3
 
 
 class TestSpiralCommand:

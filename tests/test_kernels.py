@@ -131,3 +131,40 @@ def test_div_qnumber_agrees_with_long_division(p, t, s, divisible, pad):
     # when all zero
     exact = res.remainder.is_zero() and (not r or len(r) > (t - 1) * s)
     assert _kernels_py.div_qnumber(list(r), t, s) == (list(res.quotient.coeffs) if exact else None)
+
+
+# mul_dense is Kronecker substitution; the oracle is the schoolbook product.
+def schoolbook(a, b):
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+wide = st.integers(min_value=-(2**100), max_value=2**100)
+coeff_lists = st.one_of(
+    st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=40),
+    st.lists(wide, min_size=1, max_size=25),
+    st.lists(st.integers(min_value=0, max_value=2**100), min_size=1, max_size=25),
+    st.integers(min_value=1, max_value=12).map(lambda n: [0] * n))
+
+
+@given(coeff_lists, coeff_lists)
+def test_mul_dense_is_schoolbook_product(a, b):
+    assert _kernels_py.mul_dense(list(a), list(b)) == schoolbook(a, b)
+
+
+@pytest.mark.parametrize("a, b", [
+    ([0, 0, 0], [2**100, -(2**100), 7]),       # all-zero factor beside a large one
+    ([-(2**100)], [2**100 - 1]),
+    ([5], [-3]),
+    ([-1] * 30, [-1] * 30),
+    ([2**64 - 1] * 3, [2**64 - 1] * 3),
+])
+def test_mul_dense_edge_cases(a, b):
+    assert _kernels_py.mul_dense(list(a), list(b)) == schoolbook(a, b)
+    assert _kernels_py.mul_dense(list(b), list(a)) == schoolbook(a, b)
+    assert _kernels_py.mul_dense(list(a), []) == []

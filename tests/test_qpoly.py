@@ -79,6 +79,17 @@ class TestQNumber:
         finally:
             qpoly.set_degree_cap(old)
 
+    @pytest.mark.parametrize("route", [qpoly.q_fibonomial, qpoly.q_fibonomial_recurrence])
+    def test_degree_cap_holds_for_cached_fibonomials(self, route):
+        route(6, 6)                     # cached now; degree 336
+        old = qpoly.set_degree_cap(100)
+        try:
+            with pytest.raises(ResourceLimitError):
+                route(6, 6)
+        finally:
+            qpoly.set_degree_cap(old)
+        assert route(6, 6).degree == qpoly._fibonomial_degree(6, 6)
+
 
 class TestSubstitutePower:
     def test_examples(self):

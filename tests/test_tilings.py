@@ -110,10 +110,40 @@ class TestRectGeneratingFunction:
                 if m + n <= 6:
                     assert rect_generating_function(m, n) == q_fibonomial(m, n)
 
-    def test_worker_count_invariant(self):
-        assert rect_generating_function(3, 3, workers=4) == rect_generating_function(3, 3)
-        assert (staircase_generating_function(6, 3, workers=4)
-                == staircase_generating_function(6, 3))
+
+
+def _tile_by_tile(tilings, exponent) -> IntPoly:
+    counts: dict[int, int] = {}
+    for t in tilings:
+        e = exponent(t)
+        counts[e] = counts.get(e, 0) + 1
+    out = [0] * (max(counts) + 1)
+    for e, c in counts.items():
+        out[e] = c
+    return IntPoly(out)
+
+
+class TestFactoredGeneratingFunctions:
+    """The generating functions multiply per-strip tables; summing the
+    weight of every enumerated tiling must give the same polynomial."""
+
+    def test_rect_matches_tile_by_tile_sum(self):
+        for m in range(0, 9):
+            for n in range(0, 9 - m):
+                assert rect_generating_function(m, n) == _tile_by_tile(
+                    iter_rect_tilings(m, n), rect_weight_exponent), (m, n)
+
+    def test_staircase_matches_tile_by_tile_sum(self):
+        for n in range(0, 10):
+            for k in range(0, n + 1):
+                assert staircase_generating_function(n, k) == _tile_by_tile(
+                    iter_staircase_tilings(n, k), staircase_weight_exponent), (n, k)
+
+    def test_cap_applies_without_enumeration(self):
+        with pytest.raises(ResourceLimitError):
+            rect_generating_function(5, 5, cap=1000)
+        with pytest.raises(ResourceLimitError):
+            staircase_generating_function(10, 5, cap=1000)
 
 
 class TestStaircaseEnumeration:
