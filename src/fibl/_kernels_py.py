@@ -2,7 +2,7 @@
 
 All functions operate on plain lists of Python ints indexed by exponent
 (dense form, possibly with trailing zeros).  They are the hot loops behind
-q-number products, exact factorial-ratio divisions and coefficient scans;
+q-number products, the ratio engine's exact divisions and coefficient scans;
 `fibl._kernels_c` is the compiled twin with the same contracts, and
 `fibl.kernels` picks whichever is importable (``mul_dense`` always comes
 from here).

@@ -2,10 +2,10 @@
 
 The rational expression prod_{k<=m+n-1} [F_k] / (prod_{k<=m} [F_k]
 prod_{k<=n} [F_k]) is a polynomial whenever gcd(m, n) is 1 or 2; the
-module decides polynomiality by counting cyclotomic factors, computes
-exact quotients by factor-by-factor division, records polynomiality
-verdicts (a non-polynomial ratio is a result, not an error) and scans
-coefficient signs.  Positivity beyond polynomiality is an
+module decides polynomiality by counting cyclotomic factors and computes
+exact quotients, both with the ratio engine of fibl.qpoly, records
+polynomiality verdicts (a non-polynomial ratio is a result, not an error)
+and scans coefficient signs.  Positivity beyond polynomiality is an
 experimental observation, so sweeps report it rather than assume it.
 
 The Coxeter variant multiplies [F_{a+e_i}] over the exponents e_i of a
@@ -17,14 +17,14 @@ canonical witness that Fibonacci-coprimality alone is not enough.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import accumulate
 from typing import Iterable, Optional
 
 from fibl import kernels
 from fibl.fib import fib
-from fibl.qpoly import IntPoly, _ensure_cap, long_division, q_fibonomial
+from fibl.qpoly import (IntPoly, _ensure_cap, cyclotomic_split, long_division,
+                        q_fibonomial, q_ratio_coeffs)
 from fibl.report import VerificationReport, exact_report
 
 # long-division fallback for remainders is skipped above this work estimate
@@ -104,71 +104,22 @@ class PolynomialityVerdict:
 def _ratio_verdict(num_factors: Iterable[int], den_factors: Iterable[int]) -> PolynomialityVerdict:
     """Decide whether prod [t] over num_factors / prod [t] over den_factors is a polynomial.
 
-    [t] = prod_{d | t, d > 1} Phi_d(q) with the Phi_d distinct and
-    irreducible, so the verdict is integer counting: the numerator's
-    cyclotomic multiplicities are spent on the denominator factors in
-    descending order, and the first factor that finds some Phi_d used up
-    settles non-polynomiality.  The exact remainder is then recovered by
-    long division when that is affordable.  Polynomials are built only
-    for a quotient known to be exact.
+    The ratio engine's cyclotomic count decides and the engine builds an
+    exact quotient; an inexact one's remainder is recovered by long
+    division when that is affordable.  The degree cap applies to every
+    partial numerator degree.
     """
     num = list(num_factors)
-    degree = 0
-    for t in num:
-        degree += t - 1
+    for degree in accumulate(t - 1 for t in num):
         _ensure_cap(degree)
-    den = sorted(den_factors, reverse=True)
-    phi = Counter()
-    for t in num:
-        phi.update(_cyclotomic_indices(t))
-    for pos, t in enumerate(den):
-        indices = _cyclotomic_indices(t)
-        if not all(phi[d] for d in indices):
-            remainder_degree = _remainder_degree(num, den[:pos], den[pos:])
-            return PolynomialityVerdict(False, remainder_degree=remainder_degree)
-        phi.subtract(indices)
-    quotient = _expand(num, den)
+    divided, rest = cyclotomic_split(num, den_factors)
+    if rest:
+        return PolynomialityVerdict(False, remainder_degree=_remainder_degree(num, divided, rest))
+    quotient = q_ratio_coeffs(num, divided)
     lohi = kernels.coeff_min_max(quotient)
     nonneg = lohi is None or lohi[0] >= 0
     return PolynomialityVerdict(True, quotient=IntPoly(quotient),
                                 all_coeffs_nonnegative=nonneg, coeff_range=lohi)
-
-
-@lru_cache(maxsize=1024)
-def _cyclotomic_indices(t: int) -> tuple[int, ...]:
-    """The d > 1 dividing t, i.e. the Phi_d whose product is [t]."""
-    small = [d for d in range(1, math.isqrt(t) + 1) if t % d == 0]
-    return tuple({d for s in small for d in (s, t // s)} - {1})
-
-
-def _expand(num: list, den: list) -> list:
-    """Coefficients of prod [t] over num / prod [t] over den, a ratio known
-    to be a polynomial.
-
-    A denominator factor [t] that divides a numerator factor [u] (t | u)
-    pairs with it as [u/t]_{q^t}, which cancels equal factors outright.
-    The numerator is multiplied out in ascending degree and the unpaired
-    denominator factors are divided out in descending order.  The
-    coefficient sum must equal the integer ratio at q = 1.
-    """
-    windows = [(u, 1) for u in sorted(num)]      # [t]_{q^stride} as (t, stride)
-    unpaired = []
-    for t in sorted(den, reverse=True):
-        i = next((i for i, (u, s) in enumerate(windows) if s == 1 and u % t == 0), None)
-        if i is None:
-            unpaired.append(t)
-        else:
-            windows[i] = (windows[i][0] // t, t)
-    out = [1]
-    for t, stride in sorted(windows, key=lambda w: (w[0] - 1) * w[1]):
-        out = kernels.mul_qnumber(out, t, stride)
-    for t in unpaired:
-        out = kernels.div_qnumber(out, t)
-        if out is None:
-            raise RuntimeError(f"internal error: exact division by [{t}] failed")
-    if sum(out) * math.prod(den) != math.prod(num):
-        raise RuntimeError("internal error: quotient does not match its value at q = 1")
-    return out
 
 
 def _remainder_degree(num: list, divided: list, rest: list) -> Optional[int]:
@@ -178,7 +129,8 @@ def _remainder_degree(num: list, divided: list, rest: list) -> Optional[int]:
     divisor_len = sum(t - 1 for t in rest) + 1
     if quotient_len * divisor_len > _REMAINDER_WORK_LIMIT:
         return None
-    res = long_division(IntPoly(_expand(num, divided)), IntPoly(_expand(rest, [])))
+    res = long_division(IntPoly(q_ratio_coeffs(num, divided)),
+                        IntPoly(q_ratio_coeffs(rest, ())))
     return res.remainder.degree
 
 

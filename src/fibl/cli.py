@@ -46,6 +46,13 @@ def _env(name: str, cast, default):
         raise SystemExit(f"invalid FIBL_{name}={raw!r}")
 
 
+def _cap(text: str) -> int:
+    """A --cap / FIBL_CAP value: an integer >= 1."""
+    if not text.strip().isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"--cap and FIBL_CAP take an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _parse_precision(text: str) -> Optional[int]:
     """'double' -> None; 'ext:BITS' -> BITS."""
     if text == "double":
@@ -63,8 +70,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=_env("SEED", int, ell.DEFAULT_SEED))
     common.add_argument("--samples", type=int, default=_env("SAMPLES", int, 20))
     common.add_argument("--tol", type=float, default=_env("TOL", float, None))
-    common.add_argument("--cap", type=int, default=_env("CAP", int, None),
-                        help="enumeration or degree cap override, by command")
+    # argparse runs a string default through type=_cap as well
+    common.add_argument("--cap", type=_cap, default=os.environ.get("FIBL_CAP"),
+                        help="enumeration or degree cap override (>= 1), by command")
     common.add_argument("--max", type=int, default=_env("MAX", int, None))
     common.add_argument("--format", choices=("json", "csv", "text"),
                         default=_env("FORMAT", str, "text"))
@@ -198,7 +206,7 @@ def _emit_payload(ns, payload: dict, text_line: str) -> int:
 @contextlib.contextmanager
 def _degree_cap(cap: Optional[int]):
     """Apply a --cap degree override for one command, then restore the old cap."""
-    if not cap:
+    if cap is None:
         yield
         return
     old = qpoly.set_degree_cap(cap)
@@ -222,7 +230,7 @@ def _cmd_fibonomial(ns) -> int:
 
 
 def _cmd_enumerate(ns) -> int:
-    cap = ns.cap if ns.cap else tilings.DEFAULT_ENUMERATION_CAP
+    cap = tilings.DEFAULT_ENUMERATION_CAP if ns.cap is None else ns.cap
     if ns.model == "rect":
         expected = qpoly.fibonomial_int(ns.a, ns.b)
     else:

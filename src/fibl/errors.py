@@ -21,11 +21,11 @@ class ResourceLimitError(RuntimeError):
 class NotPolynomialError(ArithmeticError):
     """An exact polynomial division left a nonzero remainder.
 
-    For polynomiality tests this is a result, not a failure: the verdict
-    machinery in fibl.catalan catches it.  ``remainder`` is the IntPoly
-    remainder when the division was performed by long division, or None
-    when a factor-by-factor division detected inexactness without
-    materializing a remainder.
+    For polynomiality tests a non-polynomial ratio is a result, not a
+    failure: the verdicts in fibl.catalan record it without raising.
+    ``remainder`` is the IntPoly remainder when the division was performed
+    by long division, or None when the ratio engine (qpoly.q_ratio_coeffs)
+    detected inexactness without materializing a remainder.
     """
 
     def __init__(self, message: str, remainder=None):

@@ -3,9 +3,10 @@
 IntPoly is an immutable dense coefficient vector over Python's
 arbitrary-precision integers; every q-analog quantity in the package is one
 of these.  The module provides the q-number [n] = 1 + q + ... + q^{n-1},
-the Fibonacci q-factorial, the q-Fibonomial by two independent routes
-(factorial-ratio division and the two-term recurrence), exact division
-with polynomiality detection, and the polynomial identity checks.
+the ratio engine that builds every product or quotient of q-numbers
+(q_ratio_coeffs), the Fibonacci q-factorial, the q-Fibonomial by two
+independent routes (the ratio engine and the two-term recurrence), long
+division with polynomiality detection, and the polynomial identity checks.
 
 Degrees are guarded by a configurable cap (default 10**7) so runaway
 inputs fail fast with a ResourceLimitError instead of exhausting memory:
@@ -15,7 +16,9 @@ index.
 
 from __future__ import annotations
 
+import math
 import threading
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
@@ -27,9 +30,6 @@ from fibl.report import VerificationReport, exact_report
 
 DEFAULT_DEGREE_CAP = 10**7
 _degree_cap = DEFAULT_DEGREE_CAP
-
-# factorial prefixes above this index are computed but not cached
-_FACT_CACHE_LIMIT = 24
 
 
 def degree_cap() -> int:
@@ -301,42 +301,88 @@ def exact_div(num: IntPoly, den: IntPoly) -> IntPoly:
 
 
 # ---------------------------------------------------------------------------
-# Fibonacci q-factorials and q-Fibonomials
+# The ratio engine: quotients of products of q-numbers
 
-_fact_lock = threading.Lock()
-_fact_cache = [(1,)]  # _fact_cache[n] = coefficients of prod_{k<=n} [F_k]
+@lru_cache(maxsize=1024)
+def _cyclotomic_indices(t: int) -> tuple[int, ...]:
+    """The d > 1 dividing t, i.e. the Phi_d whose product is [t]."""
+    small = [d for d in range(1, math.isqrt(t) + 1) if t % d == 0]
+    return tuple({d for s in small for d in (s, t // s)} - {1})
 
 
-def _fact_coeffs(n: int) -> list:
-    """Dense coefficients of the q-Fibonacci factorial, as a fresh list."""
-    if n < 0:
-        raise ValueError("factorial index must be >= 0")
-    top = min(n, _FACT_CACHE_LIMIT)
-    if top >= len(_fact_cache):
-        with _fact_lock:
-            while len(_fact_cache) <= top:
-                k = len(_fact_cache)
-                _ensure_cap(len(_fact_cache[-1]) - 1 + fib(k) - 1)
-                nxt = kernels.mul_qnumber(list(_fact_cache[-1]), fib(k))
-                _fact_cache.append(tuple(nxt))
-    out = list(_fact_cache[top])
-    for k in range(top + 1, n + 1):
-        _ensure_cap(len(out) - 1 + fib(k) - 1)
-        out = kernels.mul_qnumber(out, fib(k))
+def cyclotomic_split(num: Iterable[int], den: Iterable[int]) -> tuple[list, list]:
+    """Split den, sorted in descending order, at the first factor whose
+    cyclotomic factors the numerator's, spent in that order, no longer cover.
+
+    [t] = prod_{d | t, d > 1} Phi_d(q), the Phi_d distinct and irreducible,
+    so prod [num] / prod [den] is a polynomial iff the second part is empty.
+    """
+    phi = Counter()
+    for t in num:
+        phi.update(_cyclotomic_indices(t))
+    den = sorted(den, reverse=True)
+    for pos, t in enumerate(den):
+        indices = _cyclotomic_indices(t)
+        if not all(phi[d] for d in indices):
+            return den[:pos], den[pos:]
+        phi.subtract(indices)
+    return den, []
+
+
+def q_ratio_coeffs(num: Iterable[int], den: Iterable[int]) -> list:
+    """Dense coefficients of prod [t] over num / prod [t] over den (all t >= 1).
+
+    A denominator factor [t] pairs with a numerator factor [u], t | u, as
+    [u/t]_{q^t}; the numerator is multiplied out in ascending degree and
+    the unpaired denominator factors are divided out in descending order.
+    Polynomiality is proved by the cyclotomic count, by every division
+    being exact and by the value at q = 1; any failure raises
+    NotPolynomialError.  The degree cap is the caller's to check.
+    """
+    num, den = list(num), list(den)
+    if min(num + den, default=1) < 1:
+        raise ValueError("q-number indices must be >= 1")
+    den, rest = cyclotomic_split(num, den)
+    if rest:
+        raise NotPolynomialError(f"the numerator's cyclotomic factors miss [{rest[0]}]")
+    windows = [(u, 1) for u in sorted(num)]      # [t]_{q^stride} as (t, stride)
+    unpaired = []
+    for t in den:
+        i = next((i for i, (u, s) in enumerate(windows) if s == 1 and u % t == 0), None)
+        if i is None:
+            unpaired.append(t)
+        else:
+            windows[i] = (windows[i][0] // t, t)
+    out = [1]
+    for t, stride in sorted(windows, key=lambda w: (w[0] - 1) * w[1]):
+        out = kernels.mul_qnumber(out, t, stride)
+    for t in unpaired:
+        out = kernels.div_qnumber(out, t)
+        if out is None:
+            raise NotPolynomialError(f"internal error: exact division by [{t}] failed")
+    if sum(out) * math.prod(den) != math.prod(num):
+        raise NotPolynomialError("internal error: quotient does not match its value at q = 1")
     return out
 
 
+# ---------------------------------------------------------------------------
+# Fibonacci q-factorials and q-Fibonomials
+
 def q_fib_factorial(n: int) -> IntPoly:
     """prod_{k=1}^{n} [F_k]; the Fibonacci q-analog of n!.  n = 0 gives 1."""
-    return IntPoly._wrap(_fact_coeffs(n))
+    if n < 0:
+        raise ValueError("factorial index must be >= 0")
+    factors = [fib(k) for k in range(1, n + 1)]
+    _ensure_cap(sum(t - 1 for t in factors))
+    return IntPoly._wrap(q_ratio_coeffs(factors, ()))
 
 
 def q_fibonomial(m: int, n: int) -> IntPoly:
-    """The q-Fibonomial via the factorial-ratio (division) route.
+    """The q-Fibonomial prod_{k=hi+1}^{m+n} [F_k] / prod_{k=1}^{lo} [F_k].
 
-    Computed as prod_{k=hi+1}^{m+n} [F_k] divided factor-by-factor by the
-    q-factorial of lo = min(m, n); each window division is checked exact,
-    which re-proves polynomiality on every computation.  Results are
+    Here lo, hi = min(m, n), max(m, n).  The ratio engine re-proves
+    polynomiality on every computation; since F_k | F_j iff k | j, most
+    denominator factors pair away rather than being divided out.  Results are
     memoized, but the degree cap is checked on every call, so a capped
     call fails whether or not the value is cached.
     """
@@ -349,17 +395,8 @@ def q_fibonomial(m: int, n: int) -> IntPoly:
 @lru_cache(maxsize=256)
 def _q_fibonomial_cached(m: int, n: int) -> IntPoly:
     lo, hi = sorted((m, n))
-    out = [1]
-    for k in range(hi + 1, m + n + 1):
-        out = kernels.mul_qnumber(out, fib(k))
-    for k in range(lo, 0, -1):
-        nxt = kernels.div_qnumber(out, fib(k))
-        if nxt is None:
-            raise NotPolynomialError(
-                f"q_fibonomial({m},{n}) failed exact division by [F_{k}]; "
-                "this signals an implementation bug")
-        out = nxt
-    return IntPoly._wrap(out)
+    return IntPoly._wrap(q_ratio_coeffs((fib(k) for k in range(hi + 1, m + n + 1)),
+                                        (fib(k) for k in range(1, lo + 1))))
 
 
 q_fibonomial.cache_info = _q_fibonomial_cached.cache_info
@@ -445,10 +482,10 @@ def spiral_identity_check(m: int) -> VerificationReport:
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    lhs = IntPoly._wrap(kernels.mul_qnumber([1] * fib(m + 2), fib(m + 1)))
+    lhs = IntPoly._wrap(q_ratio_coeffs((fib(m + 2), fib(m + 1)), ()))
     rhs = _ZERO
     for k in range(1, m + 2):
-        sq = IntPoly._wrap(kernels.mul_qnumber([1] * fib(k), fib(k)))
+        sq = IntPoly._wrap(q_ratio_coeffs((fib(k), fib(k)), ()))
         rhs = rhs + sq.shift(spiral_exponent(k, m))
     return exact_report("q-spiral", {"m": m}, lhs, rhs)
 
@@ -487,10 +524,7 @@ def convolution_identity_check_q(m: int, n: int) -> VerificationReport:
 
 
 def reset_caches() -> None:
-    """Drop memoized factorials/fibonomials (mainly for tests)."""
-    global _fact_cache
-    with _fact_lock:
-        _fact_cache = [(1,)]
+    """Drop memoized q-Fibonomials of both routes (mainly for tests)."""
     with _rec_lock:
         _rec_cache.clear()
     q_fibonomial.cache_clear()

@@ -45,7 +45,7 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from fibl.errors import ResourceLimitError
 from fibl.fib import fib
-from fibl.qpoly import IntPoly, exact_div, fibonomial_int, q_fib_factorial
+from fibl.qpoly import IntPoly, fibonomial_int, q_ratio_coeffs
 from fibl.report import VerificationReport, exact_report
 
 DEFAULT_ENUMERATION_CAP = 10**8
@@ -617,9 +617,11 @@ def catalan_partial_weight_exponent(t: StaircaseTiling) -> int:
 
 
 def catalan_partial_tiling_counterexample(size: int = 6) -> VerificationReport:
-    """Compare the ordinary q-Fibo-Catalan polynomial against the weight sum
-    over Catalan partial tilings of the given size; they are expected to
-    DIFFER (the report passes when they do), while the q = 1 counts agree.
+    """Compare the ordinary q-Fibo-Catalan polynomial at n = size / 2 (the
+    quotient of catalan.q_fibo_catalan_ordinary(n), from the ratio engine)
+    against the weight sum over Catalan partial tilings of the given size;
+    they are expected to DIFFER (the report passes when they do), while
+    the q = 1 counts agree.
     """
     n = size // 2
     counts: dict[int, int] = {}
@@ -629,9 +631,8 @@ def catalan_partial_tiling_counterexample(size: int = 6) -> VerificationReport:
         counts[e] = counts.get(e, 0) + 1
         total += 1
     tiling_sum = _poly_from_counts(counts)
-    catalan_poly = exact_div(
-        q_fib_factorial(2 * n),
-        q_fib_factorial(n + 1) * q_fib_factorial(n))
+    catalan_poly = IntPoly(q_ratio_coeffs((fib(k) for k in range(n + 2, 2 * n + 1)),
+                                          (fib(k) for k in range(1, n + 1))))
     rep = exact_report("catalan-partial-tiling-counterexample", {"size": size},
                        catalan_poly, tiling_sum, expected="unequal")
     rep.notes["catalan_poly_at_1"] = catalan_poly.eval_q1()

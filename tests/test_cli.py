@@ -142,6 +142,23 @@ class TestDegreeCapOverride:
             assert run(capsys, "fibonomial", "9", "9")[0] == 0
         assert run(capsys, "fibonomial", "9", "9", "--cap", "100")[0] == 3
 
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    @pytest.mark.parametrize("argv", [
+        ("fibonomial", "9", "9"),
+        ("enumerate", "rect", "3", "3", "--count-only"),
+        ("catalan", "coxeter", "F4", "2"),
+        ("verify", "counterexample"),
+    ], ids=" ".join)
+    def test_cap_below_one_is_a_usage_error(self, capsys, monkeypatch, argv, cap):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--cap", cap])
+        assert exc.value.code == 2
+        monkeypatch.setenv("FIBL_CAP", cap)
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert "FIBL_CAP" in capsys.readouterr().err
+
 
 class TestSpiralCommand:
     def test_passes(self, capsys):

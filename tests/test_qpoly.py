@@ -2,15 +2,16 @@ import threading
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from fibl import qpoly
 from fibl.errors import NotPolynomialError, ResourceLimitError
 from fibl.fib import fib
-from fibl.qpoly import (IntPoly, convolution_identity_check_q, exact_div,
-                        fibonomial_int, is_unimodal, long_division, q_fib_factorial,
-                        q_fibonomial, q_fibonomial_recurrence, q_number,
-                        q_number_base, spiral_identity_check, substitute_power)
+from fibl.qpoly import (IntPoly, convolution_identity_check_q, cyclotomic_split,
+                        exact_div, fibonomial_int, is_unimodal, long_division,
+                        q_fib_factorial, q_fibonomial, q_fibonomial_recurrence, q_number,
+                        q_number_base, q_ratio_coeffs, spiral_identity_check,
+                        substitute_power)
 
 
 def P(*coeffs):
@@ -133,6 +134,51 @@ class TestExactDiv:
             long_division(P(1, 1), P(1, 2))
 
 
+@st.composite
+def _ratios(draw):
+    """(num, den) index lists; some numerator factors are multiples of
+    denominator factors, so both verdicts come up often."""
+    den = draw(st.lists(st.integers(min_value=1, max_value=30), max_size=5))
+    num = [t * draw(st.integers(min_value=1, max_value=30 // t))
+           for t in den if draw(st.booleans())]
+    return num + draw(st.lists(st.integers(min_value=1, max_value=30), max_size=4)), den
+
+
+def _q_number_product(indices):
+    out = IntPoly.one()
+    for t in indices:
+        out = out * q_number(t)
+    return out
+
+
+class TestRatioEngine:
+    """The ratio engine against long division of the multiplied-out products."""
+
+    @given(_ratios())
+    @example(([6], [2, 3]))             # Phi_6 = 1 - q + q^2
+    @example(([4], [2, 2]))             # Phi_2 twice against once
+    @example(([], []))
+    def test_agrees_with_long_division(self, ratio):
+        num, den = ratio
+        res = long_division(_q_number_product(num), _q_number_product(den))
+        _, rest = cyclotomic_split(num, den)
+        assert (not rest) == res.remainder.is_zero()
+        if rest:
+            with pytest.raises(NotPolynomialError):
+                q_ratio_coeffs(num, den)
+        else:
+            assert IntPoly(q_ratio_coeffs(num, den)) == res.quotient
+
+    def test_split_is_descending_and_stops_at_the_first_shortfall(self):
+        # [5][12]/([2][3][4]): [4] and [3] are covered by [12], [2] is not
+        assert cyclotomic_split([5, 12], [2, 3, 4]) == ([4, 3], [2])
+        assert cyclotomic_split([12], [4, 3]) == ([4, 3], [])
+
+    def test_indices_must_be_positive(self):
+        with pytest.raises(ValueError):
+            q_ratio_coeffs([3, 0], [])
+
+
 class TestFactorial:
     def test_examples(self):
         assert q_fib_factorial(0) == IntPoly.one()
@@ -147,7 +193,7 @@ class TestFactorial:
             assert q_fib_factorial(n) == prod
 
     def test_uncached_tail(self):
-        # indices above the cache limit still compute correctly
+        # a large index (degree ~3 * 10**5) still computes exactly
         big = q_fib_factorial(26)
         assert big.eval_q1() == _int_factorial(26)
 
@@ -183,9 +229,9 @@ class TestFibonomial:
         assert q_fibonomial_recurrence(2, 2) == P(1, 2, 2, 1)
 
     def test_routes_agree_to_10(self):
-        for m in range(0, 11):
-            for n in range(0, 11):
-                assert q_fibonomial(m, n) == q_fibonomial_recurrence(m, n)
+        pairs = [(m, n) for m in range(0, 11) for n in range(0, 11)]
+        for m, n in pairs + [(12, 9), (9, 12), (11, 11), (12, 12)]:
+            assert q_fibonomial(m, n) == q_fibonomial_recurrence(m, n)
 
     def test_symmetry(self):
         for m in range(0, 9):
