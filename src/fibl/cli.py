@@ -43,7 +43,8 @@ def _env(name: str, cast, default):
     try:
         return cast(raw)
     except (TypeError, ValueError):
-        raise SystemExit(f"invalid FIBL_{name}={raw!r}")
+        print(f"invalid FIBL_{name}={raw!r}", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
 
 
 def _cap(text: str) -> int:
@@ -254,7 +255,8 @@ def _cmd_enumerate(ns) -> int:
 
 
 def _cmd_spiral(ns) -> int:
-    reports = [qpoly.spiral_identity_check(ns.m), qpoly.spiral_identity_check_q1(ns.m)]
+    with _degree_cap(ns.cap):
+        reports = [qpoly.spiral_identity_check(ns.m), qpoly.spiral_identity_check_q1(ns.m)]
     return _emit_reports(ns, reports)
 
 
@@ -345,8 +347,7 @@ def _cmd_elliptic(ns) -> int:
     else:
         if len(ns.args) != 1:
             raise ValueError("usage: elliptic theta X")
-        x = complex(ns.args[0])
-        val = ell.theta(x, params.p, params.trunc_eps)
+        val = ell.theta_value(complex(ns.args[0]), params)
     cval = complex(val)
     payload = {"what": ns.what, "args": list(ns.args),
                "params": {"a": _cpx(params.a), "b": _cpx(params.b),
@@ -511,7 +512,8 @@ def _cmd_verify(ns) -> int:
         "bijection": _suite_bijection,
         "counterexample": _suite_counterexample,
     }
-    reports = handlers[ns.suite](ns)
+    with _degree_cap(ns.cap):
+        reports = handlers[ns.suite](ns)
     return _emit_reports(ns, reports, {"suite": ns.suite})
 
 

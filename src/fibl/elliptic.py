@@ -13,8 +13,14 @@ parameter points, with relative tolerances carried by EllipticParams; the
 ordered degeneration p -> 0, a -> 0, b -> 0 back to the q-analogs is done
 symbolically in limit_chain, not by numeric limiting.
 
-Two numeric regimes: double precision (complex) and an extended mode on
-mpmath with a configurable mantissa, selected per parameter set.
+Two numeric regimes, selected per parameter set: double precision
+(complex) and an extended mode with a configurable mantissa of B bits
+(mpmath values, B = ``mpmath.mp.prec`` inside the parameter set's
+precision context).  theta computes its truncation depth once from float
+logarithms.  In double precision it multiplies complex factors; in the
+extended mode it multiplies Gaussian integer mantissas of B + 16 bits
+that share one binary exponent and rounds the product once to a B-bit
+mpc, so mpmath's own arithmetic never runs per factor.
 """
 
 from __future__ import annotations
@@ -43,6 +49,7 @@ DEFAULT_SEED = 0x5EED
 MAX_RESAMPLES = 100
 
 _MAX_THETA_TERMS = 100_000
+_LN2 = math.log(2)
 
 
 @dataclass(frozen=True)
@@ -169,26 +176,134 @@ def run_sampled_checks(check: Callable[[EllipticParams], VerificationReport],
 # Theta functions
 
 def theta(x, p, eps: float = DEFAULT_TRUNC_EPS):
-    """Truncated theta product; stops after J terms once
-    |p|^J max(|x|, 1/|x|) < eps.  Deterministic for fixed inputs."""
-    if x == 0:
+    """Truncated theta product of the first J factor pairs, where J is the
+    first J >= 1 with |p|^J max(|x|, 1/|x|) < eps (J = 1 when p = 0).
+
+    J is computed once, from float logarithms, before the product runs.
+    Two regimes, chosen by the argument types:
+
+    * double (x and p complex, float or int): the factors are multiplied
+      in complex arithmetic exactly as ``out * (1 - p^j x) * (1 - p^j p / x)``;
+    * extended (x or p an mpmath number): the product runs on Gaussian
+      integer mantissas with a shared binary exponent, carried at
+      ``mpmath.mp.prec + 16`` bits, and is rounded once to an mpc at
+      ``mpmath.mp.prec`` bits.  theta(1; p) is exactly 0.
+
+    Deterministic for fixed inputs.
+    """
+    if isinstance(x, (complex, float, int)) and isinstance(p, (complex, float, int)):
+        if x == 0:
+            raise ValueError("theta argument must be nonzero")
+        absp = abs(p)
+        if absp >= 1:
+            raise ValueError("need |p| < 1")
+        terms = _theta_terms(math.log(abs(x)), math.log(absp) if absp else None, eps)
+        out = 1
+        pj = 1
+        for _ in range(terms):
+            pjp = pj * p
+            out = out * (1 - pj * x) * (1 - pjp / x)
+            pj = pjp
+        return out
+    return _theta_ext(x, p, eps)
+
+
+def _theta_terms(log_x: float, log_p: Optional[float], eps: float) -> int:
+    """The truncation depth J from log|x| and log|p| (None when p = 0)."""
+    if log_p is None:
+        return 1
+    if log_p >= 0:      # |p| rounds to 1
+        raise ValueError("theta truncation did not converge; |p| too close to 1")
+    # J log|p| + |log|x|| < log(eps)  <=>  J > ratio
+    ratio = (math.log(eps) - abs(log_x)) / log_p
+    if ratio >= _MAX_THETA_TERMS + 1:       # J = _MAX_THETA_TERMS + 1 is allowed
+        raise ValueError("theta truncation did not converge; |p| too close to 1")
+    return max(1, math.floor(ratio) + 1)
+
+
+def _gaussian(z, width: int):
+    """An mpmath number z as (a, b, e) with z ~ (a + ib) 2^e and
+    max(|a|, |b|) below 2^width; (0, 0, 0) for z = 0."""
+    if not hasattr(z, "_mpc_"):
+        import mpmath
+        z = mpmath.mpc(z)
+    parts = [(-man if sign else man, exp, exp + bc)
+             for sign, man, exp, bc in z._mpc_]
+    tops = [top for man, _, top in parts if man]
+    if not tops:
+        return 0, 0, 0
+    e = max(tops) - width
+    (a, ea, _), (b, eb, _) = parts
+    a = a << (ea - e) if ea >= e else a >> (e - ea)
+    b = b << (eb - e) if eb >= e else b >> (e - eb)
+    return a, b, e
+
+
+def _theta_ext(x, p, eps: float):
+    """The extended regime of theta on Gaussian integer mantissas.
+
+    Every value is (a + ib) 2^e with max(|a|, |b|) < 2^W, W = prec + 16,
+    renormalized by bit_length after each multiply.  u_j = p^j x and
+    w_j = p^{j+1} / x advance by one multiply by p each, so 1/x is the
+    only division; each factor 1 - u is formed at exponent -W.
+    """
+    import mpmath
+    from mpmath.libmp import from_man_exp, round_nearest
+
+    prec = mpmath.mp.prec
+    width = prec + 16
+    xa, xb, xe = _gaussian(x, width)
+    if not (xa or xb):
         raise ValueError("theta argument must be nonzero")
-    absp = abs(p)
-    if absp >= 1:
+    pa, pb, pe = _gaussian(p, width)
+    pn = pa * pa + pb * pb
+    if pn and (pe >= 0 or pn >> (-2 * pe)):          # |p|^2 >= 1
         raise ValueError("need |p| < 1")
-    ax = abs(x)
-    bound = ax if ax > 1 else 1 / ax
-    out = 1
-    pj = 1
-    terms = 0
-    while True:
-        out = out * (1 - pj * x) * (1 - pj * p / x)
-        pj = pj * p
-        terms += 1
-        if abs(pj) * bound < eps:
-            return out
-        if terms > _MAX_THETA_TERMS:
-            raise ValueError("theta truncation did not converge; |p| too close to 1")
+    xn = xa * xa + xb * xb
+    terms = _theta_terms(0.5 * math.log(xn) + xe * _LN2,
+                         0.5 * math.log(pn) + pe * _LN2 if pn else None, eps)
+
+    # Products are cut back to `width` bits by k = (bit length - width)
+    # right shifts; `half` keeps k >= 0 for an exact zero.
+    half = 1 << (width - 1)
+    # w_0 = p / x = p conj(x) / |x|^2, the one division
+    s = 2 * width + 1
+    ia, ib = (xa << s) // xn, (-xb << s) // xn
+    wa, wb = pa * ia - pb * ib, pa * ib + pb * ia
+    k = max(wa, -wa, wb, -wb, half).bit_length() - width
+    wa, wb, we = wa >> k, wb >> k, pe - xe - s + k
+    ua, ub, ue = xa, xb, xe
+    one = 1 << width
+    oa, ob, oe = 1, 0, 0
+    for _ in range(terms):
+        k = ue + width                # 1 - u and 1 - w at exponent -W
+        fa, fb = (ua << k, ub << k) if k >= 0 else (ua >> -k, ub >> -k)
+        k = we + width
+        ga, gb = (wa << k, wb << k) if k >= 0 else (wa >> -k, wb >> -k)
+        fa, ga = one - fa, one - ga
+        ha = fa * ga - fb * gb        # (1 - u)(1 - w) = (fa - i fb)(ga - i gb)
+        hb = -(fa * gb + fb * ga)
+        oa, ob = oa * ha - ob * hb, oa * hb + ob * ha
+        k = max(oa, -oa, ob, -ob, half).bit_length() - width
+        oa, ob, oe = oa >> k, ob >> k, oe - 2 * width + k
+        ua, ub = ua * pa - ub * pb, ua * pb + ub * pa
+        k = max(ua, -ua, ub, -ub, half).bit_length() - width
+        ua, ub, ue = ua >> k, ub >> k, ue + pe + k
+        wa, wb = wa * pa - wb * pb, wa * pb + wb * pa
+        k = max(wa, -wa, wb, -wb, half).bit_length() - width
+        wa, wb, we = wa >> k, wb >> k, we + pe + k
+    return mpmath.mp.make_mpc((from_man_exp(oa, oe, prec, round_nearest),
+                               from_man_exp(ob, oe, prec, round_nearest)))
+
+
+def theta_value(x, params: EllipticParams):
+    """theta(x; p) for the nome of ``params``, at its precision."""
+    with _prec_ctx(params):
+        p = _coerced(params)[3]
+        if params.precision_bits:
+            import mpmath
+            x = mpmath.mpc(x)
+        return theta(x, p, params.trunc_eps)
 
 
 def theta_multi(xs: Sequence, p, eps: float = DEFAULT_TRUNC_EPS):

@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
+import mpmath
 import pytest
 
+import fibl
+from fibl import elliptic as ell
 from fibl import qpoly, tilings
 from fibl.cli import main
 
@@ -159,6 +165,20 @@ class TestDegreeCapOverride:
         assert exc.value.code == 2
         assert "FIBL_CAP" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ("verify", "convolution", "--max", "5"),
+        ("verify", "q-all", "--max", "4"),
+        ("spiral", "7"),
+    ], ids=" ".join)
+    def test_verify_and_spiral_obey_the_cap(self, capsys, argv):
+        code, plain, _ = run(capsys, *argv)
+        assert code == 0
+        assert run(capsys, *argv, "--cap", str(qpoly.DEFAULT_DEGREE_CAP)) == (0, plain, "")
+        code, _, err = run(capsys, *argv, "--cap", "3")
+        assert code == 3
+        assert "exceeds the degree cap 3" in err
+        assert qpoly.degree_cap() == qpoly.DEFAULT_DEGREE_CAP
+
 
 class TestSpiralCommand:
     def test_passes(self, capsys):
@@ -178,6 +198,18 @@ class TestEllipticCommand:
         assert code == 0
         doc = json.loads(out)
         assert abs(doc["value"]["re"] - 0.5) < 1e-12   # theta(x; 0) = 1 - x
+
+    def test_theta_at_extended_precision(self, capsys):
+        params = ell.sample_params(3, precision_bits=128)
+        with mpmath.workprec(128):
+            want = complex(ell.theta(mpmath.mpc(0.5), mpmath.mpc(params.p), params.trunc_eps))
+        code, out, _ = run(capsys, "elliptic", "theta", "0.5", "--seed", "3",
+                           "--precision", "ext:128")
+        assert code == 0
+        assert out == f"{want.real!r}{want.imag:+}j\n"
+        code, double, _ = run(capsys, "elliptic", "theta", "0.5", "--seed", "3")
+        assert code == 0
+        assert double != out
 
 
 class TestVerifyCommand:
@@ -236,6 +268,25 @@ class TestEnvPrecedence:
                      "--format", "json", "--out", str(f)]) == 0
         capsys.readouterr()
         assert json.loads(f.read_text())["config"]["seed"] == 7
+
+
+    @pytest.mark.parametrize("name", ["SEED", "SAMPLES", "TOL", "MAX"])
+    def test_invalid_value_is_a_usage_error(self, capsys, monkeypatch, name):
+        monkeypatch.setenv("FIBL_" + name, "abc")
+        with pytest.raises(SystemExit) as exc:
+            main(["fibonomial", "2", "2"])
+        assert exc.value.code == 2
+        assert f"invalid FIBL_{name}='abc'" in capsys.readouterr().err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fibl.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-m", "fibl", "fibonomial", "2", "2"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout == "[1, 2, 2, 1]\n"
 
 
 def test_missing_subcommand_is_usage_error():

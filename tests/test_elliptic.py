@@ -1,8 +1,12 @@
 import cmath
+import math
+import struct
 from dataclasses import replace
 from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from fibl import elliptic as ell
 from fibl.errors import DegenerateParametersError
@@ -72,6 +76,176 @@ class TestTheta:
             w1 = ell.weight_v(m, n, p)
             w2 = ell.weight_v(m, n, deeper)
             assert abs(w1 - w2) / abs(w2) < p.eq_tol / 10
+
+
+def _reference_run(x, p, eps=ell.DEFAULT_TRUNC_EPS):
+    """The factor-by-factor theta loop that tests the kernel against.
+
+    Returns the value, the number of factor pairs J, and the stopping
+    ratios |p|^J B / eps (< 1) and |p|^(J-1) B / eps (>= 1), B = max(|x|, 1/|x|).
+    """
+    if x == 0:
+        raise ValueError("theta argument must be nonzero")
+    if abs(p) >= 1:
+        raise ValueError("need |p| < 1")
+    ax = abs(x)
+    bound = ax if ax > 1 else 1 / ax
+    out = 1
+    pj = 1
+    terms = 0
+    while True:
+        before = abs(pj) * bound / eps
+        out = out * (1 - pj * x) * (1 - pj * p / x)
+        pj = pj * p
+        terms += 1
+        if abs(pj) * bound < eps:
+            return out, terms, float(abs(pj) * bound / eps), float(before)
+        if terms > ell._MAX_THETA_TERMS:
+            raise ValueError("theta truncation did not converge; |p| too close to 1")
+
+
+def _theta_reference(x, p, eps=ell.DEFAULT_TRUNC_EPS):
+    return _reference_run(x, p, eps)[0]
+
+
+def _bits(z) -> bytes:
+    z = complex(z)
+    return struct.pack("<dd", z.real, z.imag)
+
+
+def _polar(log10_mag, phase):
+    return cmath.rect(10.0 ** log10_mag, phase)
+
+
+def _terms_of_kernel(x, p, eps):
+    """Call ell.theta and return (value, the truncation depth it used)."""
+    seen = []
+    orig = ell._theta_terms
+
+    def spy(*args):
+        seen.append(orig(*args))
+        return seen[-1]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ell, "_theta_terms", spy)
+        value = ell.theta(x, p, eps)
+    return value, seen[0]
+
+
+_phases = st.floats(0.0, 2 * math.pi)
+
+
+class TestThetaKernel:
+    """ell.theta against the reference loop: bit-identical in double
+    precision, within 2^-(B-8) at B bits, with the same truncation depth.
+
+    At B bits the reference runs at B + 64 bits on the same inputs: run at
+    B bits, its own rounding drifts by up to ~1500 ulp at J ~ 1000 terms,
+    which would hide the kernel's error rather than measure it.
+    """
+
+    @given(lx=st.floats(-30, 30), ax=_phases, lp=st.floats(-6, math.log10(0.9)),
+           ap=_phases, bits=st.sampled_from([None, 53, 128, 160]))
+    @example(lx=0.0, ax=0.0, lp=-0.5, ap=1.0, bits=None)             # x = 1
+    @example(lx=0.2, ax=math.pi, lp=-1.0, ap=0.3, bits=None)         # x < 0
+    @example(lx=-29.0, ax=math.pi, lp=-0.1, ap=2.0, bits=160)
+    @example(lx=30.0, ax=0.5, lp=-0.05, ap=0.0, bits=53)             # J ~ 1500
+    @example(lx=-30.0, ax=2.0, lp=math.log10(0.9), ap=1.0, bits=128)
+    @example(lx=12.0, ax=4.0, lp=-0.3, ap=5.0, bits=160)
+    @example(lx=30.0, ax=1.0, lp=math.log10(0.9), ap=0.5, bits=None)
+    @settings(max_examples=150)
+    def test_matches_reference(self, lx, ax, lp, ap, bits):
+        x, p = _polar(lx, ax), _polar(lp, ap)
+        if lx == 0.0 and ax == 0.0:
+            x = 1
+        elif ax == math.pi:
+            x = complex(-abs(x), 0.0)
+        if bits is None:
+            want, terms, after, before = _reference_run(x, p)
+            got, j = _terms_of_kernel(x, p, ell.DEFAULT_TRUNC_EPS)
+            assert _bits(got) == _bits(want)
+        else:
+            eps = ell.EXTENDED_TRUNC_EPS
+            with mpmath.workprec(bits):
+                xm, pm = mpmath.mpc(x), mpmath.mpc(p)
+                got, j = _terms_of_kernel(xm, pm, eps)
+                assert isinstance(got, mpmath.mpc)
+            with mpmath.workprec(bits + 64):
+                # well-conditioned points only: no factor 1 - p^j x or
+                # 1 - p^(j+1)/x within 1e-3 of zero
+                k = round(-lx / lp)
+                for jj in {k - 1, k, k + 1, -k - 1, -k, -k + 1}:
+                    if jj >= 0:
+                        assume(abs(1 - pm ** jj * xm) > 1e-3)
+                        assume(abs(1 - pm ** (jj + 1) / xm) > 1e-3)
+                want, terms, after, before = _reference_run(xm, pm, eps)
+                assert abs(got - want) / abs(want) <= mpmath.mpf(2) ** -(bits - 8)
+        if after < 1 - 1e-9 and (terms == 1 or before > 1 + 1e-9):     # away from ties
+            assert j == terms
+
+    @pytest.mark.parametrize("bits", [None, 128])
+    def test_zero_nome(self, bits):
+        x, p = complex(0.7, -1.3), 0
+        if bits is None:
+            assert _bits(ell.theta(x, p)) == _bits(_theta_reference(x, p)) == _bits(1 - x)
+            return
+        with mpmath.workprec(bits):
+            x, p = mpmath.mpc(x), mpmath.mpc(0)
+            got, j = _terms_of_kernel(x, p, ell.EXTENDED_TRUNC_EPS)
+            assert j == 1
+            assert got == 1 - x == _theta_reference(x, p, ell.EXTENDED_TRUNC_EPS)
+
+    @pytest.mark.parametrize("bits", [53, 128, 160])
+    def test_theta_at_one_is_exactly_zero(self, bits):
+        with mpmath.workprec(bits):
+            got = ell.theta(mpmath.mpc(1), mpmath.mpc(0.3, -0.1), ell.EXTENDED_TRUNC_EPS)
+            assert got.real == 0 and got.imag == 0
+
+    @pytest.mark.parametrize("x, p", [
+        (0, 0.1), (0j, 0.1), (0.5, 1), (0.5, 1.2), (0.5, 1j), (0.5, -1.0),
+        (0.5, 0.99999999999), (1e30, 1 - 1e-9)])
+    @pytest.mark.parametrize("bits", [None, 128])
+    def test_domain_and_convergence_errors(self, x, p, bits):
+        if bits is None:
+            with pytest.raises(ValueError) as want:
+                _theta_reference(x, p)
+            with pytest.raises(ValueError) as got:
+                ell.theta(x, p)
+            assert str(got.value) == str(want.value)
+            return
+        with mpmath.workprec(bits), pytest.raises(ValueError):
+            ell.theta(mpmath.mpc(x), mpmath.mpc(p), ell.EXTENDED_TRUNC_EPS)
+
+    @pytest.mark.parametrize("cap", [16, 17, 18])
+    @pytest.mark.parametrize("bits", [None, 128])
+    def test_term_cap_is_the_references(self, monkeypatch, cap, bits):
+        # with p = 0.1 and x = 2, J is 18 at eps 1e-17; the reference
+        # raises only once J exceeds the cap by more than one
+        monkeypatch.setattr(ell, "_MAX_THETA_TERMS", cap)
+        x, p = 2.0, 0.1
+        if bits is not None:
+            x, p = mpmath.mpc(x), mpmath.mpc(p)
+        with mpmath.workprec(bits or 53):
+            try:
+                want = _theta_reference(x, p)
+            except ValueError:
+                want = None
+            assert (want is None) == (cap == 16)
+            if want is None:
+                with pytest.raises(ValueError, match="did not converge"):
+                    ell.theta(x, p)
+            else:
+                got = ell.theta(x, p)
+                assert abs(got - want) <= 2.0 ** -(mpmath.mp.prec - 8) * abs(want)
+
+
+def test_double_suite_output_is_the_references(capsys, monkeypatch):
+    from fibl.cli import main
+    argv = ["verify", "theta", "--samples", "50"]
+    assert main(argv) == 0
+    kernel = capsys.readouterr().out.encode()
+    monkeypatch.setattr(ell, "theta", _theta_reference)
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode() == kernel
 
 
 class TestThetaSuite:
