@@ -19,12 +19,14 @@ catalan
     Rational q-Fibo-Catalan polynomiality verdicts, positivity sweeps and
     the Coxeter-type table.
 kernels
-    Hot-loop backend (compiled extension when built, pure Python otherwise).
+    Exact dense-list hot loops: multiply/divide by q-numbers, Kronecker
+    products and coefficient scans.
 cli
     The `fibl` command-line harness.
 """
 
-from fibl.kernels import BACKEND as kernel_backend
+# read by the benchmark harness for the environment header of each result
+kernel_backend = "python"
 
 __version__ = "0.1.0"
 __all__ = ["kernel_backend", "__version__"]

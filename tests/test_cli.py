@@ -279,12 +279,24 @@ class TestEnvPrecedence:
         assert f"invalid FIBL_{name}='abc'" in capsys.readouterr().err
 
 
-def test_python_dash_m_runs_the_cli():
+def _run_module(*args, **env_extra):
     src = os.path.dirname(os.path.dirname(os.path.abspath(fibl.__file__)))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    env = {**os.environ, **env_extra, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    proc = subprocess.run([sys.executable, "-m", "fibl", "fibonomial", "2", "2"],
+    return subprocess.run([sys.executable, "-m", "fibl", *args],
                           capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_python_dash_m_runs_the_cli():
+    proc = _run_module("fibonomial", "2", "2")
+    assert proc.returncode == 0
+    assert proc.stdout == "[1, 2, 2, 1]\n"
+
+
+def test_stale_kernel_backend_variable_is_ignored():
+    # this variable once chose between two kernel backends; a value left
+    # in the environment must not break startup
+    proc = _run_module("fibonomial", "2", "2", FIBL_KERNELS="c")
     assert proc.returncode == 0
     assert proc.stdout == "[1, 2, 2, 1]\n"
 

@@ -1,19 +1,12 @@
-"""Backend equivalence and algebraic properties of the window kernels."""
+"""Algebraic properties of the dense-polynomial kernels, each checked
+against an independent route where one exists (dense product, long
+division, schoolbook multiplication)."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from fibl import _kernels_py
+from fibl import kernels
 from fibl.qpoly import IntPoly, long_division
-
-BACKENDS = [_kernels_py]
-try:
-    from fibl import _kernels_c
-    BACKENDS.append(_kernels_c)
-except ImportError:
-    _kernels_c = None
-
-ids = [b.BACKEND for b in BACKENDS]
 
 
 def naive_qnumber(t, s):
@@ -23,59 +16,57 @@ def naive_qnumber(t, s):
     return out
 
 
-@pytest.fixture(params=BACKENDS, ids=ids)
-def impl(request):
-    return request.param
-
-
-def test_mul_qnumber_matches_dense(impl):
+def test_mul_qnumber_matches_dense():
     p = [3, 0, -2, 7, 1]
     for t in (1, 2, 3, 5):
         for s in (1, 2, 4):
-            assert impl.mul_qnumber(list(p), t, s) == impl.mul_dense(list(p), naive_qnumber(t, s))
+            assert kernels.mul_qnumber(list(p), t, s) == kernels.mul_dense(list(p), naive_qnumber(t, s))
 
 
-def test_div_inverts_mul(impl):
+def test_div_inverts_mul():
     p = [1, -4, 2, 0, 9]
     for t in (2, 3, 8):
         for s in (1, 3):
-            prod = impl.mul_qnumber(list(p), t, s)
-            assert impl.div_qnumber(prod, t, s) == [1, -4, 2, 0, 9]
+            prod = kernels.mul_qnumber(list(p), t, s)
+            assert kernels.div_qnumber(prod, t, s) == [1, -4, 2, 0, 9]
 
 
-def test_div_detects_inexact(impl):
-    assert impl.div_qnumber([1, 1, 1], 2) is None          # [3] / [2]
-    assert impl.div_qnumber([1, 0, 1], 2) is None
-    assert impl.div_qnumber([1, 1, 1, 1, 1, 1], 3) == [1, 0, 0, 1]   # [6] / [3]
+def test_div_detects_inexact():
+    assert kernels.div_qnumber([1, 1, 1], 2) is None          # [3] / [2]
+    assert kernels.div_qnumber([1, 0, 1], 2) is None
+    assert kernels.div_qnumber([1, 1, 1, 1, 1, 1], 3) == [1, 0, 0, 1]   # [6] / [3]
 
 
-def test_div_shorter_than_divisor(impl):
-    assert impl.div_qnumber([1, 1], 3) is None
+def test_div_shorter_than_divisor():
+    assert kernels.div_qnumber([1, 1], 3) is None
 
 
-def test_zero_and_unit_cases(impl):
-    assert impl.mul_qnumber([], 3) == []
-    assert impl.mul_qnumber([2, 1], 0) == []
-    assert impl.mul_qnumber([2, 1], 1) == [2, 1]
-    assert impl.div_qnumber([], 5) == []
+def test_zero_and_unit_cases():
+    assert kernels.mul_qnumber([], 3) == []
+    assert kernels.mul_qnumber([2, 1], 0) == []
+    assert kernels.mul_qnumber([2, 1], 1) == [2, 1]
+    assert kernels.div_qnumber([], 5) == []
+    assert kernels.div_qnumber([0], 2) == []
+    assert kernels.div_qnumber([0, 0], 2) == []
+    assert kernels.div_qnumber([0, 0, 0], 3) == []
     with pytest.raises(ZeroDivisionError):
-        impl.div_qnumber([1], 0)
+        kernels.div_qnumber([1], 0)
 
 
-def test_scan_unimodal(impl):
-    assert impl.scan_unimodal([])
-    assert impl.scan_unimodal([5])
-    assert impl.scan_unimodal([1, 2, 2, 1])
-    assert impl.scan_unimodal([1, 1, 1])
-    assert not impl.scan_unimodal([1, 0, 1])
-    assert not impl.scan_unimodal([2, 1, 2])
-    assert impl.scan_unimodal([0, 0, 1, 3, 3, 2])
+def test_scan_unimodal():
+    assert kernels.scan_unimodal([])
+    assert kernels.scan_unimodal([5])
+    assert kernels.scan_unimodal([1, 2, 2, 1])
+    assert kernels.scan_unimodal([1, 1, 1])
+    assert not kernels.scan_unimodal([1, 0, 1])
+    assert not kernels.scan_unimodal([2, 1, 2])
+    assert kernels.scan_unimodal([0, 0, 1, 3, 3, 2])
 
 
-def test_coeff_min_max(impl):
-    assert impl.coeff_min_max([]) is None
-    assert impl.coeff_min_max([4]) == (4, 4)
-    assert impl.coeff_min_max([3, -7, 12, 0]) == (-7, 12)
+def test_coeff_min_max():
+    assert kernels.coeff_min_max([]) is None
+    assert kernels.coeff_min_max([4]) == (4, 4)
+    assert kernels.coeff_min_max([3, -7, 12, 0]) == (-7, 12)
 
 
 small_polys = st.lists(st.integers(min_value=-50, max_value=50), max_size=20)
@@ -87,28 +78,11 @@ def test_mul_div_roundtrip_property(p, t, s):
     trimmed = list(p)
     while trimmed and trimmed[-1] == 0:
         trimmed.pop()
-    for impl in BACKENDS:
-        prod = impl.mul_qnumber(list(p), t, s)
-        assert impl.div_qnumber(prod, t, s) == trimmed
+    prod = kernels.mul_qnumber(list(p), t, s)
+    assert kernels.div_qnumber(prod, t, s) == trimmed
 
 
-@given(small_polys, small_polys)
-def test_backends_agree_on_dense_mul(a, b):
-    if _kernels_c is None:
-        pytest.skip("extension not built")
-    assert _kernels_py.mul_dense(list(a), list(b)) == _kernels_c.mul_dense(list(a), list(b))
-
-
-@given(small_polys, st.integers(min_value=1, max_value=10),
-       st.integers(min_value=1, max_value=3))
-def test_backends_agree_on_window_ops(p, t, s):
-    if _kernels_c is None:
-        pytest.skip("extension not built")
-    assert _kernels_py.mul_qnumber(list(p), t, s) == _kernels_c.mul_qnumber(list(p), t, s)
-    assert _kernels_py.div_qnumber(list(p), t, s) == _kernels_c.div_qnumber(list(p), t, s)
-
-
-# Properties of the pure-Python window kernels against independent routes.
+# Properties of the window kernels against independent routes.
 # The window sums take both their paths (per residue class and block by
 # block): division sums with period t*s, multiplication with stride s.
 padded_polys = st.builds(lambda p, pad: p + [0] * pad, small_polys,
@@ -119,18 +93,16 @@ window_s = st.integers(min_value=1, max_value=6)
 
 @given(padded_polys, window_t, st.integers(min_value=1, max_value=30))
 def test_mul_qnumber_is_dense_product(p, t, s):
-    assert _kernels_py.mul_qnumber(list(p), t, s) == _kernels_py.mul_dense(
+    assert kernels.mul_qnumber(list(p), t, s) == kernels.mul_dense(
         list(p), naive_qnumber(t, s))
 
 
 @given(padded_polys, window_t, window_s, st.booleans(), st.integers(min_value=0, max_value=3))
 def test_div_qnumber_agrees_with_long_division(p, t, s, divisible, pad):
-    r = (_kernels_py.mul_qnumber(list(p), t, s) if divisible else list(p)) + [0] * pad
+    r = (kernels.mul_qnumber(list(p), t, s) if divisible else list(p)) + [0] * pad
     res = long_division(IntPoly(r), IntPoly(naive_qnumber(t, s)))
-    # a nonempty list shorter than the divisor is reported inexact, even
-    # when all zero
-    exact = res.remainder.is_zero() and (not r or len(r) > (t - 1) * s)
-    assert _kernels_py.div_qnumber(list(r), t, s) == (list(res.quotient.coeffs) if exact else None)
+    exact = res.remainder.is_zero()
+    assert kernels.div_qnumber(list(r), t, s) == (list(res.quotient.coeffs) if exact else None)
 
 
 # mul_dense is Kronecker substitution; the oracle is the schoolbook product.
@@ -154,7 +126,7 @@ coeff_lists = st.one_of(
 
 @given(coeff_lists, coeff_lists)
 def test_mul_dense_is_schoolbook_product(a, b):
-    assert _kernels_py.mul_dense(list(a), list(b)) == schoolbook(a, b)
+    assert kernels.mul_dense(list(a), list(b)) == schoolbook(a, b)
 
 
 @pytest.mark.parametrize("a, b", [
@@ -165,6 +137,6 @@ def test_mul_dense_is_schoolbook_product(a, b):
     ([2**64 - 1] * 3, [2**64 - 1] * 3),
 ])
 def test_mul_dense_edge_cases(a, b):
-    assert _kernels_py.mul_dense(list(a), list(b)) == schoolbook(a, b)
-    assert _kernels_py.mul_dense(list(b), list(a)) == schoolbook(a, b)
-    assert _kernels_py.mul_dense(list(a), []) == []
+    assert kernels.mul_dense(list(a), list(b)) == schoolbook(a, b)
+    assert kernels.mul_dense(list(b), list(a)) == schoolbook(a, b)
+    assert kernels.mul_dense(list(a), []) == []
