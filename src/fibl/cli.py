@@ -21,10 +21,12 @@ import sys
 from typing import Optional
 
 from fibl import catalan as cat
-from fibl import elliptic as ell
 from fibl import qpoly, tilings
 from fibl.errors import DegenerateParametersError, NotPolynomialError, ResourceLimitError
-from fibl.report import SCHEMA, VerificationReport
+from fibl.report import DEFAULT_SEED, SCHEMA, VerificationReport, inputs_key
+
+# fibl.elliptic is imported by the elliptic commands and suites only, so the
+# exact commands start without it; its names are looked up at call time.
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -68,7 +70,7 @@ def _parse_precision(text: str) -> Optional[int]:
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=_env("SEED", int, ell.DEFAULT_SEED))
+    common.add_argument("--seed", type=int, default=_env("SEED", int, DEFAULT_SEED))
     common.add_argument("--samples", type=int, default=_env("SAMPLES", int, 20))
     common.add_argument("--tol", type=float, default=_env("TOL", float, None))
     # argparse runs a string default through type=_cap as well
@@ -144,8 +146,21 @@ def _write(text: str, out: Optional[str]) -> None:
         fh.write(text)
 
 
+def _sorted_reports(reports: list[VerificationReport]) -> list[VerificationReport]:
+    """The reports in sort_key() order.  The reports of one sample share
+    one inputs dict and come one after another, so the inputs part of the
+    key is formatted once per run of reports with the same dict."""
+    last = [None, ""]           # the last inputs dict seen and its text
+
+    def key(r: VerificationReport) -> str:
+        if r.inputs is not last[0]:
+            last[:] = r.inputs, inputs_key(r.inputs)
+        return r.identity_name + "|" + last[1]
+    return sorted(reports, key=key)
+
+
 def _emit_reports(ns, reports: list[VerificationReport], extra_config=None) -> int:
-    reports = sorted(reports, key=lambda r: r.sort_key())
+    reports = _sorted_reports(reports)
     failed = [r for r in reports if not r.passed]
     if ns.format == "json":
         doc = {
@@ -330,6 +345,7 @@ def _int_args(args, count, usage):
 
 
 def _cmd_elliptic(ns) -> int:
+    from fibl import elliptic as ell
     bits = _parse_precision(ns.precision)
     params = ell.sample_params(ns.seed, precision_bits=bits,
                                eq_tol=ns.tol, min_denom=None)
@@ -365,6 +381,7 @@ def _cpx(z) -> dict:
 # Verification suites
 
 def _suite_theta(ns) -> list[VerificationReport]:
+    from fibl import elliptic as ell
     bits = _parse_precision(ns.precision)
     params = ell.sample_params(ns.seed, precision_bits=bits, eq_tol=ns.tol)
     return ell.theta_property_suite(params, ns.samples, seed=ns.seed)
@@ -424,6 +441,7 @@ def _suite_q_all(ns) -> list[VerificationReport]:
 
 
 def _suite_elliptic_all(ns) -> list[VerificationReport]:
+    from fibl import elliptic as ell
     bits = _parse_precision(ns.precision)
     kw = dict(precision_bits=bits, eq_tol=ns.tol)
     reports = list(_suite_theta(ns))

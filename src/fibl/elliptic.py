@@ -34,7 +34,7 @@ from typing import Callable, Optional, Sequence
 
 from fibl.errors import DegenerateParametersError
 from fibl.fib import fib
-from fibl.report import VerificationReport, numeric_report
+from fibl.report import DEFAULT_SEED, VerificationReport, numeric_report
 from fibl.tilings import (DOMINO, MONOMINO, SPECIAL, PathDominoTiling,
                           StaircaseTiling, iter_rect_tilings,
                           iter_staircase_tilings, rect_path_profile,
@@ -45,7 +45,6 @@ DEFAULT_EQ_TOL = 1e-7
 DEFAULT_MIN_DENOM = 1e-9
 EXTENDED_EQ_TOL = 1e-20
 EXTENDED_TRUNC_EPS = 1e-44
-DEFAULT_SEED = 0x5EED
 MAX_RESAMPLES = 100
 
 _MAX_THETA_TERMS = 100_000

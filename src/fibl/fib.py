@@ -5,31 +5,32 @@ F(-1) = 1, F(0) = 0, F(1) = 1, F(n) = F(n-1) + F(n-2).  The -1 index is
 needed by the convolution identities, where an empty column contributes a
 factor [F(-1)] = [1] = 1.
 
-Values are memoized in a growable table guarded by a lock, so concurrent
-readers always see a consistent prefix and results are independent of
-thread count.
+Values are memoized in a table that grows by whole tuples: a longer
+table is built aside and then bound in one assignment, so every table a
+caller reads is a correct prefix of the sequence.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 
 # _TABLE[i] = F(i - 1); seeded with F(-1), F(0), F(1)
-_TABLE = [1, 0, 1]
-_LOCK = threading.Lock()
+_TABLE = (1, 0, 1)
 
 
 def fib(n: int) -> int:
     """Return F(n) for n >= -1."""
+    global _TABLE
     if n < -1:
         raise ValueError(f"Fibonacci index must be >= -1, got {n}")
     idx = n + 1
-    if idx >= len(_TABLE):
-        with _LOCK:
-            while idx >= len(_TABLE):
-                _TABLE.append(_TABLE[-1] + _TABLE[-2])
-    return _TABLE[idx]
+    table = _TABLE
+    if idx >= len(table):
+        grown = list(table)
+        while idx >= len(grown):
+            grown.append(grown[-1] + grown[-2])
+        _TABLE = table = tuple(grown)
+    return table[idx]
 
 
 def fib_gcd_check(m: int, n: int) -> bool:

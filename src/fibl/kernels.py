@@ -114,10 +114,15 @@ def mul_dense(a, b):
     bound, each input coefficient (so an all-zero factor still packs) and
     a sign bit.  With a negative coefficient anywhere, 2^(k-1) is added to
     every slot before reading, which keeps each slot in [0, 2^k) and so
-    free of borrows, and subtracted again after.
+    free of borrows, and subtracted again after.  A one-coefficient
+    factor is a scalar and skips the packing.
     """
     if not a or not b:
         return []
+    if len(a) == 1 or len(b) == 1:
+        if len(a) > 1:
+            a, b = b, a
+        return trim([a[0] * c for c in b])
     big_a = max(max(a), -min(a))
     big_b = max(max(b), -min(b))
     bits = max((big_a * big_b * min(len(a), len(b))).bit_length(),

@@ -17,10 +17,10 @@ index.
 from __future__ import annotations
 
 import math
-import threading
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add
 from typing import Iterable
 
 from fibl import kernels
@@ -426,7 +426,6 @@ def fibonomial_int(m: int, n: int) -> int:
     return q
 
 
-_rec_lock = threading.Lock()
 _rec_cache: dict = {}
 
 
@@ -443,15 +442,13 @@ def q_fibonomial_recurrence(m: int, n: int) -> IntPoly:
     if m == 0 or n == 0:
         return _ONE
     _ensure_cap(_fibonomial_degree(m, n))
-    with _rec_lock:
-        got = _rec_cache.get((m, n))
+    got = _rec_cache.get((m, n))
     if got is not None:
         return got
     for mm in range(1, m + 1):
         for nn in range(1, n + 1):
-            with _rec_lock:
-                if (mm, nn) in _rec_cache:
-                    continue
+            if (mm, nn) in _rec_cache:
+                continue
             left = _rec_cache[(mm, nn - 1)] if nn > 1 else _ONE
             down = _rec_cache[(mm - 1, nn)] if mm > 1 else _ONE
             t1 = kernels.mul_qnumber(list(left._c), fib(mm + 1), fib(nn))
@@ -459,11 +456,8 @@ def q_fibonomial_recurrence(m: int, n: int) -> IntPoly:
             off = fib(nn) * fib(mm + 1)
             if t2:
                 t2 = [0] * off + t2
-            val = IntPoly._wrap(t1) + IntPoly._wrap(t2)
-            with _rec_lock:
-                _rec_cache[(mm, nn)] = val
-    with _rec_lock:
-        return _rec_cache[(m, n)]
+            _rec_cache[(mm, nn)] = IntPoly._wrap(t1) + IntPoly._wrap(t2)
+    return _rec_cache[(m, n)]
 
 
 def is_unimodal(poly: IntPoly) -> bool:
@@ -506,25 +500,34 @@ def convolution_identity_check_q(m: int, n: int) -> VerificationReport:
                  * [F_{n-1-j}]_{q^{F_m}} * q^{F_{m+1} F_{n-j}} * qFib(m-1, n-j)
     with the conventions [F_0] = 0 (the j = n-1 term vanishes) and, at
     j = n, weight exponent F_{m+1} F_0 = 0 and [F_{-1}] = [1] = 1.
+
+    Each term is qFib(m-1, n-j) run through the window kernel once per
+    q-number factor, then added in at its shift; every term's degree is
+    checked against the degree cap before it is built.
     """
     if m < 1 or n < 1:
         raise ValueError("m, n must be >= 1")
     lhs = q_fibonomial(m, n)
-    rhs = _ZERO
-    prod = _ONE
+    rhs: list = []
     for j in range(n + 1):
-        if j > 0:
-            prod = prod * q_number_base(fib(m + 1), fib(n - j + 1))
-        fterm = _ONE if j == n else q_number_base(fib(n - 1 - j), fib(m))
-        if fterm.is_zero():
-            continue
-        term = prod * fterm * q_fibonomial(m - 1, n - j)
-        rhs = rhs + term.shift(fib(m + 1) * fib(n - j))
-    return exact_report("q-convolution", {"m": m, "n": n}, lhs, rhs)
+        if j == n - 1:
+            continue                       # [F_0] = 0
+        windows = [(fib(m + 1), fib(n - i)) for i in range(j)]
+        if j < n:
+            windows.append((fib(n - 1 - j), fib(m)))
+        base = q_fibonomial(m - 1, n - j)
+        shift = fib(m + 1) * fib(n - j)
+        _ensure_cap(base.degree + shift + sum((t - 1) * s for t, s in windows))
+        term = list(base._c)
+        for t, stride in windows:
+            term = kernels.mul_qnumber(term, t, stride)
+        end = shift + len(term)
+        rhs += [0] * (end - len(rhs))
+        rhs[shift:end] = map(add, rhs[shift:end], term)
+    return exact_report("q-convolution", {"m": m, "n": n}, lhs, IntPoly(rhs))
 
 
 def reset_caches() -> None:
     """Drop memoized q-Fibonomials of both routes (mainly for tests)."""
-    with _rec_lock:
-        _rec_cache.clear()
+    _rec_cache.clear()
     q_fibonomial.cache_clear()

@@ -15,6 +15,9 @@ from typing import Any, Optional
 
 SCHEMA = "fibl-report/1"
 
+# seed of every sampled check unless a run is reseeded
+DEFAULT_SEED = 0x5EED
+
 # polynomial sides with more than this many terms are summarized, not inlined
 _INLINE_TERMS = 64
 
@@ -51,7 +54,12 @@ class VerificationReport:
         }
 
     def sort_key(self) -> str:
-        return self.identity_name + "|" + repr(sorted(self.inputs.items()))
+        return self.identity_name + "|" + inputs_key(self.inputs)
+
+
+def inputs_key(inputs: dict) -> str:
+    """The inputs part of VerificationReport.sort_key."""
+    return repr(sorted(inputs.items()))
 
 
 def exact_report(name: str, inputs: dict, lhs, rhs, *, expected: str = "equal",

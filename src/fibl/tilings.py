@@ -23,10 +23,13 @@ its own and a tiling's weight is a product over its strips.  Each model
 therefore has one builder of a path's strips, ``(index, length, forced)``
 triples, and one rule for a strip's weight exponent.  Enumeration
 combines the strips' tilings; the generating functions never list
-tilings: they multiply the strips' exponent tables ({exponent: count}
-over the strip's tilings, cached per strip) along each path and sum over
-paths.  Tilings are enumerated only for ``fibl enumerate``, the elliptic
-checks and the small Catalan partial-tiling counterexample.
+tilings or paths.  Each step of a path fixes one strip, so they run a
+transfer over lattice points: the sum over all paths reaching a point is
+built once, from the sums at the points one step back, each multiplied
+by the weight table of the strip that step fixes (a dense table counting
+the strip's tilings by weight exponent, cached per strip).  Tilings are
+enumerated only for ``fibl enumerate``, the elliptic checks and the
+small Catalan partial-tiling counterexample.
 
 Enumeration is streaming and deterministic: paths in lexicographic step
 order (E < N, N < W), strip tilings in lexicographic tile order (D < M).
@@ -41,8 +44,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from itertools import product
-from typing import Callable, Iterable, Iterator, Optional
+from operator import add
+from typing import Callable, Iterator, Optional
 
+from fibl import kernels
 from fibl.errors import ResourceLimitError
 from fibl.fib import fib
 from fibl.qpoly import IntPoly, fibonomial_int, q_ratio_coeffs
@@ -149,31 +154,22 @@ def _strip_product(strips: list) -> Iterator[tuple[str, ...]]:
 
 @lru_cache(maxsize=4096)
 def _strip_table(exponent: Callable, index: int, length: int,
-                 forced: bool) -> tuple[tuple[int, int], ...]:
-    """The strip's (exponent, count) pairs over its tilings; empty when it
-    has no tiling.  ``exponent`` is a model's per-strip weight rule."""
+                 forced: bool) -> tuple[int, ...]:
+    """The strip's dense weight table: entry e counts its tilings of weight
+    q^e; empty when it has no tiling.  ``exponent`` is a model's per-strip
+    weight rule."""
     counts: dict[int, int] = {}
     for strip in _strip_choices(length, forced):
         e = exponent(index, length, forced, strip)
         counts[e] = counts.get(e, 0) + 1
-    return tuple(counts.items())
+    return _poly_from_counts(counts).coeffs
 
 
-def _generating_function(paths_strips: Iterable[list], exponent: Callable) -> IntPoly:
-    """Sum over paths of the product of the paths' strip tables."""
-    total: dict[int, int] = {}
-    for strips in paths_strips:
-        acc = {0: 1}
-        for strip in strips:
-            table = _strip_table(exponent, *strip)
-            nxt: dict[int, int] = {}
-            for e, c in acc.items():
-                for f, d in table:
-                    nxt[e + f] = nxt.get(e + f, 0) + c * d
-            acc = nxt
-        for e, c in acc.items():
-            total[e] = total.get(e, 0) + c
-    return _poly_from_counts(total)
+def _plus(a: list, b: list) -> list:
+    """The sum of two dense coefficient lists."""
+    if len(a) < len(b):
+        a, b = b, a
+    return list(map(add, a, b)) + a[len(b):]
 
 
 def _check_cap(expected: int, cap: int) -> None:
@@ -194,7 +190,7 @@ def enumerate_strips(length: int, sink: Optional[Callable[[str], None]] = None) 
 def q_strip_sum(length: int) -> IntPoly:
     """Sum of q-weights over strip tilings, with a domino ending at cell i
     weighing q^{F_i} (row 1 of the rectangle model); equals [F_{length+1}]."""
-    return _generating_function([[(1, length, False)]], _rect_strip_exponent)
+    return IntPoly(_strip_table(_rect_strip_exponent, 1, length, False))
 
 
 def _poly_from_counts(counts: dict[int, int]) -> IntPoly:
@@ -320,13 +316,27 @@ def rect_generating_function(m: int, n: int, cap: int = DEFAULT_ENUMERATION_CAP)
     """Sum of q-weights over all tilings of the m x n rectangle.
 
     Must coincide with q_fibonomial(m, n).  It is computed from the tiling
-    model alone (per-path products of strip tables), never from
-    q-factorials, so it is an oracle independent of the division and
-    recurrence routes.  ``cap`` bounds the number of tilings summed.
+    model alone, never from q-factorials, so it is an oracle independent
+    of the division and recurrence routes.  ``cap`` bounds the number of
+    tilings summed.
+
+    A transfer over lattice points: G(x, y), the sum over paths from
+    (0, 0) to (x, y) of the product of their strips' tables, is
+    G(x-1, y) T_col(x, height y) + G(x, y-1) T_row(y, length x), since an
+    east step into column x fixes that column's below-path height and a
+    north step into row y its above-path length.  G(m, n) is the answer.
     """
     _check_cap(fibonomial_int(m, n), cap)
-    return _generating_function((_rect_strips(p, m, n) for p in _iter_rect_paths(m, n)),
-                                _rect_strip_exponent)
+    g = [[1]] * (m + 1)      # G(x, 0): every column has height 0, one empty tiling
+    for y in range(1, n + 1):
+        for x in range(m + 1):
+            row = _strip_table(_rect_strip_exponent, y, x, False)
+            total = kernels.mul_dense(g[x], row)
+            if x:
+                col = _strip_table(_rect_strip_exponent, x, y, True)
+                total = _plus(total, kernels.mul_dense(g[x - 1], col))
+            g[x] = total
+    return IntPoly(g[m])
 
 
 def validate_rect_tiling(t: PathDominoTiling) -> None:
@@ -531,12 +541,28 @@ def staircase_generating_function(n: int, k: int,
                                   cap: int = DEFAULT_ENUMERATION_CAP) -> IntPoly:
     """Sum of q-weights over all (n, k)-tilings; equals q_fibonomial(n-k, k).
 
-    Computed as per-path products of strip tables, like
-    rect_generating_function."""
+    A transfer over the rows, bottom to top, like rect_generating_function:
+    S_r(x) sums the products of the strip tables of rows 1..r over the
+    path prefixes whose north step in row r is at x (x <= n - r).  An
+    unforced north step keeps x, a forced W+N step comes from x + 1:
+    S_r(x) = S_{r-1}(x) T(n-r, x) + S_{r-1}(x+1) T_forced(n-r, n-r-x),
+    with S_0 = 1 at x = k.  S_n(0) is the answer.
+    """
     _check_cap(fibonomial_int(n - k, k), cap)
-    return _generating_function(
-        (_staircase_strips(p, n, k) for p in _iter_staircase_paths(n, k)),
-        _staircase_strip_exponent)
+    s = [[]] * k + [[1]]     # before row 1 the path stands at x = k
+    for r in range(1, n + 1):
+        row_len = n - r
+        for x in range(k + 1):      # ascending, so s[x + 1] still holds row r - 1
+            if x > row_len:
+                s[x] = []
+                continue
+            left = _strip_table(_staircase_strip_exponent, row_len, x, False)
+            total = kernels.mul_dense(s[x], left)
+            if x < k:
+                right = _strip_table(_staircase_strip_exponent, row_len, row_len - x, True)
+                total = _plus(total, kernels.mul_dense(s[x + 1], right))
+            s[x] = total
+    return IntPoly(s[0])
 
 
 def validate_staircase_tiling(t: StaircaseTiling) -> None:

@@ -279,12 +279,35 @@ class TestEnvPrecedence:
         assert f"invalid FIBL_{name}='abc'" in capsys.readouterr().err
 
 
-def _run_module(*args, **env_extra):
+def _run_python(*args, **env_extra):
     src = os.path.dirname(os.path.dirname(os.path.abspath(fibl.__file__)))
     env = {**os.environ, **env_extra, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    return subprocess.run([sys.executable, "-m", "fibl", *args],
+    return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, env=env, timeout=60)
+
+
+def _run_module(*args, **env_extra):
+    return _run_python("-m", "fibl", *args, **env_extra)
+
+
+def test_cli_import_leaves_elliptic_and_mpmath_unloaded():
+    proc = _run_python("-c", "import sys, fibl.cli; print([m for m in "
+                             "('fibl.elliptic', 'mpmath') if m in sys.modules])")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_reports_are_emitted_in_sort_key_order():
+    from fibl.cli import _sorted_reports
+    from fibl.report import exact_report
+    reports = ell.theta_property_suite(ell.sample_params(3), 5, seed=3)
+    reports += [exact_report(name, {"m": m}, 1, 1)
+                for name in ("q-spiral", "q-spiral-at-1") for m in (2, 10, 1, 2)]
+    reports += [qpoly.convolution_identity_check_q(m, n) for m, n in ((2, 1), (1, 2))]
+    for order in (reports, reports[::-1]):
+        want = sorted(order, key=lambda r: r.sort_key())
+        assert [id(r) for r in _sorted_reports(order)] == [id(r) for r in want]
 
 
 def test_python_dash_m_runs_the_cli():

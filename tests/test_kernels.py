@@ -135,6 +135,9 @@ def test_mul_dense_is_schoolbook_product(a, b):
     ([5], [-3]),
     ([-1] * 30, [-1] * 30),
     ([2**64 - 1] * 3, [2**64 - 1] * 3),
+    ([0], [3, -1, 2]),                           # scalar factors, zero ones too
+    ([-2], [0, 5, 0, 0]),
+    ([7], [0]),
 ])
 def test_mul_dense_edge_cases(a, b):
     assert kernels.mul_dense(list(a), list(b)) == schoolbook(a, b)

@@ -317,7 +317,28 @@ class TestSpiral:
         assert all(spiral_identity_check(m).passed for m in range(1, 13))
 
 
+def _convolution_rhs_by_products(m, n):
+    """The convolution formula's right side, built as IntPoly products of
+    q_number_base factors."""
+    rhs, prod = IntPoly.zero(), IntPoly.one()
+    for j in range(n + 1):
+        if j > 0:
+            prod = prod * q_number_base(fib(m + 1), fib(n - j + 1))
+        fterm = IntPoly.one() if j == n else q_number_base(fib(n - 1 - j), fib(m))
+        if not fterm.is_zero():
+            term = prod * fterm * q_fibonomial(m - 1, n - j)
+            rhs = rhs + term.shift(fib(m + 1) * fib(n - j))
+    return rhs
+
+
 class TestConvolution:
+    def test_rhs_matches_product_form(self):
+        for m in range(1, 9):
+            for n in range(1, 9):
+                rep = convolution_identity_check_q(m, n)
+                assert rep.rhs == _convolution_rhs_by_products(m, n), (m, n)
+                assert rep.passed
+
     def test_examples(self):
         assert convolution_identity_check_q(1, 1).passed
         assert convolution_identity_check_q(2, 2).passed

@@ -146,6 +146,52 @@ class TestFactoredGeneratingFunctions:
             staircase_generating_function(10, 5, cap=1000)
 
 
+def _per_path_product(paths_strips, exponent) -> IntPoly:
+    """The sum over paths of the product of their strips' weight tables,
+    multiplied out path by path from the strip tilings and a model's
+    weight rule (the transfer's sum without shared prefixes)."""
+    total: dict[int, int] = {}
+    for strips in paths_strips:
+        acc = {0: 1}
+        for index, length, forced in strips:
+            nxt: dict[int, int] = {}
+            for strip in tilings._strip_choices(length, forced):
+                f = exponent(index, length, forced, strip)
+                for e, c in acc.items():
+                    nxt[e + f] = nxt.get(e + f, 0) + c
+            acc = nxt
+        for e, c in acc.items():
+            total[e] = total.get(e, 0) + c
+    return IntPoly([total.get(e, 0) for e in range(max(total, default=-1) + 1)])
+
+
+class TestTransferGeneratingFunctions:
+    """The generating functions sum over lattice points; the per-path
+    product of strip tables is the oracle."""
+
+    def test_rect_matches_per_path_product(self):
+        for m in range(0, 11):
+            for n in range(0, 11 - m):
+                want = _per_path_product(
+                    (tilings._rect_strips(p, m, n) for p in tilings._iter_rect_paths(m, n)),
+                    tilings._rect_strip_exponent)
+                assert rect_generating_function(m, n) == want, (m, n)
+
+    def test_staircase_matches_per_path_product(self):
+        for n in range(0, 12):
+            for k in range(0, n + 1):
+                want = _per_path_product(
+                    (tilings._staircase_strips(p, n, k)
+                     for p in tilings._iter_staircase_paths(n, k)),
+                    tilings._staircase_strip_exponent)
+                assert staircase_generating_function(n, k) == want, (n, k)
+
+    def test_q_strip_sum_matches_per_path_product(self):
+        for length in range(0, 12):
+            assert q_strip_sum(length) == _per_path_product(
+                [[(1, length, False)]], tilings._rect_strip_exponent)
+
+
 class TestStaircaseEnumeration:
     def test_counts(self):
         assert enumerate_staircase_tilings(4, 2) == 6
