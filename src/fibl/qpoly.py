@@ -111,6 +111,10 @@ class IntPoly:
     def __len__(self) -> int:
         return len(self._c)
 
+    def term_count(self) -> int:
+        """Number of nonzero coefficients."""
+        return len(self._c) - self._c.count(0)
+
     def __eq__(self, other) -> bool:
         if isinstance(other, IntPoly):
             return self._c == other._c
@@ -333,11 +337,17 @@ def q_ratio_coeffs(num: Iterable[int], den: Iterable[int]) -> list:
     """Dense coefficients of prod [t] over num / prod [t] over den (all t >= 1).
 
     A denominator factor [t] pairs with a numerator factor [u], t | u, as
-    [u/t]_{q^t}; the numerator is multiplied out in ascending degree and
-    the unpaired denominator factors are divided out in descending order.
-    Polynomiality is proved by the cyclotomic count, by every division
-    being exact and by the value at q = 1; any failure raises
-    NotPolynomialError.  The degree cap is the caller's to check.
+    [u/t]_{q^t}; the resulting windows are multiplied out in ascending
+    degree.  The unpaired denominator factors are divided out early, so
+    each division runs on a short partial product: a running count holds
+    the cyclotomic factors of the partial product, window [n]_{q^s} =
+    [ns] / [s] adding Phi_d for every d | ns with d not dividing s.  After
+    each window, every pending [t] (in descending order) whose Phi_d,
+    d | t, d > 1, are all counted is divided out and its Phi_d are taken
+    off the count.  [1] is never divided.  Polynomiality is proved by the
+    cyclotomic count, by every division being exact and by the value at
+    q = 1; any failure raises NotPolynomialError.  The degree cap is the
+    caller's to check.
     """
     num, den = list(num), list(den)
     if min(num + den, default=1) < 1:
@@ -346,20 +356,32 @@ def q_ratio_coeffs(num: Iterable[int], den: Iterable[int]) -> list:
     if rest:
         raise NotPolynomialError(f"the numerator's cyclotomic factors miss [{rest[0]}]")
     windows = [(u, 1) for u in sorted(num)]      # [t]_{q^stride} as (t, stride)
-    unpaired = []
+    pending = []
     for t in den:
         i = next((i for i, (u, s) in enumerate(windows) if s == 1 and u % t == 0), None)
         if i is None:
-            unpaired.append(t)
+            if t > 1:
+                pending.append(t)
         else:
             windows[i] = (windows[i][0] // t, t)
+    phi = Counter()
     out = [1]
     for t, stride in sorted(windows, key=lambda w: (w[0] - 1) * w[1]):
         out = kernels.mul_qnumber(out, t, stride)
-    for t in unpaired:
-        out = kernels.div_qnumber(out, t)
-        if out is None:
-            raise NotPolynomialError(f"internal error: exact division by [{t}] failed")
+        phi.update(d for d in _cyclotomic_indices(t * stride) if stride % d)
+        waiting = []
+        for u in pending:
+            indices = _cyclotomic_indices(u)
+            if not all(phi[d] for d in indices):
+                waiting.append(u)
+                continue
+            out = kernels.div_qnumber(out, u)
+            if out is None:
+                raise NotPolynomialError(f"internal error: exact division by [{u}] failed")
+            phi.subtract(indices)
+        pending = waiting
+    if pending:
+        raise NotPolynomialError(f"internal error: [{pending[0]}] was never divided out")
     if sum(out) * math.prod(den) != math.prod(num):
         raise NotPolynomialError("internal error: quotient does not match its value at q = 1")
     return out

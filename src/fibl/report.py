@@ -93,12 +93,12 @@ def _jsonable(v):
         return {"re": v.real, "im": v.imag}
     if hasattr(v, "imag") and hasattr(v, "real"):       # mpmath mpc/mpf
         return {"re": float(v.real), "im": float(v.imag)}
+    if hasattr(v, "term_count"):        # an IntPoly: count its terms before any JSON
+        terms = v.term_count()
+        if terms > _INLINE_TERMS:
+            return {"var": "q", "degree": v.degree, "terms": terms, "summary": "elided"}
     if hasattr(v, "to_json"):
-        d = v.to_json()
-        if len(d.get("coeffs", ())) > _INLINE_TERMS:
-            return {"var": d.get("var", "q"), "degree": len(v) - 1,
-                    "terms": len(d["coeffs"]), "summary": "elided"}
-        return d
+        return v.to_json()
     if isinstance(v, (list, tuple)):
         return [_jsonable(x) for x in v]
     if isinstance(v, dict):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -117,6 +118,18 @@ class TestCatalanCommand:
         lines = out.strip().splitlines()
         assert lines[0] == "m,n,gcd,is_polynomial,degree,min_coeff,max_coeff"
         assert all(",true," in line for line in lines[1:])
+
+    @pytest.mark.parametrize("top, digest", [
+        ("14", "7d1e084e5f5a4c69f759a69029a2a0cb64cfc1534140fd760ad6190f6a31f58f"),
+        pytest.param("15", "62129d986e097c928282ee8d80696e36b72a83d4509333be7d5434d76d83816c",
+                     marks=pytest.mark.skipif(not os.environ.get("FIBL_SLOW_TESTS"),
+                                              reason="~0.8 s, ~135 MB peak; "
+                                                     "set FIBL_SLOW_TESTS=1 to run")),
+    ])
+    def test_sweep_csv_digest(self, capsys, top, digest):
+        code, out, _ = run(capsys, "catalan", "sweep", "--max", top, "--format", "csv")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_ordinary(self, capsys):
         code, out, _ = run(capsys, "catalan", "ordinary", "3")

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from fibl import qpoly
+from fibl import kernels, qpoly
 from fibl.errors import NotPolynomialError, ResourceLimitError
 from fibl.fib import fib
 from fibl.qpoly import (IntPoly, convolution_identity_check_q, cyclotomic_split,
@@ -12,6 +12,7 @@ from fibl.qpoly import (IntPoly, convolution_identity_check_q, cyclotomic_split,
                         q_fib_factorial, q_fibonomial, q_fibonomial_recurrence, q_number,
                         q_number_base, q_ratio_coeffs, spiral_identity_check,
                         substitute_power)
+from fibl.report import exact_report
 
 
 def P(*coeffs):
@@ -55,6 +56,13 @@ class TestIntPoly:
         assert d["var"] == "q"
         assert d["coeffs"] == [["0", "1"], ["2", "-3"], ["3", "7"]]
         assert IntPoly.from_json(d) == p
+
+    def test_report_elides_sides_over_64_terms(self):
+        long, short = IntPoly([1, 0] * 65), IntPoly([1, 0] * 64)
+        assert (long.term_count(), short.term_count()) == (65, 64)
+        d = exact_report("x", {}, long, short).to_dict()
+        assert d["lhs"] == {"var": "q", "degree": 128, "terms": 65, "summary": "elided"}
+        assert d["rhs"] == short.to_json()
 
     def test_hash_eq(self):
         assert hash(P(1, 2)) == hash(P(1, 2, 0))
@@ -151,6 +159,37 @@ def _q_number_product(indices):
     return out
 
 
+def _multiply_then_divide(num, den):
+    """The ratio engine's earlier schedule, kept as an oracle: multiply out
+    every window, then divide out each unpaired factor, [1] included."""
+    den, rest = cyclotomic_split(num, den)
+    assert not rest
+    windows = [(u, 1) for u in sorted(num)]
+    unpaired = []
+    for t in den:
+        i = next((i for i, (u, s) in enumerate(windows) if s == 1 and u % t == 0), None)
+        if i is None:
+            unpaired.append(t)
+        else:
+            windows[i] = (windows[i][0] // t, t)
+    out = [1]
+    for t, stride in sorted(windows, key=lambda w: (w[0] - 1) * w[1]):
+        out = kernels.mul_qnumber(out, t, stride)
+    for t in unpaired:
+        out = kernels.div_qnumber(out, t)
+    return out
+
+
+@st.composite
+def _polynomial_ratios(draw):
+    """(num, den) that cyclotomic_split accepts: den is the covered part of
+    a draw leaning on [1], [2], [3] and [8], which often stay unpaired."""
+    num = draw(st.lists(st.integers(min_value=1, max_value=40), max_size=6))
+    den = draw(st.lists(st.sampled_from([1, 2, 3, 8]) | st.integers(min_value=1, max_value=40),
+                        max_size=7))
+    return num, cyclotomic_split(num, den)[0]
+
+
 class TestRatioEngine:
     """The ratio engine against long division of the multiplied-out products."""
 
@@ -168,6 +207,36 @@ class TestRatioEngine:
                 q_ratio_coeffs(num, den)
         else:
             assert IntPoly(q_ratio_coeffs(num, den)) == res.quotient
+
+    @given(_polynomial_ratios())
+    @example(([6], [3, 2, 1]))          # [2] and [1] left unpaired
+    @example(([24], [8, 3]))            # [3] unpaired
+    @example(([24, 4], [12, 8]))        # [8] unpaired
+    @example(([2, 3, 5, 8, 13, 21], [8, 5, 3, 2, 1, 1]))
+    def test_matches_multiply_then_divide(self, ratio):
+        num, den = ratio
+        assert q_ratio_coeffs(num, den) == _multiply_then_divide(num, den)
+
+    def test_divides_as_soon_as_covered_and_never_by_one(self, monkeypatch):
+        # windows [2]_{q^3} = [6]/[3] and [2]_{q^5} = [10]/[5], in that
+        # order; [2] is unpaired and covered by the first, and [1], unpaired
+        # too since no window of stride 1 is left, is never divided
+        events = []
+        mul, div = kernels.mul_qnumber, kernels.div_qnumber
+
+        def spy_mul(coeffs, t, stride=1):
+            events.append(("mul", t, stride))
+            return mul(coeffs, t, stride)
+
+        def spy_div(coeffs, t, stride=1):
+            events.append(("div", t))
+            return div(coeffs, t, stride)
+        monkeypatch.setattr(kernels, "mul_qnumber", spy_mul)
+        monkeypatch.setattr(kernels, "div_qnumber", spy_div)
+        got = q_ratio_coeffs([6, 10], [5, 3, 2, 1])
+        assert events == [("mul", 2, 3), ("div", 2), ("mul", 2, 5)]
+        monkeypatch.undo()
+        assert got == _multiply_then_divide([6, 10], [5, 3, 2, 1])
 
     def test_split_is_descending_and_stops_at_the_first_shortfall(self):
         # [5][12]/([2][3][4]): [4] and [3] are covered by [12], [2] is not
