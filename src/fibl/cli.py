@@ -44,16 +44,19 @@ def _env(name: str, cast, default):
         return default
     try:
         return cast(raw)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, argparse.ArgumentTypeError):
         print(f"invalid FIBL_{name}={raw!r}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
 
-def _cap(text: str) -> int:
-    """A --cap / FIBL_CAP value: an integer >= 1."""
-    if not text.strip().isdigit() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"--cap and FIBL_CAP take an integer >= 1, got {text!r}")
-    return int(text)
+def _at_least_one(name: str):
+    """The argparse type of --NAME / FIBL_NAME: an integer >= 1."""
+    def parse(text: str) -> int:
+        if not text.strip().isdigit() or int(text) < 1:
+            raise argparse.ArgumentTypeError(
+                f"--{name} and FIBL_{name.upper()} take an integer >= 1, got {text!r}")
+        return int(text)
+    return parse
 
 
 def _parse_precision(text: str) -> Optional[int]:
@@ -73,10 +76,11 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=_env("SEED", int, DEFAULT_SEED))
     common.add_argument("--samples", type=int, default=_env("SAMPLES", int, 20))
     common.add_argument("--tol", type=float, default=_env("TOL", float, None))
-    # argparse runs a string default through type=_cap as well
-    common.add_argument("--cap", type=_cap, default=os.environ.get("FIBL_CAP"),
+    # argparse runs a string default through type= as well
+    common.add_argument("--cap", type=_at_least_one("cap"), default=os.environ.get("FIBL_CAP"),
                         help="enumeration or degree cap override (>= 1), by command")
-    common.add_argument("--max", type=int, default=_env("MAX", int, None))
+    common.add_argument("--max", type=_at_least_one("max"),
+                        default=_env("MAX", _at_least_one("max"), None))
     common.add_argument("--format", choices=("json", "csv", "text"),
                         default=_env("FORMAT", str, "text"))
     common.add_argument("--out", default=_env("OUT", str, None))
@@ -532,6 +536,8 @@ def _cmd_verify(ns) -> int:
     }
     with _degree_cap(ns.cap):
         reports = handlers[ns.suite](ns)
+    if not reports:
+        raise ValueError(f"suite {ns.suite} has no checks at --max {ns.max}")
     return _emit_reports(ns, reports, {"suite": ns.suite})
 
 

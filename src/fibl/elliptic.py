@@ -8,10 +8,14 @@ truncated deterministically at the first J with |p|^J max(|x|, 1/|x|)
 below the requested threshold.  On top of it sit the elliptic number
 [n]_{a,b;q,p} (a quotient of four theta factors over four theta factors),
 the weight function v (five over five, times q^m) and the derived tile
-weights omega1/omega2.  All identity checks here are numeric at sampled
-parameter points, with relative tolerances carried by EllipticParams; the
-ordered degeneration p -> 0, a -> 0, b -> 0 back to the q-analogs is done
-symbolically in limit_chain, not by numeric limiting.
+weights omega1/omega2.  A tiling's elliptic weight is the product of
+omega1(i, j) over its (D, i, j) domino labels and omega2(i, j) over its
+(S, i, j) labels; the labels come from the tiling model's one strip rule
+in ``fibl.tilings``, which the q-weights read too.  All identity checks
+here are numeric at sampled parameter points, with relative tolerances
+carried by EllipticParams; the ordered degeneration p -> 0, a -> 0,
+b -> 0 back to the q-analogs is done symbolically in limit_chain, not by
+numeric limiting.
 
 Two numeric regimes, selected per parameter set: double precision
 (complex) and an extended mode with a configurable mantissa of B bits
@@ -35,10 +39,9 @@ from typing import Callable, Optional, Sequence
 from fibl.errors import DegenerateParametersError
 from fibl.fib import fib
 from fibl.report import DEFAULT_SEED, VerificationReport, numeric_report
-from fibl.tilings import (DOMINO, MONOMINO, SPECIAL, PathDominoTiling,
-                          StaircaseTiling, iter_rect_tilings,
-                          iter_staircase_tilings, rect_path_profile,
-                          staircase_tile_stats, _strip_options)
+from fibl.tilings import (SPECIAL, PathDominoTiling, StaircaseTiling,
+                          iter_rect_tilings, iter_staircase_tilings,
+                          tiling_tiles, _rect_strip_tiles, _strip_options)
 
 DEFAULT_TRUNC_EPS = 1e-17
 DEFAULT_EQ_TOL = 1e-7
@@ -420,57 +423,20 @@ def elliptic_fibonomial_recurrence(m: int, n: int, params: EllipticParams):
         return grid[(m, n)]
 
 
-def elliptic_weight_rect(t: PathDominoTiling, params: EllipticParams):
-    """Product of elliptic tile weights of a rectangle-model tiling.
+def _tiles_weight(tiles, params: EllipticParams):
+    """Product of omega1(i, j) over the (D, i, j) labels and omega2(i, j)
+    over the (S, i, j) labels, in label order."""
+    w = 1
+    for kind, i, j in tiles:
+        w = w * (omega2 if kind == SPECIAL else omega1)(i, j, params)
+    return w
 
-    Horizontal dominos at top-right (i, j) weigh omega1(i, j); regular
-    vertical dominos weigh the transposed omega1(j, i) (the transposition
-    is invisible at the q level but matters here); special vertical dominos
-    weigh omega2(i, j).
-    """
+
+def elliptic_weight(t: PathDominoTiling | StaircaseTiling, params: EllipticParams):
+    """Product of elliptic tile weights of a tiling of either model, over
+    the domino labels of ``fibl.tilings.tiling_tiles``."""
     with _prec_ctx(params):
-        _, col_height = rect_path_profile(t.path, t.m, t.n)
-        w = 1
-        for r in range(1, t.n + 1):
-            i = 0
-            for tile in t.rows[r - 1]:
-                if tile == MONOMINO:
-                    i += 1
-                else:
-                    i += 2
-                    w = w * omega1(i, r, params)
-        for c in range(1, t.m + 1):
-            j = col_height[c - 1]
-            for tile in t.cols[c - 1]:
-                if tile == SPECIAL:
-                    w = w * omega2(c, j, params)
-                    j -= 2
-                elif tile == DOMINO:
-                    w = w * omega1(j, c, params)
-                    j -= 2
-                else:
-                    j -= 1
-        return w
-
-
-def elliptic_weight_staircase(t: StaircaseTiling, params: EllipticParams):
-    """Product of elliptic tile weights of a staircase-model tiling.
-
-    Regular dominos weigh omega1(floor, height).  Special dominos weigh
-    omega2 at the transposed statistics (height, floor): that is the order
-    forced by the weight-preserving bijection with the rectangle model and
-    by degeneration consistency with the staircase q-weights, whose special
-    exponent F_floor * F_{height+1} equals the q-limit of omega2(height,
-    floor), not of omega2(floor, height).
-    """
-    with _prec_ctx(params):
-        w = 1
-        for kind, floor, height in staircase_tile_stats(t):
-            if kind == SPECIAL:
-                w = w * omega2(height, floor, params)
-            else:
-                w = w * omega1(floor, height, params)
-        return w
+        return _tiles_weight(tiling_tiles(t), params)
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +543,7 @@ def elliptic_theorem_check(m: int, n: int, params: EllipticParams,
         if fibonomial_int(m, n) <= enumeration_limit:
             total = 0
             for t in iter_rect_tilings(m, n):
-                total = total + elliptic_weight_rect(t, params)
+                total = total + elliptic_weight(t, params)
             values["tiling_sum"] = total
         vals = list(values.values())
         worst = 0.0
@@ -603,15 +569,7 @@ def elliptic_strip_check(n: int, params: EllipticParams) -> VerificationReport:
     with _prec_ctx(params):
         total = 0
         for strip in _strip_options(n - 1):
-            w = 1
-            i = 0
-            for tile in strip:
-                if tile == MONOMINO:
-                    i += 1
-                else:
-                    i += 2
-                    w = w * omega1(i, 1, params)
-            total = total + w
+            total = total + _tiles_weight(_rect_strip_tiles(1, n - 1, False, strip), params)
         lhs = elliptic_number(fib(n), params)
     return numeric_report("elliptic-strip", {"n": n}, lhs, total, params.eq_tol)
 
@@ -668,7 +626,7 @@ def elliptic_staircase_check(n: int, k: int, params: EllipticParams) -> Verifica
     with _prec_ctx(params):
         total = 0
         for t in iter_staircase_tilings(n, k):
-            total = total + elliptic_weight_staircase(t, params)
+            total = total + elliptic_weight(t, params)
         lhs = elliptic_fibonomial(n - k, k, params)
     return numeric_report("elliptic-staircase", {"n": n, "k": k}, lhs, total,
                           params.eq_tol)

@@ -523,30 +523,32 @@ def convolution_identity_check_q(m: int, n: int) -> VerificationReport:
     with the conventions [F_0] = 0 (the j = n-1 term vanishes) and, at
     j = n, weight exponent F_{m+1} F_0 = 0 and [F_{-1}] = [1] = 1.
 
-    Each term is qFib(m-1, n-j) run through the window kernel once per
-    q-number factor, then added in at its shift; every term's degree is
-    checked against the degree cap before it is built.
+    The sum is nested Horner-style from j = n down to j = 0,
+    acc <- T_j + [F_{m+1}]_{q^{F_{n-j}}} acc, where T_j is term j without
+    its leading product, so each (m, n) takes about 2n window-kernel
+    passes.  Every term's full degree is checked against the degree cap,
+    in ascending j, before any term is built.
     """
     if m < 1 or n < 1:
         raise ValueError("m, n must be >= 1")
     lhs = q_fibonomial(m, n)
-    rhs: list = []
+    up = fib(m + 1)
     for j in range(n + 1):
+        if j != n - 1:                     # [F_0] = 0
+            lead = (up - 1) * sum(fib(n - i) for i in range(j))
+            own = (fib(n - 1 - j) - 1) * fib(m)
+            _ensure_cap(q_fibonomial(m - 1, n - j).degree + up * fib(n - j) + lead + own)
+    acc = [1]                              # term n: qFib(m-1, 0) = 1 at shift 0
+    for j in range(n - 1, -1, -1):
+        acc = kernels.mul_qnumber(acc, up, fib(n - j))
         if j == n - 1:
-            continue                       # [F_0] = 0
-        windows = [(fib(m + 1), fib(n - i)) for i in range(j)]
-        if j < n:
-            windows.append((fib(n - 1 - j), fib(m)))
-        base = q_fibonomial(m - 1, n - j)
-        shift = fib(m + 1) * fib(n - j)
-        _ensure_cap(base.degree + shift + sum((t - 1) * s for t, s in windows))
-        term = list(base._c)
-        for t, stride in windows:
-            term = kernels.mul_qnumber(term, t, stride)
+            continue                       # [F_0] = 0 drops term n - 1
+        term = kernels.mul_qnumber(list(q_fibonomial(m - 1, n - j)._c), fib(n - 1 - j), fib(m))
+        shift = up * fib(n - j)
         end = shift + len(term)
-        rhs += [0] * (end - len(rhs))
-        rhs[shift:end] = map(add, rhs[shift:end], term)
-    return exact_report("q-convolution", {"m": m, "n": n}, lhs, IntPoly(rhs))
+        acc += [0] * (end - len(acc))
+        acc[shift:end] = map(add, acc[shift:end], term)
+    return exact_report("q-convolution", {"m": m, "n": n}, lhs, IntPoly(acc))
 
 
 def reset_caches() -> None:

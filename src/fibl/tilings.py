@@ -20,16 +20,23 @@ columns 1..m left to right, rows 1..n bottom to top.
 
 Once the path is fixed, every strip (a row or column segment) is tiled on
 its own and a tiling's weight is a product over its strips.  Each model
-therefore has one builder of a path's strips, ``(index, length, forced)``
-triples, and one rule for a strip's weight exponent.  Enumeration
-combines the strips' tilings; the generating functions never list
-tilings or paths.  Each step of a path fixes one strip, so they run a
-transfer over lattice points: the sum over all paths reaching a point is
-built once, from the sums at the points one step back, each multiplied
-by the weight table of the strip that step fixes (a dense table counting
-the strip's tilings by weight exponent, cached per strip).  Tilings are
-enumerated only for ``fibl enumerate``, the elliptic checks and the
-small Catalan partial-tiling counterexample.
+has one builder of a path's strips, ``(index, length, forced)`` triples,
+and one rule that labels a strip tiling's dominos ``(kind, i, j)``: kind
+D for a domino, S for the special one.  The labels carry the paper's
+elliptic weights, omega1(i, j) for D and omega2(i, j) for S, including
+the transpositions that are invisible at the q level (the rectangle's
+vertical dominos, the staircase's special ones).  Both weight layers read
+the labels: here ``tile_exponent`` gives q^{F_i F_j}, or q^{F_{i+1} F_j}
+for S, the q-limit of those omegas; ``fibl.elliptic.elliptic_weight``
+multiplies the omegas.  Enumeration combines the strips' tilings; the
+generating functions never list tilings or paths.  Each step of a path
+fixes one strip, so they run a transfer over lattice points: the sum
+over all paths reaching a point is built once, from the sums at the
+points one step back, each multiplied by the weight table of the strip
+that step fixes (a dense table counting the strip's tilings by weight
+exponent, cached per strip).  Tilings are enumerated only for ``fibl
+enumerate``, the elliptic checks and the small Catalan partial-tiling
+counterexample.
 
 Enumeration is streaming and deterministic: paths in lexicographic step
 order (E < N, N < W), strip tilings in lexicographic tile order (D < M).
@@ -152,15 +159,20 @@ def _strip_product(strips: list) -> Iterator[tuple[str, ...]]:
     return product(*(_strip_choices(length, forced) for _, length, forced in strips))
 
 
+def tile_exponent(kind: str, i: int, j: int) -> int:
+    """The q-weight exponent of a labelled domino: F_i F_j, or F_{i+1} F_j
+    for a special one (the q-limits of omega1(i, j) and omega2(i, j))."""
+    return fib(i + 1 if kind == SPECIAL else i) * fib(j)
+
+
 @lru_cache(maxsize=4096)
-def _strip_table(exponent: Callable, index: int, length: int,
+def _strip_table(tiles: Callable, index: int, length: int,
                  forced: bool) -> tuple[int, ...]:
     """The strip's dense weight table: entry e counts its tilings of weight
-    q^e; empty when it has no tiling.  ``exponent`` is a model's per-strip
-    weight rule."""
+    q^e; empty when it has no tiling.  ``tiles`` is a model's strip rule."""
     counts: dict[int, int] = {}
     for strip in _strip_choices(length, forced):
-        e = exponent(index, length, forced, strip)
+        e = sum(tile_exponent(*tile) for tile in tiles(index, length, forced, strip))
         counts[e] = counts.get(e, 0) + 1
     return _poly_from_counts(counts).coeffs
 
@@ -190,7 +202,7 @@ def enumerate_strips(length: int, sink: Optional[Callable[[str], None]] = None) 
 def q_strip_sum(length: int) -> IntPoly:
     """Sum of q-weights over strip tilings, with a domino ending at cell i
     weighing q^{F_i} (row 1 of the rectangle model); equals [F_{length+1}]."""
-    return IntPoly(_strip_table(_rect_strip_exponent, 1, length, False))
+    return IntPoly(_strip_table(_rect_strip_tiles, 1, length, False))
 
 
 def _poly_from_counts(counts: dict[int, int]) -> IntPoly:
@@ -248,32 +260,23 @@ def _rect_strips(path: str, m: int, n: int) -> list[tuple[int, int, bool]]:
             + [(c, h, True) for c, h in enumerate(col_height, start=1)])
 
 
-def _rect_strip_exponent(index: int, length: int, forced: bool, strip: str) -> int:
-    """Weight exponent of one strip of the rectangle model.
+def _rect_strip_tiles(index: int, length: int, forced: bool,
+                      strip: str) -> list[tuple[str, int, int]]:
+    """The dominos of one rectangle strip as (kind, i, j), in tile order.
 
     Row r (unforced) runs west to east: a horizontal domino ending in
-    column i weighs F_i F_r.  Column c (forced) of height ``length`` runs
-    top to bottom: a vertical domino whose top cell is in row j weighs
-    F_c F_j, the special one F_{c+1} F_j.
+    column i is (D, i, r).  Column c (forced) of height ``length`` runs
+    top to bottom: a vertical domino whose top cell is in row j is the
+    transposed (D, j, c), the special one (S, c, j).
     """
-    e = 0
-    if forced:
-        j = length
-        for tile in strip:
-            if tile == MONOMINO:
-                j -= 1
-            else:
-                e += fib(index + 1 if tile == SPECIAL else index) * fib(j)
-                j -= 2
-    else:
-        i = 0
-        for tile in strip:
-            if tile == MONOMINO:
-                i += 1
-            else:
-                i += 2
-                e += fib(i) * fib(index)
-    return e
+    out = []
+    done = 0
+    for tile in strip:
+        if tile != MONOMINO:
+            offset = length - done if forced else done + 2
+            out.append((SPECIAL, index, offset) if tile == SPECIAL else (DOMINO, offset, index))
+        done += 1 if tile == MONOMINO else 2
+    return out
 
 
 def iter_rect_tilings(m: int, n: int) -> Iterator[PathDominoTiling]:
@@ -301,17 +304,6 @@ def enumerate_rect_tilings(m: int, n: int,
     return count
 
 
-def rect_weight_exponent(t: PathDominoTiling) -> int:
-    """The exponent e with q_weight_rect(t) = q^e."""
-    strips = _rect_strips(t.path, t.m, t.n)
-    return sum(_rect_strip_exponent(*s, tiles) for s, tiles in zip(strips, t.rows + t.cols))
-
-
-def q_weight_rect(t: PathDominoTiling) -> IntPoly:
-    """The q-weight of one tiling: a single power of q."""
-    return IntPoly.monomial(rect_weight_exponent(t))
-
-
 def rect_generating_function(m: int, n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> IntPoly:
     """Sum of q-weights over all tilings of the m x n rectangle.
 
@@ -330,10 +322,10 @@ def rect_generating_function(m: int, n: int, cap: int = DEFAULT_ENUMERATION_CAP)
     g = [[1]] * (m + 1)      # G(x, 0): every column has height 0, one empty tiling
     for y in range(1, n + 1):
         for x in range(m + 1):
-            row = _strip_table(_rect_strip_exponent, y, x, False)
+            row = _strip_table(_rect_strip_tiles, y, x, False)
             total = kernels.mul_dense(g[x], row)
             if x:
-                col = _strip_table(_rect_strip_exponent, x, y, True)
+                col = _strip_table(_rect_strip_tiles, x, y, True)
                 total = _plus(total, kernels.mul_dense(g[x - 1], col))
             g[x] = total
     return IntPoly(g[m])
@@ -466,27 +458,20 @@ def _staircase_strips(path: str, n: int, k: int) -> list[tuple[int, int, bool]]:
             for r, (x, f) in enumerate(zip(xs, forced), start=1)]
 
 
-def _staircase_strip_stats(row_len: int, length: int, forced: bool,
+def _staircase_strip_tiles(row_len: int, length: int, forced: bool,
                            strip: str) -> list[tuple[str, int, int]]:
-    """Per-domino (kind, floor, height) of one row strip; see
-    staircase_tile_stats."""
-    height = 1 + row_len - length
-    out = []
-    done = 0
-    for tile in strip:
-        if tile == MONOMINO:
-            done += 1
-        else:
-            out.append((tile, length - done if forced else done + 2, height))
-            done += 2
-    return out
+    """The dominos of one row strip as (kind, i, j), west to east.
 
-
-def _staircase_strip_exponent(row_len: int, length: int, forced: bool, strip: str) -> int:
-    """Weight exponent of one row strip: a domino gives F_floor * F_height,
-    a special domino F_floor * F_{height+1}."""
-    return sum(fib(floor) * fib(height + 1 if kind == SPECIAL else height)
-               for kind, floor, height in _staircase_strip_stats(row_len, length, forced, strip))
+    Left of the path a domino's floor counts boxes from the western border
+    of the diagram to the tile's eastern border; right of it, from the
+    eastern border to the tile's western border.  The row's height is
+    1 + row_len - length.  A domino is (D, floor, height), the special
+    one the transposed (S, height, floor): the order the bijection with
+    the rectangle model forces.  Floor is counted as the rectangle rule
+    counts i in a row and j in a column, so this is that rule with the
+    height as the strip index.
+    """
+    return _rect_strip_tiles(1 + row_len - length, length, forced, strip)
 
 
 def iter_staircase_tilings(n: int, k: int) -> Iterator[StaircaseTiling]:
@@ -511,32 +496,6 @@ def enumerate_staircase_tilings(n: int, k: int,
     return count
 
 
-def staircase_tile_stats(t: StaircaseTiling) -> list[tuple[str, int, int]]:
-    """Per-domino (kind, floor, height) statistics; monominos are skipped.
-
-    Left of the path: floor counts boxes from the western border of the
-    diagram to the tile's eastern border; height is 1 + boxes from the
-    eastern border of the diagram to the row's north step.  Right of the
-    path the statistics are mirrored (floor from the eastern border to the
-    tile's western border; height is 1 + boxes from the western border to
-    the forced north step).
-    """
-    strips = _staircase_strips(t.path, t.n, t.k)
-    return [stat for s, tiles in zip(strips, t.rows)
-            for stat in _staircase_strip_stats(*s, tiles)]
-
-
-def staircase_weight_exponent(t: StaircaseTiling) -> int:
-    """Exponent of the q-weight: dominos give F_floor * F_height, special
-    dominos F_floor * F_{height+1}."""
-    strips = _staircase_strips(t.path, t.n, t.k)
-    return sum(_staircase_strip_exponent(*s, tiles) for s, tiles in zip(strips, t.rows))
-
-
-def q_weight_staircase(t: StaircaseTiling) -> IntPoly:
-    return IntPoly.monomial(staircase_weight_exponent(t))
-
-
 def staircase_generating_function(n: int, k: int,
                                   cap: int = DEFAULT_ENUMERATION_CAP) -> IntPoly:
     """Sum of q-weights over all (n, k)-tilings; equals q_fibonomial(n-k, k).
@@ -556,10 +515,10 @@ def staircase_generating_function(n: int, k: int,
             if x > row_len:
                 s[x] = []
                 continue
-            left = _strip_table(_staircase_strip_exponent, row_len, x, False)
+            left = _strip_table(_staircase_strip_tiles, row_len, x, False)
             total = kernels.mul_dense(s[x], left)
             if x < k:
-                right = _strip_table(_staircase_strip_exponent, row_len, row_len - x, True)
+                right = _strip_table(_staircase_strip_tiles, row_len, row_len - x, True)
                 total = _plus(total, kernels.mul_dense(s[x + 1], right))
             s[x] = total
     return IntPoly(s[0])
@@ -605,6 +564,29 @@ def validate_staircase_tiling(t: StaircaseTiling) -> None:
 
 
 # ---------------------------------------------------------------------------
+# Tile weights of either model
+
+def tiling_tiles(t: PathDominoTiling | StaircaseTiling) -> list[tuple[str, int, int]]:
+    """Every domino of a tiling as (kind, i, j), strip by strip: rows, then
+    columns; west to east, top to bottom."""
+    if isinstance(t, PathDominoTiling):
+        rule, strips, tiles = _rect_strip_tiles, _rect_strips(t.path, t.m, t.n), t.rows + t.cols
+    else:
+        rule, strips, tiles = _staircase_strip_tiles, _staircase_strips(t.path, t.n, t.k), t.rows
+    return [label for s, strip in zip(strips, tiles) for label in rule(*s, strip)]
+
+
+def weight_exponent(t: PathDominoTiling | StaircaseTiling) -> int:
+    """The exponent e with q_weight(t) = q^e."""
+    return sum(tile_exponent(*label) for label in tiling_tiles(t))
+
+
+def q_weight(t: PathDominoTiling | StaircaseTiling) -> IntPoly:
+    """The q-weight of one tiling: a single power of q."""
+    return IntPoly.monomial(weight_exponent(t))
+
+
+# ---------------------------------------------------------------------------
 # Cross-model checks
 
 def model_bijection_check(m: int, n: int,
@@ -635,13 +617,6 @@ def catalan_partial_tilings(size: int) -> Iterator[StaircaseTiling]:
             yield StaircaseTiling(n=n, k=k, path=path, rows=rows)
 
 
-def catalan_partial_weight_exponent(t: StaircaseTiling) -> int:
-    """Weight exponent of a Catalan partial tiling.  Row 1 holds at most its
-    special domino, which weighs what it weighs in any forced row, so this
-    is the staircase weight exponent."""
-    return staircase_weight_exponent(t)
-
-
 def catalan_partial_tiling_counterexample(size: int = 6) -> VerificationReport:
     """Compare the ordinary q-Fibo-Catalan polynomial at n = size / 2 (the
     quotient of catalan.q_fibo_catalan_ordinary(n), from the ratio engine)
@@ -653,7 +628,7 @@ def catalan_partial_tiling_counterexample(size: int = 6) -> VerificationReport:
     counts: dict[int, int] = {}
     total = 0
     for t in catalan_partial_tilings(size):
-        e = catalan_partial_weight_exponent(t)
+        e = weight_exponent(t)      # row 1's special domino weighs as in any forced row
         counts[e] = counts.get(e, 0) + 1
         total += 1
     tiling_sum = _poly_from_counts(counts)

@@ -16,8 +16,8 @@ from fibl.catalan import (CoxeterType, coxeter_q_fibo_catalan,
 from fibl.fib import fib
 from fibl.qpoly import IntPoly, q_fibonomial, q_fibonomial_recurrence, q_number
 from fibl.tilings import (iter_rect_tilings, load_golden, model_bijection_check,
-                          rect_generating_function, rect_weight_exponent,
-                          staircase_generating_function)
+                          rect_generating_function,
+                          staircase_generating_function, weight_exponent)
 
 SEED = 0x5EED
 DOUBLE_TOL = 1e-7
@@ -44,7 +44,7 @@ class _Criterion:
 def test_criterion_01_fig2_polynomial_and_multiset():
     c = _Criterion(1, "q-Fibonomial(2,2) and the six 2x2 tilings", 1.0)
     assert q_fibonomial(2, 2) == IntPoly([1, 2, 2, 1])
-    exps = sorted(rect_weight_exponent(t) for t in iter_rect_tilings(2, 2))
+    exps = sorted(weight_exponent(t) for t in iter_rect_tilings(2, 2))
     assert exps == [0, 1, 1, 2, 2, 3]
     c.finish()
 
@@ -77,7 +77,7 @@ def test_criterion_04_golden_5x4_weight():
     doc = load_golden("rect_5x4_example.json")
     t = tilings.PathDominoTiling.from_json(doc["tiling"])
     tilings.validate_rect_tiling(t)
-    ok = tilings.q_weight_rect(t) == IntPoly.monomial(51)
+    ok = tilings.q_weight(t) == IntPoly.monomial(51)
     c.finish(ok)
 
 

@@ -193,6 +193,33 @@ class TestDegreeCapOverride:
         assert qpoly.degree_cap() == qpoly.DEFAULT_DEGREE_CAP
 
 
+class TestMaxOption:
+    @pytest.mark.parametrize("argv", [
+        ("verify", "convolution", "--max", "0"),
+        ("verify", "convolution", "--max", "-3"),
+        ("catalan", "sweep", "--max", "0"),
+    ], ids=" ".join)
+    def test_max_below_one_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert "--max and FIBL_MAX take an integer >= 1" in capsys.readouterr().err
+
+    def test_env_max_below_one_is_a_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("FIBL_MAX", "0")
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "convolution"])
+        assert exc.value.code == 2
+        assert "invalid FIBL_MAX='0'" in capsys.readouterr().err
+
+    def test_verify_without_checks_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "verify", "bijection", "--max", "1")
+        assert (code, out) == (2, "")
+        assert "suite bijection has no checks at --max 1" in err
+        assert run(capsys, "verify", "bijection", "--max", "2")[:2] == \
+            (0, "PASS model-bijection m=1 n=1 [exact]\n1/1 checks passed\n")
+
+
 class TestSpiralCommand:
     def test_passes(self, capsys):
         code, out, _ = run(capsys, "spiral", "7")

@@ -12,7 +12,10 @@ from fibl import elliptic as ell
 from fibl.errors import DegenerateParametersError
 from fibl.fib import fib
 from fibl.qpoly import q_number
-from fibl.tilings import iter_rect_tilings
+from fibl.tilings import (DOMINO, MONOMINO, SPECIAL, PathDominoTiling,
+                          catalan_partial_tilings, iter_rect_tilings,
+                          iter_staircase_tilings, rect_path_profile,
+                          staircase_path_profile, tile_exponent, tiling_tiles)
 
 SEED = 0x5EED
 
@@ -353,6 +356,92 @@ class TestOmega:
                 assert abs(w2 - w1) / abs(w1) < p.eq_tol
 
 
+def _reference_weight_rect(t, params):
+    """The rectangle model's elliptic weight by its own row and column
+    walk: a horizontal domino ending at (i, r) weighs omega1(i, r), a
+    vertical one with top cell (c, j) the transposed omega1(j, c), the
+    special one omega2(c, j)."""
+    with ell._prec_ctx(params):
+        _, col_height = rect_path_profile(t.path, t.m, t.n)
+        w = 1
+        for r in range(1, t.n + 1):
+            i = 0
+            for tile in t.rows[r - 1]:
+                if tile == MONOMINO:
+                    i += 1
+                else:
+                    i += 2
+                    w = w * ell.omega1(i, r, params)
+        for c in range(1, t.m + 1):
+            j = col_height[c - 1]
+            for tile in t.cols[c - 1]:
+                if tile == SPECIAL:
+                    w = w * ell.omega2(c, j, params)
+                    j -= 2
+                elif tile == DOMINO:
+                    w = w * ell.omega1(j, c, params)
+                    j -= 2
+                else:
+                    j -= 1
+        return w
+
+
+def _reference_weight_staircase(t, params):
+    """The staircase model's elliptic weight from per-domino floor and
+    height: omega1(floor, height), and omega2 at the transposed
+    (height, floor) for the special domino."""
+    xs, forced = staircase_path_profile(t.path, t.n, t.k)
+    with ell._prec_ctx(params):
+        w = 1
+        for r, (x, f, strip) in enumerate(zip(xs, forced, t.rows), start=1):
+            row_len = t.n - r
+            length = row_len - x if f else x
+            height = 1 + row_len - length
+            done = 0
+            for tile in strip:
+                if tile == MONOMINO:
+                    done += 1
+                    continue
+                floor = length - done if f else done + 2
+                if tile == SPECIAL:
+                    w = w * ell.omega2(height, floor, params)
+                else:
+                    w = w * ell.omega1(floor, height, params)
+                done += 2
+        return w
+
+
+def _small_tilings():
+    """Every rectangle tiling with m + n <= 6, every staircase tiling with
+    n <= 7 and the Catalan partial tilings of size 6."""
+    for m in range(0, 7):
+        for n in range(0, 7 - m):
+            yield from iter_rect_tilings(m, n)
+    for n in range(0, 8):
+        for k in range(0, n + 1):
+            yield from iter_staircase_tilings(n, k)
+    yield from catalan_partial_tilings(6)
+
+
+class TestTileLabels:
+    """Both weight layers read one (kind, i, j) label per domino."""
+
+    def test_tile_exponent_is_the_q_limit_of_its_omega(self):
+        labels = {label for t in _small_tilings() for label in tiling_tiles(t)}
+        assert {kind for kind, _, _ in labels} == {DOMINO, SPECIAL}
+        for kind, i, j in labels:
+            tag = ("omega2" if kind == SPECIAL else "omega1", i, j)
+            assert ell.limit_chain(tag, 2) == 2 ** tile_exponent(kind, i, j), (kind, i, j)
+
+    @pytest.mark.parametrize("i", [0, 3])
+    def test_elliptic_weight_is_the_references_bit_for_bit(self, i):
+        p = params_at(i)
+        for t in _small_tilings():
+            ref = (_reference_weight_rect if isinstance(t, PathDominoTiling)
+                   else _reference_weight_staircase)(t, p)
+            assert ell.elliptic_weight(t, p) == ref, t
+
+
 class TestFibSplitting:
     def test_grid(self):
         for i in range(3):
@@ -386,7 +475,7 @@ class TestFibonomialRoutes:
     def test_all_monomino_weight_is_one(self):
         p = params_at(0)
         t = next(iter_rect_tilings(3, 0))
-        assert ell.elliptic_weight_rect(t, p) == 1
+        assert ell.elliptic_weight(t, p) == 1
 
 
 class TestStripSpiral:

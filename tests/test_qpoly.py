@@ -413,6 +413,22 @@ class TestConvolution:
         assert convolution_identity_check_q(2, 2).passed
         assert convolution_identity_check_q(4, 3).passed
 
+    def test_horner_nesting_takes_two_passes_per_step(self, monkeypatch):
+        calls = []
+        mul = kernels.mul_qnumber
+
+        def spy_mul(coeffs, t, stride=1):
+            calls.append((t, stride))
+            return mul(coeffs, t, stride)
+        for n in range(1, 9):
+            convolution_identity_check_q(5, n)      # warms the q_fibonomial cache
+            monkeypatch.setattr(kernels, "mul_qnumber", spy_mul)
+            calls.clear()
+            assert convolution_identity_check_q(5, n).passed
+            monkeypatch.setattr(kernels, "mul_qnumber", mul)
+            # one [F_6]_{q^{F_{n-j}}} pass per j < n, one [F_{n-1-j}]_{q^{F_5}} pass per term
+            assert len(calls) == 2 * n - 1, (n, calls)
+
     def test_report_contents(self):
         rep = convolution_identity_check_q(2, 2)
         assert rep.lhs == P(1, 2, 2, 1)

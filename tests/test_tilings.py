@@ -11,11 +11,10 @@ from fibl.tilings import (PathDominoTiling, StaircaseTiling,
                           enumerate_rect_tilings, enumerate_staircase_tilings,
                           enumerate_strips, iter_rect_tilings,
                           iter_staircase_tilings, load_golden,
-                          model_bijection_check, q_strip_sum, q_weight_rect,
-                          q_weight_staircase, rect_generating_function,
-                          rect_weight_exponent, staircase_generating_function,
-                          staircase_weight_exponent, validate_rect_tiling,
-                          validate_staircase_tiling)
+                          model_bijection_check, q_strip_sum, q_weight,
+                          rect_generating_function,
+                          staircase_generating_function, validate_rect_tiling,
+                          validate_staircase_tiling, weight_exponent)
 
 
 class TestStrips:
@@ -65,7 +64,7 @@ class TestRectEnumeration:
         assert count == len(seen) == fibonomial_int(3, 3)
 
     def test_weight_multiset_2_2(self):
-        exps = sorted(rect_weight_exponent(t) for t in iter_rect_tilings(2, 2))
+        exps = sorted(weight_exponent(t) for t in iter_rect_tilings(2, 2))
         assert exps == [0, 1, 1, 2, 2, 3]
 
     def test_cap(self):
@@ -131,13 +130,13 @@ class TestFactoredGeneratingFunctions:
         for m in range(0, 9):
             for n in range(0, 9 - m):
                 assert rect_generating_function(m, n) == _tile_by_tile(
-                    iter_rect_tilings(m, n), rect_weight_exponent), (m, n)
+                    iter_rect_tilings(m, n), weight_exponent), (m, n)
 
     def test_staircase_matches_tile_by_tile_sum(self):
         for n in range(0, 10):
             for k in range(0, n + 1):
                 assert staircase_generating_function(n, k) == _tile_by_tile(
-                    iter_staircase_tilings(n, k), staircase_weight_exponent), (n, k)
+                    iter_staircase_tilings(n, k), weight_exponent), (n, k)
 
     def test_cap_applies_without_enumeration(self):
         with pytest.raises(ResourceLimitError):
@@ -146,17 +145,19 @@ class TestFactoredGeneratingFunctions:
             staircase_generating_function(10, 5, cap=1000)
 
 
-def _per_path_product(paths_strips, exponent) -> IntPoly:
+def _per_path_product(paths_strips, rule) -> IntPoly:
     """The sum over paths of the product of their strips' weight tables,
-    multiplied out path by path from the strip tilings and a model's
-    weight rule (the transfer's sum without shared prefixes)."""
+    multiplied out path by path from the strip tilings and the q-weights
+    of a model's domino labels (the transfer's sum without shared
+    prefixes)."""
     total: dict[int, int] = {}
     for strips in paths_strips:
         acc = {0: 1}
         for index, length, forced in strips:
             nxt: dict[int, int] = {}
             for strip in tilings._strip_choices(length, forced):
-                f = exponent(index, length, forced, strip)
+                f = sum(tilings.tile_exponent(*label)
+                        for label in rule(index, length, forced, strip))
                 for e, c in acc.items():
                     nxt[e + f] = nxt.get(e + f, 0) + c
             acc = nxt
@@ -174,7 +175,7 @@ class TestTransferGeneratingFunctions:
             for n in range(0, 11 - m):
                 want = _per_path_product(
                     (tilings._rect_strips(p, m, n) for p in tilings._iter_rect_paths(m, n)),
-                    tilings._rect_strip_exponent)
+                    tilings._rect_strip_tiles)
                 assert rect_generating_function(m, n) == want, (m, n)
 
     def test_staircase_matches_per_path_product(self):
@@ -183,13 +184,13 @@ class TestTransferGeneratingFunctions:
                 want = _per_path_product(
                     (tilings._staircase_strips(p, n, k)
                      for p in tilings._iter_staircase_paths(n, k)),
-                    tilings._staircase_strip_exponent)
+                    tilings._staircase_strip_tiles)
                 assert staircase_generating_function(n, k) == want, (n, k)
 
     def test_q_strip_sum_matches_per_path_product(self):
         for length in range(0, 12):
             assert q_strip_sum(length) == _per_path_product(
-                [[(1, length, False)]], tilings._rect_strip_exponent)
+                [[(1, length, False)]], tilings._rect_strip_tiles)
 
 
 class TestStaircaseEnumeration:
@@ -229,8 +230,8 @@ class TestGoldenFiles:
             [{k: v for k, v in entry.items() if k != "exponent"}
              for entry in doc["tilings"]]
         for t, entry in zip(got, doc["tilings"]):
-            assert rect_weight_exponent(t) == entry["exponent"]
-            assert q_weight_rect(t) == IntPoly.monomial(entry["exponent"])
+            assert weight_exponent(t) == entry["exponent"]
+            assert q_weight(t) == IntPoly.monomial(entry["exponent"])
         assert rect_generating_function(2, 2) == IntPoly(doc["weight_polynomial"])
 
     def test_staircase_4_2(self):
@@ -240,15 +241,15 @@ class TestGoldenFiles:
             [{k: v for k, v in entry.items() if k != "exponent"}
              for entry in doc["tilings"]]
         for t, entry in zip(got, doc["tilings"]):
-            assert staircase_weight_exponent(t) == entry["exponent"]
-            assert q_weight_staircase(t) == IntPoly.monomial(entry["exponent"])
+            assert weight_exponent(t) == entry["exponent"]
+            assert q_weight(t) == IntPoly.monomial(entry["exponent"])
 
     def test_rect_5x4_example(self):
         doc = load_golden("rect_5x4_example.json")
         t = PathDominoTiling.from_json(doc["tiling"])
         validate_rect_tiling(t)
-        assert rect_weight_exponent(t) == doc["weight_exponent"] == 51
-        assert q_weight_rect(t) == IntPoly.monomial(51)
+        assert weight_exponent(t) == doc["weight_exponent"] == 51
+        assert q_weight(t) == IntPoly.monomial(51)
 
 
 class TestBijection:
