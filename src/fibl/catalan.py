@@ -118,7 +118,7 @@ def _ratio_verdict(num_factors: Iterable[int], den_factors: Iterable[int]) -> Po
     quotient = q_ratio_coeffs(num, divided)
     lohi = kernels.coeff_min_max(quotient)
     nonneg = lohi is None or lohi[0] >= 0
-    return PolynomialityVerdict(True, quotient=IntPoly(quotient),
+    return PolynomialityVerdict(True, quotient=IntPoly._wrap(quotient),
                                 all_coeffs_nonnegative=nonneg, coeff_range=lohi)
 
 

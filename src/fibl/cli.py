@@ -59,6 +59,20 @@ def _at_least_one(name: str):
     return parse
 
 
+def _finite_positive(name: str):
+    """The argparse type of --NAME / FIBL_NAME: a finite number > 0."""
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(
+                f"--{name} and FIBL_{name.upper()} take a finite number > 0, got {text!r}")
+        return value
+    return parse
+
+
 def _parse_precision(text: str) -> Optional[int]:
     """'double' -> None; 'ext:BITS' -> BITS."""
     if text == "double":
@@ -75,7 +89,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=_env("SEED", int, DEFAULT_SEED))
     common.add_argument("--samples", type=int, default=_env("SAMPLES", int, 20))
-    common.add_argument("--tol", type=float, default=_env("TOL", float, None))
+    common.add_argument("--tol", type=_finite_positive("tol"),
+                        default=_env("TOL", _finite_positive("tol"), None))
     # argparse runs a string default through type= as well
     common.add_argument("--cap", type=_at_least_one("cap"), default=os.environ.get("FIBL_CAP"),
                         help="enumeration or degree cap override (>= 1), by command")

@@ -266,13 +266,12 @@ def _theta_ext(x, p, eps: float):
                          0.5 * math.log(pn) + pe * _LN2 if pn else None, eps)
 
     # Products are cut back to `width` bits by k = (bit length - width)
-    # right shifts; `half` keeps k >= 0 for an exact zero.
-    half = 1 << (width - 1)
+    # right shifts; `width` in the max keeps k >= 0 for an exact zero.
     # w_0 = p / x = p conj(x) / |x|^2, the one division
     s = 2 * width + 1
     ia, ib = (xa << s) // xn, (-xb << s) // xn
     wa, wb = pa * ia - pb * ib, pa * ib + pb * ia
-    k = max(wa, -wa, wb, -wb, half).bit_length() - width
+    k = max(wa.bit_length(), wb.bit_length(), width) - width
     wa, wb, we = wa >> k, wb >> k, pe - xe - s + k
     ua, ub, ue = xa, xb, xe
     one = 1 << width
@@ -286,13 +285,13 @@ def _theta_ext(x, p, eps: float):
         ha = fa * ga - fb * gb        # (1 - u)(1 - w) = (fa - i fb)(ga - i gb)
         hb = -(fa * gb + fb * ga)
         oa, ob = oa * ha - ob * hb, oa * hb + ob * ha
-        k = max(oa, -oa, ob, -ob, half).bit_length() - width
+        k = max(oa.bit_length(), ob.bit_length(), width) - width
         oa, ob, oe = oa >> k, ob >> k, oe - 2 * width + k
         ua, ub = ua * pa - ub * pb, ua * pb + ub * pa
-        k = max(ua, -ua, ub, -ub, half).bit_length() - width
+        k = max(ua.bit_length(), ub.bit_length(), width) - width
         ua, ub, ue = ua >> k, ub >> k, ue + pe + k
         wa, wb = wa * pa - wb * pb, wa * pb + wb * pa
-        k = max(wa, -wa, wb, -wb, half).bit_length() - width
+        k = max(wa.bit_length(), wb.bit_length(), width) - width
         wa, wb, we = wa >> k, wb >> k, we + pe + k
     return mpmath.mp.make_mpc((from_man_exp(oa, oe, prec, round_nearest),
                                from_man_exp(ob, oe, prec, round_nearest)))

@@ -7,6 +7,13 @@ products and coefficient scans.  The window multiply/divide run their
 per-coefficient work in C through ``accumulate`` and ``map``; the dense
 product packs both factors into one big integer each.
 
+Every q-number [t]_{q^s} is palindromic, and so is every product of
+them.  ``mul_qnumber`` sees this in its input: a palindromic factor with
+a nonzero last coefficient gives a palindromic product, so the window
+sum runs over the low half only and the high half is its mirror image.
+The exact division stays full length, since its exactness test reads the
+tail of the series.
+
 Everything here is exact integer arithmetic; no kernel ever rounds.
 """
 
@@ -52,7 +59,10 @@ def mul_qnumber(coeffs, t, stride=1):
     """Multiply ``coeffs`` by 1 + q^s + q^{2s} + ... + q^{(t-1)s}.
 
     Uses [t]_{q^s} = (1 - q^{ts}) / (1 - q^s): the product r is p - q^{ts} p
-    summed with stride s, r[i] = p[i] - p[i-ts] + r[i-s].
+    summed with stride s, r[i] = p[i] - p[i-ts] + r[i-s].  When p equals
+    its reverse and ends in a nonzero coefficient, the product of length
+    n = len(p) + (t-1)s has r[i] = r[n-1-i] (a product of palindromes),
+    so only r[i], i < ceil(n/2), is summed and the rest is mirrored.
     Returns a new trimmed list; t = 0 gives the zero polynomial.
     """
     if t <= 0 or not coeffs:
@@ -60,6 +70,12 @@ def mul_qnumber(coeffs, t, stride=1):
     if t == 1:
         return trim(list(coeffs))
     ts = t * stride
+    if coeffs[-1] and coeffs == coeffs[::-1]:
+        n = len(coeffs) + ts - stride          # >= 2 (t >= 2), so n // 2 - 1 >= 0
+        half = (n + 1) // 2
+        low = _window_sum(coeffs[:half] + [0] * (half - len(coeffs)),
+                          [0] * min(ts, half) + coeffs[:max(half - ts, 0)], stride)
+        return low + low[n // 2 - 1::-1]
     return trim(_window_sum(coeffs + [0] * (ts - stride), [0] * ts + coeffs, stride))
 
 

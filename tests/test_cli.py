@@ -123,7 +123,7 @@ class TestCatalanCommand:
         ("14", "7d1e084e5f5a4c69f759a69029a2a0cb64cfc1534140fd760ad6190f6a31f58f"),
         pytest.param("15", "62129d986e097c928282ee8d80696e36b72a83d4509333be7d5434d76d83816c",
                      marks=pytest.mark.skipif(not os.environ.get("FIBL_SLOW_TESTS"),
-                                              reason="~0.8 s, ~135 MB peak; "
+                                              reason="~1 s, ~80 MB peak; "
                                                      "set FIBL_SLOW_TESTS=1 to run")),
     ])
     def test_sweep_csv_digest(self, capsys, top, digest):
@@ -218,6 +218,30 @@ class TestMaxOption:
         assert "suite bijection has no checks at --max 1" in err
         assert run(capsys, "verify", "bijection", "--max", "2")[:2] == \
             (0, "PASS model-bijection m=1 n=1 [exact]\n1/1 checks passed\n")
+
+
+class TestTolOption:
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1", "abc"])
+    def test_tol_must_be_finite_and_positive(self, capsys, tol):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "theta", "--samples", "1", "--tol", tol])
+        assert exc.value.code == 2
+        assert "--tol and FIBL_TOL take a finite number > 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0"])
+    def test_env_tol_must_be_finite_and_positive(self, capsys, monkeypatch, tol):
+        monkeypatch.setenv("FIBL_TOL", tol)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "theta", "--samples", "1"])
+        assert exc.value.code == 2
+        assert f"invalid FIBL_TOL={tol!r}" in capsys.readouterr().err
+
+    def test_valid_tol_is_used(self, capsys, monkeypatch):
+        code, out, _ = run(capsys, "verify", "theta", "--samples", "1", "--tol", "1e-9")
+        assert code == 0
+        assert "tol=1e-09]" in out
+        monkeypatch.setenv("FIBL_TOL", "1e-9")
+        assert run(capsys, "verify", "theta", "--samples", "1") == (0, out, "")
 
 
 class TestSpiralCommand:
@@ -348,6 +372,21 @@ def test_reports_are_emitted_in_sort_key_order():
     for order in (reports, reports[::-1]):
         want = sorted(order, key=lambda r: r.sort_key())
         assert [id(r) for r in _sorted_reports(order)] == [id(r) for r in want]
+
+
+@pytest.mark.skipif(not os.environ.get("FIBL_SLOW_TESTS"),
+                    reason="~1 s, ~80 MB peak; set FIBL_SLOW_TESTS=1 to run")
+def test_sweep_15_peak_memory_slow():
+    # A child's ru_maxrss starts at the RSS of the process that spawned it,
+    # here the test runner; so a small launcher runs the sweep and reports
+    # the ru_maxrss of its own children (KiB on Linux).
+    launcher = ("import resource, subprocess, sys; "
+                "subprocess.run(sys.argv[1:], check=True, stdout=subprocess.DEVNULL); "
+                "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
+    proc = _run_python("-c", launcher, sys.executable, "-m", "fibl",
+                       "catalan", "sweep", "--max", "15")
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) / 1024 < 120
 
 
 def test_python_dash_m_runs_the_cli():

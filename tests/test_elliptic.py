@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 import struct
 from dataclasses import replace
 from fractions import Fraction
@@ -144,6 +145,49 @@ def _terms_of_kernel(x, p, eps):
 _phases = st.floats(0.0, 2 * math.pi)
 
 
+def _theta_ext_by_negations(x, p, eps):
+    """ell._theta_ext with its first renormalization rule, kept as a
+    reference: k = max(a, -a, b, -b, half).bit_length() - width."""
+    from mpmath.libmp import from_man_exp, round_nearest
+
+    prec = mpmath.mp.prec
+    width = prec + 16
+    xa, xb, xe = ell._gaussian(x, width)
+    pa, pb, pe = ell._gaussian(p, width)
+    pn = pa * pa + pb * pb
+    xn = xa * xa + xb * xb
+    terms = ell._theta_terms(0.5 * math.log(xn) + xe * ell._LN2,
+                             0.5 * math.log(pn) + pe * ell._LN2 if pn else None, eps)
+    half = 1 << (width - 1)
+    s = 2 * width + 1
+    ia, ib = (xa << s) // xn, (-xb << s) // xn
+    wa, wb = pa * ia - pb * ib, pa * ib + pb * ia
+    k = max(wa, -wa, wb, -wb, half).bit_length() - width
+    wa, wb, we = wa >> k, wb >> k, pe - xe - s + k
+    ua, ub, ue = xa, xb, xe
+    one = 1 << width
+    oa, ob, oe = 1, 0, 0
+    for _ in range(terms):
+        k = ue + width
+        fa, fb = (ua << k, ub << k) if k >= 0 else (ua >> -k, ub >> -k)
+        k = we + width
+        ga, gb = (wa << k, wb << k) if k >= 0 else (wa >> -k, wb >> -k)
+        fa, ga = one - fa, one - ga
+        ha = fa * ga - fb * gb
+        hb = -(fa * gb + fb * ga)
+        oa, ob = oa * ha - ob * hb, oa * hb + ob * ha
+        k = max(oa, -oa, ob, -ob, half).bit_length() - width
+        oa, ob, oe = oa >> k, ob >> k, oe - 2 * width + k
+        ua, ub = ua * pa - ub * pb, ua * pb + ub * pa
+        k = max(ua, -ua, ub, -ub, half).bit_length() - width
+        ua, ub, ue = ua >> k, ub >> k, ue + pe + k
+        wa, wb = wa * pa - wb * pb, wa * pb + wb * pa
+        k = max(wa, -wa, wb, -wb, half).bit_length() - width
+        wa, wb, we = wa >> k, wb >> k, we + pe + k
+    return mpmath.mp.make_mpc((from_man_exp(oa, oe, prec, round_nearest),
+                               from_man_exp(ob, oe, prec, round_nearest)))
+
+
 class TestThetaKernel:
     """ell.theta against the reference loop: bit-identical in double
     precision, within 2^-(B-8) at B bits, with the same truncation depth
@@ -198,6 +242,22 @@ class TestThetaKernel:
                 assert abs(got - want) / abs(want) <= mpmath.mpf(2) ** -(bits - 8)
         if _away_from_ties(terms, after, before):
             assert j == terms
+
+    @pytest.mark.parametrize("bits", [53, 128, 160])
+    def test_ext_renormalization_is_bit_identical(self, bits):
+        """max(a.bit_length(), b.bit_length(), width) renormalizes exactly as
+        max(a, -a, b, -b, 2^(width-1)).bit_length() did, on seeded points
+        and on p = 0 and x = 1."""
+        rng = random.Random(bits)
+        points = [(1, 0.3 - 0.1j), (0.7 - 1.3j, 0), (1, 0)]
+        points += [(_polar(rng.uniform(-20, 20), rng.uniform(0, 2 * math.pi)),
+                    _polar(rng.uniform(-6, math.log10(0.9)), rng.uniform(0, 2 * math.pi)))
+                   for _ in range(40)]
+        with mpmath.workprec(bits):
+            for x, p in points:
+                x, p = mpmath.mpc(x), mpmath.mpc(p)
+                got = ell._theta_ext(x, p, ell.EXTENDED_TRUNC_EPS)
+                assert got._mpc_ == _theta_ext_by_negations(x, p, ell.EXTENDED_TRUNC_EPS)._mpc_
 
     @pytest.mark.parametrize("bits", [None, 128])
     def test_zero_nome(self, bits):

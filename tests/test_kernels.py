@@ -105,6 +105,44 @@ def test_div_qnumber_agrees_with_long_division(p, t, s, divisible, pad):
     assert kernels.div_qnumber(list(r), t, s) == (list(res.quotient.coeffs) if exact else None)
 
 
+
+# A palindromic input with nonzero ends takes mul_qnumber's half sum and
+# mirror; anything else, trailing zeros included, takes the full sum.
+nonzero_coeffs = st.integers(min_value=-50, max_value=50).filter(bool)
+
+
+@st.composite
+def palindromes(draw):
+    """Palindromic lists with nonzero ends, both signs and interior zeros."""
+    half = [draw(nonzero_coeffs)] + draw(st.lists(
+        st.just(0) | st.integers(min_value=-50, max_value=50), max_size=10))
+    mirror = half[::-1]
+    return half + (mirror[1:] if draw(st.booleans()) else mirror)
+
+
+half_t = st.integers(min_value=1, max_value=8)
+half_s = st.integers(min_value=1, max_value=5)
+
+
+@given(palindromes(), half_t, half_s)
+def test_mul_qnumber_palindromic_is_dense_product(p, t, s):
+    got = kernels.mul_qnumber(list(p), t, s)
+    assert got == kernels.mul_dense(list(p), naive_qnumber(t, s))
+    assert got == got[::-1]
+
+
+# palindromes ending in zero; equal to their reverse when lead == pad
+zero_padded_palindromes = st.builds(
+    lambda p, lead, pad: [0] * lead + p + [0] * pad, palindromes(),
+    st.integers(min_value=0, max_value=3), st.integers(min_value=1, max_value=3))
+
+
+@given(small_polys.filter(lambda p: p != p[::-1]) | zero_padded_palindromes, half_t, half_s)
+def test_mul_qnumber_full_sum_is_dense_product(p, t, s):
+    assert kernels.mul_qnumber(list(p), t, s) == kernels.mul_dense(
+        list(p), naive_qnumber(t, s))
+
+
 # mul_dense is Kronecker substitution; the oracle is the schoolbook product.
 def schoolbook(a, b):
     out = [0] * max(len(a) + len(b) - 1, 0)

@@ -248,6 +248,44 @@ class TestRatioEngine:
             q_ratio_coeffs([3, 0], [])
 
 
+def test_ratio_engine_sums_the_low_half_of_each_window(monkeypatch):
+    """The largest row of `catalan sweep --max 9`, (m, n) = (8, 9): every
+    partial product of the chain is palindromic, so each window sum inside
+    mul_qnumber covers ceil(n/2) of the product's n coefficients."""
+    num = [fib(k) for k in range(10, 17)]
+    den = [fib(k) for k in range(1, 9)]
+    real_mul, real_sum = kernels.mul_qnumber, kernels._window_sum
+    inside, seen = [], []
+
+    def mul_qnumber(coeffs, t, stride=1):
+        inside.append((len(coeffs) + (t - 1) * stride + 1) // 2)
+        try:
+            return real_mul(coeffs, t, stride)
+        finally:
+            inside.pop()
+
+    def window_sum(a, b, step):
+        if inside:
+            seen.append((len(a), inside[-1]))
+        return real_sum(a, b, step)
+
+    monkeypatch.setattr(kernels, "mul_qnumber", mul_qnumber)
+    monkeypatch.setattr(kernels, "_window_sum", window_sum)
+    got = q_ratio_coeffs(num, den)
+    assert len(seen) == len(num)
+    assert all(length == half for length, half in seen)
+
+    chains = []
+    for indices in (num, den):
+        chain = [1]
+        for t in indices:
+            chain = kernels.mul_dense(chain, list(q_number(t).coeffs))
+        chains.append(IntPoly(chain))
+    res = long_division(*chains)
+    assert res.remainder.is_zero()
+    assert got == list(res.quotient.coeffs)
+
+
 class TestFactorial:
     def test_examples(self):
         assert q_fib_factorial(0) == IntPoly.one()
