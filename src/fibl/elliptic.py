@@ -11,7 +11,10 @@ the weight function v (five over five, times q^m) and the derived tile
 weights omega1/omega2.  A tiling's elliptic weight is the product of
 omega1(i, j) over its (D, i, j) domino labels and omega2(i, j) over its
 (S, i, j) labels; the labels come from the tiling model's one strip rule
-in ``fibl.tilings``, which the q-weights read too.  All identity checks
+in ``fibl.tilings``, which the q-weights read too.  The tiling sums list
+no tilings: they run the lattice transfers of ``fibl.tilings``, the ones
+the q generating functions run, over each strip's sum of elliptic
+weights, so the tiling route reaches every (m, n).  All identity checks
 here are numeric at sampled parameter points, with relative tolerances
 carried by EllipticParams; the ordered degeneration p -> 0, a -> 0,
 b -> 0 back to the q-analogs is done symbolically in limit_chain, not by
@@ -33,15 +36,16 @@ import contextlib
 import math
 import random
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import combinations
 from typing import Callable, Optional, Sequence
 
 from fibl.errors import DegenerateParametersError
 from fibl.fib import fib
 from fibl.report import DEFAULT_SEED, VerificationReport, numeric_report
 from fibl.tilings import (SPECIAL, PathDominoTiling, StaircaseTiling,
-                          iter_rect_tilings, iter_staircase_tilings,
-                          tiling_tiles, _rect_strip_tiles, _strip_options)
+                          rect_transfer, staircase_transfer, tiling_tiles,
+                          _rect_strip_tiles, _strip_choices)
 
 DEFAULT_TRUNC_EPS = 1e-17
 DEFAULT_EQ_TOL = 1e-7
@@ -438,6 +442,17 @@ def elliptic_weight(t: PathDominoTiling | StaircaseTiling, params: EllipticParam
         return _tiles_weight(tiling_tiles(t), params)
 
 
+def _strip_sum(params: EllipticParams, rule: Callable, index: int, length: int,
+               forced: bool):
+    """Sum of elliptic weights over one strip's tilings under the strip
+    rule ``rule``, in tiling order; 0 when the strip has no tiling.  The
+    strip sums the lattice transfers of ``fibl.tilings`` multiply."""
+    total = 0
+    for strip in _strip_choices(length, forced):
+        total = total + _tiles_weight(rule(index, length, forced, strip), params)
+    return total
+
+
 # ---------------------------------------------------------------------------
 # Checks
 
@@ -526,35 +541,25 @@ def fib_splitting_check(m: int, n: int, params: EllipticParams) -> VerificationR
                           params.eq_tol)
 
 
-def elliptic_theorem_check(m: int, n: int, params: EllipticParams,
-                           enumeration_limit: int = 10_000) -> VerificationReport:
-    """Factorial ratio vs recurrence vs (when small enough) the tiling sum.
+def elliptic_theorem_check(m: int, n: int, params: EllipticParams) -> VerificationReport:
+    """Factorial ratio vs recurrence vs tiling sum.
 
-    The report's lhs is the ratio; rhs is the tiling sum when enumerated,
-    otherwise the recurrence value.  rel_diff is the worst pairwise
-    disagreement among the routes computed.
+    The tiling sum is rect_transfer over the strips' elliptic weight sums.
+    The report's lhs is the ratio and rhs the tiling sum; rel_diff is the
+    worst pairwise disagreement among the three routes.
     """
-    from fibl.qpoly import fibonomial_int
     with _prec_ctx(params):
         ratio = elliptic_fibonomial(m, n, params)
-        rec = elliptic_fibonomial_recurrence(m, n, params)
-        values = {"ratio": ratio, "recurrence": rec}
-        if fibonomial_int(m, n) <= enumeration_limit:
-            total = 0
-            for t in iter_rect_tilings(m, n):
-                total = total + elliptic_weight(t, params)
-            values["tiling_sum"] = total
-        vals = list(values.values())
+        values = {"ratio": ratio,
+                  "recurrence": elliptic_fibonomial_recurrence(m, n, params),
+                  "tiling_sum": rect_transfer(m, n, partial(_strip_sum, params), 1)}
         worst = 0.0
-        for i in range(len(vals)):
-            for j in range(i + 1, len(vals)):
-                scale = max(abs(vals[i]), abs(vals[j]))
-                if scale == 0:
-                    continue
-                worst = max(worst, float(abs(vals[i] - vals[j]) / scale))
-    rhs = values.get("tiling_sum", rec)
-    rep = numeric_report("elliptic-fibonomial", {"m": m, "n": n}, ratio, rhs,
-                         params.eq_tol)
+        for u, v in combinations(values.values(), 2):
+            scale = max(abs(u), abs(v))
+            if scale:
+                worst = max(worst, float(abs(u - v) / scale))
+    rep = numeric_report("elliptic-fibonomial", {"m": m, "n": n}, ratio,
+                         values["tiling_sum"], params.eq_tol)
     rep.rel_diff = worst
     rep.passed = worst <= params.eq_tol
     rep.notes["routes"] = sorted(values)
@@ -566,9 +571,7 @@ def elliptic_strip_check(n: int, params: EllipticParams) -> VerificationReport:
     if n < 1:
         raise ValueError("need n >= 1")
     with _prec_ctx(params):
-        total = 0
-        for strip in _strip_options(n - 1):
-            total = total + _tiles_weight(_rect_strip_tiles(1, n - 1, False, strip), params)
+        total = _strip_sum(params, _rect_strip_tiles, 1, n - 1, False)
         lhs = elliptic_number(fib(n), params)
     return numeric_report("elliptic-strip", {"n": n}, lhs, total, params.eq_tol)
 
@@ -623,58 +626,10 @@ def elliptic_staircase_check(n: int, k: int, params: EllipticParams) -> Verifica
     """Sum of elliptic weights over (n, k)-staircase tilings equals the
     elliptic Fibonomial with parts (n-k, k)."""
     with _prec_ctx(params):
-        total = 0
-        for t in iter_staircase_tilings(n, k):
-            total = total + elliptic_weight(t, params)
+        total = staircase_transfer(n, k, partial(_strip_sum, params), 1)
         lhs = elliptic_fibonomial(n - k, k, params)
     return numeric_report("elliptic-staircase", {"n": n, "k": k}, lhs, total,
                           params.eq_tol)
-
-
-def theta_shifted_factorial(x, k: int, params: EllipticParams):
-    """(x; q, p)_k = prod_{i=0}^{k-1} theta(x q^i; p); empty product is 1."""
-    if k < 0:
-        raise ValueError("need k >= 0")
-    with _prec_ctx(params):
-        _, _, q, p = _coerced(params)
-        out = 1
-        for i in range(k):
-            out = out * theta(x * q ** i, p, params.trunc_eps)
-        return out
-
-
-def elliptic_binomial_check(n: int, k: int, params: EllipticParams) -> VerificationReport:
-    """Optional cross-check of the regular (non-Fibonacci) elliptic binomial:
-    the factorial ratio of plain elliptic numbers against its closed form
-    as a quotient of theta shifted factorials."""
-    if not 0 <= k <= n:
-        raise ValueError("need 0 <= k <= n")
-    with _prec_ctx(params):
-        a, b, q, p = _coerced(params)
-        num = 1
-        for i in range(1, n + 1):
-            num = num * elliptic_number(i, params)
-        den = 1
-        for i in range(1, k + 1):
-            den = den * elliptic_number(i, params)
-        for i in range(1, n - k + 1):
-            den = den * elliptic_number(i, params)
-        if abs(den) < params.min_denom:
-            raise DegenerateParametersError("binomial denominator below min_denom")
-        lhs = num / den
-        ab = a / b
-        qs = q ** (n - k + 1)
-        rhs_num = 1
-        rhs_den = 1
-        for x in (qs, a * qs, b * q, ab * q):
-            rhs_num = rhs_num * theta_shifted_factorial(x, k, params)
-        for x in (q, a * q, b * qs, ab * qs):
-            rhs_den = rhs_den * theta_shifted_factorial(x, k, params)
-        if abs(rhs_den) < params.min_denom:
-            raise DegenerateParametersError("shifted factorial denominator below min_denom")
-        rhs = rhs_num / rhs_den
-    return numeric_report("elliptic-binomial-closed-form", {"n": n, "k": k},
-                          lhs, rhs, params.eq_tol)
 
 
 # ---------------------------------------------------------------------------

@@ -132,10 +132,7 @@ class IntPoly:
         a, b = self._c, other._c
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, v in enumerate(b):
-            out[i] += v
-        return IntPoly._wrap(kernels.trim(out))
+        return IntPoly._wrap(kernels.trim([*map(add, a, b), *a[len(b):]]))
 
     def __sub__(self, other: "IntPoly") -> "IntPoly":
         n = max(len(self._c), len(other._c))
@@ -149,7 +146,7 @@ class IntPoly:
         if not self._c or not other._c:
             return _ZERO
         _ensure_cap(len(self._c) + len(other._c) - 2)
-        return IntPoly._wrap(kernels.mul_dense(list(self._c), list(other._c)))
+        return IntPoly._wrap(kernels.mul_dense(self._c, other._c))
 
     def shift(self, exponent: int) -> "IntPoly":
         """Multiply by q^exponent."""

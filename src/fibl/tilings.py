@@ -29,14 +29,16 @@ vertical dominos, the staircase's special ones).  Both weight layers read
 the labels: here ``tile_exponent`` gives q^{F_i F_j}, or q^{F_{i+1} F_j}
 for S, the q-limit of those omegas; ``fibl.elliptic.elliptic_weight``
 multiplies the omegas.  Enumeration combines the strips' tilings; the
-generating functions never list tilings or paths.  Each step of a path
-fixes one strip, so they run a transfer over lattice points: the sum
-over all paths reaching a point is built once, from the sums at the
-points one step back, each multiplied by the weight table of the strip
-that step fixes (a dense table counting the strip's tilings by weight
-exponent, cached per strip).  Tilings are enumerated only for ``fibl
-enumerate``, the elliptic checks and the small Catalan partial-tiling
-counterexample.
+weight sums never list tilings or paths.  Each step of a path fixes one
+strip, so ``rect_transfer`` and ``staircase_transfer`` run a transfer
+over lattice points: the sum over all paths reaching a point is built
+once, from the sums at the points one step back, each multiplied by the
+weight sum of the strip that step fixes.  The transfers use only ``*``
+and ``+``, so both weight rings run through them: the q generating
+functions over dense IntPoly strip sums (cached per strip), the elliptic
+tiling sums over complex ones.  Tilings are listed only for ``fibl
+enumerate``, the tests (as the oracle of the transfers) and the small
+Catalan partial-tiling counterexample.
 
 Enumeration is streaming and deterministic: paths in lexicographic step
 order (E < N, N < W), strip tilings in lexicographic tile order (D < M).
@@ -51,10 +53,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from itertools import product
-from operator import add
 from typing import Callable, Iterator, Optional
 
-from fibl import kernels
 from fibl.errors import ResourceLimitError
 from fibl.fib import fib
 from fibl.qpoly import IntPoly, fibonomial_int, q_ratio_coeffs
@@ -166,22 +166,15 @@ def tile_exponent(kind: str, i: int, j: int) -> int:
 
 
 @lru_cache(maxsize=4096)
-def _strip_table(tiles: Callable, index: int, length: int,
-                 forced: bool) -> tuple[int, ...]:
-    """The strip's dense weight table: entry e counts its tilings of weight
-    q^e; empty when it has no tiling.  ``tiles`` is a model's strip rule."""
+def _strip_table(tiles: Callable, index: int, length: int, forced: bool) -> IntPoly:
+    """The strip's q-weight sum, dense: coefficient e counts its tilings of
+    weight q^e; zero when it has no tiling.  ``tiles`` is a model's strip
+    rule."""
     counts: dict[int, int] = {}
     for strip in _strip_choices(length, forced):
         e = sum(tile_exponent(*tile) for tile in tiles(index, length, forced, strip))
         counts[e] = counts.get(e, 0) + 1
-    return _poly_from_counts(counts).coeffs
-
-
-def _plus(a: list, b: list) -> list:
-    """The sum of two dense coefficient lists."""
-    if len(a) < len(b):
-        a, b = b, a
-    return list(map(add, a, b)) + a[len(b):]
+    return _poly_from_counts(counts)
 
 
 def _check_cap(expected: int, cap: int) -> None:
@@ -202,7 +195,7 @@ def enumerate_strips(length: int, sink: Optional[Callable[[str], None]] = None) 
 def q_strip_sum(length: int) -> IntPoly:
     """Sum of q-weights over strip tilings, with a domino ending at cell i
     weighing q^{F_i} (row 1 of the rectangle model); equals [F_{length+1}]."""
-    return IntPoly(_strip_table(_rect_strip_tiles, 1, length, False))
+    return _strip_table(_rect_strip_tiles, 1, length, False)
 
 
 def _poly_from_counts(counts: dict[int, int]) -> IntPoly:
@@ -304,31 +297,40 @@ def enumerate_rect_tilings(m: int, n: int,
     return count
 
 
-def rect_generating_function(m: int, n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> IntPoly:
-    """Sum of q-weights over all tilings of the m x n rectangle.
+def rect_transfer(m: int, n: int, table: Callable, one):
+    """The weight sum over all tilings of the m x n rectangle, in any ring.
 
-    Must coincide with q_fibonomial(m, n).  It is computed from the tiling
-    model alone, never from q-factorials, so it is an oracle independent
-    of the division and recurrence routes.  ``cap`` bounds the number of
-    tilings summed.
+    ``table(rule, index, length, forced)`` is the weight sum over one
+    strip's tilings under the strip rule ``rule``; ``one`` is the ring's
+    unit.  Only ``*`` and ``+`` are used.
 
     A transfer over lattice points: G(x, y), the sum over paths from
-    (0, 0) to (x, y) of the product of their strips' tables, is
+    (0, 0) to (x, y) of the product of their strips' sums, is
     G(x-1, y) T_col(x, height y) + G(x, y-1) T_row(y, length x), since an
     east step into column x fixes that column's below-path height and a
     north step into row y its above-path length.  G(m, n) is the answer.
     """
-    _check_cap(fibonomial_int(m, n), cap)
-    g = [[1]] * (m + 1)      # G(x, 0): every column has height 0, one empty tiling
+    g = [one] * (m + 1)      # G(x, 0): every column has height 0, one empty tiling
     for y in range(1, n + 1):
         for x in range(m + 1):
-            row = _strip_table(_rect_strip_tiles, y, x, False)
-            total = kernels.mul_dense(g[x], row)
+            total = g[x] * table(_rect_strip_tiles, y, x, False)
             if x:
-                col = _strip_table(_rect_strip_tiles, x, y, True)
-                total = _plus(total, kernels.mul_dense(g[x - 1], col))
+                total = total + g[x - 1] * table(_rect_strip_tiles, x, y, True)
             g[x] = total
-    return IntPoly(g[m])
+    return g[m]
+
+
+def rect_generating_function(m: int, n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> IntPoly:
+    """Sum of q-weights over all tilings of the m x n rectangle.
+
+    Must coincide with q_fibonomial(m, n).  It is computed from the tiling
+    model alone (rect_transfer over the strips' dense q-weight sums),
+    never from q-factorials, so it is an oracle independent of the
+    division and recurrence routes.  ``cap`` bounds the number of tilings
+    summed.
+    """
+    _check_cap(fibonomial_int(m, n), cap)
+    return rect_transfer(m, n, _strip_table, IntPoly.one())
 
 
 def validate_rect_tiling(t: PathDominoTiling) -> None:
@@ -496,32 +498,39 @@ def enumerate_staircase_tilings(n: int, k: int,
     return count
 
 
+def staircase_transfer(n: int, k: int, table: Callable, one):
+    """The weight sum over all (n, k)-tilings, in any ring; ``table`` and
+    ``one`` as for rect_transfer.
+
+    A transfer over the rows, bottom to top: S_r(x) sums the products of
+    the strip sums of rows 1..r over the path prefixes whose north step
+    in row r is at x.  After r rows, k - r <= x <= min(k, n - r).  An
+    unforced north step keeps x, a forced W+N step comes from x + 1:
+    S_r(x) = S_{r-1}(x) T(n-r, x) + S_{r-1}(x+1) T_forced(n-r, n-r-x),
+    where the first term needs x > k - r and the second x < k, with
+    S_0 = 1 at x = k.  S_n(0) is the answer.
+    """
+    rule = _staircase_strip_tiles
+    s = [None] * k + [one]   # before row 1 the path stands at x = k
+    for r in range(1, n + 1):
+        row_len = n - r
+        for x in range(max(0, k - r), min(k, row_len) + 1):   # s[x + 1] still holds row r - 1
+            total = None
+            if x > k - r:           # a north step from x
+                total = s[x] * table(rule, row_len, x, False)
+            if x < k:               # a W+N step from x + 1
+                west = s[x + 1] * table(rule, row_len, row_len - x, True)
+                total = west if total is None else total + west
+            s[x] = total
+    return s[0]
+
+
 def staircase_generating_function(n: int, k: int,
                                   cap: int = DEFAULT_ENUMERATION_CAP) -> IntPoly:
     """Sum of q-weights over all (n, k)-tilings; equals q_fibonomial(n-k, k).
-
-    A transfer over the rows, bottom to top, like rect_generating_function:
-    S_r(x) sums the products of the strip tables of rows 1..r over the
-    path prefixes whose north step in row r is at x (x <= n - r).  An
-    unforced north step keeps x, a forced W+N step comes from x + 1:
-    S_r(x) = S_{r-1}(x) T(n-r, x) + S_{r-1}(x+1) T_forced(n-r, n-r-x),
-    with S_0 = 1 at x = k.  S_n(0) is the answer.
-    """
+    staircase_transfer over the strips' dense q-weight sums."""
     _check_cap(fibonomial_int(n - k, k), cap)
-    s = [[]] * k + [[1]]     # before row 1 the path stands at x = k
-    for r in range(1, n + 1):
-        row_len = n - r
-        for x in range(k + 1):      # ascending, so s[x + 1] still holds row r - 1
-            if x > row_len:
-                s[x] = []
-                continue
-            left = _strip_table(_staircase_strip_tiles, row_len, x, False)
-            total = kernels.mul_dense(s[x], left)
-            if x < k:
-                right = _strip_table(_staircase_strip_tiles, row_len, row_len - x, True)
-                total = _plus(total, kernels.mul_dense(s[x + 1], right))
-            s[x] = total
-    return IntPoly(s[0])
+    return staircase_transfer(n, k, _strip_table, IntPoly.one())
 
 
 def validate_staircase_tiling(t: StaircaseTiling) -> None:

@@ -120,20 +120,14 @@ def test_criterion_08_theta_suite_both_precisions():
 def test_criterion_09_elliptic_checks():
     c = _Criterion(9, "elliptic fibonomial/strip/spiral/convolution/staircase", 120.0)
     ok = True
-    for m in range(1, 4):                       # full enumeration route
-        for n in range(1, 4):
+    for m in range(1, 7):                       # ratio, recurrence and tiling sum
+        for n in range(1, 7):
             reps = ell.run_sampled_checks(
                 lambda p, m=m, n=n: ell.elliptic_theorem_check(m, n, p),
                 SEED, 20)
             ok &= all(r.passed and r.rel_diff <= DOUBLE_TOL for r in reps)
-            ok &= all("tiling_sum" in r.notes["routes"] for r in reps)
-    for m in range(1, 7):                       # recurrence vs ratio only
-        for n in range(1, 7):
-            reps = ell.run_sampled_checks(
-                lambda p, m=m, n=n: ell.elliptic_theorem_check(
-                    m, n, p, enumeration_limit=0),
-                SEED, 20)
-            ok &= all(r.passed and r.rel_diff <= DOUBLE_TOL for r in reps)
+            ok &= all(r.notes["routes"] == ["ratio", "recurrence", "tiling_sum"]
+                      for r in reps)
     for n in range(1, 9):
         reps = ell.run_sampled_checks(
             lambda p, n=n: ell.elliptic_strip_check(n, p), SEED, 20)
