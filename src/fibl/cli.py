@@ -264,8 +264,12 @@ def _cmd_fibonomial(ns) -> int:
         str(list(poly.coeffs)))
 
 
+def _enumeration_cap(ns) -> int:
+    return tilings.DEFAULT_ENUMERATION_CAP if ns.cap is None else ns.cap
+
+
 def _cmd_enumerate(ns) -> int:
-    cap = tilings.DEFAULT_ENUMERATION_CAP if ns.cap is None else ns.cap
+    cap = _enumeration_cap(ns)
     if ns.model == "rect":
         expected = qpoly.fibonomial_int(ns.a, ns.b)
     else:
@@ -420,7 +424,7 @@ def _suite_convolution(ns) -> list[VerificationReport]:
 
 def _suite_bijection(ns) -> list[VerificationReport]:
     top = ns.max if ns.max else 6
-    return [tilings.model_bijection_check(m, n)
+    return [tilings.model_bijection_check(m, n, cap=_enumeration_cap(ns))
             for m in range(1, top) for n in range(1, top) if m + n <= top]
 
 
@@ -436,14 +440,14 @@ def _suite_q_all(ns) -> list[VerificationReport]:
         for n in range(1, top):
             if m + n > top:
                 continue
-            gf = tilings.rect_generating_function(m, n)
+            gf = tilings.rect_generating_function(m, n, cap=_enumeration_cap(ns))
             qf = qpoly.q_fibonomial(m, n)
             rec = qpoly.q_fibonomial_recurrence(m, n)
             reports.append(exact_report("rect-gf-vs-ratio", {"m": m, "n": n}, gf, qf))
             reports.append(exact_report("recurrence-vs-ratio", {"m": m, "n": n}, rec, qf))
     for n in range(0, top + 1):
         for k in range(0, n + 1):
-            gf = tilings.staircase_generating_function(n, k)
+            gf = tilings.staircase_generating_function(n, k, cap=_enumeration_cap(ns))
             reports.append(exact_report("staircase-gf-vs-ratio", {"n": n, "k": k},
                                         gf, qpoly.q_fibonomial(n - k, k)))
     reports += _suite_bijection(ns)

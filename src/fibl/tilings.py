@@ -28,17 +28,17 @@ the transpositions that are invisible at the q level (the rectangle's
 vertical dominos, the staircase's special ones).  Both weight layers read
 the labels: here ``tile_exponent`` gives q^{F_i F_j}, or q^{F_{i+1} F_j}
 for S, the q-limit of those omegas; ``fibl.elliptic.elliptic_weight``
-multiplies the omegas.  Enumeration combines the strips' tilings; the
-weight sums never list tilings or paths.  Each step of a path fixes one
-strip, so ``rect_transfer`` and ``staircase_transfer`` run a transfer
-over lattice points: the sum over all paths reaching a point is built
-once, from the sums at the points one step back, each multiplied by the
-weight sum of the strip that step fixes.  The transfers use only ``*``
-and ``+``, so both weight rings run through them: the q generating
-functions over dense IntPoly strip sums (cached per strip), the elliptic
-tiling sums over complex ones.  Tilings are listed only for ``fibl
-enumerate``, the tests (as the oracle of the transfers) and the small
-Catalan partial-tiling counterexample.
+multiplies the omegas.  Each step of a path fixes one strip, so
+``rect_transfer`` and ``staircase_transfer`` run a transfer over lattice
+points: the sum over all paths reaching a point is built once, from the
+sums one step back, each times the sum of the strip that step fixes.  No
+strip depends on the target (the staircase transfer runs top down), so a
+point is the sum of a smaller rectangle or staircase, and one lattice per
+model serves every target.  Only ``*`` and ``+`` are used, so both weight
+rings run through the transfers: the q generating functions over dense
+IntPoly strip sums, on lattices kept across calls, the elliptic tiling
+sums over complex ones.  Tilings are listed only for ``fibl enumerate``,
+the tests (as the transfers' oracle) and the Catalan counterexample.
 
 Enumeration is streaming and deterministic: paths in lexicographic step
 order (E < N, N < W), strip tilings in lexicographic tile order (D < M).
@@ -177,6 +177,23 @@ def _strip_table(tiles: Callable, index: int, length: int, forced: bool) -> IntP
     return _poly_from_counts(counts)
 
 
+_Q_LATTICES: list[dict] = [{}, {}]
+
+
+def _q_lattice(model: int) -> dict:
+    """The q lattice points kept across calls: G(x, y) of the rectangle
+    (model 0), W(s, x) of the staircase (1).  Beyond 2048 points a fresh
+    lattice replaces the old one, which a running transfer may still fill."""
+    if len(_Q_LATTICES[model]) > 2048:
+        _Q_LATTICES[model] = {}
+    return _Q_LATTICES[model]
+
+
+def reset_caches() -> None:
+    """Drop the q lattices (mainly for tests)."""
+    _Q_LATTICES[:] = [{}, {}]
+
+
 def _check_cap(expected: int, cap: int) -> None:
     if expected > cap:
         raise ResourceLimitError(
@@ -297,7 +314,7 @@ def enumerate_rect_tilings(m: int, n: int,
     return count
 
 
-def rect_transfer(m: int, n: int, table: Callable, one):
+def rect_transfer(m: int, n: int, table: Callable, one, lattice: Optional[dict] = None):
     """The weight sum over all tilings of the m x n rectangle, in any ring.
 
     ``table(rule, index, length, forced)`` is the weight sum over one
@@ -308,29 +325,33 @@ def rect_transfer(m: int, n: int, table: Callable, one):
     (0, 0) to (x, y) of the product of their strips' sums, is
     G(x-1, y) T_col(x, height y) + G(x, y-1) T_row(y, length x), since an
     east step into column x fixes that column's below-path height and a
-    north step into row y its above-path length.  G(m, n) is the answer.
+    north step into row y its above-path length; G(x, 0) = 1.  No strip
+    depends on (m, n), so G(x, y) is the x x y rectangle's sum and one
+    ``lattice`` (a dict keyed (x, y), filled in place) serves every target.
     """
-    g = [one] * (m + 1)      # G(x, 0): every column has height 0, one empty tiling
-    for y in range(1, n + 1):
+    g = {} if lattice is None else lattice
+    for y in range(n + 1):
         for x in range(m + 1):
-            total = g[x] * table(_rect_strip_tiles, y, x, False)
-            if x:
-                total = total + g[x - 1] * table(_rect_strip_tiles, x, y, True)
-            g[x] = total
-    return g[m]
+            if (x, y) in g:
+                continue
+            total = g[x, y - 1] * table(_rect_strip_tiles, y, x, False) if y else one
+            if x and y:
+                total = total + g[x - 1, y] * table(_rect_strip_tiles, x, y, True)
+            g[x, y] = total
+    return g[m, n]
 
 
 def rect_generating_function(m: int, n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> IntPoly:
     """Sum of q-weights over all tilings of the m x n rectangle.
 
     Must coincide with q_fibonomial(m, n).  It is computed from the tiling
-    model alone (rect_transfer over the strips' dense q-weight sums),
-    never from q-factorials, so it is an oracle independent of the
-    division and recurrence routes.  ``cap`` bounds the number of tilings
-    summed.
+    model alone (rect_transfer over the strips' dense q-weight sums, on a
+    lattice shared by all calls), never from q-factorials, so it is an
+    oracle independent of the division and recurrence routes.  ``cap``
+    bounds the number of tilings summed, even for a point already built.
     """
     _check_cap(fibonomial_int(m, n), cap)
-    return rect_transfer(m, n, _strip_table, IntPoly.one())
+    return rect_transfer(m, n, _strip_table, IntPoly.one(), _q_lattice(0))
 
 
 def validate_rect_tiling(t: PathDominoTiling) -> None:
@@ -498,39 +519,44 @@ def enumerate_staircase_tilings(n: int, k: int,
     return count
 
 
-def staircase_transfer(n: int, k: int, table: Callable, one):
-    """The weight sum over all (n, k)-tilings, in any ring; ``table`` and
-    ``one`` as for rect_transfer.
+def staircase_transfer(n: int, k: int, table: Callable, one, lattice: Optional[dict] = None):
+    """The weight sum over all (n, k)-tilings, in any ring; ``table``,
+    ``one`` and ``lattice`` (keyed (s, x)) as for rect_transfer.
 
-    A transfer over the rows, bottom to top: S_r(x) sums the products of
-    the strip sums of rows 1..r over the path prefixes whose north step
-    in row r is at x.  After r rows, k - r <= x <= min(k, n - r).  An
-    unforced north step keeps x, a forced W+N step comes from x + 1:
-    S_r(x) = S_{r-1}(x) T(n-r, x) + S_{r-1}(x+1) T_forced(n-r, n-r-x),
-    where the first term needs x > k - r and the second x < k, with
-    S_0 = 1 at x = k.  S_n(0) is the answer.
+    A transfer over the rows, top to bottom, so that no row depends on n:
+    the top s rows of any staircase have lengths 0, 1, ..., s - 1.
+    W(s, x) sums the products of their strip sums over the path suffixes
+    entering them from below at x.  Their bottom row, of length s - 1, is
+    unforced with its north step at x (needs x <= s - 1), or forced after
+    a west step from x to x - 1 (needs x >= 1):
+    W(s, x) = W(s-1, x) T(s-1, x) + W(s-1, x-1) T_forced(s-1, s-x),
+    with W(0, 0) = 1.  The answer is W(n, k), which needs the points with
+    k - (n - s) <= x <= min(k, s).
     """
     rule = _staircase_strip_tiles
-    s = [None] * k + [one]   # before row 1 the path stands at x = k
-    for r in range(1, n + 1):
-        row_len = n - r
-        for x in range(max(0, k - r), min(k, row_len) + 1):   # s[x + 1] still holds row r - 1
+    w = {} if lattice is None else lattice
+    w.setdefault((0, 0), one)
+    for s in range(1, n + 1):
+        for x in range(max(0, k - n + s), min(k, s) + 1):
+            if (s, x) in w:
+                continue
             total = None
-            if x > k - r:           # a north step from x
-                total = s[x] * table(rule, row_len, x, False)
-            if x < k:               # a W+N step from x + 1
-                west = s[x + 1] * table(rule, row_len, row_len - x, True)
+            if x < s:               # an unforced north step at x
+                total = w[s - 1, x] * table(rule, s - 1, x, False)
+            if x:                   # a west step to x - 1, then its forced north step
+                west = w[s - 1, x - 1] * table(rule, s - 1, s - x, True)
                 total = west if total is None else total + west
-            s[x] = total
-    return s[0]
+            w[s, x] = total
+    return w[n, k]
 
 
 def staircase_generating_function(n: int, k: int,
                                   cap: int = DEFAULT_ENUMERATION_CAP) -> IntPoly:
     """Sum of q-weights over all (n, k)-tilings; equals q_fibonomial(n-k, k).
-    staircase_transfer over the strips' dense q-weight sums."""
+    staircase_transfer over the strips' dense q-weight sums, on a lattice
+    shared by all calls; ``cap`` as for rect_generating_function."""
     _check_cap(fibonomial_int(n - k, k), cap)
-    return staircase_transfer(n, k, _strip_table, IntPoly.one())
+    return staircase_transfer(n, k, _strip_table, IntPoly.one(), _q_lattice(1))
 
 
 def validate_staircase_tiling(t: StaircaseTiling) -> None:

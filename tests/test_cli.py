@@ -157,6 +157,7 @@ class TestDegreeCapOverride:
     @pytest.mark.parametrize("warm", [False, True])
     def test_cap_holds_for_cached_values(self, capsys, warm):
         qpoly.reset_caches()
+        tilings.reset_caches()
         if warm:
             assert run(capsys, "fibonomial", "9", "9")[0] == 0
         assert run(capsys, "fibonomial", "9", "9", "--cap", "100")[0] == 3
@@ -189,8 +190,29 @@ class TestDegreeCapOverride:
         assert run(capsys, *argv, "--cap", str(qpoly.DEFAULT_DEGREE_CAP)) == (0, plain, "")
         code, _, err = run(capsys, *argv, "--cap", "3")
         assert code == 3
-        assert "exceeds the degree cap 3" in err
+        if "q-all" in argv:
+            # q-all's tiling sums take the cap as their enumeration cap and
+            # meet it first, at the 6 tilings of (2, 2); a cap above 6
+            # reaches the degree cap
+            assert "enumeration of 6 tilings exceeds the cap 3" in err
+            code, _, err = run(capsys, *argv, "--cap", "6")
+            assert code == 3
+            assert "exceeds the degree cap 6" in err
+        else:
+            assert "exceeds the degree cap 3" in err
         assert qpoly.degree_cap() == qpoly.DEFAULT_DEGREE_CAP
+
+    @pytest.mark.parametrize("suite", ["q-all", "bijection"])
+    def test_verify_passes_the_cap_to_tiling_sums(self, capsys, suite):
+        code, out, err = run(capsys, "verify", suite, "--max", "13")
+        assert (code, out) == (3, "")
+        assert err == ("resource cap exceeded: enumeration of 186135312 tilings "
+                       "exceeds the cap 100000000\n")
+        code, out, err = run(capsys, "verify", suite, "--max", "13", "--cap", str(10**12))
+        assert (code, err) == (0, "")
+        *lines, summary = out.splitlines()
+        assert lines and all(line.startswith("PASS ") for line in lines)
+        assert summary == f"{len(lines)}/{len(lines)} checks passed"
 
 
 class TestMaxOption:
@@ -294,6 +316,42 @@ class TestVerifyCommand:
     def test_bijection_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "bijection", "--max", "4")
         assert code == 0
+
+    def test_q_all_builds_each_lattice_point_once(self, capsys, monkeypatch):
+        """The bijection checks reuse the points the q-all tiling sums built,
+        and every point costs at most two IntPoly products."""
+        tilings.reset_caches()
+        depth = {"gf": 0, "bijection": 0}
+        products = dict.fromkeys(depth, 0)
+        calls = dict.fromkeys(depth, 0)
+        mul = qpoly.IntPoly.__mul__
+
+        def counted_mul(a, b):
+            for layer, d in depth.items():
+                products[layer] += d > 0
+            return mul(a, b)
+
+        def spy(layer, fn):
+            def wrapper(*args, **kwargs):
+                calls[layer] += 1
+                depth[layer] += 1
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    depth[layer] -= 1
+            return wrapper
+
+        monkeypatch.setattr(qpoly.IntPoly, "__mul__", counted_mul)
+        for attr in ("rect_generating_function", "staircase_generating_function"):
+            monkeypatch.setattr(tilings, attr, spy("gf", getattr(tilings, attr)))
+        monkeypatch.setattr(tilings, "model_bijection_check",
+                            spy("bijection", tilings.model_bijection_check))
+        code, out, _ = run(capsys, "verify", "q-all", "--max", "9")
+        assert code == 0
+        assert calls["bijection"] == 36
+        assert products["bijection"] == 0
+        points = sum(len(lattice) for lattice in tilings._Q_LATTICES)
+        assert 0 < products["gf"] <= 2 * points
 
     def test_json_output_deterministic(self, capsys, tmp_path):
         f1, f2 = tmp_path / "a.json", tmp_path / "b.json"

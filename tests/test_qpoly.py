@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from fibl import kernels, qpoly
+from fibl import kernels, qpoly, tilings
 from fibl.errors import NotPolynomialError, ResourceLimitError
 from fibl.fib import fib
 from fibl.qpoly import (IntPoly, convolution_identity_check_q, cyclotomic_split,
@@ -358,6 +358,7 @@ class TestFibonomial:
 
     def test_recurrence_memo_thread_safe(self):
         qpoly.reset_caches()
+        tilings.reset_caches()
         results = []
 
         def worker():

@@ -187,6 +187,42 @@ class TestTransferGeneratingFunctions:
                     tilings._staircase_strip_tiles)
                 assert staircase_generating_function(n, k) == want, (n, k)
 
+    def test_shared_lattice_in_either_order(self):
+        """Points built for one target serve the next, largest or smallest
+        target first."""
+        rect = [(m, n) for m in range(0, 9) for n in range(0, 9 - m)]
+        stair = [(n, k) for n in range(0, 11) for k in range(0, n + 1)]
+        want = {("rect", m, n): _per_path_product(
+                    (tilings._rect_strips(p, m, n) for p in tilings._iter_rect_paths(m, n)),
+                    tilings._rect_strip_tiles) for m, n in rect}
+        want.update({("staircase", n, k): _per_path_product(
+                         (tilings._staircase_strips(p, n, k)
+                          for p in tilings._iter_staircase_paths(n, k)),
+                         tilings._staircase_strip_tiles) for n, k in stair})
+        for order in (reversed, list):
+            tilings.reset_caches()
+            for m, n in order(rect):
+                assert rect_generating_function(m, n) == want["rect", m, n], (m, n)
+            for n, k in order(stair):
+                assert staircase_generating_function(n, k) == want["staircase", n, k], (n, k)
+
+    def test_cap_holds_for_built_points(self):
+        tilings.reset_caches()
+        assert rect_generating_function(5, 5) == q_fibonomial(5, 5)
+        assert staircase_generating_function(10, 5) == q_fibonomial(5, 5)
+        assert (5, 5) in tilings._Q_LATTICES[0] and (10, 5) in tilings._Q_LATTICES[1]
+        with pytest.raises(ResourceLimitError):
+            rect_generating_function(5, 5, cap=1000)
+        with pytest.raises(ResourceLimitError):
+            staircase_generating_function(10, 5, cap=1000)
+
+    def test_oversized_lattice_is_dropped(self):
+        tilings.reset_caches()
+        stale = {(-i, 0): None for i in range(2049)}
+        tilings._Q_LATTICES[0].update(stale)
+        assert rect_generating_function(3, 4) == q_fibonomial(3, 4)
+        assert len(tilings._Q_LATTICES[0]) == 4 * 5
+
     def test_q_strip_sum_matches_per_path_product(self):
         for length in range(0, 12):
             assert q_strip_sum(length) == _per_path_product(
