@@ -4,14 +4,15 @@ Modules
 -------
 fib
     Arbitrary-precision Fibonacci numbers (index extended to -1) and the
-    integer identities the rest of the package leans on.
+    spiral exponents of the n = 2 tiling identity.
 qpoly
     Exact dense polynomial arithmetic in q: q-numbers, Fibonacci
     q-factorials, q-Fibonomials by ratio and by recurrence, unimodality,
     and the spiral/convolution identity checks.
 tilings
     The two weighted tiling models (rectangle path-domino and staircase)
-    whose generating functions realize the q-Fibonomials.
+    whose generating functions realize the q-Fibonomials, and the lattice
+    transfers that sum them and run both two-term recurrences.
 elliptic
     Truncated theta products, elliptic numbers and weights, the numeric
     verification checks, and the symbolic degeneration back to q.

@@ -152,11 +152,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 @contextlib.contextmanager
 def _output(out: Optional[str]):
-    """The --out file, opened for writing, or stdout."""
+    """The --out file, opened for writing (ValueError if it cannot be), or stdout."""
     if not out:
         yield sys.stdout
         return
-    with open(out, "w") as fh:
+    try:
+        fh = open(out, "w")
+    except OSError as exc:
+        raise ValueError(f"cannot write --out {out!r}: {exc.strerror}") from exc
+    with fh:
         yield fh
 
 

@@ -14,7 +14,8 @@ omega1(i, j) over its (D, i, j) domino labels and omega2(i, j) over its
 in ``fibl.tilings``, which the q-weights read too.  The tiling sums list
 no tilings: they run the lattice transfers of ``fibl.tilings``, the ones
 the q generating functions run, over each strip's sum of elliptic
-weights, so the tiling route reaches every (m, n).  All identity checks
+weights, so the tiling route reaches every (m, n); the recurrence runs
+``rect_transfer`` over their closed forms.  All identity checks
 here are numeric at sampled parameter points, with relative tolerances
 carried by EllipticParams; the ordered degeneration p -> 0, a -> 0,
 b -> 0 back to the q-analogs is done symbolically in limit_chain, not by
@@ -400,30 +401,31 @@ def elliptic_fibonomial(m: int, n: int, params: EllipticParams):
         return num / den
 
 
+def _recurrence_strip(params: EllipticParams, rule, index: int, length: int,
+                      forced: bool):
+    """qpoly._recurrence_strip with omega2(index, length) for the q-power
+    of a forced column; exactly 1 for an empty strip, as _strip_sum gives."""
+    if not length:
+        return 1
+    if forced:
+        return (omega2(index, length, params)
+                * elliptic_number_base(fib(length - 1), fib(index), params))
+    return elliptic_number_base(fib(length + 1), fib(index), params)
+
+
 def elliptic_fibonomial_recurrence(m: int, n: int, params: EllipticParams):
     """Elliptic Fibonomial via the two-term recurrence,
 
     G(m, n) = [F_{m+1}]_{q^{F_n}} G(m, n-1)
               + omega2(m, n) [F_{n-1}]_{q^{F_m}} G(m-1, n),
 
-    with G(m, 0) = G(0, n) = 1; independent of the ratio route.
+    with G(m, 0) = G(0, n) = 1: rect_transfer over the closed forms of the
+    strips the last step fixes; independent of the ratio route.
     """
     if m < 0 or n < 0:
         raise ValueError("need m, n >= 0")
     with _prec_ctx(params):
-        grid = {}
-        for mm in range(m + 1):
-            grid[(mm, 0)] = 1
-        for nn in range(n + 1):
-            grid[(0, nn)] = 1
-        for mm in range(1, m + 1):
-            for nn in range(1, n + 1):
-                t1 = elliptic_number_base(fib(mm + 1), fib(nn), params) * grid[(mm, nn - 1)]
-                t2 = (omega2(mm, nn, params)
-                      * elliptic_number_base(fib(nn - 1), fib(mm), params)
-                      * grid[(mm - 1, nn)])
-                grid[(mm, nn)] = t1 + t2
-        return grid[(m, n)]
+        return rect_transfer(m, n, partial(_recurrence_strip, params), 1)
 
 
 def _tiles_weight(tiles, params: EllipticParams):
@@ -518,15 +520,6 @@ def elliptic_addition_check(m: int, n: int, params: EllipticParams) -> Verificat
         lhs = elliptic_number(m + n, params)
         rhs = elliptic_number(m, params) + weight_v(m, n, params) * elliptic_number(n, params)
     return numeric_report("elliptic-addition", {"m": m, "n": n}, lhs, rhs, params.eq_tol)
-
-
-def elliptic_multiplication_check(m: int, n: int, params: EllipticParams) -> VerificationReport:
-    """[m*n] = [m] * [n]_{q^m}."""
-    with _prec_ctx(params):
-        lhs = elliptic_number(m * n, params)
-        rhs = elliptic_number(m, params) * elliptic_number_base(n, m, params)
-    return numeric_report("elliptic-multiplication", {"m": m, "n": n}, lhs, rhs,
-                          params.eq_tol)
 
 
 def fib_splitting_check(m: int, n: int, params: EllipticParams) -> VerificationReport:

@@ -1,4 +1,4 @@
-"""Arbitrary-precision Fibonacci numbers and pure integer identities.
+"""Arbitrary-precision Fibonacci numbers and the spiral exponents.
 
 The index convention extends one step left of the usual sequence:
 F(-1) = 1, F(0) = 0, F(1) = 1, F(n) = F(n-1) + F(n-2).  The -1 index is
@@ -11,8 +11,6 @@ caller reads is a correct prefix of the sequence.
 """
 
 from __future__ import annotations
-
-import math
 
 # _TABLE[i] = F(i - 1); seeded with F(-1), F(0), F(1)
 _TABLE = (1, 0, 1)
@@ -31,20 +29,6 @@ def fib(n: int) -> int:
             grown.append(grown[-1] + grown[-2])
         _TABLE = table = tuple(grown)
     return table[idx]
-
-
-def fib_gcd_check(m: int, n: int) -> bool:
-    """Self-test of the gcd law gcd(F_m, F_n) = F_{gcd(m,n)} (m, n >= 1)."""
-    if m < 1 or n < 1:
-        raise ValueError("indices must be >= 1")
-    return math.gcd(fib(m), fib(n)) == fib(math.gcd(m, n))
-
-
-def fib_addition_check(m: int, n: int) -> bool:
-    """Self-test of F_{m+n} = F_n F_{m+1} + F_m F_{n-1} (m, n >= 1)."""
-    if m < 1 or n < 1:
-        raise ValueError("indices must be >= 1")
-    return fib(m + n) == fib(n) * fib(m + 1) + fib(m) * fib(n - 1)
 
 
 def spiral_exponent(k: int, m: int) -> int:

@@ -5,7 +5,8 @@ arbitrary-precision integers; every q-analog quantity in the package is one
 of these.  The module provides the q-number [n] = 1 + q + ... + q^{n-1},
 the ratio engine that builds every product or quotient of q-numbers
 (q_ratio_coeffs), the Fibonacci q-factorial, the q-Fibonomial by two
-independent routes (the ratio engine and the two-term recurrence), long
+independent routes (the ratio engine, and the two-term recurrence run by
+``fibl.tilings.rect_transfer`` over closed-form strip sums), long
 division with polynomiality detection, and the polynomial identity checks.
 
 Degrees are guarded by a configurable cap (default 10**7) so runaway
@@ -445,7 +446,14 @@ def fibonomial_int(m: int, n: int) -> int:
     return q
 
 
-_rec_cache: dict = {}
+def _recurrence_strip(rule, index: int, length: int, forced: bool) -> IntPoly:
+    """A rectangle strip's q-weight sum in closed form (``rule`` is not
+    read): [F_{length+1}]_{q^{F_index}} for row ``index``,
+    q^{F_{index+1} F_length} [F_{length-1}]_{q^{F_index}} for the forced
+    column ``index``."""
+    if forced:
+        return q_number_base(fib(length - 1), fib(index)).shift(fib(index + 1) * fib(length))
+    return q_number_base(fib(length + 1), fib(index))
 
 
 def q_fibonomial_recurrence(m: int, n: int) -> IntPoly:
@@ -453,30 +461,15 @@ def q_fibonomial_recurrence(m: int, n: int) -> IntPoly:
 
     G(m, n) = [F_{m+1}]_{q^{F_n}} G(m, n-1)
               + q^{F_n F_{m+1}} [F_{n-1}]_{q^{F_m}} G(m-1, n),
-    with G(m, 0) = G(0, n) = 1.  Memoized (the degree cap is checked on
-    every call); independent of the ratio route.
+    with G(m, 0) = G(0, n) = 1: rect_transfer over the closed forms of the
+    strips the last step fixes, on a lattice kept across calls (the degree
+    cap is checked on every call); independent of the ratio route.
     """
+    from fibl.tilings import _q_lattice, rect_transfer     # tilings imports qpoly
     if m < 0 or n < 0:
         raise ValueError("q_fibonomial_recurrence needs m, n >= 0")
-    if m == 0 or n == 0:
-        return _ONE
     _ensure_cap(_fibonomial_degree(m, n))
-    got = _rec_cache.get((m, n))
-    if got is not None:
-        return got
-    for mm in range(1, m + 1):
-        for nn in range(1, n + 1):
-            if (mm, nn) in _rec_cache:
-                continue
-            left = _rec_cache[(mm, nn - 1)] if nn > 1 else _ONE
-            down = _rec_cache[(mm - 1, nn)] if mm > 1 else _ONE
-            t1 = kernels.mul_qnumber(list(left._c), fib(mm + 1), fib(nn))
-            t2 = kernels.mul_qnumber(list(down._c), fib(nn - 1), fib(mm))
-            off = fib(nn) * fib(mm + 1)
-            if t2:
-                t2 = [0] * off + t2
-            _rec_cache[(mm, nn)] = IntPoly._wrap(t1) + IntPoly._wrap(t2)
-    return _rec_cache[(m, n)]
+    return rect_transfer(m, n, _recurrence_strip, _ONE, _q_lattice(2))
 
 
 def is_unimodal(poly: IntPoly) -> bool:
@@ -549,6 +542,5 @@ def convolution_identity_check_q(m: int, n: int) -> VerificationReport:
 
 
 def reset_caches() -> None:
-    """Drop memoized q-Fibonomials of both routes (mainly for tests)."""
-    _rec_cache.clear()
+    """Drop the memoized ratio-route q-Fibonomials (mainly for tests)."""
     q_fibonomial.cache_clear()

@@ -37,8 +37,10 @@ point is the sum of a smaller rectangle or staircase, and one lattice per
 model serves every target.  Only ``*`` and ``+`` are used, so both weight
 rings run through the transfers: the q generating functions over dense
 IntPoly strip sums, on lattices kept across calls, the elliptic tiling
-sums over complex ones.  Tilings are listed only for ``fibl enumerate``,
-the tests (as the transfers' oracle) and the Catalan counterexample.
+sums over complex ones.  The two-term recurrences of both rings are
+``rect_transfer`` over the strips' closed forms instead of their sums.
+Tilings are listed only for ``fibl enumerate``, the tests (as the
+transfers' oracle) and the Catalan counterexample.
 
 Enumeration is streaming and deterministic: paths in lexicographic step
 order (E < N, N < W), strip tilings in lexicographic tile order (D < M).
@@ -177,13 +179,14 @@ def _strip_table(tiles: Callable, index: int, length: int, forced: bool) -> IntP
     return _poly_from_counts(counts)
 
 
-_Q_LATTICES: list[dict] = [{}, {}]
+_Q_LATTICES: list[dict] = [{}, {}, {}]
 
 
 def _q_lattice(model: int) -> dict:
     """The q lattice points kept across calls: G(x, y) of the rectangle
-    (model 0), W(s, x) of the staircase (1).  Beyond 2048 points a fresh
-    lattice replaces the old one, which a running transfer may still fill."""
+    (model 0) and of the recurrence (2), W(s, x) of the staircase (1).  Beyond
+    2048 points a fresh lattice replaces the old one, which a running
+    transfer may still fill."""
     if len(_Q_LATTICES[model]) > 2048:
         _Q_LATTICES[model] = {}
     return _Q_LATTICES[model]
@@ -191,7 +194,7 @@ def _q_lattice(model: int) -> dict:
 
 def reset_caches() -> None:
     """Drop the q lattices (mainly for tests)."""
-    _Q_LATTICES[:] = [{}, {}]
+    _Q_LATTICES[:] = [{}, {}, {}]
 
 
 def _check_cap(expected: int, cap: int) -> None:
@@ -207,12 +210,6 @@ def enumerate_strips(length: int, sink: Optional[Callable[[str], None]] = None) 
         for s in opts:
             sink(s)
     return len(opts)
-
-
-def q_strip_sum(length: int) -> IntPoly:
-    """Sum of q-weights over strip tilings, with a domino ending at cell i
-    weighing q^{F_i} (row 1 of the rectangle model); equals [F_{length+1}]."""
-    return _strip_table(_rect_strip_tiles, 1, length, False)
 
 
 def _poly_from_counts(counts: dict[int, int]) -> IntPoly:
@@ -344,11 +341,11 @@ def rect_transfer(m: int, n: int, table: Callable, one, lattice: Optional[dict] 
 def rect_generating_function(m: int, n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> IntPoly:
     """Sum of q-weights over all tilings of the m x n rectangle.
 
-    Must coincide with q_fibonomial(m, n).  It is computed from the tiling
-    model alone (rect_transfer over the strips' dense q-weight sums, on a
-    lattice shared by all calls), never from q-factorials, so it is an
-    oracle independent of the division and recurrence routes.  ``cap``
-    bounds the number of tilings summed, even for a point already built.
+    Must coincide with q_fibonomial(m, n).  It is rect_transfer over the
+    strips' enumerated q-weight sums, on a lattice shared by all calls,
+    never q-factorials: independent of the ratio route, it shares its loop
+    but not its strip sums with q_fibonomial_recurrence.  ``cap`` bounds
+    the number of tilings summed, even for a point already built.
     """
     _check_cap(fibonomial_int(m, n), cap)
     return rect_transfer(m, n, _strip_table, IntPoly.one(), _q_lattice(0))

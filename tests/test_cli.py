@@ -101,6 +101,18 @@ class TestEnumerateCommand:
         assert "cap" in err
 
 
+class TestOutOption:
+    @pytest.mark.parametrize("argv", [("fibonomial", "2", "2"),
+                                      ("enumerate", "rect", "2", "2")],
+                             ids=["emit", "stream"])
+    def test_unwritable_path_is_a_usage_error(self, capsys, tmp_path, argv):
+        path = str(tmp_path / "missing" / "x")
+        code, out, err = run(capsys, *argv, "--out", path)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write --out {path!r}: ")
+        assert "Traceback" not in err
+
+
 class TestCatalanCommand:
     def test_coxeter_counterexample(self, capsys):
         code, out, _ = run(capsys, "catalan", "coxeter", "F4", "2")

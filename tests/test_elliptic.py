@@ -16,16 +16,25 @@ from fibl.fib import fib
 from fibl.qpoly import q_number
 from fibl.report import numeric_report
 from fibl.tilings import (DOMINO, MONOMINO, SPECIAL, PathDominoTiling,
-                          catalan_partial_tilings, iter_rect_tilings,
-                          iter_staircase_tilings, rect_path_profile,
-                          rect_transfer, staircase_path_profile,
-                          staircase_transfer, tile_exponent, tiling_tiles)
+                          _rect_strip_tiles, catalan_partial_tilings,
+                          iter_rect_tilings, iter_staircase_tilings,
+                          rect_path_profile, rect_transfer,
+                          staircase_path_profile, staircase_transfer,
+                          tile_exponent, tiling_tiles)
 
 SEED = 0x5EED
 
 
 def params_at(i, **kw):
     return ell.sample_params(ell.derive_seed(SEED, i), **kw)
+
+
+def _multiplication_report(m, n, p):
+    """[m n] against [m] [n]_{q^m}, at the parameters' precision and eq_tol."""
+    with ell._prec_ctx(p):
+        lhs = ell.elliptic_number(m * n, p)
+        rhs = ell.elliptic_number(m, p) * ell.elliptic_number_base(n, m, p)
+    return numeric_report("elliptic-multiplication", {"m": m, "n": n}, lhs, rhs, p.eq_tol)
 
 
 class TestTheta:
@@ -400,7 +409,7 @@ class TestWeightV:
             p = params_at(i)
             for m in range(1, 9):
                 for n in range(1, 9):
-                    assert ell.elliptic_multiplication_check(m, n, p).passed
+                    assert _multiplication_report(m, n, p).passed
 
 
 class TestOmega:
@@ -593,6 +602,26 @@ class TestStaircase:
         assert abs(srep.lhs - rrep.lhs) / abs(rrep.lhs) < 1e-12
 
 
+class TestStripLemma:
+    """Each rectangle strip's elliptic weight sum is the closed form that
+    elliptic_fibonomial_recurrence multiplies, and an empty strip's is
+    exactly 1 on both sides."""
+
+    @pytest.mark.parametrize("bits", [None, 128])
+    def test_strip_sums_are_the_closed_forms(self, bits):
+        p = params_at(0, precision_bits=bits)
+        with ell._prec_ctx(p):
+            for index in range(1, 9):
+                for length in range(0, 9):
+                    for forced in (False, True):
+                        case = (index, length, forced)
+                        got = ell._strip_sum(p, _rect_strip_tiles, *case)
+                        want = ell._recurrence_strip(p, None, *case)
+                        assert numeric_report("strip", {}, got, want, p.eq_tol).passed, case
+                        if not length:
+                            assert got == want == 1, case
+
+
 class TestEllipticTransfer:
     """The lattice transfers over elliptic strip sums against the sum of
     elliptic_weight over the enumerated tilings.  The two routes multiply
@@ -713,5 +742,5 @@ class TestExtendedPrecision:
 
     def test_rebase_keeps_precision(self):
         p = ell.sample_params(9, precision_bits=160)
-        rep = ell.elliptic_multiplication_check(3, 4, p)
+        rep = _multiplication_report(3, 4, p)
         assert rep.passed and rep.rel_diff < 1e-30

@@ -1,9 +1,10 @@
+import math
 import threading
 
 import pytest
 from hypothesis import given, strategies as st
 
-from fibl.fib import fib, fib_addition_check, fib_gcd_check, spiral_exponent
+from fibl.fib import fib, spiral_exponent
 
 
 def test_sequence_prefix():
@@ -35,29 +36,36 @@ def test_recurrence(n):
     assert fib(n + 1) == fib(n) + fib(n - 1)
 
 
+def _gcd_law(m, n):
+    return math.gcd(fib(m), fib(n)) == fib(math.gcd(m, n))
+
+
+def _addition_law(m, n):
+    return fib(m + n) == fib(n) * fib(m + 1) + fib(m) * fib(n - 1)
+
+
 def test_gcd_check_examples():
-    import math
-    assert fib_gcd_check(6, 9)
+    assert _gcd_law(6, 9)
     assert math.gcd(fib(6), fib(9)) == 2 == fib(3)
-    assert fib_gcd_check(4, 6)
+    assert _gcd_law(4, 6)
     assert math.gcd(fib(4), fib(6)) == 1 == fib(2)
     for n in (1, 7, 30):
-        assert fib_gcd_check(1, n)
+        assert _gcd_law(1, n)
 
 
 def test_gcd_check_full_range():
-    assert all(fib_gcd_check(m, n) for m in range(1, 61) for n in range(1, 61))
+    assert all(_gcd_law(m, n) for m in range(1, 61) for n in range(1, 61))
 
 
 def test_addition_check_examples():
-    assert fib_addition_check(1, 1)
+    assert _addition_law(1, 1)
     assert fib(7) == 13 == fib(4) * fib(4) + fib(3) * fib(3)
-    assert fib_addition_check(3, 4)
-    assert fib_addition_check(10, 10)
+    assert _addition_law(3, 4)
+    assert _addition_law(10, 10)
 
 
 def test_addition_check_full_range():
-    assert all(fib_addition_check(m, n)
+    assert all(_addition_law(m, n)
                for m in range(1, 201) for n in range(1, 201))
 
 

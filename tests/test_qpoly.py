@@ -372,6 +372,18 @@ class TestFibonomial:
         assert all(r == results[0] for r in results)
         assert results[0] == q_fibonomial(6, 6)
 
+    def test_recurrence_lattice_is_bounded(self):
+        tilings.reset_caches()
+        for m in range(0, 14):
+            for n in range(0, 14 - m):
+                assert q_fibonomial_recurrence(m, n) == q_fibonomial(m, n), (m, n)
+        assert 0 < len(tilings._Q_LATTICES[2]) <= 2048 + 196
+        tilings.reset_caches()
+        assert tilings._Q_LATTICES[2] == {}
+        tilings._Q_LATTICES[2].update({(-i, 0): None for i in range(2049)})
+        assert q_fibonomial_recurrence(3, 4) == q_fibonomial(3, 4)
+        assert len(tilings._Q_LATTICES[2]) == 4 * 5
+
 
 class TestQNumberIdentities:
     def test_addition_identity_to_50(self):

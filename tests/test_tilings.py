@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from fibl import tilings
+from fibl import qpoly, tilings
 from fibl.errors import ResourceLimitError
 from fibl.fib import fib
 from fibl.qpoly import IntPoly, fibonomial_int, q_fibonomial, q_number
@@ -11,7 +11,7 @@ from fibl.tilings import (PathDominoTiling, StaircaseTiling,
                           enumerate_rect_tilings, enumerate_staircase_tilings,
                           enumerate_strips, iter_rect_tilings,
                           iter_staircase_tilings, load_golden,
-                          model_bijection_check, q_strip_sum, q_weight,
+                          model_bijection_check, q_weight,
                           rect_generating_function,
                           staircase_generating_function, validate_rect_tiling,
                           validate_staircase_tiling, weight_exponent)
@@ -31,11 +31,33 @@ class TestStrips:
         assert empty == [""]
 
     def test_q_strip_sum(self):
-        assert q_strip_sum(0) == IntPoly.one()
-        assert q_strip_sum(2) == IntPoly([1, 1])
-        assert q_strip_sum(7) == q_number(21)
+        """Row 1 of length l: its tilings' q-weights sum to [F_{l+1}]_q."""
+        def row(length):
+            return tilings._strip_table(tilings._rect_strip_tiles, 1, length, False)
+        assert row(0) == IntPoly.one()
+        assert row(2) == IntPoly([1, 1])
+        assert row(7) == q_number(21)
         for length in range(0, 12):
-            assert q_strip_sum(length) == q_number(fib(length + 1))
+            assert row(length) == q_number(fib(length + 1))
+
+    def test_closed_form_strip_sums(self):
+        """The lemma that makes the recurrence the tiling sum: row ``index``
+        of length l sums to [F_{l+1}]_{q^{F_index}}, forced column ``index``
+        of height l to q^{F_{index+1} F_l} [F_{l-1}]_{q^{F_index}}."""
+        for index in range(1, 9):
+            for length in range(0, 9):
+                for forced in (False, True):
+                    if forced:
+                        want = q_number(fib(length - 1)).substitute_power(fib(index))
+                        want = want.shift(fib(index + 1) * fib(length))
+                    else:
+                        want = q_number(fib(length + 1)).substitute_power(fib(index))
+                    case = (index, length, forced)
+                    assert tilings._strip_table(tilings._rect_strip_tiles, *case) == want, case
+                    assert qpoly._recurrence_strip(None, *case) == want, case
+        assert qpoly._recurrence_strip(None, 1, 2, False) == IntPoly([1, 1])
+        assert qpoly._recurrence_strip(None, 1, 7, False) == q_number(21)
+        assert qpoly._recurrence_strip(None, 3, 1, True) == IntPoly.zero()
 
 
 class TestRectEnumeration:
@@ -225,7 +247,7 @@ class TestTransferGeneratingFunctions:
 
     def test_q_strip_sum_matches_per_path_product(self):
         for length in range(0, 12):
-            assert q_strip_sum(length) == _per_path_product(
+            assert qpoly._recurrence_strip(None, 1, length, False) == _per_path_product(
                 [[(1, length, False)]], tilings._rect_strip_tiles)
 
 
