@@ -23,7 +23,7 @@ from typing import Optional
 from fibl import catalan as cat
 from fibl import qpoly, tilings
 from fibl.errors import DegenerateParametersError, NotPolynomialError, ResourceLimitError
-from fibl.report import DEFAULT_SEED, SCHEMA, VerificationReport, inputs_key
+from fibl.report import DEFAULT_SEED, SCHEMA, VerificationReport, inputs_key, json_text
 
 # fibl.elliptic is imported by the elliptic commands and suites only, so the
 # exact commands start without it; its names are looked up at call time.
@@ -192,7 +192,7 @@ def _emit_reports(ns, reports: list[VerificationReport], extra_config=None) -> i
             "config": _config_dict(ns, extra_config),
             "reports": [r.to_dict() for r in reports],
         }
-        _write(json.dumps(doc, sort_keys=True, indent=2) + "\n", ns.out)
+        _write(json_text(doc) + "\n", ns.out)
     elif ns.format == "csv":
         lines = ["identity,inputs,expected,passed,abs_diff,rel_diff,tolerance"]
         for r in reports:
@@ -233,7 +233,7 @@ def _emit_payload(ns, payload: dict, text_line: str) -> int:
     if ns.format == "json":
         doc = {"schema": SCHEMA, "command": ns.command,
                "config": _config_dict(ns), **payload}
-        _write(json.dumps(doc, sort_keys=True, indent=2) + "\n", ns.out)
+        _write(json_text(doc) + "\n", ns.out)
     else:
         _write(text_line + "\n", ns.out)
     return EXIT_OK
@@ -329,7 +329,7 @@ def _cmd_catalan(ns) -> int:
             doc = {"schema": SCHEMA, "command": "catalan-sweep",
                    "config": _config_dict(ns, {"max": max_mn}),
                    "rows": [asdict(r) for r in rows]}
-            _write(json.dumps(doc, sort_keys=True, indent=2) + "\n", ns.out)
+            _write(json_text(doc) + "\n", ns.out)
         else:
             _write("\n".join(lines) + "\n", ns.out)
         bad = [r for r in rows if not r.is_polynomial or (r.min_coeff or 0) < 0]

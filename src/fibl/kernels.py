@@ -158,7 +158,8 @@ def mul_dense(a, b):
 
 
 def scan_unimodal(coeffs):
-    """True iff the dense sequence is non-decreasing then non-increasing."""
+    """True iff the dense sequence (a list or tuple; only read) is
+    non-decreasing then non-increasing."""
     rising = True
     prev = None
     for c in coeffs:

@@ -475,7 +475,7 @@ def q_fibonomial_recurrence(m: int, n: int) -> IntPoly:
 def is_unimodal(poly: IntPoly) -> bool:
     """True iff the dense coefficient sequence (interior zeros included)
     rises then falls."""
-    return kernels.scan_unimodal(list(poly._c))
+    return kernels.scan_unimodal(poly._c)
 
 
 # ---------------------------------------------------------------------------

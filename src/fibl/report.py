@@ -11,6 +11,8 @@ silently masking the claim.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from typing import Any, Optional
 
 SCHEMA = "fibl-report/1"
@@ -20,6 +22,23 @@ DEFAULT_SEED = 0x5EED
 
 # polynomial sides with more than this many terms are summarized, not inlined
 _INLINE_TERMS = 64
+
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(x: float) -> str:
+    text = float.__repr__(x)
+    return _FLOAT_WORDS.get(text, text)
+
+
+# json_text's scalar writers, by exact type: the text json.dumps gives each
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_text,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
 
 
 @dataclass
@@ -104,3 +123,48 @@ def _jsonable(v):
     if isinstance(v, dict):
         return {str(k): _jsonable(x) for k, x in v.items()}
     return str(v)
+
+
+def json_text(doc, _nl: str = "\n") -> str:
+    """Exactly the text of ``json.dumps`` with ``sort_keys=True`` and an
+    ``indent`` of 2, for a document whose dict keys are all ``str``; a
+    non-``str`` key, and any value that json.dumps rejects, raises TypeError.
+
+    With ``indent`` set, json.dumps runs CPython's pure-Python encoder,
+    one generator step per token.  Here a list of scalars of one type is
+    written with one join, and so is a list of equal-length lists of
+    ``str``: the ``[exponent, coefficient]`` pairs of ``IntPoly.to_json``,
+    most of a q report's bytes.  ``_nl`` is the newline and indent of the
+    line the value starts on.
+    """
+    scalar = _SCALAR_TEXT.get(type(doc))
+    if scalar is not None:
+        return scalar(doc)
+    inner = _nl + "  "
+    if isinstance(doc, dict):
+        if not doc:
+            return "{}"
+        items = [encode_basestring_ascii(k) + ": " + (      # scalars inline, without a call
+                     _SCALAR_TEXT[type(v)](v) if type(v) in _SCALAR_TEXT else json_text(v, inner))
+                 for k, v in sorted(doc.items())]
+        return "{" + inner + ("," + inner).join(items) + _nl + "}"
+    if isinstance(doc, (list, tuple)):
+        if not doc:
+            return "[]"
+        types = set(map(type, doc))
+        kind = types.pop() if len(types) == 1 else None
+        if kind in _SCALAR_TEXT:
+            return "[" + inner + ("," + inner).join(map(_SCALAR_TEXT[kind], doc)) + _nl + "]"
+        if (kind in (list, tuple) and len(set(map(len, doc))) == 1
+                and set(map(type, chain.from_iterable(doc))) == {str}):
+            nl2 = inner + "  "
+            cells = map(encode_basestring_ascii, chain.from_iterable(doc))
+            rows = map(("," + nl2).join, zip(*[cells] * len(doc[0])))
+            return ("[" + inner + "[" + nl2 + (inner + "]," + inner + "[" + nl2).join(rows)
+                    + inner + "]" + _nl + "]")
+        items = [json_text(v, inner) for v in doc]
+        return "[" + inner + ("," + inner).join(items) + _nl + "]"
+    for base in (str, int, float):          # subclasses print as their base type
+        if isinstance(doc, base):
+            return _SCALAR_TEXT[base](doc)
+    raise TypeError(f"Object of type {type(doc).__name__} is not JSON serializable")

@@ -1,16 +1,22 @@
+import collections
+import enum
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import mpmath
 import pytest
+from hypothesis import given, strategies as st
 
 import fibl
 from fibl import elliptic as ell
 from fibl import qpoly, tilings
 from fibl.cli import main
+from fibl.report import json_text
 
 
 def run(capsys, *argv):
@@ -477,3 +483,64 @@ def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+# --format json text: json_text against json.dumps, and the benchmark's digests
+
+_json_strings = st.text() | st.sampled_from(['"', "\\", "\x00\x1f\x7f", "é€😀\u2028", ""])
+_json_scalars = (st.none() | st.booleans() | _json_strings
+                 | st.integers() | st.integers(min_value=-10**400, max_value=10**400)
+                 | st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324]))
+_str_lists = (st.lists(st.lists(_json_strings, min_size=2, max_size=2))     # IntPoly pairs
+              | st.lists(st.lists(_json_strings, max_size=3)))               # empty and uneven rows
+_json_trees = st.recursive(
+    _json_scalars | _str_lists,
+    lambda children: (st.lists(children) | st.lists(children).map(tuple)
+                      | st.dictionaries(_json_strings, children)),
+    max_leaves=20)
+
+
+@given(_json_trees)
+def test_json_text_is_json_dumps(doc):
+    assert json_text(doc) == json.dumps(doc, sort_keys=True, indent=2)
+
+
+class _Level(enum.IntEnum):
+    HIGH = 7
+
+
+@pytest.mark.parametrize("doc", [
+    [["1", "2"], ["3"]], [["1", "2"], []], [["1", "2"], ("3", "4")], [["1", 2], ["3", "4"]],
+    [["1", "2"], "3"], [1, "a", 2.5, None, True], [[], []],
+    [math.nan, math.inf, -math.inf, -0.0, 5e-324, -10**400], {"x": -math.inf, "y": math.nan},
+    collections.OrderedDict([("b", _Level.HIGH), ("a", [_Level.HIGH])]),
+], ids=["uneven", "empty-row", "tuple-row", "int-cell", "str-item", "mixed", "empty-rows",
+        "float-words", "float-words-in-dict", "subclasses"])
+def test_json_text_on_edge_documents(doc):
+    assert json_text(doc) == json.dumps(doc, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("doc", [{1, 2}, b"x", object(), {1: "a"}, {"a": [{"b": {2}}]},
+                                 [["1", b"2"]]],
+                         ids=["set", "bytes", "object", "int-key", "nested-set", "bytes-cell"])
+def test_json_text_rejects_what_json_cannot_write(doc):
+    with pytest.raises(TypeError):
+        json_text(doc)
+
+
+_DIGESTS = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "digests.json")
+                      .read_text())
+
+
+@pytest.mark.parametrize("command", sorted(_DIGESTS))
+def test_stdout_matches_the_benchmark_digest(capsys, command):
+    code, out, _ = run(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _DIGESTS[command]
+
+
+def test_out_file_matches_the_benchmark_digest(capsys, tmp_path):
+    command = "verify q-all --max 4 --format json"
+    path = tmp_path / "q-all.json"
+    assert run(capsys, *command.split(), "--out", str(path)) == (0, "", "")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == _DIGESTS[command]

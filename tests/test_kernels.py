@@ -2,6 +2,8 @@
 against an independent route where one exists (dense product, long
 division, schoolbook multiplication)."""
 
+from operator import gt, indexOf, lt
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -61,6 +63,24 @@ def test_scan_unimodal():
     assert not kernels.scan_unimodal([1, 0, 1])
     assert not kernels.scan_unimodal([2, 1, 2])
     assert kernels.scan_unimodal([0, 0, 1, 3, 3, 2])
+    assert kernels.scan_unimodal((3, 2, 2, 0))
+
+
+def _scan_unimodal_by_maps(coeffs):
+    """No rise after the first descent, found with two C-level maps: an
+    independent route for the one-pass loop of scan_unimodal."""
+    try:
+        down = indexOf(map(gt, coeffs, coeffs[1:]), True) + 1
+    except ValueError:
+        return True
+    return not any(map(lt, coeffs[down:], coeffs[down + 1:]))
+
+
+# small values give plateaus, interior zeros and negative runs
+@given(st.lists(st.integers(min_value=-2, max_value=3), max_size=12))
+def test_scan_unimodal_matches_maps(coeffs):
+    assert kernels.scan_unimodal(coeffs) == _scan_unimodal_by_maps(coeffs)
+    assert kernels.scan_unimodal(tuple(coeffs)) == _scan_unimodal_by_maps(coeffs)
 
 
 def test_coeff_min_max():
