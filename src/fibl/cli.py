@@ -280,9 +280,7 @@ def _cmd_enumerate(ns) -> int:
         if not 0 <= ns.b <= ns.a:
             raise ValueError("staircase needs n >= k >= 0")
         expected = qpoly.fibonomial_int(ns.a - ns.b, ns.b)
-    if expected > cap:
-        raise ResourceLimitError(
-            f"enumeration of {expected} tilings exceeds the cap {cap}", cap=cap)
+    tilings._check_cap(expected, cap)     # before --out can truncate a file
     enumerate_tilings = (tilings.enumerate_rect_tilings if ns.model == "rect"
                          else tilings.enumerate_staircase_tilings)
     if ns.count_only:

@@ -12,10 +12,10 @@ weights omega1/omega2.  A tiling's elliptic weight is the product of
 omega1(i, j) over its (D, i, j) domino labels and omega2(i, j) over its
 (S, i, j) labels; the labels come from the tiling model's one strip rule
 in ``fibl.tilings``, which the q-weights read too.  The tiling sums list
-no tilings: they run the lattice transfers of ``fibl.tilings``, the ones
-the q generating functions run, over each strip's sum of elliptic
-weights, so the tiling route reaches every (m, n); the recurrence runs
-``rect_transfer`` over their closed forms.  All identity checks
+no tilings: they run ``fibl.tilings.rect_transfer``, as the q generating
+functions do, over each strip's sum of elliptic weights, so the tiling
+route reaches every (m, n), the (n, k) staircase as point (k, n - k); the
+recurrence runs it over their closed forms.  All identity checks
 here are numeric at sampled parameter points, with relative tolerances
 carried by EllipticParams; the ordered degeneration p -> 0, a -> 0,
 b -> 0 back to the q-analogs is done symbolically in limit_chain, not by
@@ -45,7 +45,7 @@ from fibl.errors import DegenerateParametersError
 from fibl.fib import fib
 from fibl.report import DEFAULT_SEED, VerificationReport, numeric_report
 from fibl.tilings import (SPECIAL, PathDominoTiling, StaircaseTiling,
-                          rect_transfer, staircase_transfer, tiling_tiles,
+                          rect_transfer, tiling_tiles, _check_staircase,
                           _rect_strip_tiles, _strip_choices)
 
 DEFAULT_TRUNC_EPS = 1e-17
@@ -401,8 +401,7 @@ def elliptic_fibonomial(m: int, n: int, params: EllipticParams):
         return num / den
 
 
-def _recurrence_strip(params: EllipticParams, rule, index: int, length: int,
-                      forced: bool):
+def _recurrence_strip(params: EllipticParams, index: int, length: int, forced: bool):
     """qpoly._recurrence_strip with omega2(index, length) for the q-power
     of a forced column; exactly 1 for an empty strip, as _strip_sum gives."""
     if not length:
@@ -444,14 +443,13 @@ def elliptic_weight(t: PathDominoTiling | StaircaseTiling, params: EllipticParam
         return _tiles_weight(tiling_tiles(t), params)
 
 
-def _strip_sum(params: EllipticParams, rule: Callable, index: int, length: int,
-               forced: bool):
-    """Sum of elliptic weights over one strip's tilings under the strip
-    rule ``rule``, in tiling order; 0 when the strip has no tiling.  The
-    strip sums the lattice transfers of ``fibl.tilings`` multiply."""
+def _strip_sum(params: EllipticParams, index: int, length: int, forced: bool):
+    """Sum of elliptic weights over one rectangle strip's tilings, in
+    tiling order; 0 when the strip has no tiling.  The strip sums
+    ``fibl.tilings.rect_transfer`` multiplies."""
     total = 0
     for strip in _strip_choices(length, forced):
-        total = total + _tiles_weight(rule(index, length, forced, strip), params)
+        total = total + _tiles_weight(_rect_strip_tiles(index, length, forced, strip), params)
     return total
 
 
@@ -564,7 +562,7 @@ def elliptic_strip_check(n: int, params: EllipticParams) -> VerificationReport:
     if n < 1:
         raise ValueError("need n >= 1")
     with _prec_ctx(params):
-        total = _strip_sum(params, _rect_strip_tiles, 1, n - 1, False)
+        total = _strip_sum(params, 1, n - 1, False)
         lhs = elliptic_number(fib(n), params)
     return numeric_report("elliptic-strip", {"n": n}, lhs, total, params.eq_tol)
 
@@ -616,10 +614,11 @@ def elliptic_convolution_check(m: int, n: int, params: EllipticParams) -> Verifi
 
 
 def elliptic_staircase_check(n: int, k: int, params: EllipticParams) -> VerificationReport:
-    """Sum of elliptic weights over (n, k)-staircase tilings equals the
-    elliptic Fibonomial with parts (n-k, k)."""
+    """Sum of elliptic weights over (n, k)-staircase tilings, rectangle
+    point (k, n - k), equals the elliptic Fibonomial with parts (n-k, k)."""
+    _check_staircase(n, k)
     with _prec_ctx(params):
-        total = staircase_transfer(n, k, partial(_strip_sum, params), 1)
+        total = rect_transfer(k, n - k, partial(_strip_sum, params), 1)
         lhs = elliptic_fibonomial(n - k, k, params)
     return numeric_report("elliptic-staircase", {"n": n, "k": k}, lhs, total,
                           params.eq_tol)

@@ -446,9 +446,9 @@ def fibonomial_int(m: int, n: int) -> int:
     return q
 
 
-def _recurrence_strip(rule, index: int, length: int, forced: bool) -> IntPoly:
-    """A rectangle strip's q-weight sum in closed form (``rule`` is not
-    read): [F_{length+1}]_{q^{F_index}} for row ``index``,
+def _recurrence_strip(index: int, length: int, forced: bool) -> IntPoly:
+    """A rectangle strip's q-weight sum in closed form:
+    [F_{length+1}]_{q^{F_index}} for row ``index``,
     q^{F_{index+1} F_length} [F_{length-1}]_{q^{F_index}} for the forced
     column ``index``."""
     if forced:
@@ -469,7 +469,7 @@ def q_fibonomial_recurrence(m: int, n: int) -> IntPoly:
     if m < 0 or n < 0:
         raise ValueError("q_fibonomial_recurrence needs m, n >= 0")
     _ensure_cap(_fibonomial_degree(m, n))
-    return rect_transfer(m, n, _recurrence_strip, _ONE, _q_lattice(2))
+    return rect_transfer(m, n, _recurrence_strip, _ONE, _q_lattice(1))
 
 
 def is_unimodal(poly: IntPoly) -> bool:

@@ -28,19 +28,21 @@ the transpositions that are invisible at the q level (the rectangle's
 vertical dominos, the staircase's special ones).  Both weight layers read
 the labels: here ``tile_exponent`` gives q^{F_i F_j}, or q^{F_{i+1} F_j}
 for S, the q-limit of those omegas; ``fibl.elliptic.elliptic_weight``
-multiplies the omegas.  Each step of a path fixes one strip, so
-``rect_transfer`` and ``staircase_transfer`` run a transfer over lattice
-points: the sum over all paths reaching a point is built once, from the
-sums one step back, each times the sum of the strip that step fixes.  No
-strip depends on the target (the staircase transfer runs top down), so a
-point is the sum of a smaller rectangle or staircase, and one lattice per
-model serves every target.  Only ``*`` and ``+`` are used, so both weight
-rings run through the transfers: the q generating functions over dense
-IntPoly strip sums, on lattices kept across calls, the elliptic tiling
-sums over complex ones.  The two-term recurrences of both rings are
-``rect_transfer`` over the strips' closed forms instead of their sums.
-Tilings are listed only for ``fibl enumerate``, the tests (as the
-transfers' oracle) and the Catalan counterexample.
+multiplies the omegas.  Each step of a path fixes one strip, so the one
+transfer, ``rect_transfer``, runs over lattice points: the sum over all
+paths reaching a point is built once, from the sums one step back, each
+times the sum of the strip that step fixes.  No strip depends on the
+target, so a point is the sum of a smaller rectangle, and one lattice
+serves every target of both models: the (n, k) staircase sum is point
+(k, n - k), as under (s, x) -> (x, s - x) a staircase row of length s - 1
+with its north step at x is rectangle row s - x of length x, or, forced,
+column x of height s - x.  Only ``*`` and ``+`` are used, so both weight
+rings run through the transfer: the q generating functions over
+dense IntPoly strip sums, on a lattice kept across calls, the elliptic
+tiling sums over complex ones.  The two-term recurrences of both rings
+run it over the strips' closed forms instead of their sums.  Tilings are
+listed only for ``fibl enumerate``, the tests (as the transfer's oracle)
+and the Catalan counterexample.
 
 Enumeration is streaming and deterministic: paths in lexicographic step
 order (E < N, N < W), strip tilings in lexicographic tile order (D < M).
@@ -168,23 +170,22 @@ def tile_exponent(kind: str, i: int, j: int) -> int:
 
 
 @lru_cache(maxsize=4096)
-def _strip_table(tiles: Callable, index: int, length: int, forced: bool) -> IntPoly:
-    """The strip's q-weight sum, dense: coefficient e counts its tilings of
-    weight q^e; zero when it has no tiling.  ``tiles`` is a model's strip
-    rule."""
+def _strip_table(index: int, length: int, forced: bool) -> IntPoly:
+    """A rectangle strip's q-weight sum, dense: coefficient e counts its
+    tilings of weight q^e; zero when it has no tiling."""
     counts: dict[int, int] = {}
     for strip in _strip_choices(length, forced):
-        e = sum(tile_exponent(*tile) for tile in tiles(index, length, forced, strip))
+        e = sum(tile_exponent(*tile) for tile in _rect_strip_tiles(index, length, forced, strip))
         counts[e] = counts.get(e, 0) + 1
     return _poly_from_counts(counts)
 
 
-_Q_LATTICES: list[dict] = [{}, {}, {}]
+_Q_LATTICES: list[dict] = [{}, {}]
 
 
 def _q_lattice(model: int) -> dict:
-    """The q lattice points kept across calls: G(x, y) of the rectangle
-    (model 0) and of the recurrence (2), W(s, x) of the staircase (1).  Beyond
+    """The q lattice points G(x, y) kept across calls: of the tiling sums
+    (model 0), which both models read, and of the recurrence (1).  Beyond
     2048 points a fresh lattice replaces the old one, which a running
     transfer may still fill."""
     if len(_Q_LATTICES[model]) > 2048:
@@ -194,7 +195,7 @@ def _q_lattice(model: int) -> dict:
 
 def reset_caches() -> None:
     """Drop the q lattices (mainly for tests)."""
-    _Q_LATTICES[:] = [{}, {}, {}]
+    _Q_LATTICES[:] = [{}, {}]
 
 
 def _check_cap(expected: int, cap: int) -> None:
@@ -312,11 +313,12 @@ def enumerate_rect_tilings(m: int, n: int,
 
 
 def rect_transfer(m: int, n: int, table: Callable, one, lattice: Optional[dict] = None):
-    """The weight sum over all tilings of the m x n rectangle, in any ring.
+    """The weight sum over all tilings of the m x n rectangle, and so of
+    the (m + n, m) staircase, in any ring.
 
-    ``table(rule, index, length, forced)`` is the weight sum over one
-    strip's tilings under the strip rule ``rule``; ``one`` is the ring's
-    unit.  Only ``*`` and ``+`` are used.
+    ``table(index, length, forced)`` is the weight sum over the tilings of
+    one rectangle strip; ``one`` is the ring's unit.  Only ``*`` and ``+``
+    are used.
 
     A transfer over lattice points: G(x, y), the sum over paths from
     (0, 0) to (x, y) of the product of their strips' sums, is
@@ -331,9 +333,9 @@ def rect_transfer(m: int, n: int, table: Callable, one, lattice: Optional[dict] 
         for x in range(m + 1):
             if (x, y) in g:
                 continue
-            total = g[x, y - 1] * table(_rect_strip_tiles, y, x, False) if y else one
+            total = g[x, y - 1] * table(y, x, False) if y else one
             if x and y:
-                total = total + g[x - 1, y] * table(_rect_strip_tiles, x, y, True)
+                total = total + g[x - 1, y] * table(x, y, True)
             g[x, y] = total
     return g[m, n]
 
@@ -417,6 +419,11 @@ def validate_rect_tiling(t: PathDominoTiling) -> None:
 # ---------------------------------------------------------------------------
 # Staircase model
 
+def _check_staircase(n: int, k: int) -> None:
+    if not 0 <= k <= n:
+        raise ValueError("need n >= k >= 0")
+
+
 def _iter_staircase_paths(n: int, k: int) -> Iterator[str]:
     """W/N paths from (k,0) to (0,n), every W followed by N, inside the
     staircase; lexicographic step order (N < W)."""
@@ -438,8 +445,7 @@ def _iter_staircase_paths(n: int, k: int) -> Iterator[str]:
             yield from rec(prefix, row + 1, x - 1, w_left - 1)
             prefix.pop()
             prefix.pop()
-    if k < 0 or n < k:
-        raise ValueError("need n >= k >= 0")
+    _check_staircase(n, k)
     return rec([], 1, k, k)
 
 
@@ -495,8 +501,6 @@ def _staircase_strip_tiles(row_len: int, length: int, forced: bool,
 
 
 def iter_staircase_tilings(n: int, k: int) -> Iterator[StaircaseTiling]:
-    if n < 0 or k < 0 or k > n:
-        raise ValueError("need n >= k >= 0")
     for path in _iter_staircase_paths(n, k):
         for rows in _strip_product(_staircase_strips(path, n, k)):
             yield StaircaseTiling(n=n, k=k, path=path, rows=rows)
@@ -507,6 +511,7 @@ def enumerate_staircase_tilings(n: int, k: int,
                                 cap: int = DEFAULT_ENUMERATION_CAP) -> int:
     """Stream every (n, k)-tiling once; the count equals the integer
     Fibonomial with parts (n - k, k)."""
+    _check_staircase(n, k)
     _check_cap(fibonomial_int(n - k, k), cap)
     count = 0
     for t in iter_staircase_tilings(n, k):
@@ -516,44 +521,14 @@ def enumerate_staircase_tilings(n: int, k: int,
     return count
 
 
-def staircase_transfer(n: int, k: int, table: Callable, one, lattice: Optional[dict] = None):
-    """The weight sum over all (n, k)-tilings, in any ring; ``table``,
-    ``one`` and ``lattice`` (keyed (s, x)) as for rect_transfer.
-
-    A transfer over the rows, top to bottom, so that no row depends on n:
-    the top s rows of any staircase have lengths 0, 1, ..., s - 1.
-    W(s, x) sums the products of their strip sums over the path suffixes
-    entering them from below at x.  Their bottom row, of length s - 1, is
-    unforced with its north step at x (needs x <= s - 1), or forced after
-    a west step from x to x - 1 (needs x >= 1):
-    W(s, x) = W(s-1, x) T(s-1, x) + W(s-1, x-1) T_forced(s-1, s-x),
-    with W(0, 0) = 1.  The answer is W(n, k), which needs the points with
-    k - (n - s) <= x <= min(k, s).
-    """
-    rule = _staircase_strip_tiles
-    w = {} if lattice is None else lattice
-    w.setdefault((0, 0), one)
-    for s in range(1, n + 1):
-        for x in range(max(0, k - n + s), min(k, s) + 1):
-            if (s, x) in w:
-                continue
-            total = None
-            if x < s:               # an unforced north step at x
-                total = w[s - 1, x] * table(rule, s - 1, x, False)
-            if x:                   # a west step to x - 1, then its forced north step
-                west = w[s - 1, x - 1] * table(rule, s - 1, s - x, True)
-                total = west if total is None else total + west
-            w[s, x] = total
-    return w[n, k]
-
-
 def staircase_generating_function(n: int, k: int,
                                   cap: int = DEFAULT_ENUMERATION_CAP) -> IntPoly:
     """Sum of q-weights over all (n, k)-tilings; equals q_fibonomial(n-k, k).
-    staircase_transfer over the strips' dense q-weight sums, on a lattice
-    shared by all calls; ``cap`` as for rect_generating_function."""
+    It is rectangle point (k, n - k) of rect_generating_function's lattice
+    (see the module docstring); ``cap`` as for rect_generating_function."""
+    _check_staircase(n, k)
     _check_cap(fibonomial_int(n - k, k), cap)
-    return staircase_transfer(n, k, _strip_table, IntPoly.one(), _q_lattice(1))
+    return rect_transfer(k, n - k, _strip_table, IntPoly.one(), _q_lattice(0))
 
 
 def validate_staircase_tiling(t: StaircaseTiling) -> None:
@@ -624,7 +599,10 @@ def q_weight(t: PathDominoTiling | StaircaseTiling) -> IntPoly:
 def model_bijection_check(m: int, n: int,
                           cap: int = DEFAULT_ENUMERATION_CAP) -> VerificationReport:
     """The weight multiset of rectangle (m, n) tilings equals that of
-    staircase (m+n, n) tilings, i.e. their generating functions agree."""
+    staircase (m+n, n) tilings, i.e. their generating functions agree.
+    The staircase sum is rectangle point (n, m) of the same lattice, so
+    the report compares G(m, n) with G(n, m): the symmetry of the
+    q-Fibonomial, through the transfer over tiling sums."""
     return exact_report("model-bijection", {"m": m, "n": n},
                         rect_generating_function(m, n, cap=cap),
                         staircase_generating_function(m + n, n, cap=cap))

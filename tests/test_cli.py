@@ -106,6 +106,16 @@ class TestEnumerateCommand:
         assert code == 3
         assert "cap" in err
 
+    def test_capped_run_leaves_out_file_unchanged(self, capsys, tmp_path):
+        out = tmp_path / "f"
+        out.write_text("kept\n")
+        code, stdout, err = run(capsys, "enumerate", "rect", "6", "6", "--cap", "10",
+                                "--out", str(out))
+        assert (code, stdout) == (3, "")
+        assert err == ("resource cap exceeded: enumeration of 27261234 tilings "
+                       "exceeds the cap 10\n")
+        assert out.read_text() == "kept\n"
+
 
 class TestOutOption:
     @pytest.mark.parametrize("argv", [("fibonomial", "2", "2"),

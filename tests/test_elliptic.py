@@ -16,10 +16,9 @@ from fibl.fib import fib
 from fibl.qpoly import q_number
 from fibl.report import numeric_report
 from fibl.tilings import (DOMINO, MONOMINO, SPECIAL, PathDominoTiling,
-                          _rect_strip_tiles, catalan_partial_tilings,
-                          iter_rect_tilings, iter_staircase_tilings,
-                          rect_path_profile, rect_transfer,
-                          staircase_path_profile, staircase_transfer,
+                          catalan_partial_tilings, iter_rect_tilings,
+                          iter_staircase_tilings, rect_path_profile,
+                          rect_transfer, staircase_path_profile,
                           tile_exponent, tiling_tiles)
 
 SEED = 0x5EED
@@ -615,15 +614,16 @@ class TestStripLemma:
                 for length in range(0, 9):
                     for forced in (False, True):
                         case = (index, length, forced)
-                        got = ell._strip_sum(p, _rect_strip_tiles, *case)
-                        want = ell._recurrence_strip(p, None, *case)
+                        got = ell._strip_sum(p, *case)
+                        want = ell._recurrence_strip(p, *case)
                         assert numeric_report("strip", {}, got, want, p.eq_tol).passed, case
                         if not length:
                             assert got == want == 1, case
 
 
 class TestEllipticTransfer:
-    """The lattice transfers over elliptic strip sums against the sum of
+    """The lattice transfer over elliptic strip sums, at rectangle point
+    (m, n) and at staircase (n, k)'s point (k, n - k), against the sum of
     elliptic_weight over the enumerated tilings.  The two routes multiply
     and add in different orders, so they agree to within rounding: at most
     2^6 units of the last place of Σ_t |w(t)| (measured: under one)."""
@@ -637,7 +637,7 @@ class TestEllipticTransfer:
             with ell._prec_ctx(p):
                 cases = [(rect_transfer(m, n, table, 1), iter_rect_tilings(m, n), (m, n))
                          for m in range(0, 5) for n in range(0, 5)]
-                cases += [(staircase_transfer(n, k, table, 1), iter_staircase_tilings(n, k),
+                cases += [(rect_transfer(k, n - k, table, 1), iter_staircase_tilings(n, k),
                            (n, k)) for n in range(0, 7) for k in range(0, n + 1)]
                 for got, tilings, size in cases:
                     weights = [ell.elliptic_weight(t, p) for t in tilings]

@@ -377,12 +377,12 @@ class TestFibonomial:
         for m in range(0, 14):
             for n in range(0, 14 - m):
                 assert q_fibonomial_recurrence(m, n) == q_fibonomial(m, n), (m, n)
-        assert 0 < len(tilings._Q_LATTICES[2]) <= 2048 + 196
+        assert 0 < len(tilings._Q_LATTICES[1]) <= 2048 + 196
         tilings.reset_caches()
-        assert tilings._Q_LATTICES[2] == {}
-        tilings._Q_LATTICES[2].update({(-i, 0): None for i in range(2049)})
+        assert tilings._Q_LATTICES[1] == {}
+        tilings._Q_LATTICES[1].update({(-i, 0): None for i in range(2049)})
         assert q_fibonomial_recurrence(3, 4) == q_fibonomial(3, 4)
-        assert len(tilings._Q_LATTICES[2]) == 4 * 5
+        assert len(tilings._Q_LATTICES[1]) == 4 * 5
 
 
 class TestQNumberIdentities:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from fibl import elliptic as ell
 from fibl import qpoly, tilings
 from fibl.errors import ResourceLimitError
 from fibl.fib import fib
@@ -33,7 +34,7 @@ class TestStrips:
     def test_q_strip_sum(self):
         """Row 1 of length l: its tilings' q-weights sum to [F_{l+1}]_q."""
         def row(length):
-            return tilings._strip_table(tilings._rect_strip_tiles, 1, length, False)
+            return tilings._strip_table(1, length, False)
         assert row(0) == IntPoly.one()
         assert row(2) == IntPoly([1, 1])
         assert row(7) == q_number(21)
@@ -53,11 +54,11 @@ class TestStrips:
                     else:
                         want = q_number(fib(length + 1)).substitute_power(fib(index))
                     case = (index, length, forced)
-                    assert tilings._strip_table(tilings._rect_strip_tiles, *case) == want, case
-                    assert qpoly._recurrence_strip(None, *case) == want, case
-        assert qpoly._recurrence_strip(None, 1, 2, False) == IntPoly([1, 1])
-        assert qpoly._recurrence_strip(None, 1, 7, False) == q_number(21)
-        assert qpoly._recurrence_strip(None, 3, 1, True) == IntPoly.zero()
+                    assert tilings._strip_table(*case) == want, case
+                    assert qpoly._recurrence_strip(*case) == want, case
+        assert qpoly._recurrence_strip(1, 2, False) == IntPoly([1, 1])
+        assert qpoly._recurrence_strip(1, 7, False) == q_number(21)
+        assert qpoly._recurrence_strip(3, 1, True) == IntPoly.zero()
 
 
 class TestRectEnumeration:
@@ -228,11 +229,32 @@ class TestTransferGeneratingFunctions:
             for n, k in order(stair):
                 assert staircase_generating_function(n, k) == want["staircase", n, k], (n, k)
 
+    def test_staircase_reads_the_rectangle_lattice(self, monkeypatch):
+        """The (n, k) staircase sum is rectangle point (k, n - k): once the
+        5 x 5 rectangle is built, no staircase inside it multiplies."""
+        tilings.reset_caches()
+        rect_generating_function(5, 5)
+        products = 0
+        mul = IntPoly.__mul__
+
+        def counted_mul(a, b):
+            nonlocal products
+            products += 1
+            return mul(a, b)
+
+        monkeypatch.setattr(IntPoly, "__mul__", counted_mul)
+        got = {(n, k): staircase_generating_function(n, k)
+               for k in range(0, 6) for n in range(k, k + 6)}
+        assert products == 0
+        monkeypatch.undo()
+        for (n, k), poly in got.items():
+            assert poly == q_fibonomial(n - k, k), (n, k)
+
     def test_cap_holds_for_built_points(self):
         tilings.reset_caches()
         assert rect_generating_function(5, 5) == q_fibonomial(5, 5)
         assert staircase_generating_function(10, 5) == q_fibonomial(5, 5)
-        assert (5, 5) in tilings._Q_LATTICES[0] and (10, 5) in tilings._Q_LATTICES[1]
+        assert (5, 5) in tilings._Q_LATTICES[0]
         with pytest.raises(ResourceLimitError):
             rect_generating_function(5, 5, cap=1000)
         with pytest.raises(ResourceLimitError):
@@ -247,8 +269,20 @@ class TestTransferGeneratingFunctions:
 
     def test_q_strip_sum_matches_per_path_product(self):
         for length in range(0, 12):
-            assert qpoly._recurrence_strip(None, 1, length, False) == _per_path_product(
+            assert qpoly._recurrence_strip(1, length, False) == _per_path_product(
                 [[(1, length, False)]], tilings._rect_strip_tiles)
+
+
+@pytest.mark.parametrize("n, k", [(2, 3), (-1, 0), (3, -1)])
+@pytest.mark.parametrize("call", [
+    lambda n, k: staircase_generating_function(n, k, cap=0),
+    lambda n, k: enumerate_staircase_tilings(n, k, cap=0),
+    lambda n, k: ell.elliptic_staircase_check(n, k, ell.sample_params(0)),
+], ids=["generating-function", "enumerate", "elliptic-check"])
+def test_bad_staircase_size_is_a_value_error(call, n, k):
+    """Checked before the cap (0 here) and before any lattice work."""
+    with pytest.raises(ValueError, match=r"^need n >= k >= 0$"):
+        call(n, k)
 
 
 class TestStaircaseEnumeration:
