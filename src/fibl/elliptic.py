@@ -22,9 +22,12 @@ b -> 0 back to the q-analogs is done symbolically in limit_chain, not by
 numeric limiting.
 
 Two numeric regimes, selected per parameter set: double precision
-(complex) and an extended mode with a configurable mantissa of B bits
-(mpmath values, B = ``mpmath.mp.prec`` inside the parameter set's
-precision context).  theta computes its truncation depth once from float
+(complex) and an extended mode with a configurable mantissa of B bits.
+In the extended mode EllipticParams holds a, b, q and p as numbers of a
+private mpmath context whose precision is B, and every value computed
+from them carries that context: it computes at B bits whatever the
+global mpmath context is set to, and no function here changes that
+global setting.  theta computes its truncation depth once from float
 logarithms.  In double precision it multiplies complex factors; in the
 extended mode it multiplies Gaussian integer mantissas of B + 16 bits
 that share one binary exponent and rounds the product once to a B-bit
@@ -33,7 +36,7 @@ mpc, so mpmath's own arithmetic never runs per factor.
 
 from __future__ import annotations
 
-import contextlib
+import cmath
 import math
 import random
 from dataclasses import dataclass, replace
@@ -61,7 +64,12 @@ _LN2 = math.log(2)
 
 @dataclass(frozen=True)
 class EllipticParams:
-    """The parameter quadruple (a, b, q, p) plus numeric policy knobs."""
+    """The parameter quadruple (a, b, q, p) plus numeric policy knobs.
+
+    With precision_bits = B set, a, b, q and p are stored as mpcs of the
+    private B-bit context, converted here (so also under
+    ``dataclasses.replace``); everything computed from them is B-bit.
+    """
 
     a: complex
     b: complex
@@ -73,6 +81,15 @@ class EllipticParams:
     precision_bits: Optional[int] = None   # None = double precision
 
     def __post_init__(self):
+        values = (self.a, self.b, self.q, self.p)
+        finite = cmath.isfinite
+        if self.precision_bits:
+            ctx = _context(self.precision_bits)
+            values, finite = tuple(map(ctx.mpc, values)), ctx.isfinite
+            for name, value in zip("abqp", values):
+                object.__setattr__(self, name, value)
+        if not all(map(finite, values)):
+            raise ValueError("a, b, q, p must be finite")
         if abs(self.p) >= 1:
             raise ValueError("need |p| < 1")
         if self.a == 0 or self.b == 0 or self.q == 0:
@@ -83,34 +100,25 @@ class EllipticParams:
     def rebase(self, exponent: int) -> "EllipticParams":
         """Same parameters with q replaced by q**exponent.
 
-        In extended mode the power is taken at working precision (and the
-        field then holds an mpmath value) so the rebase does not round
-        through a double.
+        In extended mode q is a B-bit number of the parameters' private
+        context, so the power is taken at B bits, not through a double.
         """
         if exponent < 1:
             raise ValueError("base exponent must be >= 1")
         if exponent == 1:
             return self
-        if self.precision_bits:
-            import mpmath
-            with mpmath.workprec(self.precision_bits):
-                return replace(self, q=mpmath.mpc(self.q) ** exponent)
         return replace(self, q=self.q ** exponent)
 
 
-def _prec_ctx(params: EllipticParams):
-    if params.precision_bits:
-        import mpmath
-        return mpmath.workprec(params.precision_bits)
-    return contextlib.nullcontext()
-
-
-def _coerced(params: EllipticParams):
-    if params.precision_bits:
-        import mpmath
-        return (mpmath.mpc(params.a), mpmath.mpc(params.b),
-                mpmath.mpc(params.q), mpmath.mpc(params.p))
-    return params.a, params.b, params.q, params.p
+@lru_cache(maxsize=None)
+def _context(bits: int):
+    """The private mpmath context of the B-bit extended mode.  Its numbers
+    compute at B bits wherever they go, so the global mpmath context
+    neither sets nor is set by an elliptic computation."""
+    import mpmath
+    ctx = mpmath.MPContext()
+    ctx.prec = bits
+    return ctx
 
 
 def derive_seed(master: int, index: int, attempt: int = 0) -> int:
@@ -192,9 +200,11 @@ def theta(x, p, eps: float = DEFAULT_TRUNC_EPS):
     * double (x and p complex, float or int): the factors are multiplied
       in complex arithmetic exactly as ``out * (1 - p^j x) * (1 - p^j p / x)``;
     * extended (x or p an mpmath number): the product runs on Gaussian
-      integer mantissas with a shared binary exponent, carried at
-      ``mpmath.mp.prec + 16`` bits, and is rounded once to an mpc at
-      ``mpmath.mp.prec`` bits.  theta(1; p) is exactly 0.
+      integer mantissas with a shared binary exponent, carried at B + 16
+      bits, and is rounded once to an mpc at B bits, where B is the
+      precision of the mpmath context that x carries (p's when x is not
+      an mpmath number); the result belongs to that context.
+      theta(1; p) is exactly 0.
 
     Deterministic for fixed inputs.
     """
@@ -229,11 +239,8 @@ def _theta_terms(log_x: float, log_p: Optional[float], eps: float) -> int:
 
 
 def _gaussian(z, width: int):
-    """An mpmath number z as (a, b, e) with z ~ (a + ib) 2^e and
-    max(|a|, |b|) below 2^width; (0, 0, 0) for z = 0."""
-    if not hasattr(z, "_mpc_"):
-        import mpmath
-        z = mpmath.mpc(z)
+    """An mpc z, of any mpmath context, as (a, b, e) with z ~ (a + ib) 2^e
+    and max(|a|, |b|) below 2^width; (0, 0, 0) for z = 0."""
     parts = [(-man if sign else man, exp, exp + bc)
              for sign, man, exp, bc in z._mpc_]
     tops = [top for man, _, top in parts if man]
@@ -249,15 +256,19 @@ def _gaussian(z, width: int):
 def _theta_ext(x, p, eps: float):
     """The extended regime of theta on Gaussian integer mantissas.
 
-    Every value is (a + ib) 2^e with max(|a|, |b|) < 2^W, W = prec + 16,
-    renormalized by bit_length after each multiply.  u_j = p^j x and
-    w_j = p^{j+1} / x advance by one multiply by p each, so 1/x is the
-    only division; each factor 1 - u is formed at exponent -W.
+    The context ``ctx`` of x, or of p when x is not an mpmath number,
+    gives prec, the conversion of the other argument and the result's
+    type.  Every value is (a + ib) 2^e with max(|a|, |b|) < 2^W,
+    W = prec + 16, renormalized by bit_length after each multiply.
+    u_j = p^j x and w_j = p^{j+1} / x advance by one multiply by p each,
+    so 1/x is the only division; each factor 1 - u is formed at
+    exponent -W.
     """
-    import mpmath
     from mpmath.libmp import from_man_exp, round_nearest
 
-    prec = mpmath.mp.prec
+    ctx = x.context if hasattr(x, "context") else p.context
+    x, p = (z if hasattr(z, "_mpc_") else ctx.mpc(z) for z in (x, p))
+    prec = ctx.prec
     width = prec + 16
     xa, xb, xe = _gaussian(x, width)
     if not (xa or xb):
@@ -298,18 +309,14 @@ def _theta_ext(x, p, eps: float):
         wa, wb = wa * pa - wb * pb, wa * pb + wb * pa
         k = max(wa.bit_length(), wb.bit_length(), width) - width
         wa, wb, we = wa >> k, wb >> k, we + pe + k
-    return mpmath.mp.make_mpc((from_man_exp(oa, oe, prec, round_nearest),
-                               from_man_exp(ob, oe, prec, round_nearest)))
+    return ctx.make_mpc((from_man_exp(oa, oe, prec, round_nearest),
+                         from_man_exp(ob, oe, prec, round_nearest)))
 
 
 def theta_value(x, params: EllipticParams):
-    """theta(x; p) for the nome of ``params``, at its precision."""
-    with _prec_ctx(params):
-        p = _coerced(params)[3]
-        if params.precision_bits:
-            import mpmath
-            x = mpmath.mpc(x)
-        return theta(x, p, params.trunc_eps)
+    """theta(x; p) for the nome of ``params``; in extended mode at the B
+    bits of the context that p carries."""
+    return theta(x, params.p, params.trunc_eps)
 
 
 def theta_multi(xs: Sequence, p, eps: float = DEFAULT_TRUNC_EPS):
@@ -321,12 +328,11 @@ def theta_multi(xs: Sequence, p, eps: float = DEFAULT_TRUNC_EPS):
 
 
 def _theta_quotient(num_args, den_args, params: EllipticParams):
-    p = _coerced(params)[3]
-    den = theta_multi(den_args, p, params.trunc_eps)
+    den = theta_multi(den_args, params.p, params.trunc_eps)
     if abs(den) < params.min_denom:
         raise DegenerateParametersError(
             f"theta denominator magnitude {abs(den):.3e} below min_denom")
-    return theta_multi(num_args, p, params.trunc_eps) / den
+    return theta_multi(num_args, params.p, params.trunc_eps) / den
 
 
 # ---------------------------------------------------------------------------
@@ -336,13 +342,12 @@ def elliptic_number(n: int, params: EllipticParams):
     """[n]_{a,b;q,p}: four theta factors over four; [1] = 1, [0] = 0."""
     if n < 0:
         raise ValueError("elliptic number index must be >= 0")
-    with _prec_ctx(params):
-        a, b, q, p = _coerced(params)
-        qn = q ** n
-        return _theta_quotient(
-            [qn, a * qn, b * q, a / b * q],
-            [q, a * q, b * qn, a / b * qn],
-            params)
+    a, b, q = params.a, params.b, params.q
+    qn = q ** n
+    return _theta_quotient(
+        [qn, a * qn, b * q, a / b * q],
+        [q, a * q, b * qn, a / b * qn],
+        params)
 
 
 def elliptic_number_base(n: int, base_exp: int, params: EllipticParams):
@@ -352,13 +357,12 @@ def elliptic_number_base(n: int, base_exp: int, params: EllipticParams):
 
 def weight_v(m: int, n: int, params: EllipticParams):
     """The addition-formula weight v_{a,b;q,p}(m, n); v(0, n) = 1."""
-    with _prec_ctx(params):
-        a, b, q, p = _coerced(params)
-        ab = a / b
-        return _theta_quotient(
-            [a * q ** (2 * m + n), b, b * q ** n, ab * q ** n, ab],
-            [a * q ** n, b * q ** m, b * q ** (m + n), ab * q ** m, ab * q ** (m + n)],
-            params) * q ** m
+    a, b, q = params.a, params.b, params.q
+    ab = a / b
+    return _theta_quotient(
+        [a * q ** (2 * m + n), b, b * q ** n, ab * q ** n, ab],
+        [a * q ** n, b * q ** m, b * q ** (m + n), ab * q ** m, ab * q ** (m + n)],
+        params) * q ** m
 
 
 @lru_cache(maxsize=8192)
@@ -382,23 +386,21 @@ def omega2(i: int, j: int, params: EllipticParams):
 
 def elliptic_fib_factorial(n: int, params: EllipticParams):
     """prod_{k=1}^{n} [F_k]_{a,b;q,p}."""
-    with _prec_ctx(params):
-        out = 1
-        for k in range(1, n + 1):
-            out = out * elliptic_number(fib(k), params)
-        return out
+    out = 1
+    for k in range(1, n + 1):
+        out = out * elliptic_number(fib(k), params)
+    return out
 
 
 def elliptic_fibonomial(m: int, n: int, params: EllipticParams):
     """Elliptic Fibonomial via the factorial ratio."""
     if m < 0 or n < 0:
         raise ValueError("need m, n >= 0")
-    with _prec_ctx(params):
-        num = elliptic_fib_factorial(m + n, params)
-        den = elliptic_fib_factorial(m, params) * elliptic_fib_factorial(n, params)
-        if abs(den) < params.min_denom:
-            raise DegenerateParametersError("factorial denominator below min_denom")
-        return num / den
+    num = elliptic_fib_factorial(m + n, params)
+    den = elliptic_fib_factorial(m, params) * elliptic_fib_factorial(n, params)
+    if abs(den) < params.min_denom:
+        raise DegenerateParametersError("factorial denominator below min_denom")
+    return num / den
 
 
 def _recurrence_strip(params: EllipticParams, index: int, length: int, forced: bool):
@@ -423,8 +425,7 @@ def elliptic_fibonomial_recurrence(m: int, n: int, params: EllipticParams):
     """
     if m < 0 or n < 0:
         raise ValueError("need m, n >= 0")
-    with _prec_ctx(params):
-        return rect_transfer(m, n, partial(_recurrence_strip, params), 1)
+    return rect_transfer(m, n, partial(_recurrence_strip, params), 1)
 
 
 def _tiles_weight(tiles, params: EllipticParams):
@@ -439,8 +440,7 @@ def _tiles_weight(tiles, params: EllipticParams):
 def elliptic_weight(t: PathDominoTiling | StaircaseTiling, params: EllipticParams):
     """Product of elliptic tile weights of a tiling of either model, over
     the domino labels of ``fibl.tilings.tiling_tiles``."""
-    with _prec_ctx(params):
-        return _tiles_weight(tiling_tiles(t), params)
+    return _tiles_weight(tiling_tiles(t), params)
 
 
 def _strip_sum(params: EllipticParams, index: int, length: int, forced: bool):
@@ -467,67 +467,68 @@ def theta_property_suite(params: EllipticParams, samples: int,
     if samples < 1:
         raise ValueError("need samples >= 1")
     reports = []
-    with _prec_ctx(params):
-        for i in range(samples):
-            attempt = 0
-            while True:
-                rng = random.Random(derive_seed(seed, i, attempt))
-                x = _random_complex(rng, 0.4, 1.5)
-                y = _random_complex(rng, 0.4, 1.5)
-                u = _random_complex(rng, 0.4, 1.5)
-                z = _random_complex(rng, 0.4, 1.5)
-                p = _random_complex(rng, 0.05, 0.35)
-                if params.precision_bits:
-                    import mpmath
-                    x, y, u, z, p = map(mpmath.mpc, (x, y, u, z, p))
-                eps = params.trunc_eps
-                batch = []
-                inputs = {"x": x, "y": y, "u": u, "z": z, "p": p}
-                batch.append(numeric_report(
-                    "theta-zero-nome", inputs, theta(x, p * 0, eps), 1 - x,
-                    params.eq_tol))
-                tx = theta(x, p, eps)
-                batch.append(numeric_report(
-                    "theta-inversion", inputs, theta(1 / x, p, eps), -tx / x,
-                    params.eq_tol))
-                batch.append(numeric_report(
-                    "theta-quasi-periodicity", inputs, theta(p * x, p, eps),
-                    -tx / x, params.eq_tol))
-                lhs = theta_multi([x * y, x / y, u * z, u / z], p, eps)
-                rhs = (theta_multi([u * y, u / y, x * z, x / z], p, eps)
-                       + (x / z) * theta_multi([z * y, z / y, u * x, u / x], p, eps))
-                if max(abs(lhs), abs(rhs)) < params.min_denom:
-                    attempt += 1
-                    if attempt > MAX_RESAMPLES:
-                        raise DegenerateParametersError(
-                            f"resample budget exhausted at sample {i}")
-                    continue
-                batch.append(numeric_report(
-                    "theta-addition", inputs, lhs, rhs, params.eq_tol))
-                for rep in batch:
-                    rep.seed = derive_seed(seed, i, attempt)
-                    rep.resamples = attempt
-                reports.extend(batch)
-                break
+    for i in range(samples):
+        attempt = 0
+        while True:
+            rng = random.Random(derive_seed(seed, i, attempt))
+            x = _random_complex(rng, 0.4, 1.5)
+            y = _random_complex(rng, 0.4, 1.5)
+            u = _random_complex(rng, 0.4, 1.5)
+            z = _random_complex(rng, 0.4, 1.5)
+            p = _random_complex(rng, 0.05, 0.35)
+            inputs = {"x": x, "y": y, "u": u, "z": z, "p": p}
+            if params.precision_bits:
+                # the report holds global-context mpcs, which print at
+                # mpmath's default 15 digits; the arithmetic runs on B-bit
+                # copies.  Both hold the sampled doubles exactly.
+                import mpmath
+                inputs = {k: mpmath.mpc(v) for k, v in inputs.items()}
+                x, y, u, z, p = map(_context(params.precision_bits).mpc, (x, y, u, z, p))
+            eps = params.trunc_eps
+            batch = []
+            batch.append(numeric_report(
+                "theta-zero-nome", inputs, theta(x, p * 0, eps), 1 - x,
+                params.eq_tol))
+            tx = theta(x, p, eps)
+            batch.append(numeric_report(
+                "theta-inversion", inputs, theta(1 / x, p, eps), -tx / x,
+                params.eq_tol))
+            batch.append(numeric_report(
+                "theta-quasi-periodicity", inputs, theta(p * x, p, eps),
+                -tx / x, params.eq_tol))
+            lhs = theta_multi([x * y, x / y, u * z, u / z], p, eps)
+            rhs = (theta_multi([u * y, u / y, x * z, x / z], p, eps)
+                   + (x / z) * theta_multi([z * y, z / y, u * x, u / x], p, eps))
+            if max(abs(lhs), abs(rhs)) < params.min_denom:
+                attempt += 1
+                if attempt > MAX_RESAMPLES:
+                    raise DegenerateParametersError(
+                        f"resample budget exhausted at sample {i}")
+                continue
+            batch.append(numeric_report(
+                "theta-addition", inputs, lhs, rhs, params.eq_tol))
+            for rep in batch:
+                rep.seed = derive_seed(seed, i, attempt)
+                rep.resamples = attempt
+            reports.extend(batch)
+            break
     return reports
 
 
 def elliptic_addition_check(m: int, n: int, params: EllipticParams) -> VerificationReport:
     """[m+n] = [m] + v(m, n) [n]."""
-    with _prec_ctx(params):
-        lhs = elliptic_number(m + n, params)
-        rhs = elliptic_number(m, params) + weight_v(m, n, params) * elliptic_number(n, params)
+    lhs = elliptic_number(m + n, params)
+    rhs = elliptic_number(m, params) + weight_v(m, n, params) * elliptic_number(n, params)
     return numeric_report("elliptic-addition", {"m": m, "n": n}, lhs, rhs, params.eq_tol)
 
 
 def fib_splitting_check(m: int, n: int, params: EllipticParams) -> VerificationReport:
     """[F_{m+n}] = [F_n][F_{m+1}]_{q^{F_n}} + omega2(m,n)[F_m][F_{n-1}]_{q^{F_m}}."""
-    with _prec_ctx(params):
-        lhs = elliptic_number(fib(m + n), params)
-        rhs = (elliptic_number(fib(n), params)
-               * elliptic_number_base(fib(m + 1), fib(n), params)
-               + omega2(m, n, params) * elliptic_number(fib(m), params)
-               * elliptic_number_base(fib(n - 1), fib(m), params))
+    lhs = elliptic_number(fib(m + n), params)
+    rhs = (elliptic_number(fib(n), params)
+           * elliptic_number_base(fib(m + 1), fib(n), params)
+           + omega2(m, n, params) * elliptic_number(fib(m), params)
+           * elliptic_number_base(fib(n - 1), fib(m), params))
     return numeric_report("elliptic-fib-splitting", {"m": m, "n": n}, lhs, rhs,
                           params.eq_tol)
 
@@ -539,16 +540,15 @@ def elliptic_theorem_check(m: int, n: int, params: EllipticParams) -> Verificati
     The report's lhs is the ratio and rhs the tiling sum; rel_diff is the
     worst pairwise disagreement among the three routes.
     """
-    with _prec_ctx(params):
-        ratio = elliptic_fibonomial(m, n, params)
-        values = {"ratio": ratio,
-                  "recurrence": elliptic_fibonomial_recurrence(m, n, params),
-                  "tiling_sum": rect_transfer(m, n, partial(_strip_sum, params), 1)}
-        worst = 0.0
-        for u, v in combinations(values.values(), 2):
-            scale = max(abs(u), abs(v))
-            if scale:
-                worst = max(worst, float(abs(u - v) / scale))
+    ratio = elliptic_fibonomial(m, n, params)
+    values = {"ratio": ratio,
+              "recurrence": elliptic_fibonomial_recurrence(m, n, params),
+              "tiling_sum": rect_transfer(m, n, partial(_strip_sum, params), 1)}
+    worst = 0.0
+    for u, v in combinations(values.values(), 2):
+        scale = max(abs(u), abs(v))
+        if scale:
+            worst = max(worst, float(abs(u - v) / scale))
     rep = numeric_report("elliptic-fibonomial", {"m": m, "n": n}, ratio,
                          values["tiling_sum"], params.eq_tol)
     rep.rel_diff = worst
@@ -561,9 +561,8 @@ def elliptic_strip_check(n: int, params: EllipticParams) -> VerificationReport:
     """Sum over (n-1)-strip tilings of prod omega1(i, 1) equals [F_n]."""
     if n < 1:
         raise ValueError("need n >= 1")
-    with _prec_ctx(params):
-        total = _strip_sum(params, 1, n - 1, False)
-        lhs = elliptic_number(fib(n), params)
+    total = _strip_sum(params, 1, n - 1, False)
+    lhs = elliptic_number(fib(n), params)
     return numeric_report("elliptic-strip", {"n": n}, lhs, total, params.eq_tol)
 
 
@@ -573,16 +572,15 @@ def elliptic_spiral_check(m: int, params: EllipticParams) -> VerificationReport:
     [F_k] * [F_k]_{q^{F_2}} (F_2 = 1, so literally the square)."""
     if m < 1:
         raise ValueError("need m >= 1")
-    with _prec_ctx(params):
-        lhs = elliptic_number(fib(m + 2), params) * elliptic_number(fib(m + 1), params)
-        rhs = 0
-        for k in range(1, m + 2):
-            big_omega = 1
-            for i in range(k, m + 1):
-                big_omega = big_omega * omega2(i, 2, params)
-            sq = (elliptic_number(fib(k), params)
-                  * elliptic_number_base(fib(k), fib(2), params))
-            rhs = rhs + big_omega * sq
+    lhs = elliptic_number(fib(m + 2), params) * elliptic_number(fib(m + 1), params)
+    rhs = 0
+    for k in range(1, m + 2):
+        big_omega = 1
+        for i in range(k, m + 1):
+            big_omega = big_omega * omega2(i, 2, params)
+        sq = (elliptic_number(fib(k), params)
+              * elliptic_number_base(fib(k), fib(2), params))
+        rhs = rhs + big_omega * sq
     return numeric_report("elliptic-spiral", {"m": m}, lhs, rhs, params.eq_tol)
 
 
@@ -597,18 +595,17 @@ def elliptic_convolution_check(m: int, n: int, params: EllipticParams) -> Verifi
     """
     if m < 1 or n < 1:
         raise ValueError("need m, n >= 1")
-    with _prec_ctx(params):
-        lhs = elliptic_fibonomial(m, n, params)
-        rhs = 0
-        prod = 1
-        for j in range(n + 1):
-            if j > 0:
-                prod = prod * elliptic_number_base(fib(m + 1), fib(n - j + 1), params)
-            term = (prod
-                    * elliptic_number_base(fib(n - 1 - j), fib(m), params)
-                    * omega2(m, n - j, params)
-                    * elliptic_fibonomial(m - 1, n - j, params))
-            rhs = rhs + term
+    lhs = elliptic_fibonomial(m, n, params)
+    rhs = 0
+    prod = 1
+    for j in range(n + 1):
+        if j > 0:
+            prod = prod * elliptic_number_base(fib(m + 1), fib(n - j + 1), params)
+        term = (prod
+                * elliptic_number_base(fib(n - 1 - j), fib(m), params)
+                * omega2(m, n - j, params)
+                * elliptic_fibonomial(m - 1, n - j, params))
+        rhs = rhs + term
     return numeric_report("elliptic-convolution", {"m": m, "n": n}, lhs, rhs,
                           params.eq_tol)
 
@@ -617,9 +614,8 @@ def elliptic_staircase_check(n: int, k: int, params: EllipticParams) -> Verifica
     """Sum of elliptic weights over (n, k)-staircase tilings, rectangle
     point (k, n - k), equals the elliptic Fibonomial with parts (n-k, k)."""
     _check_staircase(n, k)
-    with _prec_ctx(params):
-        total = rect_transfer(k, n - k, partial(_strip_sum, params), 1)
-        lhs = elliptic_fibonomial(n - k, k, params)
+    total = rect_transfer(k, n - k, partial(_strip_sum, params), 1)
+    lhs = elliptic_fibonomial(n - k, k, params)
     return numeric_report("elliptic-staircase", {"n": n, "k": k}, lhs, total,
                           params.eq_tol)
 

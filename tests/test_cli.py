@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import mpmath
@@ -16,7 +17,7 @@ import fibl
 from fibl import elliptic as ell
 from fibl import qpoly, tilings
 from fibl.cli import main
-from fibl.report import json_text
+from fibl.report import DEFAULT_SEED, json_text
 
 
 def run(capsys, *argv):
@@ -325,6 +326,24 @@ class TestEllipticCommand:
         assert code == 0
         assert double != out
 
+    def test_override_reaches_extended_arithmetic(self, capsys):
+        params = ell.sample_params(DEFAULT_SEED, precision_bits=128)
+        want = complex(ell.elliptic_fibonomial(3, 4, replace(params, q=0.5 + 0.1j)))
+        argv = ("elliptic", "fibonomial", "3", "4", "--q", "0.5+0.1j")
+        code, out, _ = run(capsys, *argv, "--precision", "ext:128")
+        assert code == 0
+        assert out == f"{want.real!r}{want.imag:+}j\n"
+        code, double, _ = run(capsys, *argv)
+        assert code == 0
+        assert double != out
+
+    @pytest.mark.parametrize("override", [("--q", "inf"), ("--a", "nan"), ("--p=-infj",),
+                                          ("--b", "nan+1j")])
+    @pytest.mark.parametrize("precision", ["double", "ext:128"])
+    def test_non_finite_override_is_a_usage_error(self, capsys, precision, override):
+        argv = ("elliptic", "number", "3", "--precision", precision, *override)
+        assert run(capsys, *argv) == (2, "", "error: a, b, q, p must be finite\n")
+
 
 class TestVerifyCommand:
     def test_counterexample_suite(self, capsys):
@@ -336,6 +355,15 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "theta", "--samples", "5")
         assert code == 0
         assert "20/20 checks passed" in out
+
+    def test_extended_theta_csv_bytes(self, capsys):
+        """The theta inputs print at mpmath's default 15 digits, not at the
+        38 of the 128-bit arithmetic that checks them."""
+        code, out, _ = run(capsys, "verify", "theta", "--precision", "ext:128",
+                           "--samples", "3", "--seed", "1", "--format", "csv")
+        assert code == 0
+        assert (hashlib.sha256(out.encode()).hexdigest()
+                == "e310e058904e9f0ab2e15d88739101188b876a9322cce138d5df7bc741635aec")
 
     def test_spiral_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "spiral")

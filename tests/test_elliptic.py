@@ -30,9 +30,8 @@ def params_at(i, **kw):
 
 def _multiplication_report(m, n, p):
     """[m n] against [m] [n]_{q^m}, at the parameters' precision and eq_tol."""
-    with ell._prec_ctx(p):
-        lhs = ell.elliptic_number(m * n, p)
-        rhs = ell.elliptic_number(m, p) * ell.elliptic_number_base(n, m, p)
+    lhs = ell.elliptic_number(m * n, p)
+    rhs = ell.elliptic_number(m, p) * ell.elliptic_number_base(n, m, p)
     return numeric_report("elliptic-multiplication", {"m": m, "n": n}, lhs, rhs, p.eq_tol)
 
 
@@ -432,29 +431,28 @@ def _reference_weight_rect(t, params):
     walk: a horizontal domino ending at (i, r) weighs omega1(i, r), a
     vertical one with top cell (c, j) the transposed omega1(j, c), the
     special one omega2(c, j)."""
-    with ell._prec_ctx(params):
-        _, col_height = rect_path_profile(t.path, t.m, t.n)
-        w = 1
-        for r in range(1, t.n + 1):
-            i = 0
-            for tile in t.rows[r - 1]:
-                if tile == MONOMINO:
-                    i += 1
-                else:
-                    i += 2
-                    w = w * ell.omega1(i, r, params)
-        for c in range(1, t.m + 1):
-            j = col_height[c - 1]
-            for tile in t.cols[c - 1]:
-                if tile == SPECIAL:
-                    w = w * ell.omega2(c, j, params)
-                    j -= 2
-                elif tile == DOMINO:
-                    w = w * ell.omega1(j, c, params)
-                    j -= 2
-                else:
-                    j -= 1
-        return w
+    _, col_height = rect_path_profile(t.path, t.m, t.n)
+    w = 1
+    for r in range(1, t.n + 1):
+        i = 0
+        for tile in t.rows[r - 1]:
+            if tile == MONOMINO:
+                i += 1
+            else:
+                i += 2
+                w = w * ell.omega1(i, r, params)
+    for c in range(1, t.m + 1):
+        j = col_height[c - 1]
+        for tile in t.cols[c - 1]:
+            if tile == SPECIAL:
+                w = w * ell.omega2(c, j, params)
+                j -= 2
+            elif tile == DOMINO:
+                w = w * ell.omega1(j, c, params)
+                j -= 2
+            else:
+                j -= 1
+    return w
 
 
 def _reference_weight_staircase(t, params):
@@ -462,24 +460,23 @@ def _reference_weight_staircase(t, params):
     height: omega1(floor, height), and omega2 at the transposed
     (height, floor) for the special domino."""
     xs, forced = staircase_path_profile(t.path, t.n, t.k)
-    with ell._prec_ctx(params):
-        w = 1
-        for r, (x, f, strip) in enumerate(zip(xs, forced, t.rows), start=1):
-            row_len = t.n - r
-            length = row_len - x if f else x
-            height = 1 + row_len - length
-            done = 0
-            for tile in strip:
-                if tile == MONOMINO:
-                    done += 1
-                    continue
-                floor = length - done if f else done + 2
-                if tile == SPECIAL:
-                    w = w * ell.omega2(height, floor, params)
-                else:
-                    w = w * ell.omega1(floor, height, params)
-                done += 2
-        return w
+    w = 1
+    for r, (x, f, strip) in enumerate(zip(xs, forced, t.rows), start=1):
+        row_len = t.n - r
+        length = row_len - x if f else x
+        height = 1 + row_len - length
+        done = 0
+        for tile in strip:
+            if tile == MONOMINO:
+                done += 1
+                continue
+            floor = length - done if f else done + 2
+            if tile == SPECIAL:
+                w = w * ell.omega2(height, floor, params)
+            else:
+                w = w * ell.omega1(floor, height, params)
+            done += 2
+    return w
 
 
 def _small_tilings():
@@ -609,16 +606,15 @@ class TestStripLemma:
     @pytest.mark.parametrize("bits", [None, 128])
     def test_strip_sums_are_the_closed_forms(self, bits):
         p = params_at(0, precision_bits=bits)
-        with ell._prec_ctx(p):
-            for index in range(1, 9):
-                for length in range(0, 9):
-                    for forced in (False, True):
-                        case = (index, length, forced)
-                        got = ell._strip_sum(p, *case)
-                        want = ell._recurrence_strip(p, *case)
-                        assert numeric_report("strip", {}, got, want, p.eq_tol).passed, case
-                        if not length:
-                            assert got == want == 1, case
+        for index in range(1, 9):
+            for length in range(0, 9):
+                for forced in (False, True):
+                    case = (index, length, forced)
+                    got = ell._strip_sum(p, *case)
+                    want = ell._recurrence_strip(p, *case)
+                    assert numeric_report("strip", {}, got, want, p.eq_tol).passed, case
+                    if not length:
+                        assert got == want == 1, case
 
 
 class TestEllipticTransfer:
@@ -634,18 +630,17 @@ class TestEllipticTransfer:
             p = params_at(i, precision_bits=bits)
             unit = 2.0 ** -(bits or 53)
             table = partial(ell._strip_sum, p)
-            with ell._prec_ctx(p):
-                cases = [(rect_transfer(m, n, table, 1), iter_rect_tilings(m, n), (m, n))
-                         for m in range(0, 5) for n in range(0, 5)]
-                cases += [(rect_transfer(k, n - k, table, 1), iter_staircase_tilings(n, k),
-                           (n, k)) for n in range(0, 7) for k in range(0, n + 1)]
-                for got, tilings, size in cases:
-                    weights = [ell.elliptic_weight(t, p) for t in tilings]
-                    want = 0
-                    for w in weights:
-                        want = want + w
-                    bound = 2 ** 6 * unit * sum(abs(w) for w in weights)
-                    assert abs(got - want) <= bound, size
+            cases = [(rect_transfer(m, n, table, 1), iter_rect_tilings(m, n), (m, n))
+                     for m in range(0, 5) for n in range(0, 5)]
+            cases += [(rect_transfer(k, n - k, table, 1), iter_staircase_tilings(n, k),
+                       (n, k)) for n in range(0, 7) for k in range(0, n + 1)]
+            for got, tilings, size in cases:
+                weights = [ell.elliptic_weight(t, p) for t in tilings]
+                want = 0
+                for w in weights:
+                    want = want + w
+                bound = 2 ** 6 * unit * sum(abs(w) for w in weights)
+                assert abs(got - want) <= bound, size
 
 
 class TestNonFiniteSides:
@@ -732,6 +727,18 @@ class TestSampling:
         with pytest.raises(ValueError):
             ell.EllipticParams(a=0, b=1, q=0.5, p=0.1)
 
+    @pytest.mark.parametrize("field, value", [
+        ("a", complex(math.nan, 0.0)), ("b", complex(0.3, math.nan)), ("q", math.inf),
+        ("p", complex(0.0, -math.inf)), ("q", mpmath.mpc(math.inf, 0.0))])
+    @pytest.mark.parametrize("bits", [None, 128])
+    def test_non_finite_params_rejected(self, field, value, bits):
+        base = params_at(0, precision_bits=bits)
+        with pytest.raises(ValueError, match="^a, b, q, p must be finite$"):
+            replace(base, **{field: value})
+        fields = {"a": 0.5, "b": 0.7j, "q": 0.6, "p": 0.1, field: value}
+        with pytest.raises(ValueError, match="^a, b, q, p must be finite$"):
+            ell.EllipticParams(**fields, precision_bits=bits)
+
 
 class TestExtendedPrecision:
     def test_identities_hit_tight_tolerance(self):
@@ -744,3 +751,29 @@ class TestExtendedPrecision:
         p = ell.sample_params(9, precision_bits=160)
         rep = _multiplication_report(3, 4, p)
         assert rep.passed and rep.rel_diff < 1e-30
+
+    def test_params_carry_their_own_context(self):
+        p = replace(ell.sample_params(9, precision_bits=160), a=0.5 + 0.25j)
+        for value in (p.a, p.b, p.q, p.p, p.rebase(3).q):
+            assert value.context.prec == 160
+        assert complex(p.a) == 0.5 + 0.25j
+        assert ell.elliptic_number(5, p).context.prec == 160
+
+    def test_reports_ignore_the_global_precision(self):
+        """ext:B reports are the same under any ambient mpmath precision,
+        and computing them leaves the global precision as it was."""
+        p = params_at(1, precision_bits=128)
+
+        def reports():
+            ell.omega1.cache_clear()
+            ell.omega2.cache_clear()
+            reps = [ell.elliptic_addition_check(3, 4, p), ell.fib_splitting_check(3, 2, p),
+                    ell.elliptic_theorem_check(2, 3, p), ell.elliptic_strip_check(5, p),
+                    ell.elliptic_staircase_check(5, 2, p)]
+            return [r.to_dict() for r in reps + ell.theta_property_suite(p, 2)]
+
+        want = reports()
+        with mpmath.workprec(300):
+            got = reports()
+        assert got == want
+        assert mpmath.mp.prec == 53
