@@ -379,17 +379,22 @@ def _cmd_elliptic(ns) -> int:
     if overrides:
         from dataclasses import replace
         params = replace(params, **overrides)
-    if ns.what == "number":
-        (n,) = _int_args(ns.args, 1, "elliptic number N")
-        val = ell.elliptic_number(n, params)
-    elif ns.what == "fibonomial":
-        m, n = _int_args(ns.args, 2, "elliptic fibonomial M N")
-        val = ell.elliptic_fibonomial(m, n, params)
-    else:
-        if len(ns.args) != 1:
-            raise ValueError("usage: elliptic theta X")
-        val = ell.theta_value(complex(ns.args[0]), params)
-    cval = complex(val)
+    try:
+        if ns.what == "number":
+            (n,) = _int_args(ns.args, 1, "elliptic number N")
+            val = ell.elliptic_number(n, params)
+        elif ns.what == "fibonomial":
+            m, n = _int_args(ns.args, 2, "elliptic fibonomial M N")
+            val = ell.elliptic_fibonomial(m, n, params)
+        else:
+            if len(ns.args) != 1:
+                raise ValueError("usage: elliptic theta X")
+            val = ell.theta_value(complex(ns.args[0]), params)
+        cval = complex(val)
+    except OverflowError as exc:
+        raise DegenerateParametersError(f"value overflows ({exc})") from None
+    if not (math.isfinite(cval.real) and math.isfinite(cval.imag)):
+        raise DegenerateParametersError(f"value is not finite ({cval})")
     payload = {"what": ns.what, "args": list(ns.args),
                "params": {"a": _cpx(params.a), "b": _cpx(params.b),
                           "q": _cpx(params.q), "p": _cpx(params.p)},

@@ -31,7 +31,10 @@ global setting.  theta computes its truncation depth once from float
 logarithms.  In double precision it multiplies complex factors; in the
 extended mode it multiplies Gaussian integer mantissas of B + 16 bits
 that share one binary exponent and rounds the product once to a B-bit
-mpc, so mpmath's own arithmetic never runs per factor.
+mpc, so mpmath's own arithmetic never runs per factor.  There each term
+is one factor, (1 - p^j x)(1 - p^{j+1}/x) = (1 + p^{2j+1}) - p^j s with
+s = x + p/x formed once per call, and p^j and 1 + p^{2j+1} come from a
+table per nome that every call at that nome shares.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ import math
 import random
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
-from itertools import combinations
+from itertools import chain, combinations, islice
 from typing import Callable, Optional, Sequence
 
 from fibl.errors import DegenerateParametersError
@@ -59,6 +62,7 @@ EXTENDED_TRUNC_EPS = 1e-44
 MAX_RESAMPLES = 100
 
 _MAX_THETA_TERMS = 100_000
+_TABLE_ROWS = 1024          # rows kept per nome table
 _LN2 = math.log(2)
 
 
@@ -203,7 +207,9 @@ def theta(x, p, eps: float = DEFAULT_TRUNC_EPS):
       integer mantissas with a shared binary exponent, carried at B + 16
       bits, and is rounded once to an mpc at B bits, where B is the
       precision of the mpmath context that x carries (p's when x is not
-      an mpmath number); the result belongs to that context.
+      an mpmath number); the result belongs to that context.  Each term
+      is the one factor (1 + p^{2j+1}) - p^j (x + p/x), with p^j and
+      1 + p^{2j+1} read from the nome's cached table (``_theta_ext``).
       theta(1; p) is exactly 0.
 
     Deterministic for fixed inputs.
@@ -259,10 +265,16 @@ def _theta_ext(x, p, eps: float):
     The context ``ctx`` of x, or of p when x is not an mpmath number,
     gives prec, the conversion of the other argument and the result's
     type.  Every value is (a + ib) 2^e with max(|a|, |b|) < 2^W,
-    W = prec + 16, renormalized by bit_length after each multiply.
-    u_j = p^j x and w_j = p^{j+1} / x advance by one multiply by p each,
-    so 1/x is the only division; each factor 1 - u is formed at
-    exponent -W.
+    W = prec + 16.  Each term is one factor,
+
+        (1 - p^j x)(1 - p^{j+1} / x) = (1 + p^{2j+1}) - p^j s,
+        s = x + p / x,
+
+    so s is formed once per call (p / x is the only division) and each
+    term costs one product p^j s, formed at exponent -W and subtracted
+    from 1 + p^{2j+1}, and one product into the running value, which is
+    renormalized by bit_length.  p^j and 1 + p^{2j+1} are the rows of
+    the nome's table, shared by every call at that nome.
     """
     from mpmath.libmp import from_man_exp, round_nearest
 
@@ -281,36 +293,76 @@ def _theta_ext(x, p, eps: float):
     terms = _theta_terms(0.5 * math.log(xn) + xe * _LN2,
                          0.5 * math.log(pn) + pe * _LN2 if pn else None, eps)
 
-    # Products are cut back to `width` bits by k = (bit length - width)
-    # right shifts; `width` in the max keeps k >= 0 for an exact zero.
-    # w_0 = p / x = p conj(x) / |x|^2, the one division
-    s = 2 * width + 1
-    ia, ib = (xa << s) // xn, (-xb << s) // xn
+    # p / x = p conj(x) / |x|^2, the one division
+    k = 2 * width + 1
+    ia, ib = (xa << k) // xn, (-xb << k) // xn
     wa, wb = pa * ia - pb * ib, pa * ib + pb * ia
-    k = max(wa.bit_length(), wb.bit_length(), width) - width
-    wa, wb, we = wa >> k, wb >> k, pe - xe - s + k
-    ua, ub, ue = xa, xb, xe
-    one = 1 << width
+    we = pe - xe - k
+    # s = x + p / x, summed exactly at exponent m, then cut back to
+    # exponent max(log2 |s|, 0) - W - 2: at x = 1 the first term p^0 s is
+    # then exactly the table's 1 + p, and theta(1; p) is exactly 0
+    m = min(xe, we)
+    sa = (xa << (xe - m)) + (wa << (we - m))
+    sb = (xb << (xe - m)) + (wb << (we - m))
+    k = max(sa.bit_length(), sb.bit_length(), -m, width + 2) - width - 2
+    sa, sb, sk = sa >> k, sb >> k, m + k + width
+    # the running value is cut back to W bits by k = (bit length - W)
+    # right shifts; W in the max keeps k >= 0 for an exact zero
     oa, ob, oe = 1, 0, 0
-    for _ in range(terms):
-        k = ue + width                # 1 - u and 1 - w at exponent -W
-        fa, fb = (ua << k, ub << k) if k >= 0 else (ua >> -k, ub >> -k)
-        k = we + width
-        ga, gb = (wa << k, wb << k) if k >= 0 else (wa >> -k, wb >> -k)
-        fa, ga = one - fa, one - ga
-        ha = fa * ga - fb * gb        # (1 - u)(1 - w) = (fa - i fb)(ga - i gb)
-        hb = -(fa * gb + fb * ga)
+    for ca, cb, ce, da, db in _nome_rows(pa, pb, pe, width, terms):
+        ta, tb = ca * sa - cb * sb, ca * sb + cb * sa
+        k = ce + sk                   # p^j s at exponent -W
+        ta, tb = (ta << k, tb << k) if k >= 0 else (ta >> -k, tb >> -k)
+        ha, hb = da - ta, db - tb
         oa, ob = oa * ha - ob * hb, oa * hb + ob * ha
         k = max(oa.bit_length(), ob.bit_length(), width) - width
-        oa, ob, oe = oa >> k, ob >> k, oe - 2 * width + k
-        ua, ub = ua * pa - ub * pb, ua * pb + ub * pa
-        k = max(ua.bit_length(), ub.bit_length(), width) - width
-        ua, ub, ue = ua >> k, ub >> k, ue + pe + k
-        wa, wb = wa * pa - wb * pb, wa * pb + wb * pa
-        k = max(wa.bit_length(), wb.bit_length(), width) - width
-        wa, wb, we = wa >> k, wb >> k, we + pe + k
+        oa, ob, oe = oa >> k, ob >> k, oe - width + k
     return ctx.make_mpc((from_man_exp(oa, oe, prec, round_nearest),
                          from_man_exp(ob, oe, prec, round_nearest)))
+
+
+@lru_cache(maxsize=32)
+def _nome_table(pa: int, pb: int, pe: int, width: int) -> list:
+    """The cached rows of the nome (pa + i pb) 2^pe at mantissa width W:
+    a list that ``_nome_rows`` grows in place to at most _TABLE_ROWS rows,
+    kept for the 32 most recently used nomes."""
+    return []
+
+
+def _nome_rows(pa: int, pb: int, pe: int, width: int, terms: int):
+    """The first ``terms`` rows (ca, cb, ce, da, db) of the nome's table:
+    p^j = (ca + i cb) 2^ce, a W-bit mantissa with its own exponent, and
+    1 + p^{2j+1} = (da + i db) 2^-W.  Rows past _TABLE_ROWS are computed
+    as the caller reads them and not kept.
+    """
+    rows = _nome_table(pa, pb, pe, width)
+    if len(rows) < terms:
+        more = _rows_after(rows[-1] if rows else None, pa, pb, pe, width)
+        rows.extend(islice(more, min(terms, _TABLE_ROWS) - len(rows)))
+        if len(rows) < terms:
+            return chain(rows, islice(more, terms - len(rows)))
+    return rows[:terms]
+
+
+def _rows_after(last, pa: int, pb: int, pe: int, width: int):
+    """The nome's rows after the row ``last`` (from row 0 when it is
+    None), without end.  p^{j+1} is p^j times p and p^{2j+1} is p^j times
+    p^{j+1}, each cut back to W bits, so a row is the same whichever
+    call grew the table."""
+    def times(a, b, e, c, d, f):
+        ra, rb = a * c - b * d, a * d + b * c
+        k = max(ra.bit_length(), rb.bit_length(), width) - width
+        return ra >> k, rb >> k, e + f + k
+
+    ca, cb, ce = (1, 0, 0) if last is None else times(*last[:3], pa, pb, pe)
+    one = 1 << width
+    while True:
+        na, nb, ne = times(ca, cb, ce, pa, pb, pe)
+        da, db, de = times(ca, cb, ce, na, nb, ne)
+        k = de + width
+        da, db = (da << k, db << k) if k >= 0 else (da >> -k, db >> -k)
+        yield ca, cb, ce, one + da, db
+        ca, cb, ce = na, nb, ne
 
 
 def theta_value(x, params: EllipticParams):

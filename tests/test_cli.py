@@ -344,6 +344,13 @@ class TestEllipticCommand:
         argv = ("elliptic", "number", "3", "--precision", precision, *override)
         assert run(capsys, *argv) == (2, "", "error: a, b, q, p must be finite\n")
 
+    @pytest.mark.parametrize("q, why", [("1e100", "value overflows"),     # q ** n raises
+                                        ("3", "value is not finite")])   # nan+nanj
+    def test_out_of_range_value_is_degenerate(self, capsys, q, why):
+        code, out, err = run(capsys, "elliptic", "fibonomial", "6", "6", "--q", q)
+        assert (code, out) == (4, "")
+        assert err.startswith(f"degenerate parameters: {why} (") and err.count("\n") == 1
+
 
 class TestVerifyCommand:
     def test_counterexample_suite(self, capsys):

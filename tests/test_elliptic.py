@@ -155,49 +155,6 @@ def _terms_of_kernel(x, p, eps):
 _phases = st.floats(0.0, 2 * math.pi)
 
 
-def _theta_ext_by_negations(x, p, eps):
-    """ell._theta_ext with its first renormalization rule, kept as a
-    reference: k = max(a, -a, b, -b, half).bit_length() - width."""
-    from mpmath.libmp import from_man_exp, round_nearest
-
-    prec = mpmath.mp.prec
-    width = prec + 16
-    xa, xb, xe = ell._gaussian(x, width)
-    pa, pb, pe = ell._gaussian(p, width)
-    pn = pa * pa + pb * pb
-    xn = xa * xa + xb * xb
-    terms = ell._theta_terms(0.5 * math.log(xn) + xe * ell._LN2,
-                             0.5 * math.log(pn) + pe * ell._LN2 if pn else None, eps)
-    half = 1 << (width - 1)
-    s = 2 * width + 1
-    ia, ib = (xa << s) // xn, (-xb << s) // xn
-    wa, wb = pa * ia - pb * ib, pa * ib + pb * ia
-    k = max(wa, -wa, wb, -wb, half).bit_length() - width
-    wa, wb, we = wa >> k, wb >> k, pe - xe - s + k
-    ua, ub, ue = xa, xb, xe
-    one = 1 << width
-    oa, ob, oe = 1, 0, 0
-    for _ in range(terms):
-        k = ue + width
-        fa, fb = (ua << k, ub << k) if k >= 0 else (ua >> -k, ub >> -k)
-        k = we + width
-        ga, gb = (wa << k, wb << k) if k >= 0 else (wa >> -k, wb >> -k)
-        fa, ga = one - fa, one - ga
-        ha = fa * ga - fb * gb
-        hb = -(fa * gb + fb * ga)
-        oa, ob = oa * ha - ob * hb, oa * hb + ob * ha
-        k = max(oa, -oa, ob, -ob, half).bit_length() - width
-        oa, ob, oe = oa >> k, ob >> k, oe - 2 * width + k
-        ua, ub = ua * pa - ub * pb, ua * pb + ub * pa
-        k = max(ua, -ua, ub, -ub, half).bit_length() - width
-        ua, ub, ue = ua >> k, ub >> k, ue + pe + k
-        wa, wb = wa * pa - wb * pb, wa * pb + wb * pa
-        k = max(wa, -wa, wb, -wb, half).bit_length() - width
-        wa, wb, we = wa >> k, wb >> k, we + pe + k
-    return mpmath.mp.make_mpc((from_man_exp(oa, oe, prec, round_nearest),
-                               from_man_exp(ob, oe, prec, round_nearest)))
-
-
 class TestThetaKernel:
     """ell.theta against the reference loop: bit-identical in double
     precision, within 2^-(B-8) at B bits, with the same truncation depth
@@ -254,20 +211,33 @@ class TestThetaKernel:
             assert j == terms
 
     @pytest.mark.parametrize("bits", [53, 128, 160])
-    def test_ext_renormalization_is_bit_identical(self, bits):
-        """max(a.bit_length(), b.bit_length(), width) renormalizes exactly as
-        max(a, -a, b, -b, 2^(width-1)).bit_length() did, on seeded points
-        and on p = 0 and x = 1."""
+    def test_ext_seeded_points_match_reference(self, bits):
+        """On seeded points, within 2^-(B-8) of the B + 64-bit reference
+        loop stopped at the kernel's depth; exactly 1 - x at p = 0 and
+        exactly 0 at x = 1."""
         rng = random.Random(bits)
         points = [(1, 0.3 - 0.1j), (0.7 - 1.3j, 0), (1, 0)]
         points += [(_polar(rng.uniform(-20, 20), rng.uniform(0, 2 * math.pi)),
                     _polar(rng.uniform(-6, math.log10(0.9)), rng.uniform(0, 2 * math.pi)))
                    for _ in range(40)]
-        with mpmath.workprec(bits):
-            for x, p in points:
+        eps = ell.EXTENDED_TRUNC_EPS
+        for x, p in points:
+            with mpmath.workprec(bits):
                 x, p = mpmath.mpc(x), mpmath.mpc(p)
-                got = ell._theta_ext(x, p, ell.EXTENDED_TRUNC_EPS)
-                assert got._mpc_ == _theta_ext_by_negations(x, p, ell.EXTENDED_TRUNC_EPS)._mpc_
+                got, j = _terms_of_kernel(x, p, eps)
+                if x == 1:
+                    assert got.real == 0 and got.imag == 0
+                    continue
+                if p == 0:
+                    assert got._mpc_ == (1 - x)._mpc_
+                    continue
+            with mpmath.workprec(bits + 64):
+                want = _reference_run(x, p, eps, depth=j)[0]
+                assert abs(got - want) / abs(want) <= mpmath.mpf(2) ** -(bits - 8)
+        with mpmath.workprec(bits):     # a nome with B bits on either side of 2^-W
+            tiny = mpmath.mpc(1, 3) / 7 * mpmath.mpf(2) ** -(bits + 4)
+            got = ell.theta(mpmath.mpc(1), tiny, eps)
+            assert got.real == 0 and got.imag == 0
 
     @pytest.mark.parametrize("bits", [None, 128])
     def test_zero_nome(self, bits):
@@ -286,6 +256,48 @@ class TestThetaKernel:
         with mpmath.workprec(bits):
             got = ell.theta(mpmath.mpc(1), mpmath.mpc(0.3, -0.1), ell.EXTENDED_TRUNC_EPS)
             assert got.real == 0 and got.imag == 0
+
+    def test_nome_table_does_not_depend_on_history(self, monkeypatch):
+        """One (x, p) gives the same bits with a cold nome table, a warm
+        one, one first grown to a larger depth by another x, and with the
+        rows past a small row cap computed as they are read.  At eps =
+        1e-10 the last factor pair shows in the bits."""
+        ctx = ell._context(128)
+        x, far, p = ctx.mpc(0.7, -1.3), ctx.mpc(3e12, -1e12), ctx.mpc(0.2, 0.25)
+        eps = 1e-10
+
+        def run(*args):
+            return [ell.theta(z, p, eps)._mpc_ for z in args]
+
+        ell._nome_table.cache_clear()
+        (cold_x,) = run(x)
+        assert run(x) == [cold_x]
+        ell._nome_table.cache_clear()
+        (cold_far,) = run(far)
+        assert run(x) == [cold_x]
+        ell._nome_table.cache_clear()
+        assert run(x, far, x) == [cold_x, cold_far, cold_x]
+        assert _terms_of_kernel(far, p, eps)[1] > _terms_of_kernel(x, p, eps)[1] + 10
+        monkeypatch.setattr(ell, "_TABLE_ROWS", 3)
+        ell._nome_table.cache_clear()
+        assert run(x, far, x, far) == [cold_x, cold_far, cold_x, cold_far]
+        width = ctx.prec + 16
+        assert len(ell._nome_table(*ell._gaussian(p, width), width)) == 3
+
+    def test_nome_cache_is_bounded_and_shared(self):
+        ctx = ell._context(128)
+        x, eps = ctx.mpc(0.7, -1.3), ell.EXTENDED_TRUNC_EPS
+        ell._nome_table.cache_clear()
+        size = ell._nome_table.cache_info().maxsize
+        assert size is not None
+        for i in range(size + 5):
+            ell.theta(x, ctx.mpc(0.01 * (i + 1), 0.1), eps)
+        assert ell._nome_table.cache_info().currsize == size
+        # a theta-suite sample makes 16 theta calls: 15 at p, one at 0
+        ell._nome_table.cache_clear()
+        rep = ell.theta_property_suite(ell.sample_params(3, precision_bits=128), 1)[0]
+        info = ell._nome_table.cache_info()
+        assert rep.resamples == 0 and (info.misses, info.hits) == (2, 14)
 
     @pytest.mark.parametrize("x, p", [
         (0, 0.1), (0j, 0.1), (0.5, 1), (0.5, 1.2), (0.5, 1j), (0.5, -1.0),
