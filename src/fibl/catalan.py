@@ -110,8 +110,7 @@ def _ratio_verdict(num_factors: Iterable[int], den_factors: Iterable[int]) -> Po
     partial numerator degree.
     """
     num = list(num_factors)
-    for degree in accumulate(t - 1 for t in num):
-        _ensure_cap(degree)
+    _check_partial_degrees(num)
     divided, rest = cyclotomic_split(num, den_factors)
     if rest:
         return PolynomialityVerdict(False, remainder_degree=_remainder_degree(num, divided, rest))
@@ -120,6 +119,12 @@ def _ratio_verdict(num_factors: Iterable[int], den_factors: Iterable[int]) -> Po
     nonneg = lohi is None or lohi[0] >= 0
     return PolynomialityVerdict(True, quotient=IntPoly._wrap(quotient),
                                 all_coeffs_nonnegative=nonneg, coeff_range=lohi)
+
+
+def _check_partial_degrees(num: list) -> None:
+    """Apply the degree cap to every partial numerator degree."""
+    for degree in accumulate(t - 1 for t in num):
+        _ensure_cap(degree)
 
 
 def _remainder_degree(num: list, divided: list, rest: list) -> Optional[int]:
@@ -138,10 +143,15 @@ def q_fibo_catalan_rational(m: int, n: int) -> PolynomialityVerdict:
     """Verdict for prod_{k<=m+n-1} [F_k] / (prod_{k<=m} [F_k] prod_{k<=n} [F_k])."""
     if m < 1 or n < 1:
         raise ValueError("need m, n >= 1")
+    return _ratio_verdict(*_rational_factors(m, n))
+
+
+def _rational_factors(m: int, n: int) -> tuple[list, list]:
+    """The rational expression's numerator and denominator indices.  At a
+    fixed max(m, n) both lists for min(m, n) are prefixes of those for
+    any larger min(m, n)."""
     lo, hi = sorted((m, n))
-    return _ratio_verdict(
-        (fib(k) for k in range(hi + 1, m + n)),
-        (fib(k) for k in range(1, lo + 1)))
+    return [fib(k) for k in range(hi + 1, m + n)], [fib(k) for k in range(1, lo + 1)]
 
 
 @dataclass(frozen=True)
@@ -162,22 +172,27 @@ def q_fibo_catalan_positivity_sweep(max_mn: int) -> list[SweepRow]:
 
     Quotients are summarized (degree and coefficient range), not retained:
     the largest ones run to degrees near 10**6.  Symmetric pairs are
-    computed once and reported in both orders.
+    computed once and reported in both orders.  The degree cap is checked
+    for every pair, in output order, before any quotient is built.
+
+    At a fixed n the quotients for m <= n are prefix ratios,
+    Q(m + 1, n) = Q(m, n) [F_{m+n}] / [F_{m+1}], so each one starts the
+    ratio engine from the last polynomial quotient at that n (over any
+    pairs skipped for their gcd) and only the last is kept.
     """
     if max_mn < 2:
         raise ValueError("need max >= 2")
+    pairs = [(m, n) for m in range(1, max_mn + 1) for n in range(m, max_mn + 1)
+             if math.gcd(m, n) in (1, 2)]
+    for m, n in pairs:
+        _check_partial_degrees(_rational_factors(m, n)[0])
     rows = {}
-    for m in range(1, max_mn + 1):
-        for n in range(m, max_mn + 1):
+    for n in range(1, max_mn + 1):
+        last = []
+        for m in range(1, n + 1):
             g = math.gcd(m, n)
-            if g not in (1, 2):
-                continue
-            verdict = q_fibo_catalan_rational(m, n)
-            if verdict.is_polynomial:
-                lo, hi = verdict.coeff_range or (0, 0)
-                rows[(m, n)] = SweepRow(m, n, g, True, verdict.quotient.degree, lo, hi)
-            else:
-                rows[(m, n)] = SweepRow(m, n, g, False, None, None, None)
+            if g in (1, 2):
+                rows[(m, n)] = _chained_row(m, n, g, last)
     out = []
     for m in range(1, max_mn + 1):
         for n in range(1, max_mn + 1):
@@ -187,6 +202,20 @@ def q_fibo_catalan_positivity_sweep(max_mn: int) -> list[SweepRow]:
                 out.append(SweepRow(m, n, r.gcd, r.is_polynomial, r.degree,
                                     r.min_coeff, r.max_coeff))
     return out
+
+
+def _chained_row(m: int, n: int, g: int, last: list) -> SweepRow:
+    """Sweep row (m, n), m <= n.  ``last`` holds at most the (quotient,
+    num, den) of the last polynomial row at this n; the ratio engine pops
+    it and frees that quotient after its first window, and a polynomial
+    row is pushed in its place."""
+    num, den = _rational_factors(m, n)
+    if cyclotomic_split(num, den)[1]:
+        return SweepRow(m, n, g, False, None, None, None)
+    quotient = q_ratio_coeffs(num, den, last)
+    lo, hi = kernels.coeff_min_max(quotient) or (0, 0)
+    last.append((quotient, num, den))
+    return SweepRow(m, n, g, True, len(quotient) - 1, lo, hi)
 
 
 def sweep_csv_lines(rows: list[SweepRow]) -> list[str]:

@@ -11,8 +11,10 @@ Every q-number [t]_{q^s} is palindromic, and so is every product of
 them.  ``mul_qnumber`` sees this in its input: a palindromic factor with
 a nonzero last coefficient gives a palindromic product, so the window
 sum runs over the low half only and the high half is its mirror image.
-The exact division stays full length, since its exactness test reads the
-tail of the series.
+``div_qnumber`` does the same for a palindromic dividend whose divisor
+is no longer than the quotient: it sums the series over the dividend's
+low half and reads exactness from the series' own mirror symmetry
+instead of from its tail.
 
 Everything here is exact integer arithmetic; no kernel ever rounds.
 """
@@ -88,6 +90,18 @@ def div_qnumber(coeffs, t, stride=1):
     input is divisible iff the series stops at the target degree
     deg(r) - (t-1)s; past deg(r) + s it repeats with period ts, so the ts
     coefficients after the target settle it.
+
+    Half length: when r equals its reverse, ends in a nonzero coefficient
+    and (t-1)s <= target, the series is summed only up to M = floor(D/2),
+    D = deg(r), and the division is exact iff p[j] = p[target-j] for
+    floor(target/2) < j <= M (M <= target, so both indices exist).
+    Proof: let Q be the palindrome of degree target with Q[j] = p[j] for
+    j <= floor(target/2).  If the test holds, Q[j] = p[target-j] = p[j]
+    up to M as well, so Q [t]_{q^s} agrees with p [t]_{q^s} = r up to M.
+    Both are palindromes of degree D, and each j > M mirrors to
+    D - j <= M, so Q [t]_{q^s} = r.  Conversely, an exact quotient of two
+    palindromes is a palindrome equal to the series, so the test holds.
+    Every other input takes the full sum.
     """
     if t <= 0:
         raise ZeroDivisionError("division by zero polynomial")
@@ -98,6 +112,16 @@ def div_qnumber(coeffs, t, stride=1):
     if target < 0:
         # shorter than the divisor: exact only for the zero polynomial
         return None if any(coeffs) else []
+    if (t - 1) * stride <= target and coeffs[-1] and coeffs == coeffs[::-1]:
+        # the series' length M + 1 exceeds s, as D >= 2(t-1)s >= 2s; a
+        # longer stride has (t-1)s > target and takes the full sum
+        m = (len(coeffs) - 1) // 2 + 1
+        p = _window_sum(coeffs[:m], [0] * stride + coeffs[:m - stride], ts)
+        half = target // 2 + 1
+        if p[target - m + 1:target - half + 1] != p[:half - 1:-1]:
+            return None
+        del p[half:]
+        return p + p[(target + 1) // 2 - 1::-1] if target else p
     p = _window_sum(coeffs + [0] * stride, [0] * stride + coeffs, ts)
     if any(p[target + 1:]):
         return None

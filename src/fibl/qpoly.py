@@ -331,7 +331,7 @@ def cyclotomic_split(num: Iterable[int], den: Iterable[int]) -> tuple[list, list
     return den, []
 
 
-def q_ratio_coeffs(num: Iterable[int], den: Iterable[int]) -> list:
+def q_ratio_coeffs(num: Iterable[int], den: Iterable[int], start: list | None = None) -> list:
     """Dense coefficients of prod [t] over num / prod [t] over den (all t >= 1).
 
     A denominator factor [t] pairs with a numerator factor [u], t | u, as
@@ -342,31 +342,54 @@ def q_ratio_coeffs(num: Iterable[int], den: Iterable[int]) -> list:
     [ns] / [s] adding Phi_d for every d | ns with d not dividing s.  After
     each window, every pending [t] (in descending order) whose Phi_d,
     d | t, d > 1, are all counted is divided out and its Phi_d are taken
-    off the count.  [1] is never divided.  Polynomiality is proved by the
-    cyclotomic count, by every division being exact and by the value at
-    q = 1; any failure raises NotPolynomialError.  The degree cap is the
+    off the count.  [1] is never divided.
+
+    ``start``, if not empty, is a list holding one (quotient, num0, den0):
+    the list this function returned for num0 and den0, prefixes of num
+    and den.  The count then starts at the cyclotomic factors of num0 less
+    those of den0, the partial product at that quotient, and only the
+    factors after the prefixes are paired, windowed and divided.  The
+    entry is popped from ``start``, so a caller that keeps no other
+    reference to the quotient has it freed after the first window.
+
+    Polynomiality is proved by the cyclotomic count over the full lists,
+    by every division being exact and by the value at q = 1 of the full
+    lists; any failure raises NotPolynomialError.  The degree cap is the
     caller's to check.
     """
     num, den = list(num), list(den)
     if min(num + den, default=1) < 1:
         raise ValueError("q-number indices must be >= 1")
-    den, rest = cyclotomic_split(num, den)
+    split, rest = cyclotomic_split(num, den)
     if rest:
         raise NotPolynomialError(f"the numerator's cyclotomic factors miss [{rest[0]}]")
-    windows = [(u, 1) for u in sorted(num)]      # [t]_{q^stride} as (t, stride)
+    phi = Counter()
+    out = [1]
+    new_num, new_den = num, split
+    if start:
+        out, num0, den0 = start.pop()
+        if num[:len(num0)] != list(num0) or den[:len(den0)] != list(den0):
+            raise ValueError("the start's factor lists must be prefixes of num and den")
+        for t in num0:
+            phi.update(_cyclotomic_indices(t))
+        for t in den0:
+            phi.subtract(_cyclotomic_indices(t))
+        new_num, new_den = num[len(num0):], sorted(den[len(den0):], reverse=True)
+    windows = [(u, 1) for u in sorted(new_num)]      # [t]_{q^stride} as (t, stride)
     pending = []
-    for t in den:
+    for t in new_den:
         i = next((i for i, (u, s) in enumerate(windows) if s == 1 and u % t == 0), None)
         if i is None:
             if t > 1:
                 pending.append(t)
         else:
             windows[i] = (windows[i][0] // t, t)
-    phi = Counter()
-    out = [1]
-    for t, stride in sorted(windows, key=lambda w: (w[0] - 1) * w[1]):
-        out = kernels.mul_qnumber(out, t, stride)
-        phi.update(d for d in _cyclotomic_indices(t * stride) if stride % d)
+    # None first: a start may already cover a pending factor
+    for window in [None] + sorted(windows, key=lambda w: (w[0] - 1) * w[1]):
+        if window is not None:
+            t, stride = window
+            out = kernels.mul_qnumber(out, t, stride)
+            phi.update(d for d in _cyclotomic_indices(t * stride) if stride % d)
         waiting = []
         for u in pending:
             indices = _cyclotomic_indices(u)

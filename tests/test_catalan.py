@@ -9,6 +9,7 @@ from fibl.catalan import (_REMAINDER_WORK_LIMIT, CoxeterType, coxeter_catalan_q1
                           q_fibo_catalan_divisibility_check,
                           q_fibo_catalan_ordinary, q_fibo_catalan_positivity_sweep,
                           q_fibo_catalan_rational, sweep_csv_lines)
+from fibl.errors import ResourceLimitError
 from fibl.fib import fib
 from fibl.qpoly import IntPoly, long_division
 
@@ -90,6 +91,51 @@ class TestSweep:
         lines = sweep_csv_lines(q_fibo_catalan_positivity_sweep(3))
         assert lines[0] == "m,n,gcd,is_polynomial,degree,min_coeff,max_coeff"
         assert all(len(line.split(",")) == 7 for line in lines)
+
+
+class TestChainedSweep:
+    """Each sweep quotient at a fixed n starts from the last polynomial
+    one at that n; the oracle is the from-scratch verdict."""
+
+    def test_chain_matches_from_scratch(self):
+        for n in range(1, 12):
+            start = []
+            for m in range(1, n + 1):
+                if math.gcd(m, n) > 2:
+                    continue
+                num = [fib(k) for k in range(n + 1, m + n)]
+                den = [fib(k) for k in range(1, m + 1)]
+                quotient = qpoly.q_ratio_coeffs(num, den, start)
+                assert quotient == qpoly.q_ratio_coeffs(num, den)
+                assert start == []
+                start.append((quotient, num, den))
+
+    def test_every_row_matches_the_rational_verdict(self):
+        rows = q_fibo_catalan_positivity_sweep(12)
+        assert len(rows) == sum(math.gcd(m, n) in (1, 2)
+                                for m in range(1, 13) for n in range(1, 13))
+        for r in rows:
+            verdict = q_fibo_catalan_rational(r.m, r.n)
+            assert r.is_polynomial == verdict.is_polynomial
+            assert r.degree == verdict.degree
+            assert (r.min_coeff, r.max_coeff) == verdict.coeff_range
+
+    def test_cap_is_checked_for_every_pair_before_any_quotient(self, monkeypatch):
+        calls = []
+        real_mul = kernels.mul_qnumber
+
+        def mul_qnumber(*args):
+            calls.append(args[1:])
+            return real_mul(*args)
+        monkeypatch.setattr(kernels, "mul_qnumber", mul_qnumber)
+        old = qpoly.set_degree_cap(5000)
+        try:
+            with pytest.raises(ResourceLimitError,
+                               match="^polynomial degree 6382 exceeds the degree cap 5000$"):
+                q_fibo_catalan_positivity_sweep(12)
+        finally:
+            qpoly.set_degree_cap(old)
+        assert calls == []
 
 
 class TestDivisibilityIdentity:

@@ -154,6 +154,10 @@ class TestCatalanCommand:
                      marks=pytest.mark.skipif(not os.environ.get("FIBL_SLOW_TESTS"),
                                               reason="~1 s, ~80 MB peak; "
                                                      "set FIBL_SLOW_TESTS=1 to run")),
+        pytest.param("16", "41e73d34958d70cc1a80ba9eb3022b7d6c7c0fabde1fcdab50b502c429c7a415",
+                     marks=pytest.mark.skipif(not os.environ.get("FIBL_SLOW_TESTS"),
+                                              reason="~3 s, ~150 MB peak; "
+                                                     "set FIBL_SLOW_TESTS=1 to run")),
     ])
     def test_sweep_csv_digest(self, capsys, top, digest):
         code, out, _ = run(capsys, "catalan", "sweep", "--max", top, "--format", "csv")

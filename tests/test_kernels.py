@@ -163,6 +163,91 @@ def test_mul_qnumber_full_sum_is_dense_product(p, t, s):
         list(p), naive_qnumber(t, s))
 
 
+# div_qnumber's half-length path: a palindrome r with a nonzero last
+# coefficient and (t-1)s <= target sums its series to M = floor(deg r / 2)
+# and tests the rest by mirroring.  The oracles are long division and the
+# full-length sum, which the same polynomial reaches with a trailing zero.
+def takes_half_path(r, t, s):
+    target = len(r) - 1 - (t - 1) * s
+    return t > 1 and bool(r) and r[-1] != 0 and r == r[::-1] and (t - 1) * s <= target
+
+
+def check_division(r, t, s):
+    """div_qnumber(r) against long division and against the full sum."""
+    res = long_division(IntPoly(r), IntPoly(naive_qnumber(t, s)))
+    want = list(res.quotient.coeffs) if res.remainder.is_zero() else None
+    assert kernels.div_qnumber(list(r), t, s) == want
+    assert kernels.div_qnumber(list(r) + [0], t, s) == want
+    return want
+
+
+qnumber_factors = st.lists(st.tuples(st.integers(min_value=1, max_value=7),
+                                     st.integers(min_value=1, max_value=4)), max_size=4)
+
+
+def qnumber_product(factors):
+    out = [1]
+    for a, b in factors:
+        out = kernels.mul_dense(out, naive_qnumber(a, b))
+    return out
+
+
+@given(qnumber_factors, half_t, half_s, st.booleans(),
+       st.integers(min_value=0, max_value=40), st.integers(min_value=-2, max_value=2))
+def test_div_qnumber_on_qnumber_products(factors, t, s, divisible, at, bump):
+    r = qnumber_product(factors)
+    if divisible:
+        r = kernels.mul_dense(r, naive_qnumber(t, s))
+    # a bump at j and at its mirror keeps r a palindrome, mostly not divisible
+    j = at % len(r)
+    r[j] += bump
+    if len(r) - 1 - j != j:
+        r[len(r) - 1 - j] += bump
+    check_division(r, t, s)
+
+
+@given(palindromes(), half_t, half_s)
+def test_div_qnumber_half_path_inverts_mul(p, t, s):
+    r = kernels.mul_dense(list(p), naive_qnumber(t, s))
+    assert kernels.div_qnumber(list(r), t, s) == p
+
+
+@pytest.mark.parametrize("r, t, s, want", [
+    ([1, 2, 3, 2, 1], 3, 1, [1, 1, 1]),                 # [3][3] / [3]: M = target
+    ([1, 2, 4, 2, 1], 3, 1, None),                      # its middle coefficient off
+    ([1, 3, 3, 3, 1], 3, 1, None),
+    ([1, 1, 2, 2, 2, 2, 1, 1], 2, 1, [1, 0, 2, 0, 2, 0, 1]),
+    ([1, 1, 2, 2, 3, 2, 2, 1, 1], 3, 1, [1, 0, 1, 1, 1, 0, 1]),
+    ([1, 1, 2, 2, 4, 2, 2, 1, 1], 3, 1, None),          # D even, middle off
+    ([1, 1, 1, 1, 1, 1], 3, 1, [1, 0, 0, 1]),           # [6] / [3]
+    ([1, 1, 1, 1, 1, 1], 2, 3, [1, 1, 1]),              # (t-1)s = 3 > target = 2
+    ([1, 0, 0, 1], 2, 3, [1]),                          # stride 3 > M + 1 = 2
+    ([1, 0, 0, 0, 0, 1], 2, 5, [1]),
+    ([1, 0, 0, 0, 0, 1], 2, 4, None),
+    ([2, 2, 0], 2, 1, [2]),                             # trailing zero: full sum
+    ([1, 2, 1, 0, 0], 2, 1, [1, 1]),
+    ([1, 3, 2], 2, 1, [1, 2]),                          # not a palindrome
+    ([1, 3, 3], 2, 1, None),
+])
+def test_div_qnumber_cases(r, t, s, want):
+    assert check_division(r, t, s) == want
+
+
+@pytest.mark.parametrize("r, t, s", [
+    ([1, 2, 3, 2, 1], 3, 1), ([1, 2, 4, 2, 1], 3, 1), ([1, 1, 1, 1, 1, 1], 3, 1),
+    ([1, 1, 2, 2, 2, 2, 1, 1], 2, 1), ([1, 0, 2, 0, 2, 0, 1], 2, 2)])
+def test_div_qnumber_sums_half_of_a_palindrome(monkeypatch, r, t, s):
+    real_sum, lengths = kernels._window_sum, []
+
+    def window_sum(a, b, step):
+        lengths.append(len(a))
+        return real_sum(a, b, step)
+    monkeypatch.setattr(kernels, "_window_sum", window_sum)
+    assert takes_half_path(r, t, s)
+    kernels.div_qnumber(list(r), t, s)
+    assert lengths == [(len(r) - 1) // 2 + 1]
+
+
 # mul_dense is Kronecker substitution; the oracle is the schoolbook product.
 def schoolbook(a, b):
     out = [0] * max(len(a) + len(b) - 1, 0)

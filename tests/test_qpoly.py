@@ -247,6 +247,29 @@ class TestRatioEngine:
         with pytest.raises(ValueError):
             q_ratio_coeffs([3, 0], [])
 
+    @given(_polynomial_ratios(), st.data())
+    def test_start_matches_from_scratch(self, ratio, data):
+        num, den = ratio
+        den = data.draw(st.permutations(den))
+        i = data.draw(st.integers(min_value=0, max_value=len(num)))
+        j = data.draw(st.integers(min_value=0, max_value=len(den)))
+        if cyclotomic_split(num[:i], den[:j])[1]:
+            j = 0
+        start = [(q_ratio_coeffs(num[:i], den[:j]), num[:i], den[:j])]
+        assert q_ratio_coeffs(num, den, start) == q_ratio_coeffs(num, den)
+        assert start == []
+
+    def test_start_may_cover_a_pending_factor(self):
+        # [6] / [2] from the start [6]: [2] is divided before any window
+        start = [(q_ratio_coeffs([6], []), [6], [])]
+        assert q_ratio_coeffs([6], [2], start) == [1, 0, 1, 0, 1]
+
+    def test_start_factors_must_be_prefixes(self):
+        with pytest.raises(ValueError):
+            q_ratio_coeffs([2, 3], [1], [([1, 1, 1], [3], [])])
+        with pytest.raises(ValueError):
+            q_ratio_coeffs([6], [2], [([1, 1, 1, 1, 1, 1], [6], [3])])
+
 
 def test_ratio_engine_sums_the_low_half_of_each_window(monkeypatch):
     """The largest row of `catalan sweep --max 9`, (m, n) = (8, 9): every
