@@ -23,8 +23,9 @@ from typing import Iterable, Optional
 
 from fibl import kernels
 from fibl.fib import fib
-from fibl.qpoly import (IntPoly, _ensure_cap, cyclotomic_split, long_division,
-                        q_fibonomial, q_ratio_coeffs)
+from fibl.errors import NotPolynomialError
+from fibl.qpoly import (IntPoly, _ensure_cap, long_division, q_fibonomial, q_ratio_coeffs,
+                        ratio_poly)
 from fibl.report import VerificationReport, exact_report
 
 # long-division fallback for remainders is skipped above this work estimate
@@ -111,14 +112,17 @@ def _ratio_verdict(num_factors: Iterable[int], den_factors: Iterable[int]) -> Po
     """
     num = list(num_factors)
     _check_partial_degrees(num)
-    divided, rest = cyclotomic_split(num, den_factors)
-    if rest:
-        return PolynomialityVerdict(False, remainder_degree=_remainder_degree(num, divided, rest))
-    quotient = q_ratio_coeffs(num, divided)
-    lohi = kernels.coeff_min_max(quotient)
-    nonneg = lohi is None or lohi[0] >= 0
-    return PolynomialityVerdict(True, quotient=IntPoly._wrap(quotient),
-                                all_coeffs_nonnegative=nonneg, coeff_range=lohi)
+    try:
+        half, length = q_ratio_coeffs(num, den_factors)
+    except NotPolynomialError as exc:
+        if exc.split is None:
+            raise
+        return PolynomialityVerdict(False, remainder_degree=_remainder_degree(num, *exc.split))
+    lohi = kernels.coeff_min_max(half)
+    dense = kernels.unfold(half, length)
+    del half            # before the tuple copy: only list slots, the coefficients are shared
+    return PolynomialityVerdict(True, quotient=IntPoly._wrap(dense),
+                                all_coeffs_nonnegative=lohi[0] >= 0, coeff_range=lohi)
 
 
 def _check_partial_degrees(num: list) -> None:
@@ -134,8 +138,7 @@ def _remainder_degree(num: list, divided: list, rest: list) -> Optional[int]:
     divisor_len = sum(t - 1 for t in rest) + 1
     if quotient_len * divisor_len > _REMAINDER_WORK_LIMIT:
         return None
-    res = long_division(IntPoly(q_ratio_coeffs(num, divided)),
-                        IntPoly(q_ratio_coeffs(rest, ())))
+    res = long_division(ratio_poly(num, divided), ratio_poly(rest, ()))
     return res.remainder.degree
 
 
@@ -208,14 +211,19 @@ def _chained_row(m: int, n: int, g: int, last: list) -> SweepRow:
     """Sweep row (m, n), m <= n.  ``last`` holds at most the (quotient,
     num, den) of the last polynomial row at this n; the ratio engine pops
     it and frees that quotient after its first window, and a polynomial
-    row is pushed in its place."""
+    row is pushed in its place.  The quotient stays in the engine's half
+    form: its range is that of its low half."""
     num, den = _rational_factors(m, n)
-    if cyclotomic_split(num, den)[1]:
+    try:
+        quotient = q_ratio_coeffs(num, den, last)
+    except NotPolynomialError as exc:
+        if exc.split is None:
+            raise
         return SweepRow(m, n, g, False, None, None, None)
-    quotient = q_ratio_coeffs(num, den, last)
-    lo, hi = kernels.coeff_min_max(quotient) or (0, 0)
+    half, length = quotient
+    lo, hi = kernels.coeff_min_max(half)
     last.append((quotient, num, den))
-    return SweepRow(m, n, g, True, len(quotient) - 1, lo, hi)
+    return SweepRow(m, n, g, True, length - 1, lo, hi)
 
 
 def sweep_csv_lines(rows: list[SweepRow]) -> list[str]:

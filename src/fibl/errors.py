@@ -25,12 +25,15 @@ class NotPolynomialError(ArithmeticError):
     failure: the verdicts in fibl.catalan record it without raising.
     ``remainder`` is the IntPoly remainder when the division was performed
     by long division, or None when the ratio engine (qpoly.q_ratio_coeffs)
-    detected inexactness without materializing a remainder.
+    detected inexactness without materializing a remainder.  ``split`` is
+    the engine's (covered, uncovered) denominator split when its
+    cyclotomic count found the ratio not polynomial, else None.
     """
 
-    def __init__(self, message: str, remainder=None):
+    def __init__(self, message: str, remainder=None, split=None):
         super().__init__(message)
         self.remainder = remainder
+        self.split = split
 
 
 class DegenerateParametersError(ArithmeticError):

@@ -8,21 +8,23 @@ per-coefficient work in C through ``accumulate`` and ``map``; the dense
 product packs both factors into one big integer each.
 
 Every q-number [t]_{q^s} is palindromic, and so is every product of
-them.  ``mul_qnumber`` sees this in its input: a palindromic factor with
-a nonzero last coefficient gives a palindromic product, so the window
-sum runs over the low half only and the high half is its mirror image.
-``div_qnumber`` does the same for a palindromic dividend whose divisor
-is no longer than the quotient: it sums the series over the dividend's
-low half and reads exactness from the series' own mirror symmetry
-instead of from its tail.
+them.  The ratio engine therefore keeps each partial product as its low
+half, the first ceil(n/2) of its n coefficients, and passes the length
+along: with ``length`` given, ``mul_qnumber`` and ``div_qnumber`` take a
+low half and return one.  The product's window sum runs over the low half
+only; the division sums its series over the dividend's low half and reads
+exactness from the series' own mirror symmetry instead of from its tail.
+``unfold`` restores the dense list.  A dense input that equals its
+reverse and ends in a nonzero coefficient takes the same half arithmetic
+and is unfolded after it; any other dense input takes the full sum.
 
 Everything here is exact integer arithmetic; no kernel ever rounds.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, repeat
-from operator import add, sub
+from itertools import accumulate, chain, repeat
+from operator import add, le, sub
 
 # window sums with at least this step go block by block (see _window_sum)
 _BLOCK_STEP = 24
@@ -35,98 +37,160 @@ def trim(coeffs):
     return coeffs
 
 
-def _window_sum(a, b, step):
-    """Return the list y of len(a) with y[i] = a[i] - b[i] + y[i - step],
-    where y[i] = a[i] - b[i] for i < step; b is at least as long as a.
+def _diffs(a, shift, lo, hi, step=1):
+    """Iterate over a[i] - a[i - shift] for i = lo, lo + step, ... < hi,
+    where a[i - shift] is 0 for i < shift; those leading terms are a[i]
+    itself, with no subtraction."""
+    mid = lo if lo >= shift else min(hi, lo + -(-(shift - lo) // step) * step)
+    return chain(a[lo:mid:step], map(sub, a[mid:hi:step], a[mid - shift:hi - shift:step]))
+
+
+def _window_sum(a, shift, step):
+    """Return the list y of len(a) with y[i] = a[i] - a[i - shift] + y[i - step],
+    where a term at a negative index is 0.
 
     Small steps sum along the ``step`` residue classes; larger ones go
     block by block, which reads memory in order.  Either way the
     interpreter loops at most max(_BLOCK_STEP, len(a) / _BLOCK_STEP) times
     and the per-coefficient work runs in C.
     """
+    n = len(a)
     if step == 1:
-        return list(accumulate(map(sub, a, b)))
+        return list(accumulate(_diffs(a, shift, 0, n)))
     if step < _BLOCK_STEP:
-        y = [0] * len(a)
+        y = [0] * n
         for j in range(step):
-            y[j::step] = accumulate(map(sub, a[j::step], b[j::step]))
+            y[j::step] = accumulate(_diffs(a, shift, j, n, step))
         return y
-    y = list(map(sub, a[:step], b[:step]))
-    for k in range(step, len(a), step):
-        y += map(add, map(sub, a[k:k + step], b[k:k + step]), y[k - step:k])
+    y = list(_diffs(a, shift, 0, min(step, n)))
+    for k in range(step, n, step):
+        y += map(add, _diffs(a, shift, k, min(k + step, n)), y[k - step:k])
     return y
 
 
-def mul_qnumber(coeffs, t, stride=1):
+def unfold(half, length):
+    """The palindrome of ``length`` coefficients whose low half is ``half``.
+
+    The low half of a palindrome of length n is its first ceil(n/2)
+    coefficients; the rest mirror it.
+    """
+    return half + half[:length // 2][::-1]
+
+
+def _prefix(half, length, k):
+    """The first k coefficients of the palindrome ``unfold(half, length)``,
+    zeros past its end."""
+    if k <= len(half):
+        return half[:k]
+    m = min(k, length)
+    return half + half[length - m:length - len(half)][::-1] + [0] * (k - m)
+
+
+def mul_qnumber(coeffs, t, stride=1, length=None):
     """Multiply ``coeffs`` by 1 + q^s + q^{2s} + ... + q^{(t-1)s}.
 
     Uses [t]_{q^s} = (1 - q^{ts}) / (1 - q^s): the product r is p - q^{ts} p
-    summed with stride s, r[i] = p[i] - p[i-ts] + r[i-s].  When p equals
-    its reverse and ends in a nonzero coefficient, the product of length
-    n = len(p) + (t-1)s has r[i] = r[n-1-i] (a product of palindromes),
-    so only r[i], i < ceil(n/2), is summed and the rest is mirrored.
-    Returns a new trimmed list; t = 0 gives the zero polynomial.
+    summed with stride s, r[i] = p[i] - p[i-ts] + r[i-s].
+
+    With ``length``, ``coeffs`` is the low half of a palindrome p of that
+    length, t >= 1, and the low half of the product, a palindrome of length
+    n = length + (t-1)s, is returned: only r[i], i < ceil(n/2), is summed.
+    Without it, ``coeffs`` is a dense list and a new trimmed list is
+    returned; one that equals its reverse and ends in a nonzero
+    coefficient takes the half sum and is unfolded, any other the full
+    sum.  t = 0 gives the zero polynomial.
     """
+    if length is not None:
+        return _mul_half(coeffs, length, t, stride)
     if t <= 0 or not coeffs:
         return []
     if t == 1:
         return trim(list(coeffs))
-    ts = t * stride
     if coeffs[-1] and coeffs == coeffs[::-1]:
-        n = len(coeffs) + ts - stride          # >= 2 (t >= 2), so n // 2 - 1 >= 0
-        half = (n + 1) // 2
-        low = _window_sum(coeffs[:half] + [0] * (half - len(coeffs)),
-                          [0] * min(ts, half) + coeffs[:max(half - ts, 0)], stride)
-        return low + low[n // 2 - 1::-1]
-    return trim(_window_sum(coeffs + [0] * (ts - stride), [0] * ts + coeffs, stride))
+        n = len(coeffs)
+        return unfold(_mul_half(coeffs[:(n + 1) // 2], n, t, stride), n + (t - 1) * stride)
+    ts = t * stride
+    return trim(_window_sum(coeffs + [0] * (ts - stride), ts, stride))
 
 
-def div_qnumber(coeffs, t, stride=1):
+def _mul_half(half, length, t, stride):
+    if t == 1:
+        return list(half)
+    n = length + (t - 1) * stride
+    return _window_sum(_prefix(half, length, (n + 1) // 2), t * stride, stride)
+
+
+def div_qnumber(coeffs, t, stride=1, length=None):
     """Exactly divide ``coeffs`` by 1 + q^s + ... + q^{(t-1)s}.
 
-    Returns the quotient list, or None when the division is not exact.
-    The power series of r / [t]_{q^s} = r (1 - q^s) / (1 - q^{ts}) is
-    r - q^s r summed with period ts, p[i] = r[i] - r[i-s] + p[i-ts].  The
-    input is divisible iff the series stops at the target degree
-    deg(r) - (t-1)s; past deg(r) + s it repeats with period ts, so the ts
-    coefficients after the target settle it.
+    Returns the quotient, or None when the division is not exact.  The
+    power series of r / [t]_{q^s} = r (1 - q^s) / (1 - q^{ts}) is r - q^s r
+    summed with period ts, p[i] = r[i] - r[i-s] + p[i-ts].  The input is
+    divisible iff the series stops at the target degree deg(r) - (t-1)s;
+    past deg(r) + s it repeats with period ts, so the ts coefficients
+    after the target settle it.
 
-    Half length: when r equals its reverse, ends in a nonzero coefficient
-    and (t-1)s <= target, the series is summed only up to M = floor(D/2),
-    D = deg(r), and the division is exact iff p[j] = p[target-j] for
-    floor(target/2) < j <= M (M <= target, so both indices exist).
-    Proof: let Q be the palindrome of degree target with Q[j] = p[j] for
+    With ``length``, ``coeffs`` is the low half of a palindrome r of that
+    length and the low half of the quotient, a palindrome of length
+    length - (t-1)s, is returned.  Without it, ``coeffs`` is a dense list
+    and the quotient comes back trimmed; one that equals its reverse and
+    ends in a nonzero coefficient is divided as its low half and the
+    quotient unfolded, any other takes the full sum.
+
+    Half length: when (t-1)s <= target, the series is summed only up to
+    M = floor(D/2), D = deg(r), over the low half of r, and the division
+    is exact iff p[j] = p[target-j] for floor(target/2) < j <= M (the
+    mirror test; M <= target, so both indices exist).  Proof: let Q be
+    the palindrome of degree target with Q[j] = p[j] for
     j <= floor(target/2).  If the test holds, Q[j] = p[target-j] = p[j]
     up to M as well, so Q [t]_{q^s} agrees with p [t]_{q^s} = r up to M.
     Both are palindromes of degree D, and each j > M mirrors to
     D - j <= M, so Q [t]_{q^s} = r.  Conversely, an exact quotient of two
     palindromes is a palindrome equal to the series, so the test holds.
-    Every other input takes the full sum.
+    A longer divisor takes the full sum over the unfolded palindrome.
     """
     if t <= 0:
         raise ZeroDivisionError("division by zero polynomial")
+    if length is not None:
+        return _div_half(coeffs, length, t, stride)
     if t == 1:
         return trim(list(coeffs))
-    ts = t * stride
     target = len(coeffs) - 1 - (t - 1) * stride
+    if target >= 0 and coeffs[-1] and coeffs == coeffs[::-1]:
+        half = _div_half(coeffs[:(len(coeffs) + 1) // 2], len(coeffs), t, stride)
+        return None if half is None else unfold(half, target + 1)
+    p = _div_series(coeffs, t, stride)
+    return None if p is None else trim(p)
+
+
+def _div_half(half, length, t, stride):
+    if t == 1:
+        return list(half)
+    target = length - 1 - (t - 1) * stride
+    if (t - 1) * stride > target:
+        p = _div_series(unfold(half, length), t, stride)
+        return None if p is None else p[:(target + 2) // 2]
+    m = len(half)
+    p = _window_sum(half, stride, t * stride)
+    h = target // 2 + 1
+    if p[target - m + 1:target - h + 1] != p[:h - 1:-1]:
+        return None
+    del p[h:]
+    return p
+
+
+def _div_series(r, t, stride):
+    """The series of r / [t]_{q^s} cut at the target degree, or None when
+    it does not stop there; a list shorter than the divisor is exact only
+    when it is zero."""
+    target = len(r) - 1 - (t - 1) * stride
     if target < 0:
-        # shorter than the divisor: exact only for the zero polynomial
-        return None if any(coeffs) else []
-    if (t - 1) * stride <= target and coeffs[-1] and coeffs == coeffs[::-1]:
-        # the series' length M + 1 exceeds s, as D >= 2(t-1)s >= 2s; a
-        # longer stride has (t-1)s > target and takes the full sum
-        m = (len(coeffs) - 1) // 2 + 1
-        p = _window_sum(coeffs[:m], [0] * stride + coeffs[:m - stride], ts)
-        half = target // 2 + 1
-        if p[target - m + 1:target - half + 1] != p[:half - 1:-1]:
-            return None
-        del p[half:]
-        return p + p[(target + 1) // 2 - 1::-1] if target else p
-    p = _window_sum(coeffs + [0] * stride, [0] * stride + coeffs, ts)
+        return None if any(r) else []
+    p = _window_sum(r + [0] * stride, stride, t * stride)
     if any(p[target + 1:]):
         return None
     del p[target + 1:]
-    return trim(p)
+    return p
 
 
 def _pack(coeffs, width):
@@ -183,7 +247,19 @@ def mul_dense(a, b):
 
 def scan_unimodal(coeffs):
     """True iff the dense sequence (a list or tuple; only read) is
-    non-decreasing then non-increasing."""
+    non-decreasing then non-increasing.
+
+    A palindrome is iff its low half is non-decreasing, since a descent
+    inside the low half mirrors to a rise after it; that test runs in C.
+    Any other sequence takes the one-pass loop.
+    """
+    if coeffs == coeffs[::-1]:
+        half = coeffs[:(len(coeffs) + 1) // 2]
+        return all(map(le, half, half[1:]))
+    return _rises_then_falls(coeffs)
+
+
+def _rises_then_falls(coeffs):
     rising = True
     prev = None
     for c in coeffs:
@@ -198,7 +274,8 @@ def scan_unimodal(coeffs):
 
 
 def coeff_min_max(coeffs):
-    """Return (min, max) over the dense coefficients, or None if empty."""
+    """Return (min, max) over the coefficients, or None if empty; the low
+    half of a palindrome has the palindrome's range."""
     if not coeffs:
         return None
     return min(coeffs), max(coeffs)

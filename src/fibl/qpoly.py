@@ -331,8 +331,12 @@ def cyclotomic_split(num: Iterable[int], den: Iterable[int]) -> tuple[list, list
     return den, []
 
 
-def q_ratio_coeffs(num: Iterable[int], den: Iterable[int], start: list | None = None) -> list:
-    """Dense coefficients of prod [t] over num / prod [t] over den (all t >= 1).
+def q_ratio_coeffs(num: Iterable[int], den: Iterable[int],
+                   start: list | None = None) -> tuple[list, int]:
+    """prod [t] over num / prod [t] over den (all t >= 1), as (half, length):
+    the quotient is a palindrome of ``length`` coefficients, and ``half``
+    is its low half, the first ceil(length/2); ``kernels.unfold(half,
+    length)`` gives the dense coefficients.
 
     A denominator factor [t] pairs with a numerator factor [u], t | u, as
     [u/t]_{q^t}; the resulting windows are multiplied out in ascending
@@ -342,10 +346,12 @@ def q_ratio_coeffs(num: Iterable[int], den: Iterable[int], start: list | None = 
     [ns] / [s] adding Phi_d for every d | ns with d not dividing s.  After
     each window, every pending [t] (in descending order) whose Phi_d,
     d | t, d > 1, are all counted is divided out and its Phi_d are taken
-    off the count.  [1] is never divided.
+    off the count.  [1] is never divided.  Every partial product is a
+    palindrome, so each one is kept, multiplied and divided as its low
+    half.
 
     ``start``, if not empty, is a list holding one (quotient, num0, den0):
-    the list this function returned for num0 and den0, prefixes of num
+    the pair this function returned for num0 and den0, prefixes of num
     and den.  The count then starts at the cyclotomic factors of num0 less
     those of den0, the partial product at that quotient, and only the
     factors after the prefixes are paired, windowed and divided.  The
@@ -354,20 +360,22 @@ def q_ratio_coeffs(num: Iterable[int], den: Iterable[int], start: list | None = 
 
     Polynomiality is proved by the cyclotomic count over the full lists,
     by every division being exact and by the value at q = 1 of the full
-    lists; any failure raises NotPolynomialError.  The degree cap is the
-    caller's to check.
+    lists; any failure raises NotPolynomialError, which carries
+    ``cyclotomic_split(num, den)`` as ``split`` when the count failed.
+    The degree cap is the caller's to check.
     """
     num, den = list(num), list(den)
     if min(num + den, default=1) < 1:
         raise ValueError("q-number indices must be >= 1")
     split, rest = cyclotomic_split(num, den)
     if rest:
-        raise NotPolynomialError(f"the numerator's cyclotomic factors miss [{rest[0]}]")
+        raise NotPolynomialError(f"the numerator's cyclotomic factors miss [{rest[0]}]",
+                                 split=(split, rest))
     phi = Counter()
-    out = [1]
+    out, length = [1], 1
     new_num, new_den = num, split
     if start:
-        out, num0, den0 = start.pop()
+        (out, length), num0, den0 = start.pop()
         if num[:len(num0)] != list(num0) or den[:len(den0)] != list(den0):
             raise ValueError("the start's factor lists must be prefixes of num and den")
         for t in num0:
@@ -388,7 +396,8 @@ def q_ratio_coeffs(num: Iterable[int], den: Iterable[int], start: list | None = 
     for window in [None] + sorted(windows, key=lambda w: (w[0] - 1) * w[1]):
         if window is not None:
             t, stride = window
-            out = kernels.mul_qnumber(out, t, stride)
+            out = kernels.mul_qnumber(out, t, stride, length)
+            length += (t - 1) * stride
             phi.update(d for d in _cyclotomic_indices(t * stride) if stride % d)
         waiting = []
         for u in pending:
@@ -396,16 +405,25 @@ def q_ratio_coeffs(num: Iterable[int], den: Iterable[int], start: list | None = 
             if not all(phi[d] for d in indices):
                 waiting.append(u)
                 continue
-            out = kernels.div_qnumber(out, u)
+            out = kernels.div_qnumber(out, u, 1, length)
             if out is None:
                 raise NotPolynomialError(f"internal error: exact division by [{u}] failed")
+            length -= u - 1
             phi.subtract(indices)
         pending = waiting
     if pending:
         raise NotPolynomialError(f"internal error: [{pending[0]}] was never divided out")
-    if sum(out) * math.prod(den) != math.prod(num):
+    # the q = 1 value of the palindrome: each coefficient of the low half
+    # twice, the middle one of an odd length once
+    value = 2 * sum(out) - (out[-1] if length % 2 else 0)
+    if value * math.prod(den) != math.prod(num):
         raise NotPolynomialError("internal error: quotient does not match its value at q = 1")
-    return out
+    return out, length
+
+
+def ratio_poly(num: Iterable[int], den: Iterable[int]) -> IntPoly:
+    """The quotient of q_ratio_coeffs(num, den) as an IntPoly."""
+    return IntPoly._wrap(kernels.unfold(*q_ratio_coeffs(num, den)))
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +435,7 @@ def q_fib_factorial(n: int) -> IntPoly:
         raise ValueError("factorial index must be >= 0")
     factors = [fib(k) for k in range(1, n + 1)]
     _ensure_cap(sum(t - 1 for t in factors))
-    return IntPoly._wrap(q_ratio_coeffs(factors, ()))
+    return ratio_poly(factors, ())
 
 
 def q_fibonomial(m: int, n: int) -> IntPoly:
@@ -438,8 +456,8 @@ def q_fibonomial(m: int, n: int) -> IntPoly:
 @lru_cache(maxsize=256)
 def _q_fibonomial_cached(m: int, n: int) -> IntPoly:
     lo, hi = sorted((m, n))
-    return IntPoly._wrap(q_ratio_coeffs((fib(k) for k in range(hi + 1, m + n + 1)),
-                                        (fib(k) for k in range(1, lo + 1))))
+    return ratio_poly((fib(k) for k in range(hi + 1, m + n + 1)),
+                      (fib(k) for k in range(1, lo + 1)))
 
 
 q_fibonomial.cache_info = _q_fibonomial_cached.cache_info
@@ -511,10 +529,10 @@ def spiral_identity_check(m: int) -> VerificationReport:
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    lhs = IntPoly._wrap(q_ratio_coeffs((fib(m + 2), fib(m + 1)), ()))
+    lhs = ratio_poly((fib(m + 2), fib(m + 1)), ())
     rhs = _ZERO
     for k in range(1, m + 2):
-        sq = IntPoly._wrap(q_ratio_coeffs((fib(k), fib(k)), ()))
+        sq = ratio_poly((fib(k), fib(k)), ())
         rhs = rhs + sq.shift(spiral_exponent(k, m))
     return exact_report("q-spiral", {"m": m}, lhs, rhs)
 

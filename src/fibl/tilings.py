@@ -61,7 +61,7 @@ from typing import Callable, Iterator, Optional
 
 from fibl.errors import ResourceLimitError
 from fibl.fib import fib
-from fibl.qpoly import IntPoly, fibonomial_int, q_ratio_coeffs
+from fibl.qpoly import IntPoly, fibonomial_int, ratio_poly
 from fibl.report import VerificationReport, exact_report
 
 DEFAULT_ENUMERATION_CAP = 10**8
@@ -642,8 +642,8 @@ def catalan_partial_tiling_counterexample(size: int = 6) -> VerificationReport:
         counts[e] = counts.get(e, 0) + 1
         total += 1
     tiling_sum = _poly_from_counts(counts)
-    catalan_poly = IntPoly(q_ratio_coeffs((fib(k) for k in range(n + 2, 2 * n + 1)),
-                                          (fib(k) for k in range(1, n + 1))))
+    catalan_poly = ratio_poly((fib(k) for k in range(n + 2, 2 * n + 1)),
+                              (fib(k) for k in range(1, n + 1)))
     rep = exact_report("catalan-partial-tiling-counterexample", {"size": size},
                        catalan_poly, tiling_sum, expected="unequal")
     rep.notes["catalan_poly_at_1"] = catalan_poly.eval_q1()

@@ -4,7 +4,8 @@ import os
 import pytest
 
 from fibl import kernels, qpoly
-from fibl.catalan import (_REMAINDER_WORK_LIMIT, CoxeterType, coxeter_catalan_q1,
+from fibl.catalan import (_REMAINDER_WORK_LIMIT, CoxeterType, _chained_row,
+                          _rational_factors, coxeter_catalan_q1,
                           coxeter_exponents, coxeter_q_fibo_catalan,
                           q_fibo_catalan_divisibility_check,
                           q_fibo_catalan_ordinary, q_fibo_catalan_positivity_sweep,
@@ -119,6 +120,25 @@ class TestChainedSweep:
             assert r.is_polynomial == verdict.is_polynomial
             assert r.degree == verdict.degree
             assert (r.min_coeff, r.max_coeff) == verdict.coeff_range
+
+    def test_one_cyclotomic_split_per_row(self, monkeypatch):
+        calls = []
+        real_split = qpoly.cyclotomic_split
+
+        def cyclotomic_split(num, den):
+            calls.append((num, den))
+            return real_split(num, den)
+        monkeypatch.setattr(qpoly, "cyclotomic_split", cyclotomic_split)
+        rows = q_fibo_catalan_positivity_sweep(9)
+        assert len(calls) == sum(r.m <= r.n for r in rows)
+        # a row the count rejects leaves the chain's start in place
+        num, den = _rational_factors(2, 6)
+        start = (qpoly.q_ratio_coeffs(num, den), num, den)
+        last = [start]
+        calls.clear()
+        row = _chained_row(3, 6, 3, last)
+        assert sweep_csv_lines([row])[1] == "3,6,3,false,,,"
+        assert last == [start] and len(calls) == 1
 
     def test_cap_is_checked_for_every_pair_before_any_quotient(self, monkeypatch):
         calls = []

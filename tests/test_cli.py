@@ -499,19 +499,34 @@ def test_reports_are_emitted_in_sort_key_order():
         assert [id(r) for r in _sorted_reports(order)] == [id(r) for r in want]
 
 
-@pytest.mark.skipif(not os.environ.get("FIBL_SLOW_TESTS"),
-                    reason="~1 s, ~80 MB peak; set FIBL_SLOW_TESTS=1 to run")
-def test_sweep_15_peak_memory_slow():
-    # A child's ru_maxrss starts at the RSS of the process that spawned it,
-    # here the test runner; so a small launcher runs the sweep and reports
-    # the ru_maxrss of its own children (KiB on Linux).
-    launcher = ("import resource, subprocess, sys; "
-                "subprocess.run(sys.argv[1:], check=True, stdout=subprocess.DEVNULL); "
-                "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
-    proc = _run_python("-c", launcher, sys.executable, "-m", "fibl",
-                       "catalan", "sweep", "--max", "15")
+def _run_measured(*args):
+    """(sha256 of stdout, peak RSS in MB) of ``python -m fibl *args``.
+
+    A child's ru_maxrss starts at the RSS of the process that spawned it,
+    here the test runner; so a small launcher runs the command and reports
+    the ru_maxrss of its own children (KiB on Linux)."""
+    launcher = ("import hashlib, resource, subprocess, sys; "
+                "out = subprocess.run(sys.argv[1:], check=True, stdout=subprocess.PIPE).stdout; "
+                "print(hashlib.sha256(out).hexdigest(), "
+                "resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
+    proc = _run_python("-c", launcher, sys.executable, "-m", "fibl", *args)
     assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) / 1024 < 120
+    digest, kib = proc.stdout.split()
+    return digest, int(kib) / 1024
+
+
+@pytest.mark.skipif(not os.environ.get("FIBL_SLOW_TESTS"),
+                    reason="~1 s, ~55 MB peak; set FIBL_SLOW_TESTS=1 to run")
+def test_sweep_15_peak_memory_slow():
+    assert _run_measured("catalan", "sweep", "--max", "15")[1] < 120
+
+
+@pytest.mark.skipif(not os.environ.get("FIBL_SLOW_TESTS"),
+                    reason="~5 s, ~290 MB peak; set FIBL_SLOW_TESTS=1 to run")
+def test_sweep_17_csv_digest_and_peak_memory_slow():
+    digest, mb = _run_measured("catalan", "sweep", "--max", "17", "--format", "csv")
+    assert digest == "a16df9cdc979738b06d0278215cc2372b878c1140d30d2ad811c5a2f1da82f93"
+    assert mb < 512
 
 
 def test_python_dash_m_runs_the_cli():

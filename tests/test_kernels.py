@@ -5,7 +5,7 @@ division, schoolbook multiplication)."""
 from operator import gt, indexOf, lt
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from fibl import kernels
 from fibl.qpoly import IntPoly, long_division
@@ -83,6 +83,27 @@ def test_scan_unimodal_matches_maps(coeffs):
     assert kernels.scan_unimodal(tuple(coeffs)) == _scan_unimodal_by_maps(coeffs)
 
 
+# A palindrome is unimodal iff its low half is non-decreasing; the
+# oracles are the one-pass loop kept for other input and the two maps.
+unimodal_seqs = st.lists(st.integers(min_value=-2, max_value=3), max_size=12)
+
+
+@given(unimodal_seqs | unimodal_seqs.map(lambda h: h + h[::-1])
+       | unimodal_seqs.map(lambda h: h + h[-2::-1]))
+def test_scan_unimodal_of_palindromes_matches_the_loop(coeffs):
+    want = kernels._rises_then_falls(coeffs)
+    assert want == _scan_unimodal_by_maps(coeffs)
+    assert kernels.scan_unimodal(coeffs) == want
+    assert kernels.scan_unimodal(tuple(coeffs)) == want
+
+
+@pytest.mark.parametrize("coeffs, want", [
+    ([1, 2, 2, 1], True), ([1, 2, 1, 2, 1], False), ([1, 0, 1], False),
+    ([0, 1, 0], True), ([2, 2, 2], True), ([1, 3, 2, 3, 1], False), ([3, 1, 3], False)])
+def test_scan_unimodal_palindrome_cases(coeffs, want):
+    assert kernels.scan_unimodal(coeffs) == kernels._rises_then_falls(coeffs) == want
+
+
 def test_coeff_min_max():
     assert kernels.coeff_min_max([]) is None
     assert kernels.coeff_min_max([4]) == (4, 4)
@@ -90,6 +111,16 @@ def test_coeff_min_max():
 
 
 small_polys = st.lists(st.integers(min_value=-50, max_value=50), max_size=20)
+
+
+@given(st.lists(st.integers(min_value=-50, max_value=50), max_size=90),
+       st.integers(min_value=1, max_value=100), st.integers(min_value=1, max_value=40))
+def test_window_sum_follows_its_recurrence(a, shift, step):
+    # steps below and above _BLOCK_STEP, shifts below, at and past len(a)
+    y = []
+    for i, v in enumerate(a):
+        y.append(v - (a[i - shift] if i >= shift else 0) + (y[i - step] if i >= step else 0))
+    assert kernels._window_sum(list(a), shift, step) == y
 
 
 @given(small_polys, st.integers(min_value=1, max_value=8),
@@ -246,6 +277,113 @@ def test_div_qnumber_sums_half_of_a_palindrome(monkeypatch, r, t, s):
     assert takes_half_path(r, t, s)
     kernels.div_qnumber(list(r), t, s)
     assert lengths == [(len(r) - 1) // 2 + 1]
+
+
+# The half form: a palindrome of length n passed as its first ceil(n/2)
+# coefficients, with n.  The oracles are mul_dense and long division on
+# the unfolded lists.
+def low_half(p):
+    return p[:(len(p) + 1) // 2]
+
+
+def q1_value(half, length):
+    """The value at q = 1 of the palindrome unfold(half, length)."""
+    return 2 * sum(half) - (half[-1] if length % 2 else 0)
+
+
+@given(palindromes() | qnumber_factors.map(qnumber_product), half_t,
+       st.integers(min_value=1, max_value=30))
+def test_mul_qnumber_on_halves_is_dense_product(p, t, s):
+    want = kernels.mul_dense(list(p), naive_qnumber(t, s))
+    got = kernels.mul_qnumber(low_half(p), t, s, len(p))
+    assert got == low_half(want)
+    assert kernels.unfold(got, len(want)) == want
+
+
+def check_half_division(r, t, s):
+    """div_qnumber on the low half of r against long division of r."""
+    res = long_division(IntPoly(r), IntPoly(naive_qnumber(t, s)))
+    got = kernels.div_qnumber(low_half(r), t, s, len(r))
+    if not res.remainder.is_zero():
+        assert got is None
+        return None
+    want = list(res.quotient.coeffs)
+    assert len(want) == len(r) - (t - 1) * s
+    assert got == low_half(want)
+    assert kernels.unfold(got, len(want)) == want
+    return want
+
+
+@given(qnumber_factors, half_t, half_s, st.booleans(),
+       st.integers(min_value=0, max_value=40), st.integers(min_value=-2, max_value=2))
+def test_div_qnumber_on_halves_agrees_with_long_division(factors, t, s, divisible, at, bump):
+    r = qnumber_product(factors)
+    if divisible:
+        r = kernels.mul_dense(r, naive_qnumber(t, s))
+    j = at % len(r)
+    r[j] += bump
+    if len(r) - 1 - j != j:
+        r[len(r) - 1 - j] += bump
+    assume(r[0] != 0)
+    check_half_division(r, t, s)
+
+
+@given(palindromes(), half_t, half_s)
+def test_div_qnumber_on_halves_inverts_mul(p, t, s):
+    r = kernels.mul_dense(list(p), naive_qnumber(t, s))
+    assert check_half_division(r, t, s) == p
+
+
+@pytest.mark.parametrize("r, t, s, want", [
+    ([1, 2, 3, 2, 1], 3, 1, [1, 1, 1]),                 # odd lengths
+    ([1, 2, 4, 2, 1], 3, 1, None),
+    ([1, 1, 2, 2, 2, 2, 1, 1], 2, 1, [1, 0, 2, 0, 2, 0, 1]),   # even, odd
+    ([1, 1, 2, 1, 1], 2, 1, None),
+    ([1, 1, 1, 1, 1, 1], 3, 1, [1, 0, 0, 1]),           # even, even
+    ([1, 1, 1, 1, 1, 1], 1, 4, [1, 1, 1, 1, 1, 1]),     # t = 1
+    ([1, 0, 2, 0, 3, 0, 2, 0, 1], 3, 2, [1, 0, 1, 0, 1]),      # stride > 1
+    ([1, 0, 2, 0, 4, 0, 2, 0, 1], 3, 2, None),
+    # divisors longer than the quotient take the full sum
+    ([1, 1, 1, 1, 1, 1], 2, 3, [1, 1, 1]),
+    ([1, 0, 0, 1], 2, 3, [1]),
+    ([1, 0, 0, 0, 0, 1], 2, 5, [1]),
+    ([1, 0, 0, 0, 0, 1], 2, 4, None),
+    ([1, 0, 1, 0, 1, 0, 1], 4, 2, [1]),
+    ([1, 1, 2, 1, 1], 3, 2, None),
+])
+def test_div_qnumber_on_halves_cases(r, t, s, want):
+    assert check_half_division(r, t, s) == want
+
+
+@given(palindromes() | qnumber_factors.map(qnumber_product), half_t, half_s, st.data())
+def test_div_qnumber_on_halves_rejects_a_changed_coefficient(q, t, s, data):
+    # one coefficient of the dividend's low half off by one: the kernel
+    # returns None, or a quotient whose value at q = 1 gives it away
+    r = kernels.mul_dense(list(q), naive_qnumber(t, s))
+    half = low_half(r)
+    half[data.draw(st.integers(min_value=0, max_value=len(half) - 1))] += \
+        data.draw(st.sampled_from((-1, 1)))
+    got = kernels.div_qnumber(half, t, s, len(r))
+    assert got is None or q1_value(got, len(q)) != q1_value(low_half(q), len(q))
+
+
+@pytest.mark.parametrize("t, s", [(2, 1), (3, 1), (2, 3), (5, 2)])
+def test_div_qnumber_on_halves_rejects_every_changed_coefficient(t, s):
+    q = [1, 2, 3, 5, 5, 3, 2, 1]
+    r = kernels.mul_dense(q, naive_qnumber(t, s))
+    for j in range(len(low_half(r))):
+        for bump in (-1, 1):
+            half = low_half(r)
+            half[j] += bump
+            got = kernels.div_qnumber(half, t, s, len(r))
+            assert got is None or q1_value(got, len(q)) != q1_value(low_half(q), len(q))
+
+
+def test_unfold():
+    assert kernels.unfold([1, 2, 3], 5) == [1, 2, 3, 2, 1]
+    assert kernels.unfold([1, 2, 3], 6) == [1, 2, 3, 3, 2, 1]
+    assert kernels.unfold([7], 1) == [7]
+    assert kernels.unfold([], 0) == []
 
 
 # mul_dense is Kronecker substitution; the oracle is the schoolbook product.

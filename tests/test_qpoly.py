@@ -206,7 +206,7 @@ class TestRatioEngine:
             with pytest.raises(NotPolynomialError):
                 q_ratio_coeffs(num, den)
         else:
-            assert IntPoly(q_ratio_coeffs(num, den)) == res.quotient
+            assert IntPoly(kernels.unfold(*q_ratio_coeffs(num, den))) == res.quotient
 
     @given(_polynomial_ratios())
     @example(([6], [3, 2, 1]))          # [2] and [1] left unpaired
@@ -215,7 +215,7 @@ class TestRatioEngine:
     @example(([2, 3, 5, 8, 13, 21], [8, 5, 3, 2, 1, 1]))
     def test_matches_multiply_then_divide(self, ratio):
         num, den = ratio
-        assert q_ratio_coeffs(num, den) == _multiply_then_divide(num, den)
+        assert kernels.unfold(*q_ratio_coeffs(num, den)) == _multiply_then_divide(num, den)
 
     def test_divides_as_soon_as_covered_and_never_by_one(self, monkeypatch):
         # windows [2]_{q^3} = [6]/[3] and [2]_{q^5} = [10]/[5], in that
@@ -224,19 +224,19 @@ class TestRatioEngine:
         events = []
         mul, div = kernels.mul_qnumber, kernels.div_qnumber
 
-        def spy_mul(coeffs, t, stride=1):
+        def spy_mul(coeffs, t, stride=1, length=None):
             events.append(("mul", t, stride))
-            return mul(coeffs, t, stride)
+            return mul(coeffs, t, stride, length)
 
-        def spy_div(coeffs, t, stride=1):
+        def spy_div(coeffs, t, stride=1, length=None):
             events.append(("div", t))
-            return div(coeffs, t, stride)
+            return div(coeffs, t, stride, length)
         monkeypatch.setattr(kernels, "mul_qnumber", spy_mul)
         monkeypatch.setattr(kernels, "div_qnumber", spy_div)
         got = q_ratio_coeffs([6, 10], [5, 3, 2, 1])
         assert events == [("mul", 2, 3), ("div", 2), ("mul", 2, 5)]
         monkeypatch.undo()
-        assert got == _multiply_then_divide([6, 10], [5, 3, 2, 1])
+        assert kernels.unfold(*got) == _multiply_then_divide([6, 10], [5, 3, 2, 1])
 
     def test_split_is_descending_and_stops_at_the_first_shortfall(self):
         # [5][12]/([2][3][4]): [4] and [3] are covered by [12], [2] is not
@@ -262,28 +262,30 @@ class TestRatioEngine:
     def test_start_may_cover_a_pending_factor(self):
         # [6] / [2] from the start [6]: [2] is divided before any window
         start = [(q_ratio_coeffs([6], []), [6], [])]
-        assert q_ratio_coeffs([6], [2], start) == [1, 0, 1, 0, 1]
+        assert q_ratio_coeffs([6], [2], start) == ([1, 0, 1], 5)
 
     def test_start_factors_must_be_prefixes(self):
         with pytest.raises(ValueError):
-            q_ratio_coeffs([2, 3], [1], [([1, 1, 1], [3], [])])
+            q_ratio_coeffs([2, 3], [1], [(([1, 1], 3), [3], [])])
         with pytest.raises(ValueError):
-            q_ratio_coeffs([6], [2], [([1, 1, 1, 1, 1, 1], [6], [3])])
+            q_ratio_coeffs([6], [2], [(([1, 1, 1], 6), [6], [3])])
 
 
 def test_ratio_engine_sums_the_low_half_of_each_window(monkeypatch):
     """The largest row of `catalan sweep --max 9`, (m, n) = (8, 9): every
-    partial product of the chain is palindromic, so each window sum inside
-    mul_qnumber covers ceil(n/2) of the product's n coefficients."""
+    partial product of the chain is palindromic and passed as its low
+    half, so each window sum inside mul_qnumber covers ceil(n/2) of the
+    product's n coefficients."""
     num = [fib(k) for k in range(10, 17)]
     den = [fib(k) for k in range(1, 9)]
     real_mul, real_sum = kernels.mul_qnumber, kernels._window_sum
     inside, seen = [], []
 
-    def mul_qnumber(coeffs, t, stride=1):
-        inside.append((len(coeffs) + (t - 1) * stride + 1) // 2)
+    def mul_qnumber(coeffs, t, stride=1, length=None):
+        assert len(coeffs) == (length + 1) // 2
+        inside.append((length + (t - 1) * stride + 1) // 2)
         try:
-            return real_mul(coeffs, t, stride)
+            return real_mul(coeffs, t, stride, length)
         finally:
             inside.pop()
 
@@ -306,7 +308,31 @@ def test_ratio_engine_sums_the_low_half_of_each_window(monkeypatch):
         chains.append(IntPoly(chain))
     res = long_division(*chains)
     assert res.remainder.is_zero()
-    assert got == list(res.quotient.coeffs)
+    assert kernels.unfold(*got) == list(res.quotient.coeffs)
+
+
+@pytest.mark.parametrize("bump", (-1, 1))
+def test_ratio_engine_rejects_a_changed_partial_product(monkeypatch, bump):
+    """One coefficient of one partial product's low half off by one, at
+    either end or inside: a later exact division or the check at q = 1
+    raises, so the changed quotient is never returned."""
+    num = [fib(k) for k in range(10, 17)]
+    den = [fib(k) for k in range(1, 9)]
+    real_mul = kernels.mul_qnumber
+    for call in range(len(num)):
+        for where in (0, 1, 2):
+            seen = []
+
+            def mul_qnumber(coeffs, t, stride=1, length=None):
+                out = real_mul(coeffs, t, stride, length)
+                if len(seen) == call:
+                    out[(len(out) - 1) * where // 2] += bump
+                seen.append(t)
+                return out
+            monkeypatch.setattr(kernels, "mul_qnumber", mul_qnumber)
+            with pytest.raises(NotPolynomialError, match="^internal error"):
+                q_ratio_coeffs(num, den)
+            assert len(seen) > call
 
 
 class TestFactorial:
