@@ -17,7 +17,7 @@ canonical witness that Fibonacci-coprimality alone is not enough.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Iterable, Optional
 
@@ -89,17 +89,30 @@ class CoxeterType:
 
 @dataclass
 class PolynomialityVerdict:
-    """Outcome of an exact-division polynomiality test."""
+    """Outcome of an exact-division polynomiality test.
+
+    A polynomial quotient is kept as the ratio engine returned it: its
+    low half and its length.  ``quotient`` unfolds it into a dense
+    IntPoly on each read, so a caller that needs only the degree, the
+    signs or the range never holds the dense coefficients.
+    """
 
     is_polynomial: bool
-    quotient: Optional[IntPoly] = None
+    half: Optional[list] = field(default=None, repr=False)
+    length: Optional[int] = None
     remainder_degree: Optional[int] = None
     all_coeffs_nonnegative: Optional[bool] = None
     coeff_range: Optional[tuple[int, int]] = None     # quotient's (min, max)
 
     @property
+    def quotient(self) -> Optional[IntPoly]:
+        if self.half is None:
+            return None
+        return IntPoly._wrap(kernels.unfold(self.half, self.length))
+
+    @property
     def degree(self) -> Optional[int]:
-        return self.quotient.degree if self.quotient is not None else None
+        return None if self.length is None else self.length - 1
 
 
 def _ratio_verdict(num_factors: Iterable[int], den_factors: Iterable[int]) -> PolynomialityVerdict:
@@ -119,9 +132,7 @@ def _ratio_verdict(num_factors: Iterable[int], den_factors: Iterable[int]) -> Po
             raise
         return PolynomialityVerdict(False, remainder_degree=_remainder_degree(num, *exc.split))
     lohi = kernels.coeff_min_max(half)
-    dense = kernels.unfold(half, length)
-    del half            # before the tuple copy: only list slots, the coefficients are shared
-    return PolynomialityVerdict(True, quotient=IntPoly._wrap(dense),
+    return PolynomialityVerdict(True, half=half, length=length,
                                 all_coeffs_nonnegative=lohi[0] >= 0, coeff_range=lohi)
 
 
@@ -210,8 +221,8 @@ def q_fibo_catalan_positivity_sweep(max_mn: int) -> list[SweepRow]:
 def _chained_row(m: int, n: int, g: int, last: list) -> SweepRow:
     """Sweep row (m, n), m <= n.  ``last`` holds at most the (quotient,
     num, den) of the last polynomial row at this n; the ratio engine pops
-    it and frees that quotient after its first window, and a polynomial
-    row is pushed in its place.  The quotient stays in the engine's half
+    it and rewrites that quotient's half in place, and a polynomial row
+    is pushed in its place.  The quotient stays in the engine's half
     form: its range is that of its low half."""
     num, den = _rational_factors(m, n)
     try:

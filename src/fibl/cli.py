@@ -342,7 +342,7 @@ def _emit_verdict(ns, verdict, inputs: dict) -> int:
         "all_coeffs_nonnegative": verdict.all_coeffs_nonnegative,
         "degree": verdict.degree,
     }
-    if verdict.is_polynomial and len(verdict.quotient) <= 512:
+    if verdict.is_polynomial and verdict.length <= 512:     # only a printed quotient is unfolded
         payload["quotient"] = verdict.quotient.to_json()
     if verdict.is_polynomial:
         sign = "non-negative" if verdict.all_coeffs_nonnegative else "MIXED-SIGN"

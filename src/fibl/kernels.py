@@ -18,6 +18,11 @@ exactness from the series' own mirror symmetry instead of from its tail.
 reverse and ends in a nonzero coefficient takes the same half arithmetic
 and is unfolded after it; any other dense input takes the full sum.
 
+Ownership: a call with ``length`` consumes its list.  The window sums
+overwrite it block by block, so the list passed in is the list returned,
+and after a division that is not exact (None) its contents are spent.
+A dense call works on a copy and leaves its argument as it was.
+
 Everything here is exact integer arithmetic; no kernel ever rounds.
 """
 
@@ -26,7 +31,9 @@ from __future__ import annotations
 from itertools import accumulate, chain, repeat
 from operator import add, le, sub
 
-# window sums with at least this step go block by block (see _window_sum)
+# window sums rewrite longer lists in place, this many coefficients at a
+# time; steps of at least _BLOCK_STEP add whole runs (see _window_sum)
+_BLOCK = 4096
 _BLOCK_STEP = 24
 
 
@@ -46,14 +53,45 @@ def _diffs(a, shift, lo, hi, step=1):
 
 
 def _window_sum(a, shift, step):
-    """Return the list y of len(a) with y[i] = a[i] - a[i - shift] + y[i - step],
-    where a term at a negative index is 0.
+    """Overwrite ``a`` with y, y[i] = a[i] - a[i - shift] + y[i - step],
+    where a term at a negative index is 0, and return it.
 
-    Small steps sum along the ``step`` residue classes; larger ones go
-    block by block, which reads memory in order.  Either way the
-    interpreter loops at most max(_BLOCK_STEP, len(a) / _BLOCK_STEP) times
-    and the per-coefficient work runs in C.
+    A list of more than _BLOCK coefficients is rewritten in two passes of
+    one slice assignment per block: the differences a[i] - a[i - shift]
+    from the top block down, so each block still reads the old values
+    below it, then the running sums from the bottom block up.  So at most
+    one block of new ints is alive beside the list, and the ints of the
+    old coefficients are freed as it goes.  Steps below _BLOCK_STEP sum
+    along their residue classes inside each block; larger ones add the
+    finished sums one step back, at most a block at a time.  A shorter
+    list takes one fused pass into a new list, copied back: its extra
+    memory is bounded by the block anyway.  Either way the per-coefficient
+    work runs in C.
     """
+    n = len(a)
+    if n <= _BLOCK:
+        a[:] = _fused_window_sum(a, shift, step)
+        return a
+    for hi in range(n, shift, -_BLOCK):
+        lo = max(hi - _BLOCK, shift)
+        a[lo:hi] = map(sub, a[lo:hi], a[lo - shift:hi - shift])
+    if step < _BLOCK_STEP:
+        for lo in range(0, n, _BLOCK):
+            hi = min(lo + _BLOCK, n)
+            for j in range(lo, min(lo + step, hi)):
+                if j >= step:
+                    a[j] += a[j - step]
+                a[j:hi:step] = accumulate(a[j:hi:step])
+    else:
+        size = min(step, _BLOCK)
+        for k in range(step, n, size):
+            a[k:k + size] = map(add, a[k:k + size], a[k - step:k - step + size])
+    return a
+
+
+def _fused_window_sum(a, shift, step):
+    """The window sum of a short list, as a new list, in one pass: small
+    steps along the residue classes, larger ones block by block."""
     n = len(a)
     if step == 1:
         return list(accumulate(_diffs(a, shift, 0, n)))
@@ -77,15 +115,6 @@ def unfold(half, length):
     return half + half[:length // 2][::-1]
 
 
-def _prefix(half, length, k):
-    """The first k coefficients of the palindrome ``unfold(half, length)``,
-    zeros past its end."""
-    if k <= len(half):
-        return half[:k]
-    m = min(k, length)
-    return half + half[length - m:length - len(half)][::-1] + [0] * (k - m)
-
-
 def mul_qnumber(coeffs, t, stride=1, length=None):
     """Multiply ``coeffs`` by 1 + q^s + q^{2s} + ... + q^{(t-1)s}.
 
@@ -93,8 +122,9 @@ def mul_qnumber(coeffs, t, stride=1, length=None):
     summed with stride s, r[i] = p[i] - p[i-ts] + r[i-s].
 
     With ``length``, ``coeffs`` is the low half of a palindrome p of that
-    length, t >= 1, and the low half of the product, a palindrome of length
-    n = length + (t-1)s, is returned: only r[i], i < ceil(n/2), is summed.
+    length, t >= 1, and is consumed: it is extended and overwritten in
+    place to the low half of the product, a palindrome of length
+    n = length + (t-1)s, and returned; only r[i], i < ceil(n/2), is summed.
     Without it, ``coeffs`` is a dense list and a new trimmed list is
     returned; one that equals its reverse and ends in a nonzero
     coefficient takes the half sum and is unfolded, any other the full
@@ -114,10 +144,16 @@ def mul_qnumber(coeffs, t, stride=1, length=None):
 
 
 def _mul_half(half, length, t, stride):
+    """Extend ``half`` in place to the first ceil(n/2) coefficients of the
+    palindrome it halves, n = length + (t-1)s (its mirror, then zeros),
+    and window-sum it there."""
     if t == 1:
-        return list(half)
-    n = length + (t - 1) * stride
-    return _window_sum(_prefix(half, length, (n + 1) // 2), t * stride, stride)
+        return half
+    k = (length + (t - 1) * stride + 1) // 2
+    m = min(k, length)
+    half += half[length - m:length - len(half)][::-1]
+    half += repeat(0, k - m)
+    return _window_sum(half, t * stride, stride)
 
 
 def div_qnumber(coeffs, t, stride=1, length=None):
@@ -131,11 +167,12 @@ def div_qnumber(coeffs, t, stride=1, length=None):
     after the target settle it.
 
     With ``length``, ``coeffs`` is the low half of a palindrome r of that
-    length and the low half of the quotient, a palindrome of length
-    length - (t-1)s, is returned.  Without it, ``coeffs`` is a dense list
-    and the quotient comes back trimmed; one that equals its reverse and
-    ends in a nonzero coefficient is divided as its low half and the
-    quotient unfolded, any other takes the full sum.
+    length and is consumed: it is overwritten in place to the low half of
+    the quotient, a palindrome of length length - (t-1)s, and returned,
+    or spent when the division is not exact.  Without it, ``coeffs`` is a
+    dense list and the quotient comes back trimmed; one that equals its
+    reverse and ends in a nonzero coefficient is divided as its low half
+    and the quotient unfolded, any other takes the full sum.
 
     Half length: when (t-1)s <= target, the series is summed only up to
     M = floor(D/2), D = deg(r), over the low half of r, and the division
@@ -159,17 +196,20 @@ def div_qnumber(coeffs, t, stride=1, length=None):
     if target >= 0 and coeffs[-1] and coeffs == coeffs[::-1]:
         half = _div_half(coeffs[:(len(coeffs) + 1) // 2], len(coeffs), t, stride)
         return None if half is None else unfold(half, target + 1)
-    p = _div_series(coeffs, t, stride)
+    p = _div_series(list(coeffs), t, stride)
     return None if p is None else trim(p)
 
 
 def _div_half(half, length, t, stride):
     if t == 1:
-        return list(half)
+        return half
     target = length - 1 - (t - 1) * stride
     if (t - 1) * stride > target:
-        p = _div_series(unfold(half, length), t, stride)
-        return None if p is None else p[:(target + 2) // 2]
+        half += half[:length // 2][::-1]
+        p = _div_series(half, t, stride)
+        if p is not None:
+            del p[(target + 2) // 2:]
+        return p
     m = len(half)
     p = _window_sum(half, stride, t * stride)
     h = target // 2 + 1
@@ -180,13 +220,17 @@ def _div_half(half, length, t, stride):
 
 
 def _div_series(r, t, stride):
-    """The series of r / [t]_{q^s} cut at the target degree, or None when
-    it does not stop there; a list shorter than the divisor is exact only
-    when it is zero."""
+    """Overwrite r with the series of r / [t]_{q^s} cut at the target
+    degree and return it, or None when the series does not stop there; a
+    list shorter than the divisor is exact only when it is zero."""
     target = len(r) - 1 - (t - 1) * stride
     if target < 0:
-        return None if any(r) else []
-    p = _window_sum(r + [0] * stride, stride, t * stride)
+        if any(r):
+            return None
+        r.clear()
+        return r
+    r += repeat(0, stride)
+    p = _window_sum(r, stride, t * stride)
     if any(p[target + 1:]):
         return None
     del p[target + 1:]

@@ -348,15 +348,17 @@ def q_ratio_coeffs(num: Iterable[int], den: Iterable[int],
     d | t, d > 1, are all counted is divided out and its Phi_d are taken
     off the count.  [1] is never divided.  Every partial product is a
     palindrome, so each one is kept, multiplied and divided as its low
-    half.
+    half, in one list that the engine owns: every kernel call consumes it
+    and returns it rewritten in place (see ``fibl.kernels``).
 
     ``start``, if not empty, is a list holding one (quotient, num0, den0):
     the pair this function returned for num0 and den0, prefixes of num
     and den.  The count then starts at the cyclotomic factors of num0 less
     those of den0, the partial product at that quotient, and only the
     factors after the prefixes are paired, windowed and divided.  The
-    entry is popped from ``start``, so a caller that keeps no other
-    reference to the quotient has it freed after the first window.
+    entry is popped from ``start`` and its half is consumed: the engine
+    works in that list and returns it, so the caller must not read the
+    half it handed over, which no longer holds that quotient.
 
     Polynomiality is proved by the cyclotomic count over the full lists,
     by every division being exact and by the value at q = 1 of the full

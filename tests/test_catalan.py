@@ -276,7 +276,7 @@ class TestAgainstDivisionRoute:
 
 
 @pytest.mark.skipif(not os.environ.get("FIBL_SLOW_TESTS"),
-                    reason="~3 s, ~0.6 GB peak; set FIBL_SLOW_TESTS=1 to run")
+                    reason="~1.5 s, ~0.3 GB peak; set FIBL_SLOW_TESTS=1 to run")
 def test_e8_a7_polynomial_positive_slow():
     old = qpoly.set_degree_cap(2 * 10**7)
     try:

@@ -15,7 +15,7 @@ from hypothesis import given, strategies as st
 
 import fibl
 from fibl import elliptic as ell
-from fibl import qpoly, tilings
+from fibl import kernels, qpoly, tilings
 from fibl.cli import main
 from fibl.report import DEFAULT_SEED, json_text
 
@@ -172,6 +172,28 @@ class TestCatalanCommand:
     def test_bad_family(self, capsys):
         code, _, err = run(capsys, "catalan", "coxeter", "Z9", "2")
         assert code == 2
+
+    # a verdict keeps its quotient as the engine's low half; only a
+    # quotient short enough to print (at most 512 coefficients) is unfolded
+    @pytest.mark.parametrize("argv, unfolds", [
+        (("coxeter", "E8", "3"), 0),                 # not a polynomial
+        (("coxeter", "F4", "5"), 0),                 # 1021 coefficients
+        (("coxeter", "G2", "5"), 1),                 # 55 coefficients, printed
+    ], ids=["E8-3", "F4-5", "G2-5"])
+    def test_verdict_unfolds_only_a_printed_quotient(self, capsys, monkeypatch, argv, unfolds):
+        real_unfold, lengths = kernels.unfold, []
+
+        def unfold(half, length):
+            lengths.append(length)
+            return real_unfold(half, length)
+        monkeypatch.setattr(kernels, "unfold", unfold)
+        code, out, _ = run(capsys, "catalan", *argv, "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert len(lengths) == unfolds
+        assert ("quotient" in doc) == bool(unfolds)
+        if unfolds:
+            assert lengths == [doc["degree"] + 1]
 
 
 class TestDegreeCapOverride:
@@ -516,17 +538,36 @@ def _run_measured(*args):
 
 
 @pytest.mark.skipif(not os.environ.get("FIBL_SLOW_TESTS"),
-                    reason="~1 s, ~55 MB peak; set FIBL_SLOW_TESTS=1 to run")
+                    reason="~1 s, ~40 MB peak; set FIBL_SLOW_TESTS=1 to run")
 def test_sweep_15_peak_memory_slow():
-    assert _run_measured("catalan", "sweep", "--max", "15")[1] < 120
+    assert _run_measured("catalan", "sweep", "--max", "15")[1] < 64
 
 
 @pytest.mark.skipif(not os.environ.get("FIBL_SLOW_TESTS"),
-                    reason="~5 s, ~290 MB peak; set FIBL_SLOW_TESTS=1 to run")
+                    reason="~4 s, ~170 MB peak; set FIBL_SLOW_TESTS=1 to run")
 def test_sweep_17_csv_digest_and_peak_memory_slow():
     digest, mb = _run_measured("catalan", "sweep", "--max", "17", "--format", "csv")
     assert digest == "a16df9cdc979738b06d0278215cc2372b878c1140d30d2ad811c5a2f1da82f93"
-    assert mb < 512
+    assert mb < 256
+
+
+@pytest.mark.skipif(not os.environ.get("FIBL_SLOW_TESTS"),
+                    reason="~9 s, ~520 MB peak; set FIBL_SLOW_TESTS=1 to run")
+def test_sweep_18_csv_digest_and_peak_memory_slow():
+    digest, mb = _run_measured("catalan", "sweep", "--max", "18", "--cap", "15000000",
+                               "--format", "csv")
+    assert digest == "ac8b0eb099ef8623f88159db730d9e2aa1330ab1f70c29ae9b5d575ca43e0826"
+    assert mb < 640
+
+
+@pytest.mark.skipif(not os.environ.get("FIBL_SLOW_TESTS"),
+                    reason="~1.5 s, ~300 MB peak; set FIBL_SLOW_TESTS=1 to run")
+def test_coxeter_e8_a7_json_digest_and_peak_memory_slow():
+    # the quotient has about 1.5e7 coefficients; the verdict keeps its low half
+    digest, mb = _run_measured("catalan", "coxeter", "E8", "7", "--cap", "20000000",
+                               "--format", "json")
+    assert digest == "5b904d1b5f31979150c37d5a217946c472d1defa004983904625e4afa1115398"
+    assert mb < 400
 
 
 def test_python_dash_m_runs_the_cli():

@@ -2,6 +2,7 @@
 against an independent route where one exists (dense product, long
 division, schoolbook multiplication)."""
 
+import random
 from operator import gt, indexOf, lt
 
 import pytest
@@ -113,14 +114,73 @@ def test_coeff_min_max():
 small_polys = st.lists(st.integers(min_value=-50, max_value=50), max_size=20)
 
 
+def naive_window_sum(a, shift, step):
+    y = []
+    for i, v in enumerate(a):
+        y.append(v - (a[i - shift] if i >= shift else 0) + (y[i - step] if i >= step else 0))
+    return y
+
+
 @given(st.lists(st.integers(min_value=-50, max_value=50), max_size=90),
        st.integers(min_value=1, max_value=100), st.integers(min_value=1, max_value=40))
 def test_window_sum_follows_its_recurrence(a, shift, step):
     # steps below and above _BLOCK_STEP, shifts below, at and past len(a)
-    y = []
-    for i, v in enumerate(a):
-        y.append(v - (a[i - shift] if i >= shift else 0) + (y[i - step] if i >= step else 0))
-    assert kernels._window_sum(list(a), shift, step) == y
+    assert kernels._window_sum(list(a), shift, step) == naive_window_sum(a, shift, step)
+
+
+# Lists longer than one block are rewritten in place, block by block:
+# shifts and steps below, at and above _BLOCK_STEP and the block size,
+# and lengths that end just past a block boundary.
+BLOCK = kernels._BLOCK
+
+
+@pytest.mark.parametrize("n", [BLOCK + 1, 3 * BLOCK + 5])
+@pytest.mark.parametrize("shift", [1, 7, BLOCK - 1, BLOCK, BLOCK + 3, 2 * BLOCK + 11, 4 * BLOCK])
+@pytest.mark.parametrize("step", [1, 5, kernels._BLOCK_STEP - 1, kernels._BLOCK_STEP, 100,
+                                  BLOCK - 1, BLOCK, BLOCK + 7, 2 * BLOCK + 3])
+def test_window_sum_across_blocks(n, shift, step):
+    rng = random.Random(n * 1_000_003 + shift * 1009 + step)
+    a = [rng.randint(-2**70, 2**70) for _ in range(n)]
+    got = list(a)
+    assert kernels._window_sum(got, shift, step) is got
+    assert got == naive_window_sum(a, shift, step)
+
+
+# Ownership: a dense call leaves its argument as it was; a call with
+# ``length`` rewrites the list it is given and returns that same list.
+@pytest.mark.parametrize("p", [
+    [1, 2, 3, 2, 1], [1, 1, 2, 2, 1, 1], [1, 3, 2], [2, 2, 0], [0, 1, 1, 0],
+    [1] * (3 * BLOCK + 5), list(range(3 * BLOCK + 5))])
+@pytest.mark.parametrize("t, s", [(1, 1), (2, 1), (3, 2), (5, 1)])
+def test_dense_calls_leave_their_argument_unchanged(p, t, s):
+    arg = list(p)
+    prod = kernels.mul_qnumber(arg, t, s)
+    assert arg == p
+    kernels.div_qnumber(arg, t, s)
+    assert arg == p
+    arg = list(prod)
+    assert kernels.div_qnumber(arg, t, s) == kernels.trim(list(p))
+    assert arg == prod
+
+
+@pytest.mark.parametrize("r, t, s", [
+    ([1, 2, 3, 2, 1], 3, 1),                            # exact
+    ([1, 2, 4, 2, 1], 3, 1),                            # not exact
+    ([1, 1, 1, 1, 1, 1], 1, 4),                         # t = 1
+    ([1, 1, 1, 1, 1, 1], 2, 3),                         # divisor longer than the quotient
+    ([1, 0, 0, 0, 0, 1], 2, 4),                         # the same, not exact
+    ([1] * (3 * BLOCK), 3, 1),                          # [3B] / [3]: several blocks
+    ([1] * (3 * BLOCK), 7, 1),                          # [3B] / [7]: not exact
+    ([1] * (3 * BLOCK + 5), 2, BLOCK + 2),
+])
+def test_half_calls_return_the_list_they_consume(r, t, s):
+    want = check_half_division(r, t, s)
+    half = low_half(r)
+    got = kernels.div_qnumber(half, t, s, len(r))
+    assert got is (None if want is None else half)
+    half = low_half(r)
+    assert kernels.mul_qnumber(half, t, s, len(r)) is half
+    assert kernels.unfold(half, len(r) + (t - 1) * s) == kernels.mul_dense(r, naive_qnumber(t, s))
 
 
 @given(small_polys, st.integers(min_value=1, max_value=8),
