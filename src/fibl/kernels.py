@@ -28,10 +28,10 @@ Everything here is exact integer arithmetic; no kernel ever rounds.
 
 from __future__ import annotations
 
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, repeat
 from operator import add, le, sub
 
-# window sums rewrite longer lists in place, this many coefficients at a
+# window sums rewrite their list in place, this many coefficients at a
 # time; steps of at least _BLOCK_STEP add whole runs (see _window_sum)
 _BLOCK = 4096
 _BLOCK_STEP = 24
@@ -44,34 +44,21 @@ def trim(coeffs):
     return coeffs
 
 
-def _diffs(a, shift, lo, hi, step=1):
-    """Iterate over a[i] - a[i - shift] for i = lo, lo + step, ... < hi,
-    where a[i - shift] is 0 for i < shift; those leading terms are a[i]
-    itself, with no subtraction."""
-    mid = lo if lo >= shift else min(hi, lo + -(-(shift - lo) // step) * step)
-    return chain(a[lo:mid:step], map(sub, a[mid:hi:step], a[mid - shift:hi - shift:step]))
-
-
 def _window_sum(a, shift, step):
     """Overwrite ``a`` with y, y[i] = a[i] - a[i - shift] + y[i - step],
     where a term at a negative index is 0, and return it.
 
-    A list of more than _BLOCK coefficients is rewritten in two passes of
-    one slice assignment per block: the differences a[i] - a[i - shift]
-    from the top block down, so each block still reads the old values
-    below it, then the running sums from the bottom block up.  So at most
-    one block of new ints is alive beside the list, and the ints of the
-    old coefficients are freed as it goes.  Steps below _BLOCK_STEP sum
-    along their residue classes inside each block; larger ones add the
-    finished sums one step back, at most a block at a time.  A shorter
-    list takes one fused pass into a new list, copied back: its extra
-    memory is bounded by the block anyway.  Either way the per-coefficient
+    The list is rewritten in two passes of one slice assignment per block
+    of _BLOCK coefficients: the differences a[i] - a[i - shift] from the
+    top block down, so each block still reads the old values below it,
+    then the running sums from the bottom block up.  So at most one block
+    of new ints is alive beside the list, and the ints of the old
+    coefficients are freed as it goes.  Steps below _BLOCK_STEP sum along
+    their residue classes inside each block; larger ones add the finished
+    sums one step back, at most a block at a time.  The per-coefficient
     work runs in C.
     """
     n = len(a)
-    if n <= _BLOCK:
-        a[:] = _fused_window_sum(a, shift, step)
-        return a
     for hi in range(n, shift, -_BLOCK):
         lo = max(hi - _BLOCK, shift)
         a[lo:hi] = map(sub, a[lo:hi], a[lo - shift:hi - shift])
@@ -87,23 +74,6 @@ def _window_sum(a, shift, step):
         for k in range(step, n, size):
             a[k:k + size] = map(add, a[k:k + size], a[k - step:k - step + size])
     return a
-
-
-def _fused_window_sum(a, shift, step):
-    """The window sum of a short list, as a new list, in one pass: small
-    steps along the residue classes, larger ones block by block."""
-    n = len(a)
-    if step == 1:
-        return list(accumulate(_diffs(a, shift, 0, n)))
-    if step < _BLOCK_STEP:
-        y = [0] * n
-        for j in range(step):
-            y[j::step] = accumulate(_diffs(a, shift, j, n, step))
-        return y
-    y = list(_diffs(a, shift, 0, min(step, n)))
-    for k in range(step, n, step):
-        y += map(add, _diffs(a, shift, k, min(k + step, n)), y[k - step:k])
-    return y
 
 
 def unfold(half, length):

@@ -125,10 +125,12 @@ def naive_window_sum(a, shift, step):
        st.integers(min_value=1, max_value=100), st.integers(min_value=1, max_value=40))
 def test_window_sum_follows_its_recurrence(a, shift, step):
     # steps below and above _BLOCK_STEP, shifts below, at and past len(a)
-    assert kernels._window_sum(list(a), shift, step) == naive_window_sum(a, shift, step)
+    b = list(a)
+    assert kernels._window_sum(b, shift, step) is b
+    assert b == naive_window_sum(a, shift, step)
 
 
-# Lists longer than one block are rewritten in place, block by block:
+# Lists of several blocks are rewritten block by block:
 # shifts and steps below, at and above _BLOCK_STEP and the block size,
 # and lengths that end just past a block boundary.
 BLOCK = kernels._BLOCK
