@@ -169,17 +169,38 @@ def _write(text: str, out: Optional[str]) -> None:
         fh.write(text)
 
 
-def _sorted_reports(reports: list[VerificationReport]) -> list[VerificationReport]:
-    """The reports in sort_key() order.  The reports of one sample share
-    one inputs dict and come one after another, so the inputs part of the
-    key is formatted once per run of reports with the same dict."""
-    last = [None, ""]           # the last inputs dict seen and its text
+def _once_per_dict(fmt):
+    """``fmt`` of an inputs dict, computed once per dict: the reports of
+    one sample share one dict.  Dicts are told apart by identity, so they
+    must outlive the calls, as the reports' dicts do while they are sorted
+    and written."""
+    texts = {}
 
-    def key(r: VerificationReport) -> str:
-        if r.inputs is not last[0]:
-            last[:] = r.inputs, inputs_key(r.inputs)
-        return r.identity_name + "|" + last[1]
-    return sorted(reports, key=key)
+    def text(inputs: dict):
+        key = id(inputs)
+        if key not in texts:
+            texts[key] = fmt(inputs)
+        return texts[key]
+    return text
+
+
+def _sorted_reports(reports: list[VerificationReport]) -> list[VerificationReport]:
+    """The reports in sort_key() order.  The key is the pair (identity +
+    "|", inputs text), which orders as sort_key() does because no identity
+    contains "|"; each identity's head and each inputs dict's text are made
+    once and shared."""
+    heads = {r.identity_name: r.identity_name + "|" for r in reports}
+    inputs_text = _once_per_dict(inputs_key)
+    return sorted(reports, key=lambda r: (heads[r.identity_name], inputs_text(r.inputs)))
+
+
+def _csv_inputs(inputs: dict) -> str:
+    return json.dumps(inputs, sort_keys=True, default=str).replace('"', "'")
+
+
+def _text_inputs(inputs: dict) -> str:
+    return " ".join(f"{k}={v}" for k, v in sorted(inputs.items())
+                    if isinstance(v, (int, str)))
 
 
 def _emit_reports(ns, reports: list[VerificationReport], extra_config=None) -> int:
@@ -194,22 +215,21 @@ def _emit_reports(ns, reports: list[VerificationReport], extra_config=None) -> i
         }
         _write(json_text(doc) + "\n", ns.out)
     elif ns.format == "csv":
+        inputs_text = _once_per_dict(_csv_inputs)
         lines = ["identity,inputs,expected,passed,abs_diff,rel_diff,tolerance"]
         for r in reports:
-            inputs = json.dumps(r.inputs, sort_keys=True, default=str).replace('"', "'")
-            lines.append(f'{r.identity_name},"{inputs}",{r.expected},{r.passed},'
+            lines.append(f'{r.identity_name},"{inputs_text(r.inputs)}",{r.expected},{r.passed},'
                          f"{_num(r.abs_diff)},{_num(r.rel_diff)},{_num(r.tolerance)}")
         _write("\n".join(lines) + "\n", ns.out)
     else:
+        inputs_text = _once_per_dict(_text_inputs)
         lines = []
         for r in reports:
             status = "PASS" if r.passed else "FAIL"
             detail = "exact" if r.tolerance is None else f"rel={r.rel_diff:.3e} tol={r.tolerance:g}"
             if r.expected == "unequal":
                 detail += " (expected: unequal)"
-            inputs = " ".join(f"{k}={v}" for k, v in sorted(r.inputs.items())
-                              if isinstance(v, (int, str)))
-            lines.append(f"{status} {r.identity_name} {inputs} [{detail}]")
+            lines.append(f"{status} {r.identity_name} {inputs_text(r.inputs)} [{detail}]")
         lines.append(f"{len(reports) - len(failed)}/{len(reports)} checks passed")
         _write("\n".join(lines) + "\n", ns.out)
     return EXIT_CHECK_FAILED if failed else EXIT_OK

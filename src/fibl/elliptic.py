@@ -28,13 +28,14 @@ private mpmath context whose precision is B, and every value computed
 from them carries that context: it computes at B bits whatever the
 global mpmath context is set to, and no function here changes that
 global setting.  theta computes its truncation depth once from float
-logarithms.  In double precision it multiplies complex factors; in the
-extended mode it multiplies Gaussian integer mantissas of B + 16 bits
-that share one binary exponent and rounds the product once to a B-bit
-mpc, so mpmath's own arithmetic never runs per factor.  There each term
-is one factor, (1 - p^j x)(1 - p^{j+1}/x) = (1 + p^{2j+1}) - p^j s with
-s = x + p/x formed once per call, and p^j and 1 + p^{2j+1} come from a
-table per nome that every call at that nome shares.
+logarithms.  In both regimes each term is one factor,
+(1 - p^j x)(1 - p^{j+1}/x) = (1 + p^{2j+1}) - p^j s with s = x + p/x
+formed once per call, and p^j and 1 + p^{2j+1} come from a table per
+nome that every call at that nome shares.  In double precision the
+factors are complex numbers; in the extended mode they are Gaussian
+integer mantissas of B + 16 bits that share one binary exponent, and the
+product is rounded once to a B-bit mpc, so mpmath's own arithmetic never
+runs per factor.
 """
 
 from __future__ import annotations
@@ -199,20 +200,23 @@ def theta(x, p, eps: float = DEFAULT_TRUNC_EPS):
     first J >= 1 with |p|^J max(|x|, 1/|x|) < eps (J = 1 when p = 0).
 
     J is computed once, from float logarithms, before the product runs.
-    Two regimes, chosen by the argument types:
+    Each term is the one factor (1 + p^{2j+1}) - p^j s with s = x + p/x,
+    and p^j and 1 + p^{2j+1} are read from the nome's cached table
+    (``_nome_rows``).  Two regimes, chosen by the argument types:
 
-    * double (x and p complex, float or int): the factors are multiplied
-      in complex arithmetic exactly as ``out * (1 - p^j x) * (1 - p^j p / x)``;
+    * double (x and p complex, float or int): the factors and the product
+      are complex (``_double_rows``); the value agrees with the two-factor
+      loop ``out * (1 - p^j x) * (1 - p^{j+1} / x)`` within a few ulp
+      per factor;
     * extended (x or p an mpmath number): the product runs on Gaussian
       integer mantissas with a shared binary exponent, carried at B + 16
       bits, and is rounded once to an mpc at B bits, where B is the
       precision of the mpmath context that x carries (p's when x is not
-      an mpmath number); the result belongs to that context.  Each term
-      is the one factor (1 + p^{2j+1}) - p^j (x + p/x), with p^j and
-      1 + p^{2j+1} read from the nome's cached table (``_theta_ext``).
-      theta(1; p) is exactly 0.
+      an mpmath number); the result belongs to that context
+      (``_theta_ext``).
 
-    Deterministic for fixed inputs.
+    theta(1; p) is exactly 0 in both regimes.  Deterministic for fixed
+    inputs: a value does not depend on which calls built the table.
     """
     if isinstance(x, (complex, float, int)) and isinstance(p, (complex, float, int)):
         if x == 0:
@@ -221,12 +225,10 @@ def theta(x, p, eps: float = DEFAULT_TRUNC_EPS):
         if absp >= 1:
             raise ValueError("need |p| < 1")
         terms = _theta_terms(math.log(abs(x)), math.log(absp) if absp else None, eps)
+        s = x + p / x
         out = 1
-        pj = 1
-        for _ in range(terms):
-            pjp = pj * p
-            out = out * (1 - pj * x) * (1 - pjp / x)
-            pj = pjp
+        for pj, c in _nome_rows(_double_rows, (p,), terms):
+            out = out * (c - pj * s)
         return out
     return _theta_ext(x, p, eps)
 
@@ -309,7 +311,7 @@ def _theta_ext(x, p, eps: float):
     # the running value is cut back to W bits by k = (bit length - W)
     # right shifts; W in the max keeps k >= 0 for an exact zero
     oa, ob, oe = 1, 0, 0
-    for ca, cb, ce, da, db in _nome_rows(pa, pb, pe, width, terms):
+    for ca, cb, ce, da, db in _nome_rows(_gaussian_rows, (pa, pb, pe, width), terms):
         ta, tb = ca * sa - cb * sb, ca * sb + cb * sa
         k = ce + sk                   # p^j s at exponent -W
         ta, tb = (ta << k, tb << k) if k >= 0 else (ta >> -k, tb >> -k)
@@ -322,31 +324,49 @@ def _theta_ext(x, p, eps: float):
 
 
 @lru_cache(maxsize=32)
-def _nome_table(pa: int, pb: int, pe: int, width: int) -> list:
-    """The cached rows of the nome (pa + i pb) 2^pe at mantissa width W:
-    a list that ``_nome_rows`` grows in place to at most _TABLE_ROWS rows,
-    kept for the 32 most recently used nomes."""
+def _nome_table(*key) -> list:
+    """The cached rows of the nome that ``key`` names: (p,) in double
+    precision, (pa, pb, pe, W) for the nome (pa + i pb) 2^pe at mantissa
+    width W.  A list that ``_nome_rows`` grows in place to at most
+    _TABLE_ROWS rows, kept for the 32 most recently used nomes."""
     return []
 
 
-def _nome_rows(pa: int, pb: int, pe: int, width: int, terms: int):
-    """The first ``terms`` rows (ca, cb, ce, da, db) of the nome's table:
-    p^j = (ca + i cb) 2^ce, a W-bit mantissa with its own exponent, and
-    1 + p^{2j+1} = (da + i db) 2^-W.  Rows past _TABLE_ROWS are computed
-    as the caller reads them and not kept.
+def _nome_rows(rows_after, key: tuple, terms: int):
+    """The first ``terms`` rows of the nome's table, where
+    ``rows_after(last, *key)`` yields the rows after the row ``last``
+    (from row 0 when it is None), without end.  Rows past _TABLE_ROWS
+    are computed as the caller reads them and not kept.
     """
-    rows = _nome_table(pa, pb, pe, width)
+    rows = _nome_table(*key)
     if len(rows) < terms:
-        more = _rows_after(rows[-1] if rows else None, pa, pb, pe, width)
+        more = rows_after(rows[-1] if rows else None, *key)
         rows.extend(islice(more, min(terms, _TABLE_ROWS) - len(rows)))
         if len(rows) < terms:
             return chain(rows, islice(more, terms - len(rows)))
     return rows[:terms]
 
 
-def _rows_after(last, pa: int, pb: int, pe: int, width: int):
-    """The nome's rows after the row ``last`` (from row 0 when it is
-    None), without end.  p^{j+1} is p^j times p and p^{2j+1} is p^j times
+def _double_rows(last, p):
+    """The rows (p^j, 1 + p^{2j+1}) of a double-precision nome, after the
+    row ``last``: p^{j+1} is p^j times p and p^{2j+1} is p^j times
+    p^{j+1}.  p is first made complex with its zeros unsigned, because
+    keys that differ only in the sign of a zero (or in int, float and
+    complex type) are one key of the table; so a row is the same
+    whichever call grew the table."""
+    p = complex(p.real + 0.0, p.imag + 0.0)
+    pj = 1 if last is None else last[0] * p
+    while True:
+        nxt = pj * p
+        yield pj, 1 + pj * nxt
+        pj = nxt
+
+
+def _gaussian_rows(last, pa: int, pb: int, pe: int, width: int):
+    """The rows (ca, cb, ce, da, db) of the nome (pa + i pb) 2^pe at
+    mantissa width W, after the row ``last``: p^j = (ca + i cb) 2^ce, a
+    W-bit mantissa with its own exponent, and 1 + p^{2j+1} =
+    (da + i db) 2^-W.  p^{j+1} is p^j times p and p^{2j+1} is p^j times
     p^{j+1}, each cut back to W bits, so a row is the same whichever
     call grew the table."""
     def times(a, b, e, c, d, f):
@@ -390,8 +410,13 @@ def _theta_quotient(num_args, den_args, params: EllipticParams):
 # ---------------------------------------------------------------------------
 # Elliptic numbers and weights
 
+@lru_cache(maxsize=8192)
 def elliptic_number(n: int, params: EllipticParams):
-    """[n]_{a,b;q,p}: four theta factors over four; [1] = 1, [0] = 0."""
+    """[n]_{a,b;q,p}: four theta factors over four; [1] = 1, [0] = 0.
+
+    Cached per (n, params), as omega1 and omega2 are: the checks of one
+    parameter point ask for the same numbers many times.  A degenerate
+    point raises on every call; the cache keeps no exception."""
     if n < 0:
         raise ValueError("elliptic number index must be >= 0")
     a, b, q = params.a, params.b, params.q

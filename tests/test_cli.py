@@ -521,6 +521,45 @@ def test_reports_are_emitted_in_sort_key_order():
         assert [id(r) for r in _sorted_reports(order)] == [id(r) for r in want]
 
 
+def test_sorted_reports_order_prefix_identities_as_sort_key_does():
+    """An identity that is a prefix of another sorts after it, as in
+    sort_key, when the longer name goes on with a character below "|":
+    any letter, digit or "-"."""
+    from fibl.cli import _sorted_reports
+    from fibl.report import VerificationReport, exact_report
+    shared = {"m": 1}
+    reports = [exact_report(name, inputs, 1, 1)
+               for name in ("spiral", "spiral-at-1", "spiralz", "spiral-at")
+               for inputs in (shared, {"m": 2}, shared)]
+    want = sorted(reports, key=VerificationReport.sort_key)
+    assert [r.identity_name for r in want[::3]] == ["spiral-at-1", "spiral-at", "spiralz", "spiral"]
+    for order in (reports, reports[::-1]):
+        assert [id(r) for r in _sorted_reports(order)] == [
+            id(r) for r in sorted(order, key=VerificationReport.sort_key)]
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+def test_reports_sharing_inputs_are_written_as_when_formatted_apart(capsys, monkeypatch, fmt):
+    """Text and CSV lines format each inputs dict once; the output is the
+    one a dict per report gives.  In the spiral suite the two identities
+    take the same m, so shared dicts are not adjacent once sorted."""
+    import fibl.cli as cli
+    argv = ["verify", "spiral", "--format", fmt]
+    assert main(argv) == 0
+    apart = capsys.readouterr().out
+    suite = cli._suite_spiral
+
+    def shared(ns):
+        reports, dicts = suite(ns), {}
+        for r in reports:
+            r.inputs = dicts.setdefault(json.dumps(r.inputs, sort_keys=True), r.inputs)
+        assert len(dicts) < len(reports)
+        return reports
+    monkeypatch.setattr(cli, "_suite_spiral", shared)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == apart
+
+
 def _run_measured(*args):
     """(sha256 of stdout, peak RSS in MB) of ``python -m fibl *args``.
 
