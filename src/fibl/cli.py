@@ -6,8 +6,14 @@ defaults; the seed defaults to 0x5EED so every run is reproducible unless
 explicitly reseeded.  Identical configurations produce byte-identical
 JSON/CSV output: reports are sorted by a canonical key before emission.
 
+A document is rendered one report (or sweep row) at a time and written in
+chunks of about 64 KiB, once every check has run, so the rendered text is
+never held whole.  --out is opened only then, so a run that fails before
+its output leaves no file.
+
 Exit codes: 0 pass, 1 check failure, 2 usage error, 3 resource cap,
-4 degenerate parameters.
+4 degenerate parameters.  A reader that closes stdout early does not
+change the exit code and leaves nothing on stderr.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import json
 import math
 import os
 import sys
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 from fibl import catalan as cat
 from fibl import qpoly, tilings
@@ -150,11 +156,26 @@ def _build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 # Output
 
+# Characters joined into one write: pieces are small (a line, a report),
+# and a write per piece costs a syscall each when stdout is unbuffered,
+# while one write per document keeps the whole text in memory.
+_CHUNK = 1 << 16
+
+
 @contextlib.contextmanager
 def _output(out: Optional[str]):
-    """The --out file, opened for writing (ValueError if it cannot be), or stdout."""
+    """The --out file, opened for writing (ValueError if it cannot be), or
+    stdout.  A reader that closes stdout early ends the writing quietly;
+    every check has run by then, so the command keeps its exit code."""
     if not out:
-        yield sys.stdout
+        try:
+            yield sys.stdout
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # stdout goes to devnull, so that the flush at exit cannot raise again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         return
     try:
         fh = open(out, "w")
@@ -164,9 +185,32 @@ def _output(out: Optional[str]):
         yield fh
 
 
-def _write(text: str, out: Optional[str]) -> None:
+def _write(pieces: Iterable[str], out: Optional[str]) -> None:
+    """Write ``pieces`` in order, joined into writes of about _CHUNK
+    characters, so a document is rendered while it is written and never
+    held whole."""
     with _output(out) as fh:
-        fh.write(text)
+        batch, size = [], 0
+        for piece in pieces:
+            batch.append(piece)
+            size += len(piece)
+            if size >= _CHUNK:
+                fh.write("".join(batch))
+                batch, size = [], 0
+        fh.write("".join(batch))
+
+
+def _json_pieces(command: str, config: dict, key: str, items: Iterable[dict]) -> Iterator[str]:
+    """json_text({"command": command, "config": config, key: list(items),
+    "schema": SCHEMA}) + "\n", one piece per item.  ``key`` sorts between
+    "config" and "schema", so the pieces come in the document's key order."""
+    head = json_text({"command": command, "config": config})
+    yield head[:-2] + ",\n  " + json_text(key) + ": ["      # head ends "\n}"
+    first = True
+    for item in items:
+        yield ("\n    " if first else ",\n    ") + json_text(item, "\n    ")
+        first = False
+    yield ("]" if first else "\n  ]") + ',\n  "schema": ' + json_text(SCHEMA) + "\n}\n"
 
 
 def _once_per_dict(fmt):
@@ -203,35 +247,36 @@ def _text_inputs(inputs: dict) -> str:
                     if isinstance(v, (int, str)))
 
 
+def _csv_lines(reports: list[VerificationReport]) -> Iterator[str]:
+    inputs_text = _once_per_dict(_csv_inputs)
+    yield "identity,inputs,expected,passed,abs_diff,rel_diff,tolerance\n"
+    for r in reports:
+        yield (f'{r.identity_name},"{inputs_text(r.inputs)}",{r.expected},{r.passed},'
+               f"{_num(r.abs_diff)},{_num(r.rel_diff)},{_num(r.tolerance)}\n")
+
+
+def _text_lines(reports: list[VerificationReport], passed: int) -> Iterator[str]:
+    inputs_text = _once_per_dict(_text_inputs)
+    for r in reports:
+        status = "PASS" if r.passed else "FAIL"
+        detail = "exact" if r.tolerance is None else f"rel={r.rel_diff:.3e} tol={r.tolerance:g}"
+        if r.expected == "unequal":
+            detail += " (expected: unequal)"
+        yield f"{status} {r.identity_name} {inputs_text(r.inputs)} [{detail}]\n"
+    yield f"{passed}/{len(reports)} checks passed\n"
+
+
 def _emit_reports(ns, reports: list[VerificationReport], extra_config=None) -> int:
     reports = _sorted_reports(reports)
-    failed = [r for r in reports if not r.passed]
+    failed = sum(not r.passed for r in reports)
     if ns.format == "json":
-        doc = {
-            "schema": SCHEMA,
-            "command": ns.command,
-            "config": _config_dict(ns, extra_config),
-            "reports": [r.to_dict() for r in reports],
-        }
-        _write(json_text(doc) + "\n", ns.out)
+        pieces = _json_pieces(ns.command, _config_dict(ns, extra_config), "reports",
+                              (r.to_dict() for r in reports))
     elif ns.format == "csv":
-        inputs_text = _once_per_dict(_csv_inputs)
-        lines = ["identity,inputs,expected,passed,abs_diff,rel_diff,tolerance"]
-        for r in reports:
-            lines.append(f'{r.identity_name},"{inputs_text(r.inputs)}",{r.expected},{r.passed},'
-                         f"{_num(r.abs_diff)},{_num(r.rel_diff)},{_num(r.tolerance)}")
-        _write("\n".join(lines) + "\n", ns.out)
+        pieces = _csv_lines(reports)
     else:
-        inputs_text = _once_per_dict(_text_inputs)
-        lines = []
-        for r in reports:
-            status = "PASS" if r.passed else "FAIL"
-            detail = "exact" if r.tolerance is None else f"rel={r.rel_diff:.3e} tol={r.tolerance:g}"
-            if r.expected == "unequal":
-                detail += " (expected: unequal)"
-            lines.append(f"{status} {r.identity_name} {inputs_text(r.inputs)} [{detail}]")
-        lines.append(f"{len(reports) - len(failed)}/{len(reports)} checks passed")
-        _write("\n".join(lines) + "\n", ns.out)
+        pieces = _text_lines(reports, len(reports) - failed)
+    _write(pieces, ns.out)
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
@@ -253,9 +298,9 @@ def _emit_payload(ns, payload: dict, text_line: str) -> int:
     if ns.format == "json":
         doc = {"schema": SCHEMA, "command": ns.command,
                "config": _config_dict(ns), **payload}
-        _write(json_text(doc) + "\n", ns.out)
+        _write([json_text(doc), "\n"], ns.out)
     else:
-        _write(text_line + "\n", ns.out)
+        _write([text_line, "\n"], ns.out)
     return EXIT_OK
 
 
@@ -341,15 +386,12 @@ def _cmd_catalan(ns) -> int:
         # sweep
         max_mn = ns.max if ns.max else 15
         rows = cat.q_fibo_catalan_positivity_sweep(max_mn)
-        lines = cat.sweep_csv_lines(rows)
         if ns.format == "json":
             from dataclasses import asdict
-            doc = {"schema": SCHEMA, "command": "catalan-sweep",
-                   "config": _config_dict(ns, {"max": max_mn}),
-                   "rows": [asdict(r) for r in rows]}
-            _write(json_text(doc) + "\n", ns.out)
+            _write(_json_pieces("catalan-sweep", _config_dict(ns, {"max": max_mn}), "rows",
+                                map(asdict, rows)), ns.out)
         else:
-            _write("\n".join(lines) + "\n", ns.out)
+            _write((line + "\n" for line in cat.sweep_csv_lines(rows)), ns.out)
         bad = [r for r in rows if not r.is_polynomial or (r.min_coeff or 0) < 0]
         return EXIT_CHECK_FAILED if bad else EXIT_OK
 

@@ -41,7 +41,7 @@ _SCALAR_TEXT = {
 }
 
 
-@dataclass
+@dataclass(slots=True)
 class VerificationReport:
     identity_name: str
     inputs: dict

@@ -6,7 +6,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import mpmath
@@ -17,7 +17,7 @@ import fibl
 from fibl import elliptic as ell
 from fibl import kernels, qpoly, tilings
 from fibl.cli import main
-from fibl.report import DEFAULT_SEED, json_text
+from fibl.report import DEFAULT_SEED, SCHEMA, VerificationReport, json_text
 
 
 def run(capsys, *argv):
@@ -128,6 +128,14 @@ class TestOutOption:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: cannot write --out {path!r}: ")
         assert "Traceback" not in err
+
+    def test_capped_suite_creates_no_out_file(self, capsys, tmp_path):
+        # the file is opened only after the suite has returned
+        path = tmp_path / "f.json"
+        code, out, err = run(capsys, "verify", "q-all", "--max", "13", "--out", str(path))
+        assert (code, out) == (3, "")
+        assert err.startswith("resource cap exceeded: ")
+        assert not path.exists()
 
 
 class TestCatalanCommand:
@@ -490,12 +498,15 @@ class TestEnvPrecedence:
         assert f"invalid FIBL_{name}='abc'" in capsys.readouterr().err
 
 
-def _run_python(*args, **env_extra):
+def _child_env(**env_extra) -> dict:
     src = os.path.dirname(os.path.dirname(os.path.abspath(fibl.__file__)))
-    env = {**os.environ, **env_extra, "PYTHONPATH": os.pathsep.join(
+    return {**os.environ, **env_extra, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    return subprocess.run([sys.executable, *args],
-                          capture_output=True, text=True, env=env, timeout=60)
+
+
+def _run_python(*args, **env_extra):
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=_child_env(**env_extra), timeout=60)
 
 
 def _run_module(*args, **env_extra):
@@ -560,20 +571,119 @@ def test_reports_sharing_inputs_are_written_as_when_formatted_apart(capsys, monk
     assert capsys.readouterr().out == apart
 
 
+def _whole_document(ns, reports, extra_config=None) -> str:
+    """The report document rendered whole, then written at once, from the
+    reports in sort_key order: the text the chunked writer must reproduce."""
+    import fibl.cli as cli
+    reports = sorted(reports, key=VerificationReport.sort_key)
+    if ns.format == "json":
+        return json_text({"schema": SCHEMA, "command": ns.command,
+                          "config": cli._config_dict(ns, extra_config),
+                          "reports": [r.to_dict() for r in reports]}) + "\n"
+    if ns.format == "csv":
+        lines = ["identity,inputs,expected,passed,abs_diff,rel_diff,tolerance"]
+        lines += [f'{r.identity_name},"{cli._csv_inputs(r.inputs)}",{r.expected},{r.passed},'
+                  f"{cli._num(r.abs_diff)},{cli._num(r.rel_diff)},{cli._num(r.tolerance)}"
+                  for r in reports]
+        return "\n".join(lines) + "\n"
+    lines = []
+    for r in reports:
+        detail = "exact" if r.tolerance is None else f"rel={r.rel_diff:.3e} tol={r.tolerance:g}"
+        if r.expected == "unequal":
+            detail += " (expected: unequal)"
+        lines.append(f"{'PASS' if r.passed else 'FAIL'} {r.identity_name} "
+                     f"{cli._text_inputs(r.inputs)} [{detail}]")
+    lines.append(f"{sum(r.passed for r in reports)}/{len(reports)} checks passed")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("chunk", [None, 1], ids=["default-chunk", "chunk-1"])
+@pytest.mark.parametrize("command", [
+    "verify q-all --max 5 --format json",
+    "verify theta --samples 30 --format json",
+    "verify theta --samples 30 --format csv",
+    "verify theta --samples 30",
+    "verify theta --precision ext:128 --samples 3 --format json",
+    "verify counterexample",
+    "spiral 4",
+])
+def test_report_stream_is_the_whole_document(capsys, monkeypatch, command, chunk):
+    import fibl.cli as cli
+    if chunk is not None:       # every piece is written alone
+        monkeypatch.setattr(cli, "_CHUNK", chunk)
+    seen = []
+    emit = cli._emit_reports
+
+    def spy(ns, reports, extra_config=None):
+        seen.append((ns, list(reports), extra_config))
+        return emit(ns, reports, extra_config)
+    monkeypatch.setattr(cli, "_emit_reports", spy)
+    code, out, _ = run(capsys, *command.split())
+    assert code == 0
+    (ns, reports, extra_config), = seen
+    assert out == _whole_document(ns, reports, extra_config)
+
+
+@pytest.mark.parametrize("chunk", [None, 1], ids=["default-chunk", "chunk-1"])
+def test_sweep_stream_is_the_whole_document(capsys, monkeypatch, chunk):
+    import fibl.cli as cli
+    from fibl import catalan
+    if chunk is not None:
+        monkeypatch.setattr(cli, "_CHUNK", chunk)
+    seen = []
+    sweep = catalan.q_fibo_catalan_positivity_sweep
+    monkeypatch.setattr(catalan, "q_fibo_catalan_positivity_sweep",
+                        lambda top: seen.append(sweep(top)) or seen[-1])
+    argv = ["catalan", "sweep", "--max", "8", "--format", "json"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    ns = cli._build_parser().parse_args(argv)
+    (rows,) = seen
+    assert out == json_text({"schema": SCHEMA, "command": "catalan-sweep",
+                             "config": cli._config_dict(ns, {"max": 8}),
+                             "rows": [asdict(r) for r in rows]}) + "\n"
+
+
+def test_json_pieces_of_an_empty_list_are_the_whole_document():
+    import fibl.cli as cli
+    doc = {"command": "c", "config": {"seed": 1}, "rows": [], "schema": SCHEMA}
+    assert "".join(cli._json_pieces("c", {"seed": 1}, "rows", [])) == json_text(doc) + "\n"
+
+
+@pytest.mark.parametrize("args", [("verify", "theta", "--samples", "300", "--format", "json"),
+                                  ("enumerate", "rect", "4", "4")], ids=["verify", "enumerate"])
+def test_reader_closing_the_pipe_ends_the_command_quietly(args):
+    """A reader that stops after one line (``| head -1``) leaves no
+    traceback, and the command keeps the exit code of its checks.  Both
+    outputs are larger than a pipe's buffer, so the writer meets the
+    closed pipe."""
+    with subprocess.Popen([sys.executable, "-m", "fibl", *args], env=_child_env(),
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()        # until the command exits
+        code = proc.wait(timeout=60)
+    assert first.startswith(b"{")
+    assert (code, err) == (0, b"")
+
+
 def _run_measured(*args):
-    """(sha256 of stdout, peak RSS in MB) of ``python -m fibl *args``.
+    """(sha256 of stdout, peak RSS in MB, stdout) of ``python -m fibl *args``.
 
     A child's ru_maxrss starts at the RSS of the process that spawned it,
     here the test runner; so a small launcher runs the command and reports
-    the ru_maxrss of its own children (KiB on Linux)."""
+    the ru_maxrss of its own children (KiB on Linux), then passes the
+    command's stdout on."""
     launcher = ("import hashlib, resource, subprocess, sys; "
                 "out = subprocess.run(sys.argv[1:], check=True, stdout=subprocess.PIPE).stdout; "
                 "print(hashlib.sha256(out).hexdigest(), "
-                "resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
+                "resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, flush=True); "
+                "sys.stdout.buffer.write(out)")
     proc = _run_python("-c", launcher, sys.executable, "-m", "fibl", *args)
     assert proc.returncode == 0, proc.stderr
-    digest, kib = proc.stdout.split()
-    return digest, int(kib) / 1024
+    head, _, out = proc.stdout.partition("\n")
+    digest, kib = head.split()
+    return digest, int(kib) / 1024, out
 
 
 @pytest.mark.skipif(not os.environ.get("FIBL_SLOW_TESTS"),
@@ -585,7 +695,7 @@ def test_sweep_15_peak_memory_slow():
 @pytest.mark.skipif(not os.environ.get("FIBL_SLOW_TESTS"),
                     reason="~4 s, ~170 MB peak; set FIBL_SLOW_TESTS=1 to run")
 def test_sweep_17_csv_digest_and_peak_memory_slow():
-    digest, mb = _run_measured("catalan", "sweep", "--max", "17", "--format", "csv")
+    digest, mb, _ = _run_measured("catalan", "sweep", "--max", "17", "--format", "csv")
     assert digest == "a16df9cdc979738b06d0278215cc2372b878c1140d30d2ad811c5a2f1da82f93"
     assert mb < 256
 
@@ -593,7 +703,7 @@ def test_sweep_17_csv_digest_and_peak_memory_slow():
 @pytest.mark.skipif(not os.environ.get("FIBL_SLOW_TESTS"),
                     reason="~9 s, ~520 MB peak; set FIBL_SLOW_TESTS=1 to run")
 def test_sweep_18_csv_digest_and_peak_memory_slow():
-    digest, mb = _run_measured("catalan", "sweep", "--max", "18", "--cap", "15000000",
+    digest, mb, _ = _run_measured("catalan", "sweep", "--max", "18", "--cap", "15000000",
                                "--format", "csv")
     assert digest == "ac8b0eb099ef8623f88159db730d9e2aa1330ab1f70c29ae9b5d575ca43e0826"
     assert mb < 640
@@ -603,10 +713,22 @@ def test_sweep_18_csv_digest_and_peak_memory_slow():
                     reason="~1.5 s, ~300 MB peak; set FIBL_SLOW_TESTS=1 to run")
 def test_coxeter_e8_a7_json_digest_and_peak_memory_slow():
     # the quotient has about 1.5e7 coefficients; the verdict keeps its low half
-    digest, mb = _run_measured("catalan", "coxeter", "E8", "7", "--cap", "20000000",
+    digest, mb, _ = _run_measured("catalan", "coxeter", "E8", "7", "--cap", "20000000",
                                "--format", "json")
     assert digest == "5b904d1b5f31979150c37d5a217946c472d1defa004983904625e4afa1115398"
     assert mb < 400
+
+
+@pytest.mark.skipif(not os.environ.get("FIBL_SLOW_TESTS"),
+                    reason="~1 s, ~22 MB peak; set FIBL_SLOW_TESTS=1 to run")
+def test_theta_2000_json_document_peak_memory_slow():
+    # a 7.4 MB document: written in chunks, it never exists whole in memory
+    _, mb, out = _run_measured("verify", "theta", "--samples", "2000", "--seed", "0",
+                               "--format", "json")
+    reports = json.loads(out)["reports"]
+    assert len(reports) == 8000
+    assert all(r["passed"] for r in reports)
+    assert mb < 40
 
 
 def test_python_dash_m_runs_the_cli():
@@ -681,6 +803,15 @@ def test_stdout_matches_the_benchmark_digest(capsys, command):
     code, out, _ = run(capsys, *command.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == _DIGESTS[command]
+
+
+def test_q_all_to_13_json_digest(capsys):
+    # a 0.6 MB document of 482 reports, beyond the benchmark's sizes
+    code, out, _ = run(capsys, "verify", "q-all", "--max", "13", "--cap", "1000000000000",
+                       "--format", "json")
+    assert code == 0
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == "24a822bec3c496dae1627954b5cc1f8d8adecbc80cf472dab7b292287ab4e759")
 
 
 def test_out_file_matches_the_benchmark_digest(capsys, tmp_path):
