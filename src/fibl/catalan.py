@@ -17,9 +17,8 @@ canonical witness that Fibonacci-coprimality alone is not enough.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from fibl import kernels
 from fibl.fib import fib
@@ -69,8 +68,7 @@ def coxeter_exponents(family: str, rank: Optional[int] = None) -> tuple[int, ...
     raise ValueError(f"unknown Coxeter family {family!r}")
 
 
-@dataclass(frozen=True)
-class CoxeterType:
+class CoxeterType(NamedTuple):
     family: str
     rank: Optional[int] = None
 
@@ -87,7 +85,6 @@ class CoxeterType:
         return f"{self.family}{self.rank}" if self.rank is not None else self.family
 
 
-@dataclass
 class PolynomialityVerdict:
     """Outcome of an exact-division polynomiality test.
 
@@ -97,12 +94,23 @@ class PolynomialityVerdict:
     signs or the range never holds the dense coefficients.
     """
 
-    is_polynomial: bool
-    half: Optional[list] = field(default=None, repr=False)
-    length: Optional[int] = None
-    remainder_degree: Optional[int] = None
-    all_coeffs_nonnegative: Optional[bool] = None
-    coeff_range: Optional[tuple[int, int]] = None     # quotient's (min, max)
+    __slots__ = ("is_polynomial", "half", "length", "remainder_degree",
+                 "all_coeffs_nonnegative", "coeff_range")
+
+    def __init__(self, is_polynomial: bool, half: Optional[list] = None,
+                 length: Optional[int] = None, remainder_degree: Optional[int] = None,
+                 all_coeffs_nonnegative: Optional[bool] = None,
+                 coeff_range: Optional[tuple[int, int]] = None):   # quotient's (min, max)
+        self.is_polynomial = is_polynomial
+        self.half = half
+        self.length = length
+        self.remainder_degree = remainder_degree
+        self.all_coeffs_nonnegative = all_coeffs_nonnegative
+        self.coeff_range = coeff_range
+
+    def __repr__(self) -> str:      # without the half, which can run to 10**6 numbers
+        shown = (f"{k}={getattr(self, k)!r}" for k in self.__slots__ if k != "half")
+        return f"PolynomialityVerdict({', '.join(shown)})"
 
     @property
     def quotient(self) -> Optional[IntPoly]:
@@ -168,8 +176,7 @@ def _rational_factors(m: int, n: int) -> tuple[list, list]:
     return [fib(k) for k in range(hi + 1, m + n)], [fib(k) for k in range(1, lo + 1)]
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     """One line of the positivity sweep, mirroring the CSV columns."""
 
     m: int
@@ -207,15 +214,9 @@ def q_fibo_catalan_positivity_sweep(max_mn: int) -> list[SweepRow]:
             g = math.gcd(m, n)
             if g in (1, 2):
                 rows[(m, n)] = _chained_row(m, n, g, last)
-    out = []
-    for m in range(1, max_mn + 1):
-        for n in range(1, max_mn + 1):
-            key = (m, n) if m <= n else (n, m)
-            if key in rows:
-                r = rows[key]
-                out.append(SweepRow(m, n, r.gcd, r.is_polynomial, r.degree,
-                                    r.min_coeff, r.max_coeff))
-    return out
+    return [rows[min(m, n), max(m, n)]._replace(m=m, n=n)
+            for m in range(1, max_mn + 1) for n in range(1, max_mn + 1)
+            if math.gcd(m, n) in (1, 2)]
 
 
 def _chained_row(m: int, n: int, g: int, last: list) -> SweepRow:
@@ -238,13 +239,9 @@ def _chained_row(m: int, n: int, g: int, last: list) -> SweepRow:
 
 
 def sweep_csv_lines(rows: list[SweepRow]) -> list[str]:
-    out = ["m,n,gcd,is_polynomial,degree,min_coeff,max_coeff"]
-    for r in rows:
-        out.append(f"{r.m},{r.n},{r.gcd},{str(r.is_polynomial).lower()},"
-                   f"{'' if r.degree is None else r.degree},"
-                   f"{'' if r.min_coeff is None else r.min_coeff},"
-                   f"{'' if r.max_coeff is None else r.max_coeff}")
-    return out
+    """The header, then one line per row: booleans as true/false, None as empty."""
+    return [",".join(SweepRow._fields)] + [
+        ",".join("" if v is None else str(v).lower() for v in r) for r in rows]
 
 
 def q_fibo_catalan_divisibility_check(m: int, n: int) -> VerificationReport:

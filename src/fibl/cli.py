@@ -387,9 +387,8 @@ def _cmd_catalan(ns) -> int:
         max_mn = ns.max if ns.max else 15
         rows = cat.q_fibo_catalan_positivity_sweep(max_mn)
         if ns.format == "json":
-            from dataclasses import asdict
             _write(_json_pieces("catalan-sweep", _config_dict(ns, {"max": max_mn}), "rows",
-                                map(asdict, rows)), ns.out)
+                                (row._asdict() for row in rows)), ns.out)
         else:
             _write((line + "\n" for line in cat.sweep_csv_lines(rows)), ns.out)
         bad = [r for r in rows if not r.is_polynomial or (r.min_coeff or 0) < 0]
@@ -439,8 +438,7 @@ def _cmd_elliptic(ns) -> int:
     overrides = {k: getattr(ns, k) for k in ("a", "b", "q", "p")
                  if getattr(ns, k) is not None}
     if overrides:
-        from dataclasses import replace
-        params = replace(params, **overrides)
+        params = params.replace(**overrides)
     try:
         if ns.what == "number":
             (n,) = _int_args(ns.args, 1, "elliptic number N")
@@ -458,8 +456,7 @@ def _cmd_elliptic(ns) -> int:
     if not (math.isfinite(cval.real) and math.isfinite(cval.imag)):
         raise DegenerateParametersError(f"value is not finite ({cval})")
     payload = {"what": ns.what, "args": list(ns.args),
-               "params": {"a": _cpx(params.a), "b": _cpx(params.b),
-                          "q": _cpx(params.q), "p": _cpx(params.p)},
+               "params": {k: _cpx(v) for k, v in zip("abqp", params)},
                "value": _cpx(cval)}
     return _emit_payload(ns, payload, f"{cval.real!r}{cval.imag:+}j")
 

@@ -43,7 +43,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from functools import lru_cache, partial
 from itertools import chain, combinations, islice
 from typing import Callable, Optional, Sequence
@@ -67,40 +67,42 @@ _TABLE_ROWS = 1024          # rows kept per nome table
 _LN2 = math.log(2)
 
 
-@dataclass(frozen=True)
-class EllipticParams:
+class EllipticParams(namedtuple("EllipticParams", "a b q p trunc_eps eq_tol min_denom "
+                                                  "precision_bits")):
     """The parameter quadruple (a, b, q, p) plus numeric policy knobs.
 
     With precision_bits = B set, a, b, q and p are stored as mpcs of the
-    private B-bit context, converted here (so also under
-    ``dataclasses.replace``); everything computed from them is B-bit.
+    private B-bit context, converted here (so also under ``replace``);
+    everything computed from them is B-bit.  precision_bits None means
+    double precision.
     """
 
-    a: complex
-    b: complex
-    q: complex
-    p: complex
-    trunc_eps: float = DEFAULT_TRUNC_EPS
-    eq_tol: float = DEFAULT_EQ_TOL
-    min_denom: float = DEFAULT_MIN_DENOM
-    precision_bits: Optional[int] = None   # None = double precision
+    __slots__ = ()
 
-    def __post_init__(self):
-        values = (self.a, self.b, self.q, self.p)
+    def __new__(cls, a: complex, b: complex, q: complex, p: complex,
+                trunc_eps: float = DEFAULT_TRUNC_EPS, eq_tol: float = DEFAULT_EQ_TOL,
+                min_denom: float = DEFAULT_MIN_DENOM,
+                precision_bits: Optional[int] = None) -> "EllipticParams":
+        values = (a, b, q, p)
         finite = cmath.isfinite
-        if self.precision_bits:
-            ctx = _context(self.precision_bits)
+        if precision_bits:
+            ctx = _context(precision_bits)
             values, finite = tuple(map(ctx.mpc, values)), ctx.isfinite
-            for name, value in zip("abqp", values):
-                object.__setattr__(self, name, value)
         if not all(map(finite, values)):
             raise ValueError("a, b, q, p must be finite")
-        if abs(self.p) >= 1:
+        a, b, q, p = values
+        if abs(p) >= 1:
             raise ValueError("need |p| < 1")
-        if self.a == 0 or self.b == 0 or self.q == 0:
+        if a == 0 or b == 0 or q == 0:
             raise ValueError("a, b, q must be nonzero")
-        if min(self.trunc_eps, self.eq_tol, self.min_denom) <= 0:
+        if min(trunc_eps, eq_tol, min_denom) <= 0:
             raise ValueError("tolerances must be positive")
+        return super().__new__(cls, *values, trunc_eps, eq_tol, min_denom, precision_bits)
+
+    def replace(self, **changes) -> "EllipticParams":
+        """These parameters with ``changes``, converted and checked as new
+        ones are; the tuple's own ``_replace`` would skip both."""
+        return EllipticParams(**{**self._asdict(), **changes})
 
     def rebase(self, exponent: int) -> "EllipticParams":
         """Same parameters with q replaced by q**exponent.
@@ -112,7 +114,7 @@ class EllipticParams:
             raise ValueError("base exponent must be >= 1")
         if exponent == 1:
             return self
-        return replace(self, q=self.q ** exponent)
+        return self.replace(q=self.q ** exponent)
 
 
 @lru_cache(maxsize=None)
@@ -185,8 +187,7 @@ def run_sampled_checks(check: Callable[[EllipticParams], VerificationReport],
                 continue
             rep.seed = seed
             rep.resamples = attempt
-            rep.notes["params"] = {"a": params.a, "b": params.b,
-                                   "q": params.q, "p": params.p}
+            rep.notes["params"] = dict(zip("abqp", params))
             reports.append(rep)
             break
     return reports
@@ -215,8 +216,9 @@ def theta(x, p, eps: float = DEFAULT_TRUNC_EPS):
       an mpmath number); the result belongs to that context
       (``_theta_ext``).
 
-    theta(1; p) is exactly 0 in both regimes.  Deterministic for fixed
-    inputs: a value does not depend on which calls built the table.
+    theta(1; p) is exactly 0 in both regimes, and theta(p; p) in double
+    precision.  Deterministic for fixed inputs: a value does not depend on
+    which calls built the table.
     """
     if isinstance(x, (complex, float, int)) and isinstance(p, (complex, float, int)):
         if x == 0:
@@ -225,7 +227,7 @@ def theta(x, p, eps: float = DEFAULT_TRUNC_EPS):
         if absp >= 1:
             raise ValueError("need |p| < 1")
         terms = _theta_terms(math.log(abs(x)), math.log(absp) if absp else None, eps)
-        s = x + p / x
+        s = x + (1 if x == p else p / x)      # p / p need not round to 1
         out = 1
         for pj, c in _nome_rows(_double_rows, (p,), terms):
             out = out * (c - pj * s)
@@ -432,8 +434,10 @@ def elliptic_number_base(n: int, base_exp: int, params: EllipticParams):
     return elliptic_number(n, params.rebase(base_exp))
 
 
+@lru_cache(maxsize=8192)
 def weight_v(m: int, n: int, params: EllipticParams):
-    """The addition-formula weight v_{a,b;q,p}(m, n); v(0, n) = 1."""
+    """The addition-formula weight v_{a,b;q,p}(m, n); v(0, n) = 1.
+    Cached per (m, n, params), as elliptic_number is."""
     a, b, q = params.a, params.b, params.q
     ab = a / b
     return _theta_quotient(

@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import add
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from fibl import kernels
 from fibl.errors import NotPolynomialError, ResourceLimitError
@@ -230,8 +229,7 @@ _ZERO = IntPoly()
 _ONE = IntPoly([1])
 
 
-@dataclass(frozen=True)
-class DivisionResult:
+class DivisionResult(NamedTuple):
     quotient: IntPoly
     remainder: IntPoly
 

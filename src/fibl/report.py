@@ -10,7 +10,6 @@ silently masking the claim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Any, Optional
@@ -41,20 +40,28 @@ _SCALAR_TEXT = {
 }
 
 
-@dataclass(slots=True)
 class VerificationReport:
-    identity_name: str
-    inputs: dict
-    lhs: Any
-    rhs: Any
-    passed: bool
-    abs_diff: Optional[float] = None
-    rel_diff: Optional[float] = None
-    tolerance: Optional[float] = None   # None means the comparison was exact
-    expected: str = "equal"             # "equal" or "unequal"
-    seed: Optional[int] = None
-    resamples: int = 0
-    notes: dict = field(default_factory=dict)
+    __slots__ = ("identity_name", "inputs", "lhs", "rhs", "passed", "abs_diff", "rel_diff",
+                 "tolerance", "expected", "seed", "resamples", "notes")
+
+    def __init__(self, identity_name: str, inputs: dict, lhs: Any, rhs: Any, passed: bool,
+                 abs_diff: Optional[float] = None, rel_diff: Optional[float] = None,
+                 tolerance: Optional[float] = None,     # None means the comparison was exact
+                 expected: str = "equal",               # "equal" or "unequal"
+                 seed: Optional[int] = None, resamples: int = 0,
+                 notes: Optional[dict] = None):
+        self.identity_name = identity_name
+        self.inputs = inputs
+        self.lhs = lhs
+        self.rhs = rhs
+        self.passed = passed
+        self.abs_diff = abs_diff
+        self.rel_diff = rel_diff
+        self.tolerance = tolerance
+        self.expected = expected
+        self.seed = seed
+        self.resamples = resamples
+        self.notes = {} if notes is None else notes
 
     def to_dict(self) -> dict:
         return {

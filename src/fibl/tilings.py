@@ -53,11 +53,9 @@ front by comparing the exact integer Fibonomial against the cap.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache
-from importlib import resources
 from itertools import product
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from fibl.errors import ResourceLimitError
 from fibl.fib import fib
@@ -71,8 +69,7 @@ DOMINO = "D"
 SPECIAL = "S"
 
 
-@dataclass(frozen=True)
-class PathDominoTiling:
+class PathDominoTiling(NamedTuple):
     """A rectangle-model tiling.
 
     rows[r-1]: tiles of the above-path segment of row r, west to east.
@@ -98,8 +95,7 @@ class PathDominoTiling:
                    rows=tuple(obj["rows"]), cols=tuple(obj["cols"]))
 
 
-@dataclass(frozen=True)
-class StaircaseTiling:
+class StaircaseTiling(NamedTuple):
     """A staircase-model tiling of the size-n staircase with k west steps.
 
     rows[r-1]: tiles of row r's prescribed segment, west to east.  In a
@@ -656,5 +652,6 @@ def catalan_partial_tiling_counterexample(size: int = 6) -> VerificationReport:
 
 def load_golden(name: str) -> dict:
     """Load one of the JSON fixtures shipped under fibl/data/golden."""
+    from importlib import resources     # here: no command loads a fixture
     path = resources.files("fibl").joinpath(f"data/golden/{name}")
     return json.loads(path.read_text())

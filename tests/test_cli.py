@@ -6,7 +6,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import asdict, replace
+import textwrap
 from pathlib import Path
 
 import mpmath
@@ -362,7 +362,7 @@ class TestEllipticCommand:
 
     def test_override_reaches_extended_arithmetic(self, capsys):
         params = ell.sample_params(DEFAULT_SEED, precision_bits=128)
-        want = complex(ell.elliptic_fibonomial(3, 4, replace(params, q=0.5 + 0.1j)))
+        want = complex(ell.elliptic_fibonomial(3, 4, params.replace(q=0.5 + 0.1j)))
         argv = ("elliptic", "fibonomial", "3", "4", "--q", "0.5+0.1j")
         code, out, _ = run(capsys, *argv, "--precision", "ext:128")
         assert code == 0
@@ -520,6 +520,30 @@ def test_cli_import_leaves_elliptic_and_mpmath_unloaded():
     assert proc.stdout == "[]\n"
 
 
+def test_commands_import_no_dataclasses_inspect_or_resources():
+    """Cold start: the CLI and three commands import none of these.  A child
+    runs them, since this process has imported all three already, without
+    ``site`` (-S), which loads importlib.resources on some installs; the
+    child's path holds fibl's and mpmath's directories."""
+    script = textwrap.dedent("""
+        import contextlib, io, sys
+        before = set(sys.modules)
+        import fibl.cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [fibl.cli.main(argv.split()) for argv in (
+                "catalan coxeter F4 2", "verify q-all --max 3",
+                "verify theta --precision ext:128 --samples 2")]
+        new = set(sys.modules) - before
+        print(codes, "mpmath" in new, sorted(new & {"dataclasses", "inspect", "importlib.resources"}))
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fibl.__file__)))
+    path = os.pathsep.join([src, os.path.dirname(os.path.dirname(mpmath.__file__))])
+    proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[0, 0, 0] True []\n"
+
+
 def test_reports_are_emitted_in_sort_key_order():
     from fibl.cli import _sorted_reports
     from fibl.report import exact_report
@@ -641,7 +665,7 @@ def test_sweep_stream_is_the_whole_document(capsys, monkeypatch, chunk):
     (rows,) = seen
     assert out == json_text({"schema": SCHEMA, "command": "catalan-sweep",
                              "config": cli._config_dict(ns, {"max": 8}),
-                             "rows": [asdict(r) for r in rows]}) + "\n"
+                             "rows": [r._asdict() for r in rows]}) + "\n"
 
 
 def test_json_pieces_of_an_empty_list_are_the_whole_document():

@@ -2,8 +2,8 @@ import cmath
 import json
 import math
 import random
+import re
 import struct
-from dataclasses import replace
 from functools import partial
 from fractions import Fraction
 
@@ -82,7 +82,7 @@ class TestTheta:
         # doubling the truncation depth (eps -> eps^2) moves nothing by
         # more than eq_tol / 10
         p = params_at(1)
-        deeper = replace(p, trunc_eps=p.trunc_eps ** 2)
+        deeper = p.replace(trunc_eps=p.trunc_eps ** 2)
         for n in (2, 5, 13):
             v1 = ell.elliptic_number(n, p)
             v2 = ell.elliptic_number(n, deeper)
@@ -199,6 +199,7 @@ class TestThetaKernel:
     @example(lx=12.0, ax=4.0, lp=-0.3, ap=5.0, bits=160)
     @example(lx=30.0, ax=1.0, lp=math.log10(0.9), ap=0.5, bits=None)
     @example(lx=0.0, ax=1.0, lp=-1.1, ap=0.0, bits=160)               # tie: J 41 vs 40
+    @example(lx=-2.45703125, ax=1.0, lp=-2.45703125, ap=1.0, bits=None)  # x = p
     @settings(max_examples=150)
     def test_matches_reference(self, lx, ax, lp, ap, bits):
         x, p = _polar(lx, ax), _polar(lp, ap)
@@ -519,7 +520,7 @@ class TestEllipticNumber:
         assert cmath.isfinite(complex(v))
 
     def test_degenerate_guard(self):
-        p = replace(params_at(0), min_denom=1e12)
+        p = params_at(0).replace(min_denom=1e12)
         with pytest.raises(DegenerateParametersError):
             ell.elliptic_number(5, p)
 
@@ -528,19 +529,45 @@ class TestEllipticNumber:
         p = params_at(3, precision_bits=bits)
         for n in (0, 1, 2, 5, 13):
             first = ell.elliptic_number(n, p)
-            again = ell.elliptic_number(n, replace(p))     # an equal key
+            again = ell.elliptic_number(n, p.replace())     # an equal key
             want = ell.elliptic_number.__wrapped__(n, p)
             assert again is first
             assert first == want and type(first) is type(want)
 
     def test_degenerate_point_raises_on_every_call(self):
-        p = replace(params_at(0), min_denom=1e12)
+        p = params_at(0).replace(min_denom=1e12)
         for _ in range(2):
             with pytest.raises(DegenerateParametersError):
                 ell.elliptic_number(5, p)
 
+    @pytest.mark.parametrize("bits", [None, 128])
+    def test_equal_params_hash_equal_and_share_an_entry(self, bits):
+        p = params_at(4, precision_bits=bits)
+        twin = ell.EllipticParams(*p)
+        assert twin == p and twin is not p and hash(twin) == hash(p)
+        first = ell.elliptic_number(7, p)
+        hits, misses = ell.elliptic_number.cache_info()[:2]
+        assert ell.elliptic_number(7, twin) is first
+        assert ell.elliptic_number.cache_info()[:2] == (hits + 1, misses)
+
 
 class TestWeightV:
+    @pytest.mark.parametrize("bits", [None, 128])
+    def test_cached_value_is_the_computed_one(self, bits):
+        p = params_at(3, precision_bits=bits)
+        for m, n in ((0, 1), (1, 2), (3, 5), (8, 5)):
+            first = ell.weight_v(m, n, p)
+            again = ell.weight_v(m, n, p.replace())     # an equal key
+            want = ell.weight_v.__wrapped__(m, n, p)
+            assert again is first
+            assert first == want and type(first) is type(want)
+
+    def test_degenerate_point_raises_on_every_call(self):
+        p = params_at(0).replace(min_denom=1e12)
+        for _ in range(2):
+            with pytest.raises(DegenerateParametersError):
+                ell.weight_v(2, 3, p)
+
     def test_v_zero_is_one(self):
         for i in range(4):
             p = params_at(i)
@@ -886,10 +913,44 @@ class TestSampling:
     def test_non_finite_params_rejected(self, field, value, bits):
         base = params_at(0, precision_bits=bits)
         with pytest.raises(ValueError, match="^a, b, q, p must be finite$"):
-            replace(base, **{field: value})
+            base.replace(**{field: value})
         fields = {"a": 0.5, "b": 0.7j, "q": 0.6, "p": 0.1, field: value}
         with pytest.raises(ValueError, match="^a, b, q, p must be finite$"):
             ell.EllipticParams(**fields, precision_bits=bits)
+
+
+class TestParamsReplace:
+    def test_replace_converts_to_the_parameters_context(self):
+        p = params_at(0, precision_bits=128)
+        r = p.replace(q=0.5 + 0.1j, p=0.25)
+        for value in r[:4]:
+            assert value.context.prec == 128
+        assert (complex(r.q), complex(r.p)) == (0.5 + 0.1j, 0.25)
+        assert (r.a, r.b, r.eq_tol, r.precision_bits) == (p.a, p.b, p.eq_tol, 128)
+        assert type(r) is ell.EllipticParams
+
+    def test_replace_in_double_precision_keeps_plain_numbers(self):
+        r = params_at(0).replace(q=0.5 + 0.1j)
+        assert r.q == 0.5 + 0.1j and type(r.q) is complex
+
+    @pytest.mark.parametrize("bits", [None, 128])
+    @pytest.mark.parametrize("change, message", [
+        ({"a": complex(math.nan, 0.0)}, "a, b, q, p must be finite"),
+        ({"p": mpmath.mpc(0.0, math.nan)}, "a, b, q, p must be finite"),
+        ({"p": 1.0}, "need |p| < 1"), ({"p": -1.5j}, "need |p| < 1"),
+        ({"a": 0}, "a, b, q must be nonzero"), ({"b": 0j}, "a, b, q must be nonzero"),
+        ({"q": 0.0}, "a, b, q must be nonzero"),
+        ({"eq_tol": 0.0}, "tolerances must be positive")])
+    def test_replace_checks_again(self, bits, change, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            params_at(0, precision_bits=bits).replace(**change)
+
+    def test_fields_are_read_only(self):
+        p = params_at(0)
+        with pytest.raises(AttributeError):
+            p.q = 0.5
+        with pytest.raises(AttributeError):
+            p.extra = 1
 
 
 class TestExtendedPrecision:
@@ -905,7 +966,7 @@ class TestExtendedPrecision:
         assert rep.passed and rep.rel_diff < 1e-30
 
     def test_params_carry_their_own_context(self):
-        p = replace(ell.sample_params(9, precision_bits=160), a=0.5 + 0.25j)
+        p = ell.sample_params(9, precision_bits=160).replace(a=0.5 + 0.25j)
         for value in (p.a, p.b, p.q, p.p, p.rebase(3).q):
             assert value.context.prec == 160
         assert complex(p.a) == 0.5 + 0.25j
