@@ -229,13 +229,21 @@ def _once_per_dict(fmt):
 
 
 def _sorted_reports(reports: list[VerificationReport]) -> list[VerificationReport]:
-    """The reports in sort_key() order.  The key is the pair (identity +
-    "|", inputs text), which orders as sort_key() does because no identity
-    contains "|"; each identity's head and each inputs dict's text are made
-    once and shared."""
-    heads = {r.identity_name: r.identity_name + "|" for r in reports}
+    """The reports in sort_key() order: grouped by identity + "|", the
+    groups in sorted order, each group stable-sorted by its inputs text,
+    made once per inputs dict.  That is the order of the pair (identity +
+    "|", inputs text), which is sort_key()'s because no identity contains
+    "|"; it costs no tuple and no key call per report."""
+    groups: dict[str, list[VerificationReport]] = {}
+    for r in reports:
+        groups.setdefault(r.identity_name, []).append(r)
     inputs_text = _once_per_dict(inputs_key)
-    return sorted(reports, key=lambda r: (heads[r.identity_name], inputs_text(r.inputs)))
+    out = []
+    for name in sorted(groups, key=lambda name: name + "|"):
+        group = groups[name]
+        texts = [inputs_text(r.inputs) for r in group]
+        out.extend(map(group.__getitem__, sorted(range(len(group)), key=texts.__getitem__)))
+    return out
 
 
 def _csv_inputs(inputs: dict) -> str:

@@ -27,15 +27,19 @@ In the extended mode EllipticParams holds a, b, q and p as numbers of a
 private mpmath context whose precision is B, and every value computed
 from them carries that context: it computes at B bits whatever the
 global mpmath context is set to, and no function here changes that
-global setting.  theta computes its truncation depth once from float
-logarithms.  In both regimes each term is one factor,
+global setting.  theta computes how many terms it sums once, from float
+logarithms, and keeps what depends on the nome alone in a table per
+nome that every call at that nome shares.  In double precision it runs
+the product, one complex factor per term,
 (1 - p^j x)(1 - p^{j+1}/x) = (1 + p^{2j+1}) - p^j s with s = x + p/x
-formed once per call, and p^j and 1 + p^{2j+1} come from a table per
-nome that every call at that nome shares.  In double precision the
-factors are complex numbers; in the extended mode they are Gaussian
-integer mantissas of B + 16 bits that share one binary exponent, and the
-product is rounded once to a B-bit mpc, so mpmath's own arithmetic never
-runs per factor.
+formed once per call, and p^j and 1 + p^{2j+1} from the table.  In the
+extended mode it runs the Jacobi triple product series instead,
+theta(x; p) = sum_n (-1)^n p^{n(n-1)/2} x^n / (p; p)_inf, whose terms
+fall like |p|^{n^2/2}: about 13 a side at |p| <= 0.35 and eps = 1e-44,
+where the product needs about 65 factors.  Both sides are summed from
+the largest term on Gaussian integer mantissas at one fixed binary
+exponent, and the value is rounded once to a B-bit mpc, so mpmath's own
+arithmetic never runs per term.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ import math
 import random
 from collections import namedtuple
 from functools import lru_cache, partial
-from itertools import chain, combinations, islice
+from itertools import combinations, islice
 from typing import Callable, Optional, Sequence
 
 from fibl.errors import DegenerateParametersError
@@ -65,6 +69,9 @@ MAX_RESAMPLES = 100
 _MAX_THETA_TERMS = 100_000
 _TABLE_ROWS = 1024          # rows kept per nome table
 _LN2 = math.log(2)
+_GUARD_BITS = math.pi ** 2 / (2 * _LN2)     # g |log p|, see _series_guard
+_ONE = ((0, 1, 0, 1), (0, 0, 0, 0))         # the _mpc_ of 1
+_NOT_CONVERGED = "theta truncation did not converge; |p| too close to 1"
 
 
 class EllipticParams(namedtuple("EllipticParams", "a b q p trunc_eps eq_tol min_denom "
@@ -197,28 +204,29 @@ def run_sampled_checks(check: Callable[[EllipticParams], VerificationReport],
 # Theta functions
 
 def theta(x, p, eps: float = DEFAULT_TRUNC_EPS):
-    """Truncated theta product of the first J factor pairs, where J is the
-    first J >= 1 with |p|^J max(|x|, 1/|x|) < eps (J = 1 when p = 0).
+    """theta(x; p) = prod_{j >= 0} (1 - p^j x)(1 - p^{j+1}/x), truncated at
+    eps.  Two regimes, chosen by the argument types:
 
-    J is computed once, from float logarithms, before the product runs.
-    Each term is the one factor (1 + p^{2j+1}) - p^j s with s = x + p/x,
-    and p^j and 1 + p^{2j+1} are read from the nome's cached table
-    (``_nome_rows``).  Two regimes, chosen by the argument types:
+    * double (x and p complex, float or int): the first J factor pairs,
+      J the first J >= 1 with |p|^J max(|x|, 1/|x|) < eps (J = 1 when
+      p = 0), computed once from float logarithms.  Each term is the one
+      factor (1 + p^{2j+1}) - p^j s with s = x + p/x, p^j and
+      1 + p^{2j+1} read from the nome's cached table (``_nome_rows``);
+      the value agrees with the two-factor loop
+      ``out * (1 - p^j x) * (1 - p^{j+1} / x)`` within a few ulp per
+      factor;
+    * extended (x or p an mpmath number): the Jacobi triple product
+      series, each side cut before its first term below eps 2^-g of the
+      largest one, summed on Gaussian integer mantissas and rounded once
+      to an mpc at B bits, where B is the precision of the mpmath context
+      that x carries (p's when x is not an mpmath number); the result
+      belongs to that context (``_theta_ext``).
 
-    * double (x and p complex, float or int): the factors and the product
-      are complex (``_double_rows``); the value agrees with the two-factor
-      loop ``out * (1 - p^j x) * (1 - p^{j+1} / x)`` within a few ulp
-      per factor;
-    * extended (x or p an mpmath number): the product runs on Gaussian
-      integer mantissas with a shared binary exponent, carried at B + 16
-      bits, and is rounded once to an mpc at B bits, where B is the
-      precision of the mpmath context that x carries (p's when x is not
-      an mpmath number); the result belongs to that context
-      (``_theta_ext``).
-
-    theta(1; p) is exactly 0 in both regimes, and theta(p; p) in double
-    precision.  Deterministic for fixed inputs: a value does not depend on
-    which calls built the table.
+    theta(1; p) and theta(p; p) are exactly 0, and theta(x; 0) is 1 - x
+    rounded once, in both regimes.  x = 0, |p| >= 1, and a truncation
+    deeper than _MAX_THETA_TERMS factor pairs or series terms a side
+    raise ValueError.  Deterministic for fixed inputs: a value does not
+    depend on which calls built the table.
     """
     if isinstance(x, (complex, float, int)) and isinstance(p, (complex, float, int)):
         if x == 0:
@@ -240,11 +248,11 @@ def _theta_terms(log_x: float, log_p: Optional[float], eps: float) -> int:
     if log_p is None:
         return 1
     if log_p >= 0:      # |p| rounds to 1
-        raise ValueError("theta truncation did not converge; |p| too close to 1")
+        raise ValueError(_NOT_CONVERGED)
     # J log|p| + |log|x|| < log(eps)  <=>  J > ratio
     ratio = (math.log(eps) - abs(log_x)) / log_p
     if ratio >= _MAX_THETA_TERMS + 1:       # J = _MAX_THETA_TERMS + 1 is allowed
-        raise ValueError("theta truncation did not converge; |p| too close to 1")
+        raise ValueError(_NOT_CONVERGED)
     return max(1, math.floor(ratio) + 1)
 
 
@@ -264,77 +272,217 @@ def _gaussian(z, width: int):
 
 
 def _theta_ext(x, p, eps: float):
-    """The extended regime of theta on Gaussian integer mantissas.
+    """The extended regime of theta: the Jacobi triple product series on
+    Gaussian integer mantissas.
 
     The context ``ctx`` of x, or of p when x is not an mpmath number,
     gives prec, the conversion of the other argument and the result's
-    type.  Every value is (a + ib) 2^e with max(|a|, |b|) < 2^W,
-    W = prec + 16.  Each term is one factor,
+    type.  With t_n = (-1)^n p^{n(n-1)/2} x^n (Gasper-Rahman (1.6.1),
+    DLMF 20.5),
 
-        (1 - p^j x)(1 - p^{j+1} / x) = (1 + p^{2j+1}) - p^j s,
-        s = x + p / x,
+        theta(x; p) (p; p)_inf = sum_{n in Z} t_n,
 
-    so s is formed once per call (p / x is the only division) and each
-    term costs one product p^j s, formed at exponent -W and subtracted
-    from 1 + p^{2j+1}, and one product into the running value, which is
-    renormalized by bit_length.  p^j and 1 + p^{2j+1} are the rows of
-    the nome's table, shared by every call at that nome.
+    and |t_n| is largest at the n = k that brings y = p^k x into
+    |p| < |y| <= 1 (after x -> p/x when |x| <= |p|, as theta(x) =
+    theta(p/x)), so that t_{k+m} = t_k u_m with u_m the terms of y.  The
+    sum over m has two sides, sum_{m >= 0} T_m z^m for z = y and for
+    z = p/y, T_m = (-1)^m p^{m(m-1)/2}; the largest term, u_0 = 1, is on
+    both, and every term has modulus at most 1.  Each side is one Horner
+    evaluation, one product per term, on Gaussian integers at one fixed
+    exponent -F, F = W + g, W = prec + 16, with the T_m read from the
+    nome's cached table (``_series_rows``).  The g guard bits
+    (``_series_guard``) cover the sum's cancellation:
+    |sum| >= |1 - y| |1 - p/y| 2^-g.  A side stops before its first term
+    below eps 2^-g, a count known in closed form (``_series_terms``), so
+    the value's relative error from truncation is about eps away from a
+    zero, as the product's was.  The sum is multiplied by t_k and by
+    1/(p; p)_inf (``_series_constants``) and rounded once to a B-bit mpc.
     """
-    from mpmath.libmp import from_man_exp, round_nearest
+    from mpmath.libmp import fzero, from_man_exp, round_nearest
 
     ctx = x.context if hasattr(x, "context") else p.context
     x, p = (z if hasattr(z, "_mpc_") else ctx.mpc(z) for z in (x, p))
     prec = ctx.prec
     width = prec + 16
-    xa, xb, xe = _gaussian(x, width)
-    if not (xa or xb):
+    if not (x._mpc_[0][1] or x._mpc_[1][1]):         # zero mantissas
         raise ValueError("theta argument must be nonzero")
     pa, pb, pe = _gaussian(p, width)
     pn = pa * pa + pb * pb
-    if pn and (pe >= 0 or pn >> (-2 * pe)):          # |p|^2 >= 1
+    if not pn:
+        return 1 - x
+    if pe >= 0 or pn >> (-2 * pe):                  # |p|^2 >= 1
         raise ValueError("need |p| < 1")
-    xn = xa * xa + xb * xb
-    terms = _theta_terms(0.5 * math.log(xn) + xe * _LN2,
-                         0.5 * math.log(pn) + pe * _LN2 if pn else None, eps)
+    log_p = 0.5 * math.log(pn) + pe * _LN2
+    # the deepest side, at |z| = 1, runs more than g / 2.3 terms, so a
+    # guard past 4 _MAX_THETA_TERMS is past the cap too
+    if log_p >= 0 or _GUARD_BITS / -log_p >= 4 * _MAX_THETA_TERMS:
+        raise ValueError(_NOT_CONVERGED)
+    log_tol = math.log(eps) - _series_guard(log_p) * _LN2   # a side's cut-off
+    if _series_terms(log_p, 0.0, log_tol) > _MAX_THETA_TERMS:
+        raise ValueError(_NOT_CONVERGED)
+    if x._mpc_ in (_ONE, p._mpc_):
+        return ctx.make_mpc((fzero, fzero))
+    key = pa, pb, pe, width
+    frac, ia, ib, ie = _series_constants(*key)
+    x = _gaussian(x, frac)
+    log_x = 0.5 * math.log(x[0] * x[0] + x[1] * x[1]) + x[2] * _LN2
+    nome = key[:3]
+    if log_x <= log_p:
+        x, log_x = _quotient(*nome, *x, frac), log_p - log_x
+    k = max(0, math.ceil(log_x / -log_p))
+    # y = p^k x and the peak term t_k = (-1)^k p^{k(k-1)/2} x^k
+    y, ta, tb, te = x, 1, 0, 0
+    if k:
+        y = _times(*_power(*nome, k, frac), *x, frac)
+        ta, tb, te = _times(*_power(*x, k, frac), *_power(*nome, k * (k - 1) // 2, frac), frac)
+        if k & 1:
+            ta, tb = -ta, -tb
+    log_y = log_x + k * log_p
+    ny = _series_terms(log_p, log_y, log_tol)
+    nw = _series_terms(log_p, log_p - log_y, log_tol)
+    rows = _nome_rows(_series_rows, key, max(ny, nw))
+    sa, sb = _horner(rows[ny - 1::-1], *_fixed(*y, frac), frac)
+    ua, ub = _horner(rows[nw - 1::-1], *_fixed(*_quotient(*nome, *y, frac), frac), frac)
+    sa, sb = sa + ua - (1 << frac), sb + ub         # u_0 = 1 is on both sides
+    # theta = t_k * sum / (p; p)_inf
+    ma, mb = sa * ia - sb * ib, sa * ib + sb * ia
+    ma, mb = ma * ta - mb * tb, ma * tb + mb * ta
+    e = ie + te - frac
+    return ctx.make_mpc((from_man_exp(ma, e, prec, round_nearest),
+                         from_man_exp(mb, e, prec, round_nearest)))
 
-    # p / x = p conj(x) / |x|^2, the one division
-    k = 2 * width + 1
-    ia, ib = (xa << k) // xn, (-xb << k) // xn
-    wa, wb = pa * ia - pb * ib, pa * ib + pb * ia
-    we = pe - xe - k
-    # s = x + p / x, summed exactly at exponent m, then cut back to
-    # exponent max(log2 |s|, 0) - W - 2: at x = 1 the first term p^0 s is
-    # then exactly the table's 1 + p, and theta(1; p) is exactly 0
-    m = min(xe, we)
-    sa = (xa << (xe - m)) + (wa << (we - m))
-    sb = (xb << (xe - m)) + (wb << (we - m))
-    k = max(sa.bit_length(), sb.bit_length(), -m, width + 2) - width - 2
-    sa, sb, sk = sa >> k, sb >> k, m + k + width
-    # the running value is cut back to W bits by k = (bit length - W)
-    # right shifts; W in the max keeps k >= 0 for an exact zero
-    oa, ob, oe = 1, 0, 0
-    for ca, cb, ce, da, db in _nome_rows(_gaussian_rows, (pa, pb, pe, width), terms):
-        ta, tb = ca * sa - cb * sb, ca * sb + cb * sa
-        k = ce + sk                   # p^j s at exponent -W
-        ta, tb = (ta << k, tb << k) if k >= 0 else (ta >> -k, tb >> -k)
-        ha, hb = da - ta, db - tb
-        oa, ob = oa * ha - ob * hb, oa * hb + ob * ha
-        k = max(oa.bit_length(), ob.bit_length(), width) - width
-        oa, ob, oe = oa >> k, ob >> k, oe - width + k
-    return ctx.make_mpc((from_man_exp(oa, oe, prec, round_nearest),
-                         from_man_exp(ob, oe, prec, round_nearest)))
+
+def _series_guard(log_p: float) -> int:
+    """The guard bits g of the series at log|p|: over |p| < |y| <= 1,
+
+        |sum_m u_m| >= |1 - y| |1 - p/y| (|p|; |p|)_inf^3,
+
+    as theta(y; p) (p; p)_inf is (1 - y)(1 - p/y) times factors
+    1 - p^j y, 1 - p^{j+1}/y and 1 - p^j, j >= 1, each of modulus at least
+    1 - |p|^j; and -ln (|p|; |p|)_inf = sum_k |p|^k / (k (1 - |p|^k)) is
+    at most pi^2 / (6 |log p|).  So g = ceil(pi^2 / (2 ln 2 |log p|))."""
+    return math.ceil(_GUARD_BITS / -log_p)
+
+
+def _series_terms(log_q: float, log_z: float, log_tol: float) -> int:
+    """How many terms u_m = (-1)^m q^{m(m-1)/2} z^m, from m = 0, come
+    before the first with |u_m| < tol, from log|q| < 0, log|z| and
+    log(tol) < 0: log|u_m| = -a m^2 + b m with a = -log|q|/2 and
+    b = log|z| + a is below log(tol) past the larger root r of
+    a m^2 - b m + log(tol), so the count is floor(r) + 1."""
+    a = -0.5 * log_q
+    b = log_z + a
+    return math.floor((b + math.sqrt(b * b - 4 * a * log_tol)) / (2 * a)) + 1
+
+
+def _horner(rows, za: int, zb: int, frac: int):
+    """sum_m T_m z^m over the rows (T_m first, highest m first), by
+    Horner's rule on Gaussian integers at exponent -frac, z given there.
+    With |z| <= 1 each step's rounding adds less than 2^-frac per part."""
+    sa = sb = 0
+    for ta, tb, _, _ in rows:
+        sa, sb = ((sa * za - sb * zb) >> frac) + ta, ((sa * zb + sb * za) >> frac) + tb
+    return sa, sb
+
+
+def _triangular_rows(last, qa: int, qb: int, frac: int):
+    """The rows (T_m, q^m), as (ta, tb, ca, cb) at exponent -frac, after
+    the row ``last`` (from m = 0 when it is None), without end:
+    T_m = (-1)^m q^{m(m-1)/2}, so T_{m+1} = -T_m q^m, and q^{m+1} =
+    q^m q, each product cut at exponent -frac.  A row depends only on the
+    row before it, so it is the same whichever call grew a table."""
+    one = 1 << frac
+    row = last
+    while True:
+        if row is None:
+            row = one, 0, one, 0
+        else:
+            ta, tb, ca, cb = row
+            row = ((tb * cb - ta * ca) >> frac, -(ta * cb + tb * ca) >> frac,
+                   (ca * qa - cb * qb) >> frac, (ca * qb + cb * qa) >> frac)
+        yield row
+
+
+def _series_rows(last, pa: int, pb: int, pe: int, width: int):
+    """The rows of the B-bit table of the nome p = (pa + i pb) 2^pe at
+    mantissa width W: ``_triangular_rows`` of p at the series' fixed
+    exponent -F."""
+    frac = _series_constants(pa, pb, pe, width)[0]
+    return _triangular_rows(last, *_fixed(pa, pb, pe, frac), frac)
+
+
+@lru_cache(maxsize=32)
+def _series_constants(pa: int, pb: int, pe: int, width: int):
+    """(F, ia, ib, ie) for the nome p = (pa + i pb) 2^pe at mantissa
+    width W: F = W + g, the series' fixed exponent, and
+    1/(p; p)_inf = (ia + i ib) 2^ie.  (p; p)_inf is Euler's pentagonal
+    series sum_n (-1)^n p^{n(3n-1)/2}, whose sides are those of the
+    triple product at nome p^3 for z = p and z = p^2, summed to the
+    fixed exponent's last bit.  Kept for the 32 most recently used
+    nomes, as their tables are."""
+    log_p = 0.5 * math.log(pa * pa + pb * pb) + pe * _LN2
+    frac = width + _series_guard(log_p)
+    qa, qb = _fixed(pa, pb, pe, frac)
+    p2 = (qa * qa - qb * qb) >> frac, (2 * qa * qb) >> frac
+    p3 = (p2[0] * qa - p2[1] * qb) >> frac, (p2[0] * qb + p2[1] * qa) >> frac
+    log_tol = -frac * _LN2
+    n1 = _series_terms(3 * log_p, log_p, log_tol)
+    n2 = _series_terms(3 * log_p, 2 * log_p, log_tol)
+    rows = list(islice(_triangular_rows(None, *p3, frac), max(n1, n2)))
+    ea, eb = _horner(rows[n1 - 1::-1], qa, qb, frac)
+    fa, fb = _horner(rows[n2 - 1::-1], *p2, frac)
+    return (frac,) + _quotient(1, 0, 0, ea + fa - (1 << frac), eb + fb, -frac, frac)
+
+
+def _fixed(a: int, b: int, e: int, frac: int):
+    """(a + ib) 2^e as Gaussian integers at exponent -frac."""
+    k = e + frac
+    return (a << k, b << k) if k >= 0 else (a >> -k, b >> -k)
+
+
+def _cut(a: int, b: int, e: int, width: int):
+    """(a + ib) 2^e cut back to mantissas below 2^width."""
+    k = max(a.bit_length(), b.bit_length()) - width
+    return (a >> k, b >> k, e + k) if k > 0 else (a, b, e)
+
+
+def _times(a: int, b: int, e: int, c: int, d: int, f: int, width: int):
+    """The product of two Gaussian mantissas, cut back to W bits."""
+    return _cut(a * c - b * d, a * d + b * c, e + f, width)
+
+
+def _quotient(a: int, b: int, e: int, c: int, d: int, f: int, width: int):
+    """(a + ib) 2^e / ((c + id) 2^f) to W bits: (a + ib)(c - id) over
+    c^2 + d^2, the quotient shifted to about W + 1 bits first."""
+    n = c * c + d * d
+    ra, rb = a * c + b * d, b * c - a * d
+    k = width + 1 + n.bit_length() - max(ra.bit_length(), rb.bit_length())
+    return _cut((ra << k) // n, (rb << k) // n, e - f - k, width)
+
+
+def _power(a: int, b: int, e: int, n: int, width: int):
+    """((a + ib) 2^e)^n, n >= 0, by squaring, each product cut to W bits."""
+    out = 1, 0, 0
+    while n:
+        if n & 1:
+            out = _times(*out, a, b, e, width)
+        n >>= 1
+        if n:
+            a, b, e = _times(a, b, e, a, b, e, width)
+    return out
 
 
 @lru_cache(maxsize=32)
 def _nome_table(*key) -> list:
     """The cached rows of the nome that ``key`` names: (p,) in double
-    precision, (pa, pb, pe, W) for the nome (pa + i pb) 2^pe at mantissa
-    width W.  A list that ``_nome_rows`` grows in place to at most
-    _TABLE_ROWS rows, kept for the 32 most recently used nomes."""
+    precision (``_double_rows``), (pa, pb, pe, W) for the nome
+    (pa + i pb) 2^pe at mantissa width W (``_series_rows``).  A list
+    that ``_nome_rows`` grows in place to at most _TABLE_ROWS rows, kept
+    for the 32 most recently used nomes."""
     return []
 
 
-def _nome_rows(rows_after, key: tuple, terms: int):
+def _nome_rows(rows_after, key: tuple, terms: int) -> list:
     """The first ``terms`` rows of the nome's table, where
     ``rows_after(last, *key)`` yields the rows after the row ``last``
     (from row 0 when it is None), without end.  Rows past _TABLE_ROWS
@@ -345,7 +493,7 @@ def _nome_rows(rows_after, key: tuple, terms: int):
         more = rows_after(rows[-1] if rows else None, *key)
         rows.extend(islice(more, min(terms, _TABLE_ROWS) - len(rows)))
         if len(rows) < terms:
-            return chain(rows, islice(more, terms - len(rows)))
+            return rows + list(islice(more, terms - len(rows)))
     return rows[:terms]
 
 
@@ -362,29 +510,6 @@ def _double_rows(last, p):
         nxt = pj * p
         yield pj, 1 + pj * nxt
         pj = nxt
-
-
-def _gaussian_rows(last, pa: int, pb: int, pe: int, width: int):
-    """The rows (ca, cb, ce, da, db) of the nome (pa + i pb) 2^pe at
-    mantissa width W, after the row ``last``: p^j = (ca + i cb) 2^ce, a
-    W-bit mantissa with its own exponent, and 1 + p^{2j+1} =
-    (da + i db) 2^-W.  p^{j+1} is p^j times p and p^{2j+1} is p^j times
-    p^{j+1}, each cut back to W bits, so a row is the same whichever
-    call grew the table."""
-    def times(a, b, e, c, d, f):
-        ra, rb = a * c - b * d, a * d + b * c
-        k = max(ra.bit_length(), rb.bit_length(), width) - width
-        return ra >> k, rb >> k, e + f + k
-
-    ca, cb, ce = (1, 0, 0) if last is None else times(*last[:3], pa, pb, pe)
-    one = 1 << width
-    while True:
-        na, nb, ne = times(ca, cb, ce, pa, pb, pe)
-        da, db, de = times(ca, cb, ce, na, nb, ne)
-        k = de + width
-        da, db = (da << k, db << k) if k >= 0 else (da >> -k, db >> -k)
-        yield ca, cb, ce, one + da, db
-        ca, cb, ce = na, nb, ne
 
 
 def theta_value(x, params: EllipticParams):

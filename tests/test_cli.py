@@ -573,6 +573,25 @@ def test_sorted_reports_order_prefix_identities_as_sort_key_does():
             id(r) for r in sorted(order, key=VerificationReport.sort_key)]
 
 
+def test_sorted_reports_on_a_large_theta_suite_and_mixed_identities():
+    """The grouped sort gives sort_key()'s order on the 1,200 reports of a
+    300-sample theta suite (four identities, one inputs dict shared by a
+    sample's four reports), mixed with prefix identities ("spiral",
+    "spiralz", ...) whose reports carry equal and shared inputs, in either
+    input order."""
+    from fibl.cli import _sorted_reports
+    from fibl.report import VerificationReport, exact_report
+    reports = ell.theta_property_suite(ell.sample_params(0), 300, seed=7)
+    assert len(reports) == 1200
+    shared = {"m": 3}
+    reports += [exact_report(name, inputs, 1, 1)
+                for name in ("spiral", "spiralz", "spiral-at", "theta-addition")
+                for inputs in (shared, {"m": 1}, {"m": 3}, shared)]
+    for order in (reports, reports[::-1], reports[1::2] + reports[::2]):
+        assert [id(r) for r in _sorted_reports(order)] == [
+            id(r) for r in sorted(order, key=VerificationReport.sort_key)]
+
+
 @pytest.mark.parametrize("fmt", ["text", "csv"])
 def test_reports_sharing_inputs_are_written_as_when_formatted_apart(capsys, monkeypatch, fmt):
     """Text and CSV lines format each inputs dict once; the output is the

@@ -6,6 +6,7 @@ import re
 import struct
 from functools import partial
 from fractions import Fraction
+from itertools import combinations
 
 import mpmath
 import pytest
@@ -93,12 +94,11 @@ class TestTheta:
             assert abs(w1 - w2) / abs(w2) < p.eq_tol / 10
 
 
-def _reference_run(x, p, eps=ell.DEFAULT_TRUNC_EPS, depth=None):
+def _reference_run(x, p, eps=ell.DEFAULT_TRUNC_EPS):
     """The factor-by-factor theta loop that tests the kernel against.
 
     Returns the value, the number of factor pairs J, and the stopping
     ratios |p|^J B / eps (< 1) and |p|^(J-1) B / eps (>= 1), B = max(|x|, 1/|x|).
-    Given ``depth``, the loop stops after that many factor pairs instead.
     """
     if x == 0:
         raise ValueError("theta argument must be nonzero")
@@ -114,7 +114,7 @@ def _reference_run(x, p, eps=ell.DEFAULT_TRUNC_EPS, depth=None):
         out = out * (1 - pj * x) * (1 - pj * p / x)
         pj = pj * p
         terms += 1
-        if (abs(pj) * bound < eps) if depth is None else (terms == depth):
+        if abs(pj) * bound < eps:
             return out, terms, float(abs(pj) * bound / eps), float(before)
         if terms > ell._MAX_THETA_TERMS:
             raise ValueError("theta truncation did not converge; |p| too close to 1")
@@ -174,19 +174,69 @@ def _terms_of_kernel(x, p, eps):
     return value, seen[0]
 
 
+def _guard(p) -> int:
+    """The guard bits g = ceil(pi^2 / (2 ln 2 |ln |p||)) that the B-bit
+    kernel documents: the triple product series cancels by at most
+    g bits plus those of the distance to a zero."""
+    return math.ceil(math.pi ** 2 / (2 * math.log(2) * -math.log(abs(complex(p)))))
+
+
+def _series_reference(x, p, eps, bits):
+    """theta(x; p) by the triple product series, at ``bits`` + g bits:
+    the sum of t_n = (-1)^n p^(n(n-1)/2) x^n over the n with |t_n| at
+    least eps 2^-g times the largest |t_n|, over (p; p)_inf, a product
+    carried to the working precision.  |t_n| is log-concave in n, so the
+    kept n are those around its top, 1/2 - log|x| / log|p|.
+
+    Returns the list of values for every way of deciding the terms within
+    1e-9 (in log) of the cut-off, where the kernel's float logarithms may
+    fall either way: one value away from such ties."""
+    g = _guard(p)
+    with mpmath.workprec(bits + g):
+        x, p = mpmath.mpc(x), mpmath.mpc(p)
+        lx, lp = mpmath.log(abs(x)), mpmath.log(abs(p))
+
+        def log_term(n):
+            return n * (n - 1) / 2 * lp + n * lx
+        top = int(mpmath.nint(0.5 - lx / lp))
+        cut = max(map(log_term, (top - 1, top, top + 1))) + mpmath.log(eps) - g * mpmath.log(2)
+        kept, ties = [], []
+        for n, step in ((top, 1), (top - 1, -1)):
+            while log_term(n) >= cut - 1e-9:
+                (ties if abs(log_term(n) - cut) < 1e-9 else kept).append(n)
+                n += step
+
+        def term(n):
+            return (-1) ** n * p ** (n * (n - 1) // 2) * x ** n
+        euler, pj = mpmath.mpc(1), p
+        while abs(pj) > mpmath.mpf(2) ** -(bits + g + 8):
+            euler, pj = euler * (1 - pj), pj * p
+        base = mpmath.fsum(map(term, kept))
+        return [(base + mpmath.fsum(map(term, chosen))) / euler
+                for r in range(len(ties) + 1) for chosen in combinations(ties, r)]
+
+
+def _within(got, wants, bits) -> bool:
+    """Whether got lies within 2^-(B-8) of one of the values ``wants``."""
+    with mpmath.workprec(bits + 64):
+        return any(abs(got - w) <= mpmath.mpf(2) ** -(bits - 8) * abs(w) for w in wants)
+
+
 _phases = st.floats(0.0, 2 * math.pi)
 
 
 class TestThetaKernel:
-    """ell.theta against the reference loop: in double precision within
-    8 times the loop's condition sum (``_exact_run``) of a 160-bit run, at
-    B bits within 2^-(B-8), with the same truncation depth away from ties.
-    At a tie the value is compared with the loop stopped at the kernel's
-    depth.
+    """ell.theta against references.  In double precision: the
+    factor-by-factor loop, within 8 times its condition sum
+    (``_exact_run``) of a 160-bit run, with the same truncation depth away
+    from ties.  At B bits: within 2^-(B-8) of the triple product series
+    carried by the same eps rule at B + 64 bits (``_series_reference``),
+    and where 2^-(B-8) is far above eps (B <= 128), within 2^-(B-8) of the
+    factor-by-factor loop carried to eps at B + 64 bits as well.
 
-    At B bits the reference runs at B + 64 bits on the same inputs: run at
-    B bits, its own rounding drifts by up to ~1500 ulp at J ~ 1000 terms,
-    which would hide the kernel's error rather than measure it.
+    At B bits the references run at B + 64 bits on the same inputs: run at
+    B bits, their own rounding drifts by up to ~1500 ulp at J ~ 1000
+    terms, which would hide the kernel's error rather than measure it.
     """
 
     @given(lx=st.floats(-30, 30), ax=_phases, lp=st.floats(-6, math.log10(0.9)),
@@ -196,6 +246,8 @@ class TestThetaKernel:
     @example(lx=-29.0, ax=math.pi, lp=-0.1, ap=2.0, bits=160)
     @example(lx=30.0, ax=0.5, lp=-0.05, ap=0.0, bits=53)             # J ~ 1500
     @example(lx=-30.0, ax=2.0, lp=math.log10(0.9), ap=1.0, bits=128)
+    @example(lx=30.0, ax=2.0, lp=math.log10(0.9), ap=1.0, bits=160)
+    @example(lx=30.0, ax=1.0, lp=-6.0, ap=0.7, bits=128)
     @example(lx=12.0, ax=4.0, lp=-0.3, ap=5.0, bits=160)
     @example(lx=30.0, ax=1.0, lp=math.log10(0.9), ap=0.5, bits=None)
     @example(lx=0.0, ax=1.0, lp=-1.1, ap=0.0, bits=160)               # tie: J 41 vs 40
@@ -218,32 +270,32 @@ class TestThetaKernel:
                 assert got == 0
             elif cmath.isfinite(got):
                 assert abs(got - want) <= 8 * 2.0 ** -53 * cond * abs(want)
-        else:
-            eps = ell.EXTENDED_TRUNC_EPS
-            with mpmath.workprec(bits):
-                xm, pm = mpmath.mpc(x), mpmath.mpc(p)
-                got, j = _terms_of_kernel(xm, pm, eps)
-                assert isinstance(got, mpmath.mpc)
+            if _away_from_ties(terms, after, before):
+                assert j == terms
+            return
+        eps = ell.EXTENDED_TRUNC_EPS
+        with mpmath.workprec(bits):
+            xm, pm = mpmath.mpc(x), mpmath.mpc(p)
+            got = ell.theta(xm, pm, eps)
+            assert isinstance(got, mpmath.mpc)
+        with mpmath.workprec(bits + 64):
+            # well-conditioned points only: no factor 1 - p^j x or
+            # 1 - p^(j+1)/x within 1e-3 of zero
+            k = round(-lx / lp)
+            for jj in {k - 1, k, k + 1, -k - 1, -k, -k + 1}:
+                if jj >= 0:
+                    assume(abs(1 - pm ** jj * xm) > 1e-3)
+                    assume(abs(1 - pm ** (jj + 1) / xm) > 1e-3)
+        assert _within(got, _series_reference(xm, pm, eps, bits + 64), bits)
+        if bits <= 128:
             with mpmath.workprec(bits + 64):
-                # well-conditioned points only: no factor 1 - p^j x or
-                # 1 - p^(j+1)/x within 1e-3 of zero
-                k = round(-lx / lp)
-                for jj in {k - 1, k, k + 1, -k - 1, -k, -k + 1}:
-                    if jj >= 0:
-                        assume(abs(1 - pm ** jj * xm) > 1e-3)
-                        assume(abs(1 - pm ** (jj + 1) / xm) > 1e-3)
-                want, terms, after, before = _reference_run(xm, pm, eps)
-                if not _away_from_ties(terms, after, before):
-                    want = _reference_run(xm, pm, eps, depth=j)[0]
-                assert abs(got - want) / abs(want) <= mpmath.mpf(2) ** -(bits - 8)
-        if _away_from_ties(terms, after, before):
-            assert j == terms
+                assert _within(got, [_theta_reference(xm, pm, eps)], bits)
 
     @pytest.mark.parametrize("bits", [53, 128, 160])
     def test_ext_seeded_points_match_reference(self, bits):
-        """On seeded points, within 2^-(B-8) of the B + 64-bit reference
-        loop stopped at the kernel's depth; exactly 1 - x at p = 0 and
-        exactly 0 at x = 1."""
+        """On seeded points, within 2^-(B-8) of the B + 64-bit references,
+        as in test_matches_reference; exactly 1 - x at p = 0 and exactly 0
+        at x = 1."""
         rng = random.Random(bits)
         points = [(1, 0.3 - 0.1j), (0.7 - 1.3j, 0), (1, 0)]
         points += [(_polar(rng.uniform(-20, 20), rng.uniform(0, 2 * math.pi)),
@@ -253,20 +305,24 @@ class TestThetaKernel:
         for x, p in points:
             with mpmath.workprec(bits):
                 x, p = mpmath.mpc(x), mpmath.mpc(p)
-                got, j = _terms_of_kernel(x, p, eps)
+                got = ell.theta(x, p, eps)
                 if x == 1:
                     assert got.real == 0 and got.imag == 0
                     continue
                 if p == 0:
                     assert got._mpc_ == (1 - x)._mpc_
                     continue
-            with mpmath.workprec(bits + 64):
-                want = _reference_run(x, p, eps, depth=j)[0]
-                assert abs(got - want) / abs(want) <= mpmath.mpf(2) ** -(bits - 8)
+            assert _within(got, _series_reference(x, p, eps, bits + 64), bits)
+            if bits <= 128:
+                with mpmath.workprec(bits + 64):
+                    assert _within(got, [_theta_reference(x, p, eps)], bits)
         with mpmath.workprec(bits):     # a nome with B bits on either side of 2^-W
             tiny = mpmath.mpc(1, 3) / 7 * mpmath.mpf(2) ** -(bits + 4)
             got = ell.theta(mpmath.mpc(1), tiny, eps)
             assert got.real == 0 and got.imag == 0
+            x = mpmath.mpc(0.7, -1.3)
+            assert _within(ell.theta(x, tiny, eps), _series_reference(x, tiny, eps, bits + 64),
+                           bits)
 
     @pytest.mark.parametrize("bits", [None, 128])
     def test_zero_nome(self, bits):
@@ -276,28 +332,47 @@ class TestThetaKernel:
             return
         with mpmath.workprec(bits):
             x, p = mpmath.mpc(x), mpmath.mpc(0)
-            got, j = _terms_of_kernel(x, p, ell.EXTENDED_TRUNC_EPS)
-            assert j == 1
-            assert got == 1 - x == _theta_reference(x, p, ell.EXTENDED_TRUNC_EPS)
+            before = ell._nome_table.cache_info()
+            got = ell.theta(x, p, ell.EXTENDED_TRUNC_EPS)
+            assert ell._nome_table.cache_info() == before      # no table at p = 0
+            assert got._mpc_ == (1 - x)._mpc_
+            assert got == _theta_reference(x, p, ell.EXTENDED_TRUNC_EPS)
 
     @pytest.mark.parametrize("bits", [53, 128, 160])
     def test_theta_at_one_is_exactly_zero(self, bits):
-        with mpmath.workprec(bits):
-            got = ell.theta(mpmath.mpc(1), mpmath.mpc(0.3, -0.1), ell.EXTENDED_TRUNC_EPS)
-            assert got.real == 0 and got.imag == 0
+        """theta(1; p), and theta(p; p) as well, are exactly 0 at B bits,
+        for nomes small and large, real and complex, and with an x or p
+        that is not an mpmath number."""
+        ctx = ell._context(bits)
+        for p in (ctx.mpc(0.3, -0.1), ctx.mpc(0.0035, 0.0002), ctx.mpc(-0.9),
+                  ctx.mpc(1e-30, 1e-31), ctx.mpc(0.6, 0.6)):
+            for x, nome in ((ctx.mpc(1), p), (p, p), (1, p), (p, complex(p))):
+                got = ell.theta(x, nome, ell.EXTENDED_TRUNC_EPS)
+                assert got.real == 0 and got.imag == 0 and got.context is ctx
 
     def test_nome_table_does_not_depend_on_history(self, monkeypatch):
         """One (x, p) gives the same bits with a cold nome table, a warm
-        one, one first grown to a larger depth by another x, and with the
-        rows past a small row cap computed as they are read.  At eps =
-        1e-10 the last factor pair shows in the bits."""
+        one, one first grown deeper by a call at a smaller eps, or at
+        another x (far enough to need the reduction by p^k), and with the
+        rows past a small row cap computed as they are read; the rows are
+        the same whichever call grew them.  At eps = 1e-10 the truncation
+        shows in the bits."""
         ctx = ell._context(128)
         x, far, p = ctx.mpc(0.7, -1.3), ctx.mpc(3e12, -1e12), ctx.mpc(0.2, 0.25)
-        eps = 1e-10
+        eps, deep = 1e-10, 1e-60
+        width = ctx.prec + 16
+        key = ell._gaussian(p, width) + (width,)
 
         def run(*args):
             return [ell.theta(z, p, eps)._mpc_ for z in args]
 
+        def rows_after(z, e):
+            ell._nome_table.cache_clear()
+            ell.theta(z, p, e)
+            return list(ell._nome_table(*key))
+        rows = rows_after(x, deep)
+        assert rows_after(far, deep) == rows
+        assert len(rows) > len(rows_after(x, eps)) + 3
         ell._nome_table.cache_clear()
         (cold_x,) = run(x)
         assert run(x) == [cold_x]
@@ -306,12 +381,14 @@ class TestThetaKernel:
         assert run(x) == [cold_x]
         ell._nome_table.cache_clear()
         assert run(x, far, x) == [cold_x, cold_far, cold_x]
-        assert _terms_of_kernel(far, p, eps)[1] > _terms_of_kernel(x, p, eps)[1] + 10
+        ell._nome_table.cache_clear()
+        ell.theta(far, p, deep)
+        assert run(x, far) == [cold_x, cold_far]
         monkeypatch.setattr(ell, "_TABLE_ROWS", 3)
         ell._nome_table.cache_clear()
         assert run(x, far, x, far) == [cold_x, cold_far, cold_x, cold_far]
-        width = ctx.prec + 16
-        assert len(ell._nome_table(*ell._gaussian(p, width), width)) == 3
+        assert ell._nome_table(*key) == rows[:3]
+        assert ell.theta(x, p, ell.EXTENDED_TRUNC_EPS)._mpc_ != cold_x
 
     def test_nome_cache_is_bounded_and_shared(self):
         ctx = ell._context(128)
@@ -322,11 +399,12 @@ class TestThetaKernel:
         for i in range(size + 5):
             ell.theta(x, ctx.mpc(0.01 * (i + 1), 0.1), eps)
         assert ell._nome_table.cache_info().currsize == size
-        # a theta-suite sample makes 16 theta calls: 15 at p, one at 0
+        # a theta-suite sample makes 16 theta calls: 15 at p, and one at 0,
+        # which needs no table
         ell._nome_table.cache_clear()
         rep = ell.theta_property_suite(ell.sample_params(3, precision_bits=128), 1)[0]
         info = ell._nome_table.cache_info()
-        assert rep.resamples == 0 and (info.misses, info.hits) == (2, 14)
+        assert rep.resamples == 0 and (info.misses, info.hits) == (1, 14)
 
     @pytest.mark.parametrize("x, p", [
         (0, 0.1), (0j, 0.1), (0.5, 1), (0.5, 1.2), (0.5, 1j), (0.5, -1.0),
@@ -346,13 +424,14 @@ class TestThetaKernel:
     @pytest.mark.parametrize("cap", [16, 17, 18])
     @pytest.mark.parametrize("bits", [None, 128])
     def test_term_cap_is_the_references(self, monkeypatch, cap, bits):
-        # with p = 0.1 and x = 2, J is 18 at eps 1e-17; the reference
-        # raises only once J exceeds the cap by more than one
+        """In double precision, with p = 0.1 and x = 2, J is 18 at eps
+        1e-17, and the reference raises only once J exceeds the cap by more
+        than one.  At B bits the cap counts series terms: with p = 0.67 a
+        side at |z| = 1, the deepest one, keeps 17 terms above eps 2^-g,
+        so the cap of 16 raises, at any x."""
         monkeypatch.setattr(ell, "_MAX_THETA_TERMS", cap)
-        x, p = 2.0, 0.1
-        if bits is not None:
-            x, p = mpmath.mpc(x), mpmath.mpc(p)
-        with mpmath.workprec(bits or 53):
+        if bits is None:
+            x, p = 2.0, 0.1
             try:
                 want = _theta_reference(x, p)
             except ValueError:
@@ -363,7 +442,40 @@ class TestThetaKernel:
                     ell.theta(x, p)
             else:
                 got = ell.theta(x, p)
-                assert abs(got - want) <= 2.0 ** -(mpmath.mp.prec - 8) * abs(want)
+                assert abs(got - want) <= 2.0 ** -45 * abs(want)
+            return
+        eps = ell.DEFAULT_TRUNC_EPS
+        with mpmath.workprec(bits):
+            p = mpmath.mpf(0.67)
+            tol = eps * 2.0 ** -_guard(p)
+            assert [m for m in range(40) if p ** (m * (m - 1) // 2) >= tol] == list(range(17))
+            for x in (mpmath.mpc(2.0), mpmath.mpc(0.7, 0.7), mpmath.mpc(3e12)):
+                if cap == 16:
+                    with pytest.raises(ValueError, match="did not converge"):
+                        ell.theta(x, p)
+                else:
+                    assert _within(ell.theta(x, p), _series_reference(x, p, eps, bits + 64),
+                                   bits)
+
+    @given(ly=st.floats(0.0, 1.0), ay=_phases, lp=st.floats(-6, math.log10(0.9)), ap=_phases)
+    @example(ly=0.0, ay=0.3, lp=math.log10(0.9), ap=0.0)
+    @example(ly=0.5, ay=math.pi, lp=math.log10(0.9), ap=0.0)
+    @settings(max_examples=60, deadline=None)
+    def test_guard_bounds_the_cancellation(self, ly, ay, lp, ap):
+        """The bound behind the kernel's guard bits: over |p| < |y| <= 1,
+        where every term of the series has modulus at most 1,
+        |sum| = |theta(y; p) (p; p)_inf| >= |1 - y| |1 - p/y| 2^-g."""
+        with mpmath.workprec(200):
+            p = mpmath.mpc(_polar(lp, ap))
+            y = mpmath.mpc(cmath.rect(abs(complex(p)) ** ly, ay))
+            # a 200-bit sum resolves the bound only away from the zeros
+            assume(abs(y) > abs(p) and min(abs(1 - y), abs(1 - p / y)) > 1e-9)
+            total = _series_reference(y, p, 1e-60, 200)[0]
+            euler, pj = mpmath.mpc(1), p
+            while abs(pj) > mpmath.mpf(2) ** -220:
+                euler, pj = euler * (1 - pj), pj * p
+            bound = abs(1 - y) * abs(1 - p / y) * mpmath.mpf(2) ** -_guard(p)
+            assert abs(total * euler) >= bound
 
 
 class TestThetaDoubleKernel:
