@@ -228,21 +228,42 @@ def _once_per_dict(fmt):
     return text
 
 
+def _head_text(inputs: dict) -> Optional[str]:
+    """repr((k, v)) for the least key k of ``inputs``, the text that
+    ``inputs_key`` begins with, when k is a str and v an int, float,
+    complex, str or mpc; else None.  Proof that distinct heads order as
+    their whole texts do: key reprs are str literals, never a proper
+    prefix of one another, and where one value repr of these types is a
+    proper prefix of another it goes on with a digit, ".", "e" or "j"
+    (1 in 12, 1.5 or 1j; inf in infj), never ")", as a str, an mpc and a
+    parenthesized complex end at their first closing character."""
+    if not inputs:
+        return None
+    k = min(inputs)
+    v = inputs[k]
+    if type(k) is str and (type(v) in (int, float, complex, str) or hasattr(v, "_mpc_")):
+        return repr((k, v))
+    return None
+
+
 def _sorted_reports(reports: list[VerificationReport]) -> list[VerificationReport]:
     """The reports in sort_key() order: grouped by identity + "|", the
-    groups in sorted order, each group stable-sorted by its inputs text,
-    made once per inputs dict.  That is the order of the pair (identity +
-    "|", inputs text), which is sort_key()'s because no identity contains
-    "|"; it costs no tuple and no key call per report."""
+    groups in sorted order, each group stable-sorted by its dicts' head
+    texts (``_head_text``) when those are all distinct, else by the whole
+    inputs texts, each made once per inputs dict.  That is the order of
+    the pair (identity + "|", inputs text), which is sort_key()'s because
+    no identity contains "|"."""
     groups: dict[str, list[VerificationReport]] = {}
     for r in reports:
         groups.setdefault(r.identity_name, []).append(r)
-    inputs_text = _once_per_dict(inputs_key)
+    inputs_text, head_text = _once_per_dict(inputs_key), _once_per_dict(_head_text)
     out = []
     for name in sorted(groups, key=lambda name: name + "|"):
         group = groups[name]
-        texts = [inputs_text(r.inputs) for r in group]
-        out.extend(map(group.__getitem__, sorted(range(len(group)), key=texts.__getitem__)))
+        keys = [head_text(r.inputs) for r in group]
+        if None in keys or len(set(keys)) < len(keys):
+            keys = [inputs_text(r.inputs) for r in group]
+        out.extend(map(group.__getitem__, sorted(range(len(group)), key=keys.__getitem__)))
     return out
 
 

@@ -1,45 +1,31 @@
 """Numeric theta functions, elliptic numbers and elliptic tiling weights.
 
-The building block is the product form
-
-    theta(x; p) = prod_{j >= 0} (1 - p^j x)(1 - p^{j+1} / x),   |p| < 1,
-
-truncated deterministically at the first J with |p|^J max(|x|, 1/|x|)
-below the requested threshold.  On top of it sit the elliptic number
-[n]_{a,b;q,p} (a quotient of four theta factors over four theta factors),
-the weight function v (five over five, times q^m) and the derived tile
-weights omega1/omega2.  A tiling's elliptic weight is the product of
-omega1(i, j) over its (D, i, j) domino labels and omega2(i, j) over its
-(S, i, j) labels; the labels come from the tiling model's one strip rule
-in ``fibl.tilings``, which the q-weights read too.  The tiling sums list
-no tilings: they run ``fibl.tilings.rect_transfer``, as the q generating
-functions do, over each strip's sum of elliptic weights, so the tiling
-route reaches every (m, n), the (n, k) staircase as point (k, n - k); the
-recurrence runs it over their closed forms.  All identity checks
-here are numeric at sampled parameter points, with relative tolerances
-carried by EllipticParams; the ordered degeneration p -> 0, a -> 0,
-b -> 0 back to the q-analogs is done symbolically in limit_chain, not by
-numeric limiting.
+The building block is theta(x; p) = prod_{j >= 0} (1 - p^j x)(1 - p^{j+1}/x),
+|p| < 1, summed as the Jacobi triple product series
+theta(x; p) (p; p)_inf = sum_n (-1)^n p^{n(n-1)/2} x^n (Gasper-Rahman
+(1.6.1), DLMF 20.5), whose terms fall like |p|^{n^2/2}: 6 to 10 a side
+at |p| <= 0.35 and eps = 1e-17.  On top of it sit the elliptic number
+[n]_{a,b;q,p} (four theta factors over four), the weight function v (five
+over five, times q^m) and the tile weights omega1/omega2.  A tiling's
+elliptic weight is the product of omega1(i, j) over its (D, i, j) domino
+labels and omega2(i, j) over its (S, i, j) labels, from the tiling
+model's one strip rule in ``fibl.tilings``.  The tiling sums run
+``fibl.tilings.rect_transfer`` over each strip's sum of elliptic weights
+(the (n, k) staircase as point (k, n - k)), the recurrence over their
+closed forms.  All identity checks here are numeric at sampled parameter
+points, with relative tolerances carried by EllipticParams; the ordered
+degeneration p -> 0, a -> 0, b -> 0 to the q-analogs is symbolic
+(limit_chain).
 
 Two numeric regimes, selected per parameter set: double precision
-(complex) and an extended mode with a configurable mantissa of B bits.
-In the extended mode EllipticParams holds a, b, q and p as numbers of a
-private mpmath context whose precision is B, and every value computed
-from them carries that context: it computes at B bits whatever the
-global mpmath context is set to, and no function here changes that
-global setting.  theta computes how many terms it sums once, from float
-logarithms, and keeps what depends on the nome alone in a table per
-nome that every call at that nome shares.  In double precision it runs
-the product, one complex factor per term,
-(1 - p^j x)(1 - p^{j+1}/x) = (1 + p^{2j+1}) - p^j s with s = x + p/x
-formed once per call, and p^j and 1 + p^{2j+1} from the table.  In the
-extended mode it runs the Jacobi triple product series instead,
-theta(x; p) = sum_n (-1)^n p^{n(n-1)/2} x^n / (p; p)_inf, whose terms
-fall like |p|^{n^2/2}: about 13 a side at |p| <= 0.35 and eps = 1e-44,
-where the product needs about 65 factors.  Both sides are summed from
-the largest term on Gaussian integer mantissas at one fixed binary
-exponent, and the value is rounded once to a B-bit mpc, so mpmath's own
-arithmetic never runs per term.
+(complex) and an extended mode of B bits, where EllipticParams holds a,
+b, q and p as numbers of a private mpmath context of precision B, so every
+value computed from them is B-bit whatever the global mpmath context
+says; nothing here changes that global setting.  Both sum the series from
+its largest term, with what depends on the nome alone cached per nome: in
+complex floats while its guard bits g are at most 7 (see ``theta``),
+otherwise on Gaussian integer mantissas at one fixed binary exponent,
+rounded once, so mpmath's arithmetic never runs per term.
 """
 
 from __future__ import annotations
@@ -67,7 +53,9 @@ EXTENDED_TRUNC_EPS = 1e-44
 MAX_RESAMPLES = 100
 
 _MAX_THETA_TERMS = 100_000
-_TABLE_ROWS = 1024          # rows kept per nome table
+_TABLE_ROWS = 1024          # rows kept per B-bit nome table
+_FLOAT_GUARD = 7            # G0: the most guard bits the double series sums in floats
+_DOUBLE_WIDTH = 53 + 16     # W of the Gaussian kernel at 53 bits
 _LN2 = math.log(2)
 _GUARD_BITS = math.pi ** 2 / (2 * _LN2)     # g |log p|, see _series_guard
 _ONE = ((0, 1, 0, 1), (0, 0, 0, 0))         # the _mpc_ of 1
@@ -204,100 +192,126 @@ def run_sampled_checks(check: Callable[[EllipticParams], VerificationReport],
 # Theta functions
 
 def theta(x, p, eps: float = DEFAULT_TRUNC_EPS):
-    """theta(x; p) = prod_{j >= 0} (1 - p^j x)(1 - p^{j+1}/x), truncated at
-    eps.  Two regimes, chosen by the argument types:
+    """theta(x; p) = prod_{j >= 0} (1 - p^j x)(1 - p^{j+1}/x) by the Jacobi
+    triple product series, each side cut before its first term below
+    eps 2^-g of the largest (``_series``).  Two regimes, by argument type:
 
-    * double (x and p complex, float or int): the first J factor pairs,
-      J the first J >= 1 with |p|^J max(|x|, 1/|x|) < eps (J = 1 when
-      p = 0), computed once from float logarithms.  Each term is the one
-      factor (1 + p^{2j+1}) - p^j s with s = x + p/x, p^j and
-      1 + p^{2j+1} read from the nome's cached table (``_nome_rows``);
-      the value agrees with the two-factor loop
-      ``out * (1 - p^j x) * (1 - p^{j+1} / x)`` within a few ulp per
-      factor;
-    * extended (x or p an mpmath number): the Jacobi triple product
-      series, each side cut before its first term below eps 2^-g of the
-      largest one, summed on Gaussian integer mantissas and rounded once
-      to an mpc at B bits, where B is the precision of the mpmath context
-      that x carries (p's when x is not an mpmath number); the result
-      belongs to that context (``_theta_ext``).
+    * double (x and p complex, float or int): at g <= G0 = _FLOAT_GUARD
+      guard bits (|p| <= 0.36, all that ``sample_params`` draws) the
+      series in complex floats, reduced as ``_series`` reduces it: the
+      sides z = y and z = w = p/y start from (y, w) = (x, p/x), or
+      (p/x, x) when |x| <= |p|; while |y| > 1, y -> y p, and the peak
+      term t_k = (-1)^k y^k p^{k(k-1)/2} is the running product of the
+      factors -y, each of modulus above 1, so it overflows only where
+      theta does.  One Horner loop sums both sides over the rows T_m,
+      1 <= m < N, of the nome's cached entry (``_double_nome``), and
+      theta = t_k (1 + y A + w B) / (p; p)_inf.  Error bound: every term
+      has modulus at most 1, a side's moduli sum to less than 2.6, a
+      Horner step adds at most (sqrt 5 + 1) u of a side (u = 2^-53), and
+      y, w and t_k carry at most sqrt 5 (k + 1) u, so the value is within
+      32 (N + k + 4) u |t_k / (p; p)_inf| of theta: relative to it, at
+      most 32 (N + k + 4) 2^g u / (|1 - y| |1 - p/y|) by the guard bound,
+      2^g <= 128.  Above G0 the sum may cancel by up to g bits, and the
+      Gaussian integer kernel runs at 53 bits, rounded once to a complex;
+    * extended (x or p an mpmath number): that kernel at B bits, the
+      precision of x's mpmath context (p's when x is not an mpmath
+      number), rounded once to an mpc of that context (``_theta_ext``).
 
     theta(1; p) and theta(p; p) are exactly 0, and theta(x; 0) is 1 - x
-    rounded once, in both regimes.  x = 0, |p| >= 1, and a truncation
-    deeper than _MAX_THETA_TERMS factor pairs or series terms a side
-    raise ValueError.  Deterministic for fixed inputs: a value does not
-    depend on which calls built the table.
+    rounded once.  x = 0, |p| >= 1, and more than _MAX_THETA_TERMS terms
+    a side raise ValueError.  Values do not depend on the caches' state.
     """
-    if isinstance(x, (complex, float, int)) and isinstance(p, (complex, float, int)):
-        if x == 0:
-            raise ValueError("theta argument must be nonzero")
-        absp = abs(p)
-        if absp >= 1:
-            raise ValueError("need |p| < 1")
-        terms = _theta_terms(math.log(abs(x)), math.log(absp) if absp else None, eps)
-        s = x + (1 if x == p else p / x)      # p / p need not round to 1
-        out = 1
-        for pj, c in _nome_rows(_double_rows, (p,), terms):
-            out = out * (c - pj * s)
-        return out
-    return _theta_ext(x, p, eps)
-
-
-def _theta_terms(log_x: float, log_p: Optional[float], eps: float) -> int:
-    """The truncation depth J from log|x| and log|p| (None when p = 0)."""
-    if log_p is None:
-        return 1
-    if log_p >= 0:      # |p| rounds to 1
+    if not (isinstance(x, (complex, float, int)) and isinstance(p, (complex, float, int))):
+        return _theta_ext(x, p, eps)
+    if x == 0:
+        raise ValueError("theta argument must be nonzero")
+    absp = abs(p)
+    if absp >= 1:
+        raise ValueError("need |p| < 1")
+    if x == 1 or x == p:
+        return 0j
+    if not absp:
+        return complex(1 - x)
+    p, log_p, rows, scale = _double_nome(p, eps)
+    if rows is None:
+        ma, mb, e = _series(_exact(x), _gaussian(p, _DOUBLE_WIDTH), _DOUBLE_WIDTH, eps)
+        return complex(_float(ma, e), _float(mb, e))
+    if len(rows) >= _MAX_THETA_TERMS:        # T_0 is not a row
         raise ValueError(_NOT_CONVERGED)
-    # J log|p| + |log|x|| < log(eps)  <=>  J > ratio
-    ratio = (math.log(eps) - abs(log_x)) / log_p
-    if ratio >= _MAX_THETA_TERMS + 1:       # J = _MAX_THETA_TERMS + 1 is allowed
-        raise ValueError(_NOT_CONVERGED)
-    return max(1, math.floor(ratio) + 1)
+    ax = abs(x)
+    if ax <= absp:
+        y, w, log_y = p / x, x, log_p - math.log(ax)
+    else:
+        y, w, log_y = x, p / x, (math.log(ax) if ax > 1 else 0.0)
+    t = 1 + 0j      # complex from the start: an int or float x computes as complex(x)
+    if log_y > 0:
+        for _ in range(math.ceil(log_y / -log_p)):
+            t, y = -t * y, y * p
+        w = p / y
+    a = b = 0j
+    for c in rows:
+        a = a * y + c
+        b = b * w + c
+    return t * ((a * y + b * w) + 1) * scale
 
 
-def _gaussian(z, width: int):
-    """An mpc z, of any mpmath context, as (a, b, e) with z ~ (a + ib) 2^e
-    and max(|a|, |b|) below 2^width; (0, 0, 0) for z = 0."""
-    parts = [(-man if sign else man, exp, exp + bc)
-             for sign, man, exp, bc in z._mpc_]
-    tops = [top for man, _, top in parts if man]
-    if not tops:
-        return 0, 0, 0
-    e = max(tops) - width
-    (a, ea, _), (b, eb, _) = parts
-    a = a << (ea - e) if ea >= e else a >> (e - ea)
-    b = b << (eb - e) if eb >= e else b >> (e - eb)
+@lru_cache(maxsize=32)
+def _double_nome(p, eps: float):
+    """(p, log|p|, rows, 1/(p; p)_inf) of a double nome p != 0 at eps, rows
+    None when g > G0; p made complex with unsigned zeros, as all keys equal
+    to it are one key.  Rows T_m = -T_{m-1} p^{m-1}, 1 <= m < N, highest
+    first, N the terms at |z| = 1; (p; p)_inf is Euler's pentagonal series
+    1 + sum_{n >= 1} (-1)^n p^{n(3n-1)/2} (1 + p^n)."""
+    p = complex(p.real + 0.0, p.imag + 0.0)
+    log_p = math.log(abs(p))
+    g = _series_guard(log_p)
+    if g > _FLOAT_GUARD:
+        return p, log_p, None, None
+    rows = [-1 + 0j]
+    for m in range(1, _series_terms(log_p, 0.0, math.log(eps) - g * _LN2) - 1):
+        rows.append(-rows[-1] * p ** m)
+    euler, a, pn = 1 + 0j, -p, p        # a = (-1)^n p^{n(3n-1)/2}, pn = p^n
+    while abs(a) > 2.0 ** -60:
+        euler, a, pn = euler + a * (1 + pn), -a * pn * pn * pn * p, pn * p
+    return p, log_p, rows[::-1], 1 / euler
+
+
+def _float(m: int, e: int) -> float:
+    """m 2^e rounded once to a float; an infinity past the double range."""
+    try:
+        return m / (1 << -e) if e < 0 else float(m << min(e, 1100))
+    except OverflowError:
+        return math.copysign(math.inf, m)
+
+
+def _exact(z):
+    """A complex, float, int or mpc z exactly as (a, b, e), z = (a + ib) 2^e."""
+    if hasattr(z, "_mpc_"):
+        parts = [(-man if sign else man, exp) for sign, man, exp, _ in z._mpc_]
+    else:
+        parts = [(n, 1 - d.bit_length()) for n, d in
+                 (float(z.real).as_integer_ratio(), float(z.imag).as_integer_ratio())]
+    e = min((exp for man, exp in parts if man), default=0)
+    a, b = (man << (exp - e) if man else 0 for man, exp in parts)
     return a, b, e
 
 
+def _normal(a: int, b: int, e: int, width: int):
+    """(a + ib) 2^e with max(|a|, |b|) shifted to ``width`` bits (floor)."""
+    k = max(a.bit_length(), b.bit_length()) - width
+    return (a >> k, b >> k, e + k) if k >= 0 else (a << -k, b << -k, e + k)
+
+
+def _gaussian(z, width: int):
+    """A complex or an mpc z as (a, b, e), z ~ (a + ib) 2^e, a and b at
+    most ``width`` bits."""
+    return _normal(*_exact(z), width)
+
+
 def _theta_ext(x, p, eps: float):
-    """The extended regime of theta: the Jacobi triple product series on
-    Gaussian integer mantissas.
-
-    The context ``ctx`` of x, or of p when x is not an mpmath number,
-    gives prec, the conversion of the other argument and the result's
-    type.  With t_n = (-1)^n p^{n(n-1)/2} x^n (Gasper-Rahman (1.6.1),
-    DLMF 20.5),
-
-        theta(x; p) (p; p)_inf = sum_{n in Z} t_n,
-
-    and |t_n| is largest at the n = k that brings y = p^k x into
-    |p| < |y| <= 1 (after x -> p/x when |x| <= |p|, as theta(x) =
-    theta(p/x)), so that t_{k+m} = t_k u_m with u_m the terms of y.  The
-    sum over m has two sides, sum_{m >= 0} T_m z^m for z = y and for
-    z = p/y, T_m = (-1)^m p^{m(m-1)/2}; the largest term, u_0 = 1, is on
-    both, and every term has modulus at most 1.  Each side is one Horner
-    evaluation, one product per term, on Gaussian integers at one fixed
-    exponent -F, F = W + g, W = prec + 16, with the T_m read from the
-    nome's cached table (``_series_rows``).  The g guard bits
-    (``_series_guard``) cover the sum's cancellation:
-    |sum| >= |1 - y| |1 - p/y| 2^-g.  A side stops before its first term
-    below eps 2^-g, a count known in closed form (``_series_terms``), so
-    the value's relative error from truncation is about eps away from a
-    zero, as the product's was.  The sum is multiplied by t_k and by
-    1/(p; p)_inf (``_series_constants``) and rounded once to a B-bit mpc.
-    """
+    """The extended regime of theta: ``_series`` at mantissa width
+    W = B + 16, rounded once to a B-bit mpc of x's context (p's when x is
+    not an mpmath number), which converts the other argument."""
     from mpmath.libmp import fzero, from_man_exp, round_nearest
 
     ctx = x.context if hasattr(x, "context") else p.context
@@ -306,13 +320,36 @@ def _theta_ext(x, p, eps: float):
     width = prec + 16
     if not (x._mpc_[0][1] or x._mpc_[1][1]):         # zero mantissas
         raise ValueError("theta argument must be nonzero")
-    pa, pb, pe = _gaussian(p, width)
+    pa, pb, pe = nome = _gaussian(p, width)
     pn = pa * pa + pb * pb
     if not pn:
         return 1 - x
     if pe >= 0 or pn >> (-2 * pe):                  # |p|^2 >= 1
         raise ValueError("need |p| < 1")
-    log_p = 0.5 * math.log(pn) + pe * _LN2
+    if x._mpc_ in (_ONE, p._mpc_):
+        return ctx.make_mpc((fzero, fzero))
+    ma, mb, e = _series(_exact(x), nome, width, eps)
+    return ctx.make_mpc((from_man_exp(ma, e, prec, round_nearest),
+                         from_man_exp(mb, e, prec, round_nearest)))
+
+
+def _series(x, nome, width: int, eps: float):
+    """theta(x; p) as a Gaussian triple (a, b, e), (a + ib) 2^e, from the
+    triples of x (exact) and of the nome p (cut to W bits).  The terms
+    t_n = (-1)^n p^{n(n-1)/2} x^n peak at the n = k that brings y = p^k x
+    into |p| < |y| <= 1 (after x -> p/x when |x| <= |p|, as theta(x) =
+    theta(p/x)), and the t_{k+m} / t_k are the terms of two sides,
+    sum_{m >= 0} T_m z^m for z = y and z = p/y, T_m = (-1)^m p^{m(m-1)/2},
+    each of modulus at most 1, with 1 on both.  Each side is one Horner
+    evaluation on Gaussian integers at one fixed exponent -F, F = W + g,
+    over the nome's cached rows (``_nome_rows``); the g guard bits
+    (``_series_guard``) cover the sum's cancellation,
+    |sum| >= |1 - y| |1 - p/y| 2^-g.  A side stops before its first term
+    below eps 2^-g (``_series_terms``), so the truncation error is about
+    eps of the value away from a zero.  The sum is multiplied by t_k and
+    by 1/(p; p)_inf (``_series_constants``); the caller rounds once."""
+    pa, pb, pe = nome
+    log_p = 0.5 * math.log(pa * pa + pb * pb) + pe * _LN2
     # the deepest side, at |z| = 1, runs more than g / 2.3 terms, so a
     # guard past 4 _MAX_THETA_TERMS is past the cap too
     if log_p >= 0 or _GUARD_BITS / -log_p >= 4 * _MAX_THETA_TERMS:
@@ -320,13 +357,10 @@ def _theta_ext(x, p, eps: float):
     log_tol = math.log(eps) - _series_guard(log_p) * _LN2   # a side's cut-off
     if _series_terms(log_p, 0.0, log_tol) > _MAX_THETA_TERMS:
         raise ValueError(_NOT_CONVERGED)
-    if x._mpc_ in (_ONE, p._mpc_):
-        return ctx.make_mpc((fzero, fzero))
     key = pa, pb, pe, width
     frac, ia, ib, ie = _series_constants(*key)
-    x = _gaussian(x, frac)
+    x = _normal(*x, frac)
     log_x = 0.5 * math.log(x[0] * x[0] + x[1] * x[1]) + x[2] * _LN2
-    nome = key[:3]
     if log_x <= log_p:
         x, log_x = _quotient(*nome, *x, frac), log_p - log_x
     k = max(0, math.ceil(log_x / -log_p))
@@ -340,16 +374,13 @@ def _theta_ext(x, p, eps: float):
     log_y = log_x + k * log_p
     ny = _series_terms(log_p, log_y, log_tol)
     nw = _series_terms(log_p, log_p - log_y, log_tol)
-    rows = _nome_rows(_series_rows, key, max(ny, nw))
+    rows = _nome_rows(key, max(ny, nw))
     sa, sb = _horner(rows[ny - 1::-1], *_fixed(*y, frac), frac)
     ua, ub = _horner(rows[nw - 1::-1], *_fixed(*_quotient(*nome, *y, frac), frac), frac)
     sa, sb = sa + ua - (1 << frac), sb + ub         # u_0 = 1 is on both sides
     # theta = t_k * sum / (p; p)_inf
     ma, mb = sa * ia - sb * ib, sa * ib + sb * ia
-    ma, mb = ma * ta - mb * tb, ma * tb + mb * ta
-    e = ie + te - frac
-    return ctx.make_mpc((from_man_exp(ma, e, prec, round_nearest),
-                         from_man_exp(mb, e, prec, round_nearest)))
+    return ma * ta - mb * tb, ma * tb + mb * ta, ie + te - frac
 
 
 def _series_guard(log_p: float) -> int:
@@ -403,23 +434,13 @@ def _triangular_rows(last, qa: int, qb: int, frac: int):
         yield row
 
 
-def _series_rows(last, pa: int, pb: int, pe: int, width: int):
-    """The rows of the B-bit table of the nome p = (pa + i pb) 2^pe at
-    mantissa width W: ``_triangular_rows`` of p at the series' fixed
-    exponent -F."""
-    frac = _series_constants(pa, pb, pe, width)[0]
-    return _triangular_rows(last, *_fixed(pa, pb, pe, frac), frac)
-
-
 @lru_cache(maxsize=32)
 def _series_constants(pa: int, pb: int, pe: int, width: int):
-    """(F, ia, ib, ie) for the nome p = (pa + i pb) 2^pe at mantissa
-    width W: F = W + g, the series' fixed exponent, and
-    1/(p; p)_inf = (ia + i ib) 2^ie.  (p; p)_inf is Euler's pentagonal
-    series sum_n (-1)^n p^{n(3n-1)/2}, whose sides are those of the
-    triple product at nome p^3 for z = p and z = p^2, summed to the
-    fixed exponent's last bit.  Kept for the 32 most recently used
-    nomes, as their tables are."""
+    """(F, ia, ib, ie) for the nome p = (pa + i pb) 2^pe at width W:
+    F = W + g, the series' fixed exponent, and 1/(p; p)_inf =
+    (ia + i ib) 2^ie, by Euler's pentagonal series sum_n (-1)^n
+    p^{n(3n-1)/2}, the triple product's sides at nome p^3 for z = p and
+    z = p^2, to F bits.  Kept for the 32 most recently used nomes."""
     log_p = 0.5 * math.log(pa * pa + pb * pb) + pe * _LN2
     frac = width + _series_guard(log_p)
     qa, qb = _fixed(pa, pb, pe, frac)
@@ -440,15 +461,9 @@ def _fixed(a: int, b: int, e: int, frac: int):
     return (a << k, b << k) if k >= 0 else (a >> -k, b >> -k)
 
 
-def _cut(a: int, b: int, e: int, width: int):
-    """(a + ib) 2^e cut back to mantissas below 2^width."""
-    k = max(a.bit_length(), b.bit_length()) - width
-    return (a >> k, b >> k, e + k) if k > 0 else (a, b, e)
-
-
 def _times(a: int, b: int, e: int, c: int, d: int, f: int, width: int):
     """The product of two Gaussian mantissas, cut back to W bits."""
-    return _cut(a * c - b * d, a * d + b * c, e + f, width)
+    return _normal(a * c - b * d, a * d + b * c, e + f, width)
 
 
 def _quotient(a: int, b: int, e: int, c: int, d: int, f: int, width: int):
@@ -457,7 +472,7 @@ def _quotient(a: int, b: int, e: int, c: int, d: int, f: int, width: int):
     n = c * c + d * d
     ra, rb = a * c + b * d, b * c - a * d
     k = width + 1 + n.bit_length() - max(ra.bit_length(), rb.bit_length())
-    return _cut((ra << k) // n, (rb << k) // n, e - f - k, width)
+    return _normal((ra << k) // n, (rb << k) // n, e - f - k, width)
 
 
 def _power(a: int, b: int, e: int, n: int, width: int):
@@ -474,42 +489,25 @@ def _power(a: int, b: int, e: int, n: int, width: int):
 
 @lru_cache(maxsize=32)
 def _nome_table(*key) -> list:
-    """The cached rows of the nome that ``key`` names: (p,) in double
-    precision (``_double_rows``), (pa, pb, pe, W) for the nome
-    (pa + i pb) 2^pe at mantissa width W (``_series_rows``).  A list
-    that ``_nome_rows`` grows in place to at most _TABLE_ROWS rows, kept
-    for the 32 most recently used nomes."""
+    """The cached rows of the nome (pa + i pb) 2^pe at mantissa width W
+    that the key (pa, pb, pe, W) names.  A list that
+    ``_nome_rows`` grows in place to at most _TABLE_ROWS rows, kept for
+    the 32 most recently used nomes."""
     return []
 
 
-def _nome_rows(rows_after, key: tuple, terms: int) -> list:
-    """The first ``terms`` rows of the nome's table, where
-    ``rows_after(last, *key)`` yields the rows after the row ``last``
-    (from row 0 when it is None), without end.  Rows past _TABLE_ROWS
-    are computed as the caller reads them and not kept.
-    """
+def _nome_rows(key: tuple, terms: int) -> list:
+    """The first ``terms`` rows of the nome's table, ``_triangular_rows``
+    of p at the series' fixed exponent -F.  Rows past _TABLE_ROWS are
+    computed as the caller reads them and not kept."""
     rows = _nome_table(*key)
     if len(rows) < terms:
-        more = rows_after(rows[-1] if rows else None, *key)
+        frac = _series_constants(*key)[0]
+        more = _triangular_rows(rows[-1] if rows else None, *_fixed(*key[:3], frac), frac)
         rows.extend(islice(more, min(terms, _TABLE_ROWS) - len(rows)))
         if len(rows) < terms:
             return rows + list(islice(more, terms - len(rows)))
     return rows[:terms]
-
-
-def _double_rows(last, p):
-    """The rows (p^j, 1 + p^{2j+1}) of a double-precision nome, after the
-    row ``last``: p^{j+1} is p^j times p and p^{2j+1} is p^j times
-    p^{j+1}.  p is first made complex with its zeros unsigned, because
-    keys that differ only in the sign of a zero (or in int, float and
-    complex type) are one key of the table; so a row is the same
-    whichever call grew the table."""
-    p = complex(p.real + 0.0, p.imag + 0.0)
-    pj = 1 if last is None else last[0] * p
-    while True:
-        nxt = pj * p
-        yield pj, 1 + pj * nxt
-        pj = nxt
 
 
 def theta_value(x, params: EllipticParams):

@@ -544,6 +544,30 @@ def test_commands_import_no_dataclasses_inspect_or_resources():
     assert proc.stdout == "[0, 0, 0] True []\n"
 
 
+def test_double_theta_commands_import_no_mpmath():
+    """Cold start: in double precision ``verify theta`` sums the float
+    series at every sampled nome (g <= G0 at |p| <= 0.35), and past G0
+    ``elliptic theta`` runs the Gaussian kernel on Python integers:
+    neither imports mpmath."""
+    proc = _run_python("-c", "import contextlib, io, sys, fibl.cli\n"
+                             "with contextlib.redirect_stdout(io.StringIO()):\n"
+                             "    codes = [fibl.cli.main(argv.split()) for argv in (\n"
+                             "        'verify theta --samples 20', 'elliptic theta 0.5 --p 0.9')]\n"
+                             "print(codes, 'fibl.elliptic' in sys.modules, 'mpmath' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[0, 0] True False\n"
+
+
+def test_elliptic_theta_past_the_float_guard(capsys):
+    """At p = 0.9 (g = 68 > G0) the double command runs the 53-bit
+    Gaussian kernel, rounded once: the value --precision ext:53 prints."""
+    assert ell._series_guard(math.log(0.9)) > ell._FLOAT_GUARD
+    code, out, _ = run(capsys, "elliptic", "theta", "0.5", "--p", "0.9")
+    assert code == 0
+    code, ext, _ = run(capsys, "elliptic", "theta", "0.5", "--p", "0.9", "--precision", "ext:53")
+    assert code == 0 and out == ext == "3.7179192177276774e-13+0.0j\n"
+
+
 def test_reports_are_emitted_in_sort_key_order():
     from fibl.cli import _sorted_reports
     from fibl.report import exact_report
@@ -590,6 +614,29 @@ def test_sorted_reports_on_a_large_theta_suite_and_mixed_identities():
     for order in (reports, reports[::-1], reports[1::2] + reports[::2]):
         assert [id(r) for r in _sorted_reports(order)] == [
             id(r) for r in sorted(order, key=VerificationReport.sort_key)]
+
+
+_SORT_VALUES = st.one_of(
+    st.integers(-20, 20), st.integers(), st.floats(), st.complex_numbers(),
+    st.text(alphabet="ab1.j(')\\\"", max_size=4),
+    st.builds(mpmath.mpc, st.floats(allow_nan=False), st.floats(allow_nan=False)),
+    st.sampled_from([1, 12, -1, 1.5, 1.55, 1e16, 1j, -1j, 1.5j, complex(1, 2), complex(-0.0, 1),
+                     math.inf, math.nan, complex(0, math.inf), "1", "(1", None, True, (1, 2)]))
+
+
+@given(st.lists(st.dictionaries(st.sampled_from(["m", "n", "p", "m'", 'q"']), _SORT_VALUES,
+                                max_size=3), min_size=1, max_size=6),
+       st.lists(st.tuples(st.sampled_from(["spiral", "spiralz", "spiral-at", "theta"]),
+                          st.integers(0, 5)), max_size=30))
+def test_sorted_reports_match_sort_key_on_mixed_inputs(dicts, picks):
+    """Head texts with ties, prefixes of one another's values (1 and 12,
+    1.5 and 1.5j, inf and infj), quotes and parentheses in str values,
+    shared dicts, and values without a head text (None, bool, a tuple, an
+    empty dict), against sorted() by sort_key."""
+    from fibl.cli import _sorted_reports
+    reports = [VerificationReport(name, dicts[i % len(dicts)], 1, 1, True) for name, i in picks]
+    assert [id(r) for r in _sorted_reports(reports)] == [
+        id(r) for r in sorted(reports, key=VerificationReport.sort_key)]
 
 
 @pytest.mark.parametrize("fmt", ["text", "csv"])

@@ -94,12 +94,9 @@ class TestTheta:
             assert abs(w1 - w2) / abs(w2) < p.eq_tol / 10
 
 
-def _reference_run(x, p, eps=ell.DEFAULT_TRUNC_EPS):
-    """The factor-by-factor theta loop that tests the kernel against.
-
-    Returns the value, the number of factor pairs J, and the stopping
-    ratios |p|^J B / eps (< 1) and |p|^(J-1) B / eps (>= 1), B = max(|x|, 1/|x|).
-    """
+def _theta_reference(x, p, eps=ell.DEFAULT_TRUNC_EPS):
+    """The factor-by-factor product loop that tests the kernel against,
+    to the first J with |p|^J max(|x|, 1/|x|) < eps."""
     if x == 0:
         raise ValueError("theta argument must be nonzero")
     if abs(p) >= 1:
@@ -110,45 +107,13 @@ def _reference_run(x, p, eps=ell.DEFAULT_TRUNC_EPS):
     pj = 1
     terms = 0
     while True:
-        before = abs(pj) * bound / eps
         out = out * (1 - pj * x) * (1 - pj * p / x)
         pj = pj * p
         terms += 1
         if abs(pj) * bound < eps:
-            return out, terms, float(abs(pj) * bound / eps), float(before)
+            return out
         if terms > ell._MAX_THETA_TERMS:
             raise ValueError("theta truncation did not converge; |p| too close to 1")
-
-
-def _away_from_ties(terms, after, before):
-    """Whether the loop's stop is clear of the float-log test the kernel
-    uses: at a tie the two may truncate one factor pair apart."""
-    return after < 1 - 1e-9 and (terms == 1 or before > 1 + 1e-9)
-
-
-def _theta_reference(x, p, eps=ell.DEFAULT_TRUNC_EPS):
-    return _reference_run(x, p, eps)[0]
-
-
-def _exact_run(x, p, depth):
-    """The first ``depth`` factor pairs of the product at 160 bits, and
-    the sum over them of (1 + |a|)(1 + |b|) / |(1 - a)(1 - b)|, with
-    a = p^j x and b = p^(j+1) / x.  That sum bounds the relative error
-    of a double-precision product, each factor rounded a few times, in
-    units of 2^-53: the factor-by-factor loop stays within 4.2 times it
-    on 3,300 random points, a third of them at 1e-3 from a zero.  A zero
-    factor gives (0, inf)."""
-    with mpmath.workprec(160):
-        x, p = mpmath.mpc(x), mpmath.mpc(p)
-        out, pj, cond = mpmath.mpc(1), mpmath.mpc(1), 0.0
-        for _ in range(depth):
-            a, b = pj * x, pj * p / x
-            factor = (1 - a) * (1 - b)
-            if not factor:
-                return factor, math.inf
-            cond += float((1 + abs(a)) * (1 + abs(b)) / abs(factor))
-            out, pj = out * factor, pj * p
-        return out, cond
 
 
 def _bits(z) -> bytes:
@@ -158,20 +123,6 @@ def _bits(z) -> bytes:
 
 def _polar(log10_mag, phase):
     return cmath.rect(10.0 ** log10_mag, phase)
-
-
-def _terms_of_kernel(x, p, eps):
-    """Call ell.theta and return (value, the truncation depth it used)."""
-    seen = []
-    orig = ell._theta_terms
-
-    def spy(*args):
-        seen.append(orig(*args))
-        return seen[-1]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ell, "_theta_terms", spy)
-        value = ell.theta(x, p, eps)
-    return value, seen[0]
 
 
 def _guard(p) -> int:
@@ -222,14 +173,69 @@ def _within(got, wants, bits) -> bool:
         return any(abs(got - w) <= mpmath.mpf(2) ** -(bits - 8) * abs(w) for w in wants)
 
 
+def _double_shape(x, p, eps=ell.DEFAULT_TRUNC_EPS):
+    """(N, k, peak, clear) of the double-precision series at (x, p, eps),
+    from 160-bit logarithms: N the terms of the deepest side, the m >= 0
+    with |p|^(m(m-1)/2) >= eps 2^-g; k the steps y -> p y that bring
+    x (or p/x when |x| <= |p|) into |y| <= 1; peak = |t_k / (p; p)_inf|,
+    t_k the largest term; clear whether N is more than 1e-9 (in log)
+    from the cut-off, where the kernel's float logarithms may fall
+    either way."""
+    g = _guard(p)
+    with mpmath.workprec(160):
+        x, p = mpmath.mpc(x), mpmath.mpc(p)
+        lx, lp = mpmath.log(abs(x)), mpmath.log(abs(p))
+        if lx <= lp:
+            lx = lp - lx
+        k = max(0, int(mpmath.ceil(lx / -lp)))
+        cut = mpmath.log(eps) - g * mpmath.log(2)
+
+        def log_row(m):
+            return m * (m - 1) / 2 * lp
+        n = 0
+        while log_row(n) >= cut:
+            n += 1
+        euler, pj = mpmath.mpc(1), p
+        while abs(pj) > mpmath.mpf(2) ** -180:
+            euler, pj = euler * (1 - pj), pj * p
+        peak = mpmath.exp(k * lx + log_row(k)) / abs(euler)
+        return n, k, float(peak), min(abs(log_row(m) - cut) for m in (n - 1, n)) > 1e-9
+
+
+def _double_bound(x, p, eps=ell.DEFAULT_TRUNC_EPS) -> float:
+    """The double kernel's stated bound, 32 (N + k + 4) 2^-53 peak: its
+    terms and |z| at most 1, each of its N Horner steps and k reduction
+    steps adding at most (sqrt 5 + 1) 2^-53 of a side whose moduli sum to
+    at most 2.6.  Relative to the value that is 2^g / (|1 - y| |1 - p/y|)
+    times as much, by the guard bound."""
+    n, k, peak, _ = _double_shape(x, p, eps)
+    return 32 * (n + k + 4) * 2.0 ** -53 * peak
+
+
+def _depth_is(x, p, eps, n) -> bool:
+    """Whether ell.theta sums n terms a side at its deepest: it raises
+    with _MAX_THETA_TERMS = n - 1 and not with n."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ell, "_MAX_THETA_TERMS", n - 1)
+        try:
+            ell.theta(x, p, eps)
+            return False
+        except ValueError as exc:
+            assert "did not converge" in str(exc)
+        mp.setattr(ell, "_MAX_THETA_TERMS", n)
+        ell.theta(x, p, eps)
+    return True
+
+
 _phases = st.floats(0.0, 2 * math.pi)
 
 
 class TestThetaKernel:
-    """ell.theta against references.  In double precision: the
-    factor-by-factor loop, within 8 times its condition sum
-    (``_exact_run``) of a 160-bit run, with the same truncation depth away
-    from ties.  At B bits: within 2^-(B-8) of the triple product series
+    """ell.theta against references.  In double precision: within the
+    kernel's stated bound (``_double_bound``) of the triple product series
+    carried by the same eps rule at 53 + 64 bits, with the same number of
+    terms away from ties; past G0 guard bits, the 53-bit Gaussian kernel's
+    value, rounded once.  At B bits: within 2^-(B-8) of the triple product series
     carried by the same eps rule at B + 64 bits (``_series_reference``),
     and where 2^-(B-8) is far above eps (B <= 128), within 2^-(B-8) of the
     factor-by-factor loop carried to eps at B + 64 bits as well.
@@ -260,18 +266,23 @@ class TestThetaKernel:
         elif ax == math.pi:
             x = complex(-abs(x), 0.0)
         if bits is None:
-            _, terms, after, before = _reference_run(x, p)
-            got, j = _terms_of_kernel(x, p, ell.DEFAULT_TRUNC_EPS)
-            want, cond = _exact_run(x, p, j)
-            # past the double range the product may overflow, as the
-            # factor-by-factor loop's does; a finite value is within bound
-            assert cmath.isfinite(got) or abs(want) > 1e300
-            if not want:
+            eps = ell.DEFAULT_TRUNC_EPS
+            got = ell.theta(x, p)
+            n, k, peak, clear = _double_shape(x, p, eps)
+            # past the double range the peak term overflows; a finite value
+            # is within bound
+            assert cmath.isfinite(got) or peak > 1e300
+            if x == 1 or x == p:
                 assert got == 0
             elif cmath.isfinite(got):
-                assert abs(got - want) <= 8 * 2.0 ** -53 * cond * abs(want)
-            if _away_from_ties(terms, after, before):
-                assert j == terms
+                wants = _series_reference(x, p, eps, 53 + 64)
+                assert min(abs(got - w) for w in wants) <= _double_bound(x, p, eps)
+                if abs(got) > 1e-300 and _guard(p) > ell._FLOAT_GUARD:
+                    with mpmath.workprec(53):
+                        ext = ell.theta(mpmath.mpc(x), mpmath.mpc(p), eps)
+                    assert _bits(got) == _bits(ext)
+                if clear:
+                    assert _depth_is(x, p, eps, n)
             return
         eps = ell.EXTENDED_TRUNC_EPS
         with mpmath.workprec(bits):
@@ -424,38 +435,33 @@ class TestThetaKernel:
     @pytest.mark.parametrize("cap", [16, 17, 18])
     @pytest.mark.parametrize("bits", [None, 128])
     def test_term_cap_is_the_references(self, monkeypatch, cap, bits):
-        """In double precision, with p = 0.1 and x = 2, J is 18 at eps
-        1e-17, and the reference raises only once J exceeds the cap by more
-        than one.  At B bits the cap counts series terms: with p = 0.67 a
-        side at |z| = 1, the deepest one, keeps 17 terms above eps 2^-g,
-        so the cap of 16 raises, at any x."""
+        """The cap counts series terms a side in both regimes: with
+        p = 0.67 and eps 1e-17 a side at |z| = 1, the deepest one, keeps
+        17 terms above eps 2^-g, so the cap of 16 raises, at any x.  In
+        double precision p = 0.67 is past G0 and runs the Gaussian kernel;
+        p = 0.3 at eps 1e-62 keeps 17 terms as well, summed in floats, the
+        17th only by the guard's 2^-g."""
         monkeypatch.setattr(ell, "_MAX_THETA_TERMS", cap)
+        cases = [(0.67, ell.DEFAULT_TRUNC_EPS)]
         if bits is None:
-            x, p = 2.0, 0.1
-            try:
-                want = _theta_reference(x, p)
-            except ValueError:
-                want = None
-            assert (want is None) == (cap == 16)
-            if want is None:
-                with pytest.raises(ValueError, match="did not converge"):
-                    ell.theta(x, p)
-            else:
-                got = ell.theta(x, p)
-                assert abs(got - want) <= 2.0 ** -45 * abs(want)
-            return
-        eps = ell.DEFAULT_TRUNC_EPS
-        with mpmath.workprec(bits):
-            p = mpmath.mpf(0.67)
+            cases.append((0.3, 1e-62))
+            assert 0.3 ** (16 * 15 // 2) < 1e-62
+        for p, eps in cases:
             tol = eps * 2.0 ** -_guard(p)
             assert [m for m in range(40) if p ** (m * (m - 1) // 2) >= tol] == list(range(17))
-            for x in (mpmath.mpc(2.0), mpmath.mpc(0.7, 0.7), mpmath.mpc(3e12)):
-                if cap == 16:
-                    with pytest.raises(ValueError, match="did not converge"):
-                        ell.theta(x, p)
+            for x in (2.0, 0.7 + 0.7j, 3e12):
+                with mpmath.workprec(bits or 53):
+                    if bits:
+                        x, p = mpmath.mpc(x), mpmath.mpf(p)
+                    if cap == 16:
+                        with pytest.raises(ValueError, match="did not converge"):
+                            ell.theta(x, p, eps)
+                        continue
+                    got, wants = ell.theta(x, p, eps), _series_reference(x, p, eps, (bits or 53) + 64)
+                if bits:
+                    assert _within(got, wants, bits)
                 else:
-                    assert _within(ell.theta(x, p), _series_reference(x, p, eps, bits + 64),
-                                   bits)
+                    assert min(abs(got - w) for w in wants) <= _double_bound(x, p, eps)
 
     @given(ly=st.floats(0.0, 1.0), ay=_phases, lp=st.floats(-6, math.log10(0.9)), ap=_phases)
     @example(ly=0.0, ay=0.3, lp=math.log10(0.9), ap=0.0)
@@ -479,8 +485,9 @@ class TestThetaKernel:
 
 
 class TestThetaDoubleKernel:
-    """The double-precision regime: one complex factor per term, with p^j
-    and 1 + p^{2j+1} from the nome's table."""
+    """The double-precision regime: the series in complex floats at
+    g <= G0, with the rows and 1/(p; p)_inf from the nome's cached entry,
+    and the 53-bit Gaussian kernel above."""
 
     def test_agrees_with_the_ext_kernel(self):
         """Suite-shaped points (x a product or quotient of two sampled
@@ -505,57 +512,74 @@ class TestThetaDoubleKernel:
             assert ell.theta(x, 0.0) == ell.theta(x, 0j) == 1 - x
 
     def test_int_and_float_arguments(self):
-        for x, p in ((2, 0), (3, 0.1), (0.5, 0.2), (-0.75, -0.3), (2, 0.1j)):
+        for x, p in ((2, 0), (3, 0.1), (0.5, 0.2), (-0.75, -0.3), (2, 0.1j), (3, 0.9),
+                     (-0.75, -0.6)):
             got = ell.theta(x, p)
             assert _bits(got) == _bits(ell.theta(complex(x), complex(p)))
-            want, cond = _exact_run(x, p, _terms_of_kernel(x, p, ell.DEFAULT_TRUNC_EPS)[1])
-            assert abs(got - want) <= 8 * 2.0 ** -53 * cond * abs(want)
+            if not p:
+                assert got == 1 - x
+            else:
+                wants = _series_reference(x, p, ell.DEFAULT_TRUNC_EPS, 53 + 64)
+                assert min(abs(got - w) for w in wants) <= _double_bound(x, p)
             if not isinstance(p, complex):
                 assert got.imag == 0
 
-    def test_depth_past_the_row_cap(self):
-        """|p| = 0.97 needs about 1,300 terms, more than the table keeps;
-        the rows past the cap are computed as they are read."""
-        x, p = 0.5 + 0.5j, cmath.rect(0.97, 0.4)
+    def test_float_route_covers_the_sampled_nomes(self):
+        """g <= G0 at |p| = 0.35, the largest nome sample_params and the
+        theta suite draw, so their double theta is summed in floats."""
+        assert ell._series_guard(math.log(0.35)) == 7 <= ell._FLOAT_GUARD
+        assert ell._double_nome(cmath.rect(0.35, 2.0), ell.DEFAULT_TRUNC_EPS)[2] is not None
+        assert ell._series_guard(math.log(0.37)) > ell._FLOAT_GUARD
+
+    def test_depth_past_the_row_cap(self, monkeypatch):
+        """|p| = 0.97 has g = 234 guard bits, past G0: the value is the
+        53-bit Gaussian kernel's, rounded once, within 2^-45 of the series
+        reference, and the same with the kernel's nome table cut to 3
+        rows, the rest computed as they are read."""
+        x, p, eps = 0.5 + 0.5j, cmath.rect(0.97, 0.4), ell.DEFAULT_TRUNC_EPS
+        assert _guard(p) == 234
+        got = ell.theta(x, p)
+        with mpmath.workprec(53):
+            assert _bits(got) == _bits(ell.theta(mpmath.mpc(x), mpmath.mpc(p), eps))
+        assert _within(got, _series_reference(x, p, eps, 53 + 64), 53)
+        monkeypatch.setattr(ell, "_TABLE_ROWS", 3)
         ell._nome_table.cache_clear()
-        got, j = _terms_of_kernel(x, p, ell.DEFAULT_TRUNC_EPS)
-        assert j > ell._TABLE_ROWS
-        assert len(ell._nome_table(p)) == ell._TABLE_ROWS
-        want, cond = _exact_run(x, p, j)
-        assert abs(got - want) <= 8 * 2.0 ** -53 * cond * abs(want)
         assert _bits(ell.theta(x, p)) == _bits(got)
+        key = ell._gaussian(p, ell._DOUBLE_WIDTH) + (ell._DOUBLE_WIDTH,)
+        assert len(ell._nome_table(*key)) == 3
 
     @pytest.mark.parametrize("variants", [
         (complex(0.2, 0.25),),
         (complex(0.3, 0.0), complex(0.3, -0.0), 0.3),
         (complex(-0.0, 0.25), complex(0.0, 0.25)),
         (complex(-0.2, -0.0), complex(-0.2, 0.0), -0.2)])
-    def test_rows_do_not_depend_on_history(self, monkeypatch, variants):
-        """As test_nome_table_does_not_depend_on_history, in double
-        precision: the same bits with a cold table, a warm one, one grown
-        to a larger depth by another x or begun by another key of the same
-        nome (a zero of either sign, an int, float or complex type), and
-        with the rows past a small row cap computed as they are read."""
+    def test_rows_do_not_depend_on_history(self, variants):
+        """One (x, p) gives the same bits with a cold nome cache, a warm
+        one, one whose entry another x or another key of the same nome
+        made (a zero of either sign, an int, float or complex type), and
+        next to an entry at another eps; the entry is the same whichever
+        key made it.  At eps = 1e-10 the truncation shows in the bits."""
         x, far, eps = complex(0.7, -1.3), complex(3e12, -1e12), 1e-10
 
         def run(p, *args):      # real arguments show the sign of a zero
             return [_bits(ell.theta(w, p, eps)) for z in args for w in (z, z.real)]
 
-        cold = []       # by position: the variants compare and hash equal
-        for p in variants:
-            ell._nome_table.cache_clear()
-            near = run(p, x)
-            ell._nome_table.cache_clear()
-            cold.append(near + run(p, far) + near)
-        depth = _terms_of_kernel(far, variants[0], eps)[1]
-        assert depth > _terms_of_kernel(x, variants[0], eps)[1] + 10
-        for cap in (ell._TABLE_ROWS, 3):
-            monkeypatch.setattr(ell, "_TABLE_ROWS", cap)
-            for first in variants:
-                ell._nome_table.cache_clear()
-                run(first, x, far)
-                assert [run(p, x, far, x) for p in variants] == cold
-            assert len(ell._nome_table(variants[0])) == min(cap, depth)
+        ell._double_nome.cache_clear()
+        near = run(variants[0], x)
+        ell._double_nome.cache_clear()
+        cold = run(variants[0], far) + near
+        assert run(variants[0], x) == near
+        entries = []
+        for first in variants:
+            ell._double_nome.cache_clear()
+            run(first, far)
+            ell.theta(x, first, ell.DEFAULT_TRUNC_EPS)
+            assert [run(p, far, x) for p in variants] == [cold] * len(variants)
+            entry = ell._double_nome(variants[0], eps)
+            entries.append((entry[0], entry[2], entry[3]))
+        assert entries == [entries[0]] * len(variants)
+        assert ell._double_nome.cache_info().currsize == 2
+        assert ell.theta(x, variants[0]) != ell.theta(x, variants[0], eps)
 
 
 def _sides(report: dict) -> list:
