@@ -263,23 +263,6 @@ def coxeter_q_fibo_catalan(w: CoxeterType, a: int) -> PolynomialityVerdict:
         (fib(e + 1) for e in exps))
 
 
-def coxeter_catalan_q1(w: CoxeterType, a: int) -> int:
-    """The q = 1 shadow prod F_{a+e_i} / F_{e_i+1}, computed exactly;
-    raises ArithmeticError when the ratio is not an integer."""
-    if a < 1:
-        raise ValueError("need a >= 1")
-    num = 1
-    den = 1
-    for e in w.exponents:
-        num *= fib(a + e)
-        den *= fib(e + 1)
-    quot, rem = divmod(num, den)
-    if rem:
-        raise ArithmeticError(
-            f"Coxeter Catalan value for {w.label()} at a={a} is not an integer")
-    return quot
-
-
 def q_fibo_catalan_ordinary(n: int) -> PolynomialityVerdict:
     """Verdict for the ordinary q-Fibo-Catalan
     prod_{k<=2n} [F_k] / (prod_{k<=n+1} [F_k] prod_{k<=n} [F_k])."""

@@ -362,12 +362,8 @@ def _cmd_fibonomial(ns) -> int:
         str(list(poly.coeffs)))
 
 
-def _enumeration_cap(ns) -> int:
-    return tilings.DEFAULT_ENUMERATION_CAP if ns.cap is None else ns.cap
-
-
 def _cmd_enumerate(ns) -> int:
-    cap = _enumeration_cap(ns)
+    cap = tilings.DEFAULT_ENUMERATION_CAP if ns.cap is None else ns.cap
     if ns.model == "rect":
         expected = qpoly.fibonomial_int(ns.a, ns.b)
     else:
@@ -519,7 +515,7 @@ def _suite_convolution(ns) -> list[VerificationReport]:
 
 def _suite_bijection(ns) -> list[VerificationReport]:
     top = ns.max if ns.max else 6
-    return [tilings.model_bijection_check(m, n, cap=_enumeration_cap(ns))
+    return [tilings.model_bijection_check(m, n)
             for m in range(1, top) for n in range(1, top) if m + n <= top]
 
 
@@ -535,14 +531,14 @@ def _suite_q_all(ns) -> list[VerificationReport]:
         for n in range(1, top):
             if m + n > top:
                 continue
-            gf = tilings.rect_generating_function(m, n, cap=_enumeration_cap(ns))
+            gf = tilings.rect_generating_function(m, n)
             qf = qpoly.q_fibonomial(m, n)
             rec = qpoly.q_fibonomial_recurrence(m, n)
             reports.append(exact_report("rect-gf-vs-ratio", {"m": m, "n": n}, gf, qf))
             reports.append(exact_report("recurrence-vs-ratio", {"m": m, "n": n}, rec, qf))
     for n in range(0, top + 1):
         for k in range(0, n + 1):
-            gf = tilings.staircase_generating_function(n, k, cap=_enumeration_cap(ns))
+            gf = tilings.staircase_generating_function(n, k)
             reports.append(exact_report("staircase-gf-vs-ratio", {"n": n, "k": k},
                                         gf, qpoly.q_fibonomial(n - k, k)))
     reports += _suite_bijection(ns)

@@ -53,6 +53,12 @@ EXTENDED_TRUNC_EPS = 1e-44
 MAX_RESAMPLES = 100
 
 _MAX_THETA_TERMS = 100_000
+# A side's terms times its W + g bits: the Horner steps multiply (W + g)-bit
+# integers, so the cost grows faster than this.  |p| = 0.99 takes 0.25-0.34
+# million at 53, 128 and 256 bits (about 0.01-0.02 s a call on a 2-core
+# x86-64 host), |p| = 0.997 about 2.7 million (0.3 s); |p| = 0.998 and
+# beyond raise, where 0.999 took 1-3 s and 0.9999 minutes.
+_MAX_THETA_WORK = 1 << 22
 _TABLE_ROWS = 1024          # rows kept per B-bit nome table
 _FLOAT_GUARD = 7            # G0: the most guard bits the double series sums in floats
 _DOUBLE_WIDTH = 53 + 16     # W of the Gaussian kernel at 53 bits
@@ -218,8 +224,10 @@ def theta(x, p, eps: float = DEFAULT_TRUNC_EPS):
       number), rounded once to an mpc of that context (``_theta_ext``).
 
     theta(1; p) and theta(p; p) are exactly 0, and theta(x; 0) is 1 - x
-    rounded once.  x = 0, |p| >= 1, and more than _MAX_THETA_TERMS terms
-    a side raise ValueError.  Values do not depend on the caches' state.
+    rounded once.  x = 0, |p| >= 1, more than _MAX_THETA_TERMS terms a
+    side, and, in the Gaussian kernel, more than _MAX_THETA_WORK terms
+    times W + g bits a side raise ValueError.  Values do not depend on the
+    caches' state.
     """
     if not (isinstance(x, (complex, float, int)) and isinstance(p, (complex, float, int))):
         return _theta_ext(x, p, eps)
@@ -354,8 +362,10 @@ def _series(x, nome, width: int, eps: float):
     # guard past 4 _MAX_THETA_TERMS is past the cap too
     if log_p >= 0 or _GUARD_BITS / -log_p >= 4 * _MAX_THETA_TERMS:
         raise ValueError(_NOT_CONVERGED)
-    log_tol = math.log(eps) - _series_guard(log_p) * _LN2   # a side's cut-off
-    if _series_terms(log_p, 0.0, log_tol) > _MAX_THETA_TERMS:
+    g = _series_guard(log_p)
+    log_tol = math.log(eps) - g * _LN2      # a side's cut-off
+    terms = _series_terms(log_p, 0.0, log_tol)
+    if terms > _MAX_THETA_TERMS or terms * (width + g) > _MAX_THETA_WORK:
         raise ValueError(_NOT_CONVERGED)
     key = pa, pb, pe, width
     frac, ia, ib, ie = _series_constants(*key)
@@ -667,6 +677,16 @@ def theta_property_suite(params: EllipticParams, samples: int,
     p = 0 reduction, inversion theta(1/x) = -theta(x)/x, quasi-periodicity
     theta(px) = -theta(x)/x, and the four-versus-four addition formula.
     Four reports per sample point; degenerate points are resampled.
+
+    The suite cannot see the constant 1/(p; p)_inf: each identity has as
+    many theta factors at nome p on one side as on the other, and the
+    zero-nome report compares the p = 0 branch, 1 - x, with 1 - x.  A
+    wrong constant cancels from every report here and from every report
+    of the elliptic checks, which are balanced the same way.  An error in
+    the nome's series rows shows in the addition reports, which sum
+    products at different arguments, while inversion and
+    quasi-periodicity evaluate both sides through the same reduction.
+    The kernel tests compare theta with independent references.
     """
     if samples < 1:
         raise ValueError("need samples >= 1")

@@ -23,16 +23,13 @@ class NotPolynomialError(ArithmeticError):
 
     For polynomiality tests a non-polynomial ratio is a result, not a
     failure: the verdicts in fibl.catalan record it without raising.
-    ``remainder`` is the IntPoly remainder when the division was performed
-    by long division, or None when the ratio engine (qpoly.q_ratio_coeffs)
-    detected inexactness without materializing a remainder.  ``split`` is
-    the engine's (covered, uncovered) denominator split when its
-    cyclotomic count found the ratio not polynomial, else None.
+    ``split`` is the (covered, uncovered) denominator split of the ratio
+    engine (qpoly.q_ratio_coeffs) when its cyclotomic count found the
+    ratio not polynomial, else None.
     """
 
-    def __init__(self, message: str, remainder=None, split=None):
+    def __init__(self, message: str, split=None):
         super().__init__(message)
-        self.remainder = remainder
         self.split = split
 
 

@@ -10,18 +10,21 @@ product packs both factors into one big integer each.
 Every q-number [t]_{q^s} is palindromic, and so is every product of
 them.  The ratio engine therefore keeps each partial product as its low
 half, the first ceil(n/2) of its n coefficients, and passes the length
-along: with ``length`` given, ``mul_qnumber`` and ``div_qnumber`` take a
-low half and return one.  The product's window sum runs over the low half
-only; the division sums its series over the dividend's low half and reads
-exactness from the series' own mirror symmetry instead of from its tail.
-``unfold`` restores the dense list.  A dense input that equals its
-reverse and ends in a nonzero coefficient takes the same half arithmetic
-and is unfolded after it; any other dense input takes the full sum.
+along: with ``length`` given, ``mul_qnumber`` takes a low half and
+returns one, and ``div_qnumber`` takes only that form.  The product's
+window sum runs over the low half only; the division sums its series over
+the dividend's low half and reads exactness from the series' own mirror
+symmetry instead of from its tail.  ``unfold`` restores the dense list.
+The dense form of ``mul_qnumber`` (no ``length``) serves the convolution
+check and the divisibility check, on lists that need not be palindromes:
+a dense input that equals its reverse and ends in a nonzero coefficient
+takes the same half arithmetic and is unfolded after it; any other takes
+the full sum.
 
 Ownership: a call with ``length`` consumes its list.  The window sums
 overwrite it block by block, so the list passed in is the list returned,
 and after a division that is not exact (None) its contents are spent.
-A dense call works on a copy and leaves its argument as it was.
+A dense product works on a copy and leaves its argument as it was.
 
 Everything here is exact integer arithmetic; no kernel ever rounds.
 """
@@ -126,84 +129,50 @@ def _mul_half(half, length, t, stride):
     return _window_sum(half, t * stride, stride)
 
 
-def div_qnumber(coeffs, t, stride=1, length=None):
-    """Exactly divide ``coeffs`` by 1 + q^s + ... + q^{(t-1)s}.
+def div_qnumber(half, t, stride, length):
+    """Exactly divide the palindrome r of ``length`` coefficients whose low
+    half is ``half`` by 1 + q^s + ... + q^{(t-1)s}.
 
-    Returns the quotient, or None when the division is not exact.  The
-    power series of r / [t]_{q^s} = r (1 - q^s) / (1 - q^{ts}) is r - q^s r
-    summed with period ts, p[i] = r[i] - r[i-s] + p[i-ts].  The input is
-    divisible iff the series stops at the target degree deg(r) - (t-1)s;
-    past deg(r) + s it repeats with period ts, so the ts coefficients
-    after the target settle it.
-
-    With ``length``, ``coeffs`` is the low half of a palindrome r of that
-    length and is consumed: it is overwritten in place to the low half of
+    ``half`` is consumed: it is overwritten in place to the low half of
     the quotient, a palindrome of length length - (t-1)s, and returned,
-    or spent when the division is not exact.  Without it, ``coeffs`` is a
-    dense list and the quotient comes back trimmed; one that equals its
-    reverse and ends in a nonzero coefficient is divided as its low half
-    and the quotient unfolded, any other takes the full sum.
+    or it is spent and None is returned when the division is not exact.
+    The power series of r / [t]_{q^s} = r (1 - q^s) / (1 - q^{ts}) is
+    r - q^s r summed with period ts, p[i] = r[i] - r[i-s] + p[i-ts].
 
-    Half length: when (t-1)s <= target, the series is summed only up to
-    M = floor(D/2), D = deg(r), over the low half of r, and the division
-    is exact iff p[j] = p[target-j] for floor(target/2) < j <= M (the
-    mirror test; M <= target, so both indices exist).  Proof: let Q be
-    the palindrome of degree target with Q[j] = p[j] for
-    j <= floor(target/2).  If the test holds, Q[j] = p[target-j] = p[j]
-    up to M as well, so Q [t]_{q^s} agrees with p [t]_{q^s} = r up to M.
-    Both are palindromes of degree D, and each j > M mirrors to
-    D - j <= M, so Q [t]_{q^s} = r.  Conversely, an exact quotient of two
-    palindromes is a palindrome equal to the series, so the test holds.
-    A longer divisor takes the full sum over the unfolded palindrome.
+    The series is summed only up to M = floor(D/2), D = deg(r), over the
+    low half of r, and the division is exact iff p[j] = p[target-j] for
+    floor(target/2) < j <= M, target = D - (t-1)s, reading p at a negative
+    index as 0 (the mirror test).  Proof: let Q be the palindrome of
+    degree target with Q[j] = p[j] for j <= floor(target/2), and Q[j] = 0
+    past target.  If the test holds, Q[j] = p[target-j] = p[j] up to M as
+    well (for j > target both are 0), so Q [t]_{q^s} agrees with
+    p [t]_{q^s} = r up to M.  Both are symmetric about D/2, and each
+    j > M mirrors to D - j <= M, so Q [t]_{q^s} = r.  Conversely, an
+    exact quotient of two palindromes is a palindrome equal to the
+    series, and the series of a polynomial of degree target is 0 past
+    it, so the test holds.  So a divisor longer than the quotient, with
+    M > target, needs no other sum.  A palindrome shorter than the
+    divisor (target < 0) is divisible only when it is zero.
     """
     if t <= 0:
         raise ZeroDivisionError("division by zero polynomial")
-    if length is not None:
-        return _div_half(coeffs, length, t, stride)
-    if t == 1:
-        return trim(list(coeffs))
-    target = len(coeffs) - 1 - (t - 1) * stride
-    if target >= 0 and coeffs[-1] and coeffs == coeffs[::-1]:
-        half = _div_half(coeffs[:(len(coeffs) + 1) // 2], len(coeffs), t, stride)
-        return None if half is None else unfold(half, target + 1)
-    p = _div_series(list(coeffs), t, stride)
-    return None if p is None else trim(p)
-
-
-def _div_half(half, length, t, stride):
     if t == 1:
         return half
     target = length - 1 - (t - 1) * stride
-    if (t - 1) * stride > target:
-        half += half[:length // 2][::-1]
-        p = _div_series(half, t, stride)
-        if p is not None:
-            del p[(target + 2) // 2:]
-        return p
+    if target < 0:
+        if any(half):
+            return None
+        half.clear()
+        return half
     m = len(half)
     p = _window_sum(half, stride, t * stride)
     h = target // 2 + 1
-    if p[target - m + 1:target - h + 1] != p[:h - 1:-1]:
+    lo = target - m + 1
+    mirror = p[max(lo, 0):target - h + 1]         # p[target - j], j from M down to h,
+    mirror[:0] = repeat(0, -lo)                   # and 0 at each negative index
+    if mirror != p[:h - 1:-1]:
         return None
     del p[h:]
-    return p
-
-
-def _div_series(r, t, stride):
-    """Overwrite r with the series of r / [t]_{q^s} cut at the target
-    degree and return it, or None when the series does not stop there; a
-    list shorter than the divisor is exact only when it is zero."""
-    target = len(r) - 1 - (t - 1) * stride
-    if target < 0:
-        if any(r):
-            return None
-        r.clear()
-        return r
-    r += repeat(0, stride)
-    p = _window_sum(r, stride, t * stride)
-    if any(p[target + 1:]):
-        return None
-    del p[target + 1:]
     return p
 
 

@@ -4,10 +4,10 @@ IntPoly is an immutable dense coefficient vector over Python's
 arbitrary-precision integers; every q-analog quantity in the package is one
 of these.  The module provides the q-number [n] = 1 + q + ... + q^{n-1},
 the ratio engine that builds every product or quotient of q-numbers
-(q_ratio_coeffs), the Fibonacci q-factorial, the q-Fibonomial by two
-independent routes (the ratio engine, and the two-term recurrence run by
-``fibl.tilings.rect_transfer`` over closed-form strip sums), long
-division with polynomiality detection, and the polynomial identity checks.
+(q_ratio_coeffs), the q-Fibonomial by two independent routes (the ratio
+engine, and the two-term recurrence run by ``fibl.tilings.rect_transfer``
+over closed-form strip sums), long division, and the polynomial identity
+checks.
 
 Degrees are guarded by a configurable cap (default 10**7) so runaway
 inputs fail fast with a ResourceLimitError instead of exhausting memory:
@@ -191,20 +191,6 @@ class IntPoly:
             "coeffs": [[str(i), str(v)] for i, v in enumerate(self._c) if v],
         }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "IntPoly":
-        if obj.get("var") != "q":
-            raise ValueError("expected a polynomial in q")
-        pairs = [(int(e), int(c)) for e, c in obj["coeffs"]]
-        if not pairs:
-            return _ZERO
-        out = [0] * (max(e for e, _ in pairs) + 1)
-        for e, c in pairs:
-            if e < 0:
-                raise ValueError("negative exponent in serialized polynomial")
-            out[e] += c
-        return cls(out)
-
     def __repr__(self) -> str:
         if not self._c:
             return "IntPoly(0)"
@@ -282,22 +268,6 @@ def long_division(num: IntPoly, den: IntPoly) -> DivisionResult:
             if dv:
                 r[i + j] -= c * dv
     return DivisionResult(IntPoly(quot), IntPoly(r[:dd]))
-
-
-def exact_div(num: IntPoly, den: IntPoly) -> IntPoly:
-    """Return num / den when the division is exact.
-
-    A nonzero remainder raises NotPolynomialError carrying the remainder;
-    for polynomiality experiments that error is a result, not a crash.
-    """
-    if den == _ONE:
-        return num
-    res = long_division(num, den)
-    if not res.remainder.is_zero():
-        raise NotPolynomialError(
-            f"remainder of degree {res.remainder.degree} is nonzero",
-            remainder=res.remainder)
-    return res.quotient
 
 
 # ---------------------------------------------------------------------------
@@ -427,16 +397,7 @@ def ratio_poly(num: Iterable[int], den: Iterable[int]) -> IntPoly:
 
 
 # ---------------------------------------------------------------------------
-# Fibonacci q-factorials and q-Fibonomials
-
-def q_fib_factorial(n: int) -> IntPoly:
-    """prod_{k=1}^{n} [F_k]; the Fibonacci q-analog of n!.  n = 0 gives 1."""
-    if n < 0:
-        raise ValueError("factorial index must be >= 0")
-    factors = [fib(k) for k in range(1, n + 1)]
-    _ensure_cap(sum(t - 1 for t in factors))
-    return ratio_poly(factors, ())
-
+# q-Fibonomials
 
 def q_fibonomial(m: int, n: int) -> IntPoly:
     """The q-Fibonomial prod_{k=hi+1}^{m+n} [F_k] / prod_{k=1}^{lo} [F_k].

@@ -46,20 +46,22 @@ and the Catalan counterexample.
 
 Enumeration is streaming and deterministic: paths in lexicographic step
 order (E < N, N < W), strip tilings in lexicographic tile order (D < M).
-Counts are bounded by a configurable cap (default 10**8), rejected up
-front by comparing the exact integer Fibonomial against the cap.
+The enumerators' counts are bounded by a configurable cap (default
+10**8), rejected up front by comparing the exact integer Fibonomial
+against the cap.  The generating functions list no tilings, so the
+degree cap of ``fibl.qpoly`` is their only bound, checked up front in
+the same way.
 """
 
 from __future__ import annotations
 
-import json
 from functools import lru_cache
 from itertools import product
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from fibl.errors import ResourceLimitError
 from fibl.fib import fib
-from fibl.qpoly import IntPoly, fibonomial_int, ratio_poly
+from fibl.qpoly import IntPoly, _ensure_cap, _fibonomial_degree, fibonomial_int, ratio_poly
 from fibl.report import VerificationReport, exact_report
 
 DEFAULT_ENUMERATION_CAP = 10**8
@@ -87,13 +89,6 @@ class PathDominoTiling(NamedTuple):
         return {"model": "rect", "m": self.m, "n": self.n, "path": self.path,
                 "rows": list(self.rows), "cols": list(self.cols)}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "PathDominoTiling":
-        if obj.get("model") != "rect":
-            raise ValueError("expected a rectangle-model tiling")
-        return cls(m=obj["m"], n=obj["n"], path=obj["path"],
-                   rows=tuple(obj["rows"]), cols=tuple(obj["cols"]))
-
 
 class StaircaseTiling(NamedTuple):
     """A staircase-model tiling of the size-n staircase with k west steps.
@@ -110,13 +105,6 @@ class StaircaseTiling(NamedTuple):
     def to_json(self) -> dict:
         return {"model": "staircase", "n": self.n, "k": self.k,
                 "path": self.path, "rows": list(self.rows)}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "StaircaseTiling":
-        if obj.get("model") != "staircase":
-            raise ValueError("expected a staircase-model tiling")
-        return cls(n=obj["n"], k=obj["k"], path=obj["path"],
-                   rows=tuple(obj["rows"]))
 
 
 
@@ -198,15 +186,6 @@ def _check_cap(expected: int, cap: int) -> None:
     if expected > cap:
         raise ResourceLimitError(
             f"enumeration of {expected} tilings exceeds the cap {cap}", cap=cap)
-
-
-def enumerate_strips(length: int, sink: Optional[Callable[[str], None]] = None) -> int:
-    """Emit every strip tiling; the returned count equals F_{length+1}."""
-    opts = _strip_options(length)
-    if sink is not None:
-        for s in opts:
-            sink(s)
-    return len(opts)
 
 
 def _poly_from_counts(counts: dict[int, int]) -> IntPoly:
@@ -336,16 +315,17 @@ def rect_transfer(m: int, n: int, table: Callable, one, lattice: Optional[dict] 
     return g[m, n]
 
 
-def rect_generating_function(m: int, n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> IntPoly:
+def rect_generating_function(m: int, n: int) -> IntPoly:
     """Sum of q-weights over all tilings of the m x n rectangle.
 
     Must coincide with q_fibonomial(m, n).  It is rect_transfer over the
     strips' enumerated q-weight sums, on a lattice shared by all calls,
     never q-factorials: independent of the ratio route, it shares its loop
-    but not its strip sums with q_fibonomial_recurrence.  ``cap`` bounds
-    the number of tilings summed, even for a point already built.
+    but not its strip sums with q_fibonomial_recurrence.  It lists no
+    tilings, so no enumeration cap applies; the degree cap is checked on
+    every call, even for a point already built.
     """
-    _check_cap(fibonomial_int(m, n), cap)
+    _ensure_cap(_fibonomial_degree(m, n))
     return rect_transfer(m, n, _strip_table, IntPoly.one(), _q_lattice(0))
 
 
@@ -517,13 +497,13 @@ def enumerate_staircase_tilings(n: int, k: int,
     return count
 
 
-def staircase_generating_function(n: int, k: int,
-                                  cap: int = DEFAULT_ENUMERATION_CAP) -> IntPoly:
+def staircase_generating_function(n: int, k: int) -> IntPoly:
     """Sum of q-weights over all (n, k)-tilings; equals q_fibonomial(n-k, k).
     It is rectangle point (k, n - k) of rect_generating_function's lattice
-    (see the module docstring); ``cap`` as for rect_generating_function."""
+    (see the module docstring); the degree cap as for
+    rect_generating_function."""
     _check_staircase(n, k)
-    _check_cap(fibonomial_int(n - k, k), cap)
+    _ensure_cap(_fibonomial_degree(n - k, k))
     return rect_transfer(k, n - k, _strip_table, IntPoly.one(), _q_lattice(0))
 
 
@@ -592,16 +572,15 @@ def q_weight(t: PathDominoTiling | StaircaseTiling) -> IntPoly:
 # ---------------------------------------------------------------------------
 # Cross-model checks
 
-def model_bijection_check(m: int, n: int,
-                          cap: int = DEFAULT_ENUMERATION_CAP) -> VerificationReport:
+def model_bijection_check(m: int, n: int) -> VerificationReport:
     """The weight multiset of rectangle (m, n) tilings equals that of
     staircase (m+n, n) tilings, i.e. their generating functions agree.
     The staircase sum is rectangle point (n, m) of the same lattice, so
     the report compares G(m, n) with G(n, m): the symmetry of the
     q-Fibonomial, through the transfer over tiling sums."""
     return exact_report("model-bijection", {"m": m, "n": n},
-                        rect_generating_function(m, n, cap=cap),
-                        staircase_generating_function(m + n, n, cap=cap))
+                        rect_generating_function(m, n),
+                        staircase_generating_function(m + n, n))
 
 
 def catalan_partial_tilings(size: int) -> Iterator[StaircaseTiling]:
@@ -645,13 +624,3 @@ def catalan_partial_tiling_counterexample(size: int = 6) -> VerificationReport:
     rep.notes["catalan_poly_at_1"] = catalan_poly.eval_q1()
     rep.notes["tiling_count"] = total
     return rep
-
-
-# ---------------------------------------------------------------------------
-# Golden data
-
-def load_golden(name: str) -> dict:
-    """Load one of the JSON fixtures shipped under fibl/data/golden."""
-    from importlib import resources     # here: no command loads a fixture
-    path = resources.files("fibl").joinpath(f"data/golden/{name}")
-    return json.loads(path.read_text())

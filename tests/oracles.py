@@ -1,0 +1,99 @@
+"""Reference routes and fixture readers that only the tests use.
+
+Each oracle computes a quantity the package computes too, by a route of
+its own (long division, the integer shadow at q = 1, the strip options
+listed one by one), or reads a fixture or a serialized form back.
+"""
+
+import json
+from pathlib import Path
+
+from fibl.errors import NotPolynomialError
+from fibl.fib import fib
+from fibl.qpoly import IntPoly, long_division, ratio_poly
+from fibl.tilings import PathDominoTiling, StaircaseTiling, _strip_options
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def exact_div(num: IntPoly, den: IntPoly) -> IntPoly:
+    """num / den by long division; a nonzero remainder raises
+    NotPolynomialError, with the remainder as its ``remainder``."""
+    if den == IntPoly.one():
+        return num
+    res = long_division(num, den)
+    if not res.remainder.is_zero():
+        exc = NotPolynomialError(f"remainder of degree {res.remainder.degree} is nonzero")
+        exc.remainder = res.remainder
+        raise exc
+    return res.quotient
+
+
+def q_fib_factorial(n: int) -> IntPoly:
+    """prod_{k=1}^{n} [F_k]; the Fibonacci q-analog of n!.  n = 0 gives 1."""
+    if n < 0:
+        raise ValueError("factorial index must be >= 0")
+    return ratio_poly([fib(k) for k in range(1, n + 1)], ())
+
+
+def coxeter_catalan_q1(w, a: int) -> int:
+    """The q = 1 shadow prod F_{a+e_i} / F_{e_i+1} of the Coxeter
+    q-Fibo-Catalan number of type ``w``, computed exactly; raises
+    ArithmeticError when the ratio is not an integer."""
+    if a < 1:
+        raise ValueError("need a >= 1")
+    num = den = 1
+    for e in w.exponents:
+        num *= fib(a + e)
+        den *= fib(e + 1)
+    quot, rem = divmod(num, den)
+    if rem:
+        raise ArithmeticError(
+            f"Coxeter Catalan value for {w.label()} at a={a} is not an integer")
+    return quot
+
+
+def enumerate_strips(length: int, sink=None) -> int:
+    """Pass every tiling of a 1 x length strip to ``sink``; the returned
+    count equals F_{length+1}."""
+    opts = _strip_options(length)
+    if sink is not None:
+        for s in opts:
+            sink(s)
+    return len(opts)
+
+
+def poly_from_json(obj: dict) -> IntPoly:
+    """The IntPoly of ``IntPoly.to_json``'s sparse form."""
+    if obj.get("var") != "q":
+        raise ValueError("expected a polynomial in q")
+    pairs = [(int(e), int(c)) for e, c in obj["coeffs"]]
+    if not pairs:
+        return IntPoly.zero()
+    out = [0] * (max(e for e, _ in pairs) + 1)
+    for e, c in pairs:
+        if e < 0:
+            raise ValueError("negative exponent in serialized polynomial")
+        out[e] += c
+    return IntPoly(out)
+
+
+def rect_tiling_from_json(obj: dict) -> PathDominoTiling:
+    """The rectangle tiling of ``PathDominoTiling.to_json``'s form."""
+    if obj.get("model") != "rect":
+        raise ValueError("expected a rectangle-model tiling")
+    return PathDominoTiling(m=obj["m"], n=obj["n"], path=obj["path"],
+                            rows=tuple(obj["rows"]), cols=tuple(obj["cols"]))
+
+
+def staircase_tiling_from_json(obj: dict) -> StaircaseTiling:
+    """The staircase tiling of ``StaircaseTiling.to_json``'s form."""
+    if obj.get("model") != "staircase":
+        raise ValueError("expected a staircase-model tiling")
+    return StaircaseTiling(n=obj["n"], k=obj["k"], path=obj["path"],
+                           rows=tuple(obj["rows"]))
+
+
+def load_golden(name: str) -> dict:
+    """One of the JSON fixtures under tests/golden."""
+    return json.loads((GOLDEN / name).read_text())

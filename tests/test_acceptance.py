@@ -15,9 +15,10 @@ from fibl.catalan import (CoxeterType, coxeter_q_fibo_catalan,
                           q_fibo_catalan_positivity_sweep)
 from fibl.fib import fib
 from fibl.qpoly import IntPoly, q_fibonomial, q_fibonomial_recurrence, q_number
-from fibl.tilings import (iter_rect_tilings, load_golden, model_bijection_check,
+from fibl.tilings import (iter_rect_tilings, model_bijection_check,
                           rect_generating_function,
                           staircase_generating_function, weight_exponent)
+from oracles import load_golden, rect_tiling_from_json
 
 SEED = 0x5EED
 DOUBLE_TOL = 1e-7
@@ -75,7 +76,7 @@ def test_criterion_03_staircase_and_bijection():
 def test_criterion_04_golden_5x4_weight():
     c = _Criterion(4, "golden 5x4 tiling has weight q^51", 1.0)
     doc = load_golden("rect_5x4_example.json")
-    t = tilings.PathDominoTiling.from_json(doc["tiling"])
+    t = rect_tiling_from_json(doc["tiling"])
     tilings.validate_rect_tiling(t)
     ok = tilings.q_weight(t) == IntPoly.monomial(51)
     c.finish(ok)

@@ -132,7 +132,8 @@ class TestOutOption:
     def test_capped_suite_creates_no_out_file(self, capsys, tmp_path):
         # the file is opened only after the suite has returned
         path = tmp_path / "f.json"
-        code, out, err = run(capsys, "verify", "q-all", "--max", "13", "--out", str(path))
+        code, out, err = run(capsys, "verify", "q-all", "--max", "13", "--cap", "50",
+                             "--out", str(path))
         assert (code, out) == (3, "")
         assert err.startswith("resource cap exceeded: ")
         assert not path.exists()
@@ -253,29 +254,24 @@ class TestDegreeCapOverride:
         assert run(capsys, *argv, "--cap", str(qpoly.DEFAULT_DEGREE_CAP)) == (0, plain, "")
         code, _, err = run(capsys, *argv, "--cap", "3")
         assert code == 3
-        if "q-all" in argv:
-            # q-all's tiling sums take the cap as their enumeration cap and
-            # meet it first, at the 6 tilings of (2, 2); a cap above 6
-            # reaches the degree cap
-            assert "enumeration of 6 tilings exceeds the cap 3" in err
-            code, _, err = run(capsys, *argv, "--cap", "6")
-            assert code == 3
-            assert "exceeds the degree cap 6" in err
-        else:
-            assert "exceeds the degree cap 3" in err
+        # q-all's tiling sums list no tilings, so they take --cap as the
+        # degree cap, as every check of these commands does
+        assert "exceeds the degree cap 3" in err
+        assert "enumeration" not in err
         assert qpoly.degree_cap() == qpoly.DEFAULT_DEGREE_CAP
 
     @pytest.mark.parametrize("suite", ["q-all", "bijection"])
     def test_verify_passes_the_cap_to_tiling_sums(self, capsys, suite):
+        # (5, 8) has 186,135,312 tilings, over the default enumeration cap
+        # of 10**8; the tiling sums list none, so only the degree cap
+        # applies, and --cap 10**12 sets nothing else
+        assert qpoly.fibonomial_int(5, 8) > tilings.DEFAULT_ENUMERATION_CAP
         code, out, err = run(capsys, "verify", suite, "--max", "13")
-        assert (code, out) == (3, "")
-        assert err == ("resource cap exceeded: enumeration of 186135312 tilings "
-                       "exceeds the cap 100000000\n")
-        code, out, err = run(capsys, "verify", suite, "--max", "13", "--cap", str(10**12))
         assert (code, err) == (0, "")
         *lines, summary = out.splitlines()
         assert lines and all(line.startswith("PASS ") for line in lines)
         assert summary == f"{len(lines)}/{len(lines)} checks passed"
+        assert run(capsys, "verify", suite, "--max", "13", "--cap", str(10**12)) == (0, out, "")
 
 
 class TestMaxOption:

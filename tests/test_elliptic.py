@@ -4,6 +4,7 @@ import math
 import random
 import re
 import struct
+import time
 from functools import partial
 from fractions import Fraction
 from itertools import combinations
@@ -462,6 +463,25 @@ class TestThetaKernel:
                     assert _within(got, wants, bits)
                 else:
                     assert min(abs(got - w) for w in wants) <= _double_bound(x, p, eps)
+
+    def test_work_cap_near_the_unit_circle(self):
+        """The work cap (terms times W + g bits a side) lets |p| = 0.99
+        evaluate in both regimes, to the 192-bit series, and makes
+        |p| = 0.9999, whose sides would multiply 71,000-bit integers about
+        31,600 times, raise at once."""
+        x, near, far = 0.5 + 0.5j, 0.99, 0.9999
+        eps = ell.EXTENDED_TRUNC_EPS
+        (want,) = _series_reference(x, near, eps, 192)
+        got = ell.theta(x, near)
+        assert abs(got - want) <= 1e-12 * abs(want)
+        ctx = ell._context(128)
+        got = ell.theta(ctx.mpc(x), ctx.mpc(near), eps)
+        assert _within(got, [want], 128)
+        for args in ((x, far, ell.DEFAULT_TRUNC_EPS), (ctx.mpc(x), ctx.mpc(far), eps)):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match="did not converge"):
+                ell.theta(*args)
+            assert time.perf_counter() - start < 1
 
     @given(ly=st.floats(0.0, 1.0), ay=_phases, lp=st.floats(-6, math.log10(0.9)), ap=_phases)
     @example(ly=0.0, ay=0.3, lp=math.log10(0.9), ap=0.0)

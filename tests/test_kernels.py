@@ -26,34 +26,62 @@ def test_mul_qnumber_matches_dense():
             assert kernels.mul_qnumber(list(p), t, s) == kernels.mul_dense(list(p), naive_qnumber(t, s))
 
 
+def low_half(p):
+    return p[:(len(p) + 1) // 2]
+
+
+def div_dense(r, t, s=1):
+    """div_qnumber on the palindrome r, passed as a copy of its low half,
+    with the quotient unfolded and trimmed; None when not exact."""
+    got = kernels.div_qnumber(low_half(r), t, s, len(r))
+    return None if got is None else kernels.trim(kernels.unfold(got, len(r) - (t - 1) * s))
+
+
+def mul_untrimmed(r, t, s):
+    """mul_qnumber's dense product r [t]_{q^s} with the trailing zeros it
+    trims put back, so that the product of a palindrome is one."""
+    prod = kernels.mul_qnumber(list(r), t, s)
+    return prod + [0] * (len(r) + (t - 1) * s - len(prod))
+
+
+def divide_by_long_division(r, t, s):
+    """r / [t]_{q^s} by long division, trimmed; None when not exact."""
+    res = long_division(IntPoly(r), IntPoly(naive_qnumber(t, s)))
+    return list(res.quotient.coeffs) if res.remainder.is_zero() else None
+
+
 def test_div_inverts_mul():
+    # p is no palindrome, so long division undoes the dense product; the
+    # palindrome p + reversed p goes through the kernel
     p = [1, -4, 2, 0, 9]
     for t in (2, 3, 8):
         for s in (1, 3):
             prod = kernels.mul_qnumber(list(p), t, s)
-            assert kernels.div_qnumber(prod, t, s) == [1, -4, 2, 0, 9]
+            assert divide_by_long_division(prod, t, s) == [1, -4, 2, 0, 9]
+            pal = p + p[::-1]
+            assert div_dense(mul_untrimmed(pal, t, s), t, s) == pal
 
 
 def test_div_detects_inexact():
-    assert kernels.div_qnumber([1, 1, 1], 2) is None          # [3] / [2]
-    assert kernels.div_qnumber([1, 0, 1], 2) is None
-    assert kernels.div_qnumber([1, 1, 1, 1, 1, 1], 3) == [1, 0, 0, 1]   # [6] / [3]
+    assert div_dense([1, 1, 1], 2) is None          # [3] / [2]
+    assert div_dense([1, 0, 1], 2) is None
+    assert div_dense([1, 1, 1, 1, 1, 1], 3) == [1, 0, 0, 1]   # [6] / [3]
 
 
 def test_div_shorter_than_divisor():
-    assert kernels.div_qnumber([1, 1], 3) is None
+    assert div_dense([1, 1], 3) is None
 
 
 def test_zero_and_unit_cases():
     assert kernels.mul_qnumber([], 3) == []
     assert kernels.mul_qnumber([2, 1], 0) == []
     assert kernels.mul_qnumber([2, 1], 1) == [2, 1]
-    assert kernels.div_qnumber([], 5) == []
-    assert kernels.div_qnumber([0], 2) == []
-    assert kernels.div_qnumber([0, 0], 2) == []
-    assert kernels.div_qnumber([0, 0, 0], 3) == []
+    assert div_dense([], 5) == []
+    assert div_dense([0], 2) == []
+    assert div_dense([0, 0], 2) == []
+    assert div_dense([0, 0, 0], 3) == []
     with pytest.raises(ZeroDivisionError):
-        kernels.div_qnumber([1], 0)
+        div_dense([1], 0)
 
 
 def test_scan_unimodal():
@@ -148,8 +176,9 @@ def test_window_sum_across_blocks(n, shift, step):
     assert got == naive_window_sum(a, shift, step)
 
 
-# Ownership: a dense call leaves its argument as it was; a call with
-# ``length`` rewrites the list it is given and returns that same list.
+# Ownership: a dense product leaves its argument as it was (and long
+# division undoes it); a call with ``length`` rewrites the list it is
+# given and returns that same list.
 @pytest.mark.parametrize("p", [
     [1, 2, 3, 2, 1], [1, 1, 2, 2, 1, 1], [1, 3, 2], [2, 2, 0], [0, 1, 1, 0],
     [1] * (3 * BLOCK + 5), list(range(3 * BLOCK + 5))])
@@ -158,10 +187,8 @@ def test_dense_calls_leave_their_argument_unchanged(p, t, s):
     arg = list(p)
     prod = kernels.mul_qnumber(arg, t, s)
     assert arg == p
-    kernels.div_qnumber(arg, t, s)
-    assert arg == p
     arg = list(prod)
-    assert kernels.div_qnumber(arg, t, s) == kernels.trim(list(p))
+    assert divide_by_long_division(arg, t, s) == kernels.trim(list(p))
     assert arg == prod
 
 
@@ -188,11 +215,14 @@ def test_half_calls_return_the_list_they_consume(r, t, s):
 @given(small_polys, st.integers(min_value=1, max_value=8),
        st.integers(min_value=1, max_value=4))
 def test_mul_div_roundtrip_property(p, t, s):
+    # any p by long division; the palindrome p + reversed p by the kernel
     trimmed = list(p)
     while trimmed and trimmed[-1] == 0:
         trimmed.pop()
     prod = kernels.mul_qnumber(list(p), t, s)
-    assert kernels.div_qnumber(prod, t, s) == trimmed
+    assert divide_by_long_division(prod, t, s) == trimmed
+    pal = p + p[::-1]
+    assert div_dense(mul_untrimmed(pal, t, s), t, s) == kernels.trim(pal)
 
 
 # Properties of the window kernels against independent routes.
@@ -212,11 +242,14 @@ def test_mul_qnumber_is_dense_product(p, t, s):
 
 @given(padded_polys, window_t, window_s, st.booleans(), st.integers(min_value=0, max_value=3))
 def test_div_qnumber_agrees_with_long_division(p, t, s, divisible, pad):
-    r = (kernels.mul_qnumber(list(p), t, s) if divisible else list(p)) + [0] * pad
-    res = long_division(IntPoly(r), IntPoly(naive_qnumber(t, s)))
-    exact = res.remainder.is_zero()
-    assert kernels.div_qnumber(list(r), t, s) == (list(res.quotient.coeffs) if exact else None)
-
+    # the palindrome p + reversed p, times [t]_{q^s} or not, with pad
+    # zeros at both ends: zero end coefficients, and often a divisor
+    # longer than the quotient
+    r = p + p[::-1]
+    if divisible:
+        r = mul_untrimmed(r, t, s)
+    r = [0] * pad + r + [0] * pad
+    assert div_dense(r, t, s) == divide_by_long_division(r, t, s)
 
 
 # A palindromic input with nonzero ends takes mul_qnumber's half sum and
@@ -256,21 +289,17 @@ def test_mul_qnumber_full_sum_is_dense_product(p, t, s):
         list(p), naive_qnumber(t, s))
 
 
-# div_qnumber's half-length path: a palindrome r with a nonzero last
-# coefficient and (t-1)s <= target sums its series to M = floor(deg r / 2)
-# and tests the rest by mirroring.  The oracles are long division and the
-# full-length sum, which the same polynomial reaches with a trailing zero.
-def takes_half_path(r, t, s):
-    target = len(r) - 1 - (t - 1) * s
-    return t > 1 and bool(r) and r[-1] != 0 and r == r[::-1] and (t - 1) * s <= target
-
-
+# div_qnumber sums the series of a palindrome r to M = floor(deg r / 2)
+# and tests the rest by mirroring, reading the series as 0 past the
+# quotient's degree.  The oracle is long division.
 def check_division(r, t, s):
-    """div_qnumber(r) against long division and against the full sum."""
-    res = long_division(IntPoly(r), IntPoly(naive_qnumber(t, s)))
-    want = list(res.quotient.coeffs) if res.remainder.is_zero() else None
-    assert kernels.div_qnumber(list(r), t, s) == want
-    assert kernels.div_qnumber(list(r) + [0], t, s) == want
+    """Long division of r, and div_qnumber on r without its trailing
+    zeros when that is a palindrome, also with a zero added at each end."""
+    want = divide_by_long_division(r, t, s)
+    r = kernels.trim(list(r))
+    if r == r[::-1]:
+        assert div_dense(r, t, s) == want
+        assert div_dense([0] + r + [0], t, s) == (None if want is None else kernels.trim([0] + want))
     return want
 
 
@@ -302,7 +331,7 @@ def test_div_qnumber_on_qnumber_products(factors, t, s, divisible, at, bump):
 @given(palindromes(), half_t, half_s)
 def test_div_qnumber_half_path_inverts_mul(p, t, s):
     r = kernels.mul_dense(list(p), naive_qnumber(t, s))
-    assert kernels.div_qnumber(list(r), t, s) == p
+    assert div_dense(r, t, s) == p
 
 
 @pytest.mark.parametrize("r, t, s, want", [
@@ -317,9 +346,9 @@ def test_div_qnumber_half_path_inverts_mul(p, t, s):
     ([1, 0, 0, 1], 2, 3, [1]),                          # stride 3 > M + 1 = 2
     ([1, 0, 0, 0, 0, 1], 2, 5, [1]),
     ([1, 0, 0, 0, 0, 1], 2, 4, None),
-    ([2, 2, 0], 2, 1, [2]),                             # trailing zero: full sum
+    ([2, 2, 0], 2, 1, [2]),                             # trailing zeros are trimmed
     ([1, 2, 1, 0, 0], 2, 1, [1, 1]),
-    ([1, 3, 2], 2, 1, [1, 2]),                          # not a palindrome
+    ([1, 3, 2], 2, 1, [1, 2]),                          # not a palindrome: long division only
     ([1, 3, 3], 2, 1, None),
 ])
 def test_div_qnumber_cases(r, t, s, want):
@@ -328,7 +357,8 @@ def test_div_qnumber_cases(r, t, s, want):
 
 @pytest.mark.parametrize("r, t, s", [
     ([1, 2, 3, 2, 1], 3, 1), ([1, 2, 4, 2, 1], 3, 1), ([1, 1, 1, 1, 1, 1], 3, 1),
-    ([1, 1, 2, 2, 2, 2, 1, 1], 2, 1), ([1, 0, 2, 0, 2, 0, 1], 2, 2)])
+    ([1, 1, 2, 2, 2, 2, 1, 1], 2, 1), ([1, 0, 2, 0, 2, 0, 1], 2, 2),
+    ([1, 1, 1, 1, 1, 1], 2, 3), ([1, 0, 0, 0, 0, 1], 2, 4)])    # longer divisors too
 def test_div_qnumber_sums_half_of_a_palindrome(monkeypatch, r, t, s):
     real_sum, lengths = kernels._window_sum, []
 
@@ -336,18 +366,14 @@ def test_div_qnumber_sums_half_of_a_palindrome(monkeypatch, r, t, s):
         lengths.append(len(a))
         return real_sum(a, b, step)
     monkeypatch.setattr(kernels, "_window_sum", window_sum)
-    assert takes_half_path(r, t, s)
-    kernels.div_qnumber(list(r), t, s)
+    assert r == r[::-1]
+    kernels.div_qnumber(low_half(r), t, s, len(r))
     assert lengths == [(len(r) - 1) // 2 + 1]
 
 
 # The half form: a palindrome of length n passed as its first ceil(n/2)
 # coefficients, with n.  The oracles are mul_dense and long division on
 # the unfolded lists.
-def low_half(p):
-    return p[:(len(p) + 1) // 2]
-
-
 def q1_value(half, length):
     """The value at q = 1 of the palindrome unfold(half, length)."""
     return 2 * sum(half) - (half[-1] if length % 2 else 0)
@@ -405,7 +431,8 @@ def test_div_qnumber_on_halves_inverts_mul(p, t, s):
     ([1, 1, 1, 1, 1, 1], 1, 4, [1, 1, 1, 1, 1, 1]),     # t = 1
     ([1, 0, 2, 0, 3, 0, 2, 0, 1], 3, 2, [1, 0, 1, 0, 1]),      # stride > 1
     ([1, 0, 2, 0, 4, 0, 2, 0, 1], 3, 2, None),
-    # divisors longer than the quotient take the full sum
+    # divisors longer than the quotient: the mirror test reads the series
+    # as 0 past the quotient's degree
     ([1, 1, 1, 1, 1, 1], 2, 3, [1, 1, 1]),
     ([1, 0, 0, 1], 2, 3, [1]),
     ([1, 0, 0, 0, 0, 1], 2, 5, [1]),

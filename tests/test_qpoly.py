@@ -8,11 +8,11 @@ from fibl import kernels, qpoly, tilings
 from fibl.errors import NotPolynomialError, ResourceLimitError
 from fibl.fib import fib
 from fibl.qpoly import (IntPoly, convolution_identity_check_q, cyclotomic_split,
-                        exact_div, fibonomial_int, is_unimodal, long_division,
-                        q_fib_factorial, q_fibonomial, q_fibonomial_recurrence, q_number,
-                        q_number_base, q_ratio_coeffs, spiral_identity_check,
-                        substitute_power)
+                        fibonomial_int, is_unimodal, long_division, q_fibonomial,
+                        q_fibonomial_recurrence, q_number, q_number_base, q_ratio_coeffs,
+                        spiral_identity_check, substitute_power)
 from fibl.report import exact_report
+from oracles import exact_div, poly_from_json, q_fib_factorial
 
 
 def P(*coeffs):
@@ -55,7 +55,7 @@ class TestIntPoly:
         d = p.to_json()
         assert d["var"] == "q"
         assert d["coeffs"] == [["0", "1"], ["2", "-3"], ["3", "7"]]
-        assert IntPoly.from_json(d) == p
+        assert poly_from_json(d) == p
 
     def test_report_elides_sides_over_64_terms(self):
         long, short = IntPoly([1, 0] * 65), IntPoly([1, 0] * 64)
@@ -176,7 +176,7 @@ def _multiply_then_divide(num, den):
     for t, stride in sorted(windows, key=lambda w: (w[0] - 1) * w[1]):
         out = kernels.mul_qnumber(out, t, stride)
     for t in unpaired:
-        out = kernels.div_qnumber(out, t)
+        out = list(long_division(IntPoly(out), q_number(t)).quotient.coeffs)
     return out
 
 
@@ -228,9 +228,9 @@ class TestRatioEngine:
             events.append(("mul", t, stride))
             return mul(coeffs, t, stride, length)
 
-        def spy_div(coeffs, t, stride=1, length=None):
+        def spy_div(half, t, stride, length):
             events.append(("div", t))
-            return div(coeffs, t, stride, length)
+            return div(half, t, stride, length)
         monkeypatch.setattr(kernels, "mul_qnumber", spy_mul)
         monkeypatch.setattr(kernels, "div_qnumber", spy_div)
         got = q_ratio_coeffs([6, 10], [5, 3, 2, 1])

@@ -7,15 +7,15 @@ from fibl import qpoly, tilings
 from fibl.errors import ResourceLimitError
 from fibl.fib import fib
 from fibl.qpoly import IntPoly, fibonomial_int, q_fibonomial, q_number
-from fibl.tilings import (PathDominoTiling, StaircaseTiling,
-                          catalan_partial_tiling_counterexample,
+from fibl.tilings import (PathDominoTiling, catalan_partial_tiling_counterexample,
                           enumerate_rect_tilings, enumerate_staircase_tilings,
-                          enumerate_strips, iter_rect_tilings,
-                          iter_staircase_tilings, load_golden,
+                          iter_rect_tilings, iter_staircase_tilings,
                           model_bijection_check, q_weight,
                           rect_generating_function,
                           staircase_generating_function, validate_rect_tiling,
                           validate_staircase_tiling, weight_exponent)
+from oracles import (enumerate_strips, load_golden, rect_tiling_from_json,
+                     staircase_tiling_from_json)
 
 
 class TestStrips:
@@ -162,10 +162,19 @@ class TestFactoredGeneratingFunctions:
                     iter_staircase_tilings(n, k), weight_exponent), (n, k)
 
     def test_cap_applies_without_enumeration(self):
-        with pytest.raises(ResourceLimitError):
-            rect_generating_function(5, 5, cap=1000)
-        with pytest.raises(ResourceLimitError):
-            staircase_generating_function(10, 5, cap=1000)
+        # the sums list no tilings, so no enumeration cap applies: (5, 8)
+        # has more tilings than the default cap; the degree cap still does
+        assert fibonomial_int(5, 8) > tilings.DEFAULT_ENUMERATION_CAP
+        assert rect_generating_function(5, 8) == q_fibonomial(5, 8)
+        assert staircase_generating_function(13, 8) == q_fibonomial(5, 8)
+        old = qpoly.set_degree_cap(q_fibonomial(5, 5).degree - 1)
+        try:
+            with pytest.raises(ResourceLimitError):
+                rect_generating_function(5, 5)
+            with pytest.raises(ResourceLimitError):
+                staircase_generating_function(10, 5)
+        finally:
+            qpoly.set_degree_cap(old)
 
 
 def _per_path_product(paths_strips, rule) -> IntPoly:
@@ -251,14 +260,20 @@ class TestTransferGeneratingFunctions:
             assert poly == q_fibonomial(n - k, k), (n, k)
 
     def test_cap_holds_for_built_points(self):
+        # the degree cap, which is checked before the lattice is read
         tilings.reset_caches()
         assert rect_generating_function(5, 5) == q_fibonomial(5, 5)
         assert staircase_generating_function(10, 5) == q_fibonomial(5, 5)
         assert (5, 5) in tilings._Q_LATTICES[0]
-        with pytest.raises(ResourceLimitError):
-            rect_generating_function(5, 5, cap=1000)
-        with pytest.raises(ResourceLimitError):
-            staircase_generating_function(10, 5, cap=1000)
+        old = qpoly.set_degree_cap(q_fibonomial(5, 5).degree - 1)
+        try:
+            with pytest.raises(ResourceLimitError):
+                rect_generating_function(5, 5)
+            with pytest.raises(ResourceLimitError):
+                staircase_generating_function(10, 5)
+            assert rect_generating_function(5, 4) == q_fibonomial(5, 4)
+        finally:
+            qpoly.set_degree_cap(old)
 
     def test_oversized_lattice_is_dropped(self):
         tilings.reset_caches()
@@ -275,12 +290,13 @@ class TestTransferGeneratingFunctions:
 
 @pytest.mark.parametrize("n, k", [(2, 3), (-1, 0), (3, -1)])
 @pytest.mark.parametrize("call", [
-    lambda n, k: staircase_generating_function(n, k, cap=0),
+    lambda n, k: staircase_generating_function(n, k),
     lambda n, k: enumerate_staircase_tilings(n, k, cap=0),
     lambda n, k: ell.elliptic_staircase_check(n, k, ell.sample_params(0)),
 ], ids=["generating-function", "enumerate", "elliptic-check"])
 def test_bad_staircase_size_is_a_value_error(call, n, k):
-    """Checked before the cap (0 here) and before any lattice work."""
+    """Checked before any cap (the enumeration cap is 0 here) and before
+    any lattice work."""
     with pytest.raises(ValueError, match=r"^need n >= k >= 0$"):
         call(n, k)
 
@@ -338,7 +354,7 @@ class TestGoldenFiles:
 
     def test_rect_5x4_example(self):
         doc = load_golden("rect_5x4_example.json")
-        t = PathDominoTiling.from_json(doc["tiling"])
+        t = rect_tiling_from_json(doc["tiling"])
         validate_rect_tiling(t)
         assert weight_exponent(t) == doc["weight_exponent"] == 51
         assert q_weight(t) == IntPoly.monomial(51)
@@ -379,6 +395,6 @@ class TestCatalanCounterexample:
 class TestSerialization:
     def test_roundtrip(self):
         for t in iter_rect_tilings(2, 2):
-            assert PathDominoTiling.from_json(t.to_json()) == t
+            assert rect_tiling_from_json(t.to_json()) == t
         for t in iter_staircase_tilings(4, 2):
-            assert StaircaseTiling.from_json(t.to_json()) == t
+            assert staircase_tiling_from_json(t.to_json()) == t
