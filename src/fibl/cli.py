@@ -18,12 +18,13 @@ change the exit code and leaves nothing on stderr.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import json
 import math
 import os
 import sys
+from functools import partial
+from types import SimpleNamespace
 from typing import Iterable, Iterator, Optional
 
 from fibl import catalan as cat
@@ -44,39 +45,26 @@ SUITES = ("q-all", "elliptic-all", "catalan-all", "theta", "spiral",
           "convolution", "bijection", "counterexample")
 
 
-def _env(name: str, cast, default):
-    raw = os.environ.get("FIBL_" + name)
-    if raw is None:
-        return default
+class _BadValue(ValueError):
+    """A value a converter rejects, with the converter's own message."""
+
+
+def _at_least_one(name: str, text: str) -> int:
+    """The converter of --NAME / FIBL_NAME: an integer >= 1."""
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise _BadValue(f"--{name} and FIBL_{name.upper()} take an integer >= 1, got {text!r}")
+    return int(text)
+
+
+def _finite_positive(name: str, text: str) -> float:
+    """The converter of --NAME / FIBL_NAME: a finite number > 0."""
     try:
-        return cast(raw)
-    except (TypeError, ValueError, argparse.ArgumentTypeError):
-        print(f"invalid FIBL_{name}={raw!r}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-
-
-def _at_least_one(name: str):
-    """The argparse type of --NAME / FIBL_NAME: an integer >= 1."""
-    def parse(text: str) -> int:
-        if not text.strip().isdigit() or int(text) < 1:
-            raise argparse.ArgumentTypeError(
-                f"--{name} and FIBL_{name.upper()} take an integer >= 1, got {text!r}")
-        return int(text)
-    return parse
-
-
-def _finite_positive(name: str):
-    """The argparse type of --NAME / FIBL_NAME: a finite number > 0."""
-    def parse(text: str) -> float:
-        try:
-            value = float(text)
-        except ValueError:
-            value = math.nan
-        if not 0 < value < math.inf:
-            raise argparse.ArgumentTypeError(
-                f"--{name} and FIBL_{name.upper()} take a finite number > 0, got {text!r}")
-        return value
-    return parse
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise _BadValue(f"--{name} and FIBL_{name.upper()} take a finite number > 0, got {text!r}")
+    return value
 
 
 def _parse_precision(text: str) -> Optional[int]:
@@ -91,66 +79,227 @@ def _parse_precision(text: str) -> Optional[int]:
     raise ValueError(f"precision must be 'double' or 'ext:BITS', got {text!r}")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=_env("SEED", int, DEFAULT_SEED))
-    common.add_argument("--samples", type=int, default=_env("SAMPLES", int, 20))
-    common.add_argument("--tol", type=_finite_positive("tol"),
-                        default=_env("TOL", _finite_positive("tol"), None))
-    # argparse runs a string default through type= as well
-    common.add_argument("--cap", type=_at_least_one("cap"), default=os.environ.get("FIBL_CAP"),
-                        help="enumeration or degree cap override (>= 1), by command")
-    common.add_argument("--max", type=_at_least_one("max"),
-                        default=_env("MAX", _at_least_one("max"), None))
-    common.add_argument("--format", choices=("json", "csv", "text"),
-                        default=_env("FORMAT", str, "text"))
-    common.add_argument("--out", default=_env("OUT", str, None))
-    common.add_argument("--precision", default=_env("PRECISION", str, "double"))
+# ---------------------------------------------------------------------------
+# Command line: one table, parsed by one loop
+#
+# fibl COMMAND [ARG | OPTION]...: the command comes first, and options may
+# come before, among or after its arguments.  A token is an option when it
+# starts with "-", is not "-" alone and is no number (int, float or
+# complex, so -1 and -0.5+0.1j are values); "--" makes every later token a
+# value.  An option is --NAME VALUE or --NAME=VALUE, and a unique prefix
+# of NAME stands for it.  A value of an option may itself start with "-"
+# only when it is a number, or when it follows "=".
 
-    parser = argparse.ArgumentParser(
-        prog="fibl",
-        description="Exact q-analogs and numeric elliptic analogs of "
-                    "Fibonomial numbers, with tiling models and verification suites.")
-    sub = parser.add_subparsers(dest="command", required=True)
+_DESCRIPTION = ("Exact q-analogs and numeric elliptic analogs of Fibonomial numbers, "
+                "with tiling models and verification suites.")
 
-    p = sub.add_parser("fibonomial", parents=[common],
-                       help="print the q-Fibonomial polynomial")
-    p.add_argument("m", type=int)
-    p.add_argument("n", type=int)
-    p.add_argument("--eval-q1", action="store_true",
-                   help="print the integer value at q = 1 instead")
+# The options of every command: (name, converter, default, help).  A
+# converter is a callable or a tuple of choices.  FIBL_<NAME>, when set,
+# replaces the default; it is read and checked on every run, also when the
+# flag is given.
+_COMMON = (
+    ("seed", int, DEFAULT_SEED, "seed of the sampled parameter points"),
+    ("samples", int, 20, "sampled parameter points of a suite"),
+    ("tol", partial(_finite_positive, "tol"), None,
+     "relative tolerance of the numeric checks (> 0)"),
+    ("cap", partial(_at_least_one, "cap"), None,
+     "enumeration or degree cap override (>= 1), by command"),
+    ("max", partial(_at_least_one, "max"), None, "largest size a suite or sweep runs to (>= 1)"),
+    ("format", ("json", "csv", "text"), "text", "output format"),
+    ("out", str, None, "write the output to this file, not to stdout"),
+    ("precision", str, "double", "'double' or 'ext:BITS', for the elliptic layer"),
+)
 
-    p = sub.add_parser("enumerate", parents=[common],
-                       help="stream tilings of one of the two models")
-    p.add_argument("model", choices=("rect", "staircase"))
-    p.add_argument("a", type=int, help="m (rect) or n (staircase)")
-    p.add_argument("b", type=int, help="n (rect) or k (staircase)")
-    p.add_argument("--count-only", action="store_true")
+# COMMAND: (help, positionals, options).  A positional is (name, converter,
+# help), and the converter None takes every remaining value as a list.  A
+# command's own options are (name, converter, default, help), with no
+# variable; the converter None makes a flag that is False unless given.
+_COMPLEX_HELP = "complex parameter, e.g. 0.5+0.2j (default: sampled from the seed)"
+_COMMANDS = {
+    "fibonomial": ("print the q-Fibonomial polynomial",
+                   (("m", int, ""), ("n", int, "")),
+                   (("eval-q1", None, False, "print the integer value at q = 1 instead"),)),
+    "enumerate": ("stream tilings of one of the two models",
+                  (("model", ("rect", "staircase"), ""),
+                   ("a", int, "m (rect) or n (staircase)"),
+                   ("b", int, "n (rect) or k (staircase)")),
+                  (("count-only", None, False, "print the number of tilings only"),)),
+    "verify": ("run a verification suite", (("suite", SUITES, ""),), ()),
+    "catalan": ("rational q-Fibo-Catalan verdicts",
+                (("what", ("rational", "coxeter", "sweep", "ordinary"), ""),
+                 ("args", None, "rational M N | coxeter FAMILY A | sweep | ordinary N")),
+                ()),
+    "elliptic": ("evaluate elliptic quantities directly",
+                 (("what", ("number", "fibonomial", "theta"), ""),
+                  ("args", None, "number N | fibonomial M N | theta X")),
+                 tuple((name, complex, None, _COMPLEX_HELP) for name in "abqp")),
+    "spiral": ("check the n = 2 spiral identity at one m", (("m", int, ""),), ()),
+}
 
-    p = sub.add_parser("verify", parents=[common],
-                       help="run a verification suite")
-    p.add_argument("suite", choices=SUITES)
 
-    p = sub.add_parser("catalan", parents=[common],
-                       help="rational q-Fibo-Catalan verdicts")
-    p.add_argument("what", choices=("rational", "coxeter", "sweep", "ordinary"))
-    p.add_argument("args", nargs="*",
-                   help="rational M N | coxeter FAMILY A | sweep | ordinary N")
+def _convert(conv, text: str):
+    """``text`` by ``conv`` (a callable or a tuple of choices); _BadValue
+    with the reason when it is rejected."""
+    if type(conv) is tuple:
+        if text not in conv:
+            raise _BadValue(f"invalid choice: {text!r} (choose from "
+                            f"{', '.join(map(repr, conv))})")
+        return text
+    try:
+        return conv(text)
+    except _BadValue:
+        raise
+    except ValueError:
+        raise _BadValue(f"invalid {conv.__name__} value: {text!r}") from None
 
-    p = sub.add_parser("elliptic", parents=[common],
-                       help="evaluate elliptic quantities directly")
-    p.add_argument("what", choices=("number", "fibonomial", "theta"))
-    p.add_argument("args", nargs="*",
-                   help="number N | fibonomial M N | theta X")
-    for flag in ("--a", "--b", "--q", "--p"):
-        p.add_argument(flag, type=complex, default=None,
-                       help="complex parameter, e.g. 0.5+0.2j (default: sampled from seed)")
 
-    p = sub.add_parser("spiral", parents=[common],
-                       help="check the n = 2 spiral identity at one m")
-    p.add_argument("m", type=int)
+def _convert_arg(command: Optional[str], name: str, conv, text: str):
+    try:
+        return _convert(conv, text)
+    except _BadValue as exc:
+        _usage_error(command, f"argument {name}: {exc}")
 
-    return parser
+
+def _env(name: str, conv, default):
+    raw = os.environ.get("FIBL_" + name.upper())
+    if raw is None:
+        return default
+    try:
+        return _convert(conv, raw)
+    except _BadValue:
+        print(f"invalid FIBL_{name.upper()}={raw!r}", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
+
+
+def _is_value(token: str) -> bool:
+    if token[:1] != "-" or token == "-":
+        return True
+    try:
+        complex(token)          # also every int and float
+    except ValueError:
+        return False
+    return True
+
+
+def _metavar(name: str, conv) -> str:
+    if type(conv) is tuple:
+        return "{" + ",".join(conv) + "}"
+    return "[args ...]" if conv is None else name
+
+
+def _usage(command: Optional[str]) -> str:
+    if command is None:
+        return f"usage: fibl {_metavar('', tuple(_COMMANDS))} [options] ..."
+    positionals = _COMMANDS[command][1]
+    return " ".join([f"usage: fibl {command} [options]",
+                     *(_metavar(name, conv) for name, conv, _ in positionals)])
+
+
+def _rows(heading: str, rows) -> list[str]:
+    lines = ["", heading + ":"]
+    for left, text in rows:
+        left = "  " + left
+        if not text:
+            lines.append(left)
+        elif len(left) < 23:
+            lines.append(f"{left:<24}{text}")
+        else:
+            lines += [left, " " * 24 + text]
+    return lines
+
+
+def _usage_error(command: Optional[str], message: str):
+    prog = "fibl" if command is None else "fibl " + command
+    print(f"{_usage(command)}\n{prog}: error: {message}", file=sys.stderr)
+    raise SystemExit(EXIT_USAGE)
+
+
+def _exit_with_help(command: Optional[str]):
+    """Print the --help text of ``command`` (of fibl itself when None)."""
+    if command is None:
+        lines = [_usage(None), "", _DESCRIPTION]
+        lines += _rows("commands", ((name, spec[0]) for name, spec in _COMMANDS.items()))
+        lines += ["", "Run 'fibl COMMAND --help' for the arguments and options of COMMAND."]
+    else:
+        about, positionals, own = _COMMANDS[command]
+        options = [("-h, --help", "show this help message and exit")]
+        for name, conv, default, text in _COMMON:
+            shown = "" if default is None else f", default {default}"
+            options.append((f"--{name} {_metavar(name.upper(), conv)}",
+                            f"{text} [FIBL_{name.upper()}{shown}]"))
+        options += [(f"--{name}" + ("" if conv is None else f" {_metavar(name.upper(), conv)}"),
+                     text) for name, conv, _, text in own]
+        lines = [_usage(command), "", about]
+        lines += _rows("positional arguments", ((name, text) for name, _, text in positionals))
+        lines += _rows("options", options)
+    print("\n".join(lines))
+    raise SystemExit(EXIT_OK)
+
+
+def parse_args(argv=None) -> SimpleNamespace:
+    """The command and its fields from ``argv`` (sys.argv[1:] when None).
+    A usage error prints the usage and the error to stderr and raises
+    SystemExit(2); -h or --help prints the help and raises SystemExit(0)."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if not argv:
+        _usage_error(None, "the following arguments are required: command")
+    command = argv[0]
+    if command in ("-h", "--help"):
+        _exit_with_help(None)
+    _convert_arg(None, "command", tuple(_COMMANDS), command)
+    _, positionals, own = _COMMANDS[command]
+    options = {"-h": None, "--help": None}
+    options.update(("--" + name, conv) for name, conv, _, _ in (*_COMMON, *own))
+    fields = {"command": command}
+    for name, conv, default, _ in _COMMON:
+        fields[name] = _env(name, conv, default)
+    for name, _, default, _ in own:
+        fields[name.replace("-", "_")] = default
+
+    values = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token == "--":
+            values += tokens
+            break
+        if _is_value(token):
+            values.append(token)
+            continue
+        flag, eq, text = token.partition("=")
+        if flag not in options:
+            found = [f for f in options if f.startswith(flag)] if flag[:2] == "--" else []
+            if len(found) > 1:
+                _usage_error(command, f"ambiguous option: {flag} could match {', '.join(found)}")
+            if not found:
+                _usage_error(command, f"unrecognized arguments: {token}")
+            flag = found[0]
+        if flag in ("-h", "--help"):
+            _exit_with_help(command)
+        conv = options[flag]
+        if conv is None:
+            if eq:
+                _usage_error(command, f"argument {flag}: ignored explicit argument {text!r}")
+            value = True
+        else:
+            if not eq:
+                text = next(tokens, None)
+                if text is None or not _is_value(text):
+                    _usage_error(command, f"argument {flag}: expected one argument")
+            value = _convert_arg(command, flag, conv, text)
+        fields[flag[2:].replace("-", "_")] = value
+
+    fixed = [(name, conv) for name, conv, _ in positionals if conv is not None]
+    if len(values) < len(fixed):
+        _usage_error(command, "the following arguments are required: "
+                     + ", ".join(name for name, _ in fixed[len(values):]))
+    for (name, conv), text in zip(fixed, values):
+        fields[name] = _convert_arg(command, name, conv, text)
+    rest = values[len(fixed):]
+    if len(fixed) < len(positionals):
+        fields[positionals[-1][0]] = rest
+    elif rest:
+        _usage_error(command, "unrecognized arguments: " + " ".join(rest))
+    return SimpleNamespace(**fields)
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +692,7 @@ def _suite_q_all(ns) -> list[VerificationReport]:
                                         gf, qpoly.q_fibonomial(n - k, k)))
     reports += _suite_bijection(ns)
     reports += _suite_spiral(ns)
-    reports += _suite_convolution(argparse.Namespace(**{**vars(ns), "max": min(top, 6)}))
+    reports += _suite_convolution(SimpleNamespace(**{**vars(ns), "max": min(top, 6)}))
     for m in range(1, 11):
         for n in range(m, 11):
             poly = qpoly.q_fibonomial(m, n)
@@ -652,8 +801,7 @@ def _cmd_verify(ns) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
+    ns = parse_args(argv)
     handlers = {
         "fibonomial": _cmd_fibonomial,
         "enumerate": _cmd_enumerate,

@@ -367,6 +367,15 @@ class TestEllipticCommand:
         assert code == 0
         assert double != out
 
+    def test_negative_complex_values(self, capsys):
+        """-0.5+0.1j is a value, not an option: as an argument and after --q,
+        it reads as it does after "--" and after "=" """
+        theta = run(capsys, "elliptic", "theta", "-0.5+0.1j")
+        assert theta[0] == 0 and theta == run(capsys, "elliptic", "theta", "--", "-0.5+0.1j")
+        number = run(capsys, "elliptic", "number", "3", "--q", "-0.5+0.1j")
+        assert number[0] == 0 and number == run(capsys, "elliptic", "number", "3",
+                                                "--q=-0.5+0.1j")
+
     @pytest.mark.parametrize("override", [("--q", "inf"), ("--a", "nan"), ("--p=-infj",),
                                           ("--b", "nan+1j")])
     @pytest.mark.parametrize("precision", ["double", "ext:128"])
@@ -485,7 +494,7 @@ class TestEnvPrecedence:
         assert json.loads(f.read_text())["config"]["seed"] == 7
 
 
-    @pytest.mark.parametrize("name", ["SEED", "SAMPLES", "TOL", "MAX"])
+    @pytest.mark.parametrize("name", ["SEED", "SAMPLES", "TOL", "MAX", "FORMAT"])
     def test_invalid_value_is_a_usage_error(self, capsys, monkeypatch, name):
         monkeypatch.setenv("FIBL_" + name, "abc")
         with pytest.raises(SystemExit) as exc:
@@ -517,10 +526,11 @@ def test_cli_import_leaves_elliptic_and_mpmath_unloaded():
 
 
 def test_commands_import_no_dataclasses_inspect_or_resources():
-    """Cold start: the CLI and three commands import none of these.  A child
-    runs them, since this process has imported all three already, without
-    ``site`` (-S), which loads importlib.resources on some installs; the
-    child's path holds fibl's and mpmath's directories."""
+    """Cold start: the CLI and three commands import none of these, nor
+    argparse, gettext or locale, which the command line needs none of.  A
+    child runs them, since this process has imported them all already,
+    without ``site`` (-S), which loads importlib.resources on some
+    installs; the child's path holds fibl's and mpmath's directories."""
     script = textwrap.dedent("""
         import contextlib, io, sys
         before = set(sys.modules)
@@ -530,7 +540,8 @@ def test_commands_import_no_dataclasses_inspect_or_resources():
                 "catalan coxeter F4 2", "verify q-all --max 3",
                 "verify theta --precision ext:128 --samples 2")]
         new = set(sys.modules) - before
-        print(codes, "mpmath" in new, sorted(new & {"dataclasses", "inspect", "importlib.resources"}))
+        print(codes, "mpmath" in new, sorted(new & {"dataclasses", "inspect", "importlib.resources",
+                                                    "argparse", "gettext", "locale"}))
     """)
     src = os.path.dirname(os.path.dirname(os.path.abspath(fibl.__file__)))
     path = os.pathsep.join([src, os.path.dirname(os.path.dirname(mpmath.__file__))])
@@ -723,7 +734,7 @@ def test_sweep_stream_is_the_whole_document(capsys, monkeypatch, chunk):
     argv = ["catalan", "sweep", "--max", "8", "--format", "json"]
     code, out, _ = run(capsys, *argv)
     assert code == 0
-    ns = cli._build_parser().parse_args(argv)
+    ns = cli.parse_args(argv)
     (rows,) = seen
     assert out == json_text({"schema": SCHEMA, "command": "catalan-sweep",
                              "config": cli._config_dict(ns, {"max": 8}),

@@ -1,9 +1,9 @@
 """Reachability guard: which functions of src/fibl no command enters.
 
 A fixed list of small CLI commands, covering every subcommand and output
-format, one --cap, --tol and --out, and the exit paths for a cap, a usage
-error and degenerate parameters, runs in process under ``sys.setprofile``
-with every memo table dropped first.  Every function, method, nested
+format, one --cap, --tol and --out, the help texts, and the exit paths for
+a cap, a usage error and degenerate parameters, runs in process under
+``sys.setprofile`` with every memo table dropped first.  Every function, method, nested
 function and lambda compiled from src/fibl that none of them entered must
 be on ALLOWED_UNREACHED, with the reason it is kept.  The test fails when
 code appears that no command reaches, and when an allowlisted function
@@ -12,6 +12,8 @@ gains a caller, so that the list stays exact.
 
 import os
 import sys
+
+import pytest
 
 import fibl
 import fibl.cli
@@ -50,6 +52,8 @@ COMMANDS = [
     ["elliptic", "fibonomial", "6", "6", "--q", "3"],               # exit 4: degenerate
     ["spiral", "3", "--format", "json"],
 ]
+# Commands that end in SystemExit: the help texts, and a usage error of the parser
+EXITING = [(["--help"], 0), (["elliptic", "--help"], 0), (["fibonomial", "x", "2"], 2)]
 
 # "module.qualname" -> why it stays although no command enters it
 ALLOWED_UNREACHED = {
@@ -148,6 +152,10 @@ def test_every_unreached_function_is_allowlisted(capsys, tmp_path):
         for argv in COMMANDS:
             codes.append(fibl.cli.main(argv))
         codes.append(fibl.cli.main(["verify", "spiral", "--out", str(tmp_path / "spiral.txt")]))
+        for argv, code in EXITING:
+            with pytest.raises(SystemExit) as exc:
+                fibl.cli.main(argv)
+            assert exc.value.code == code
     finally:
         sys.setprofile(None)
     capsys.readouterr()
