@@ -558,6 +558,8 @@ def _cmd_catalan(ns) -> int:
             return _emit_verdict(ns, verdict, {"type": ct.label(), "a": a,
                                                "coprime": math.gcd(a, ct.coxeter_number) == 1})
         # sweep
+        if ns.args:
+            raise ValueError("usage: catalan sweep [--max N]")
         max_mn = ns.max if ns.max else 15
         rows = cat.q_fibo_catalan_positivity_sweep(max_mn)
         if ns.format == "json":

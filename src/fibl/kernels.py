@@ -14,7 +14,10 @@ along: with ``length`` given, ``mul_qnumber`` takes a low half and
 returns one, and ``div_qnumber`` takes only that form.  The product's
 window sum runs over the low half only; the division sums its series over
 the dividend's low half and reads exactness from the series' own mirror
-symmetry instead of from its tail.  ``unfold`` restores the dense list.
+symmetry instead of from its tail.  With ``times`` = u the division's
+dividend is p [u]_{q^s}, never built: (1 - q^{us}) / (1 - q^{ts}) is one
+window, so multiplying by [u] and dividing by [t] take one sum where they
+took two.  ``unfold`` restores the dense list.
 The dense form of ``mul_qnumber`` (no ``length``) serves the convolution
 check and the divisibility check, on lists that need not be palindromes:
 a dense input that equals its reverse and ends in a nonzero coefficient
@@ -116,64 +119,79 @@ def mul_qnumber(coeffs, t, stride=1, length=None):
     return trim(_window_sum(coeffs + [0] * (ts - stride), ts, stride))
 
 
-def _mul_half(half, length, t, stride):
-    """Extend ``half`` in place to the first ceil(n/2) coefficients of the
-    palindrome it halves, n = length + (t-1)s (its mirror, then zeros),
-    and window-sum it there."""
-    if t == 1:
-        return half
-    k = (length + (t - 1) * stride + 1) // 2
+def _extend(half, length, n):
+    """Extend ``half``, the low half of a palindrome of ``length``
+    coefficients, in place to the first ceil(n/2) coefficients of that
+    palindrome read as a polynomial, n >= length: its mirror, then zeros."""
+    k = (n + 1) // 2
     m = min(k, length)
     half += half[length - m:length - len(half)][::-1]
     half += repeat(0, k - m)
-    return _window_sum(half, t * stride, stride)
+    return half
 
 
-def div_qnumber(half, t, stride, length):
-    """Exactly divide the palindrome r of ``length`` coefficients whose low
-    half is ``half`` by 1 + q^s + ... + q^{(t-1)s}.
+def _mul_half(half, length, t, stride):
+    """Window-sum ``half``, extended in place to the low half of the
+    product's length n = length + (t-1)s, into the product's low half."""
+    if t == 1:
+        return half
+    return _window_sum(_extend(half, length, length + (t - 1) * stride), t * stride, stride)
 
-    ``half`` is consumed: it is overwritten in place to the low half of
-    the quotient, a palindrome of length length - (t-1)s, and returned,
-    or it is spent and None is returned when the division is not exact.
-    The power series of r / [t]_{q^s} = r (1 - q^s) / (1 - q^{ts}) is
-    r - q^s r summed with period ts, p[i] = r[i] - r[i-s] + p[i-ts].
 
-    The series is summed only up to M = floor(D/2), D = deg(r), over the
-    low half of r, and the division is exact iff p[j] = p[target-j] for
-    floor(target/2) < j <= M, target = D - (t-1)s, reading p at a negative
-    index as 0 (the mirror test).  Proof: let Q be the palindrome of
-    degree target with Q[j] = p[j] for j <= floor(target/2), and Q[j] = 0
-    past target.  If the test holds, Q[j] = p[target-j] = p[j] up to M as
+def div_qnumber(half, t, stride, length, times=1):
+    """Exactly divide the palindrome r = p [times]_{q^s} by [t]_{q^s},
+    where [k]_{q^s} = 1 + q^s + ... + q^{(k-1)s}, and p is the palindrome
+    of ``length`` coefficients whose low half is ``half``.  With times = 1
+    (the default) r is p itself; a larger ``times`` multiplies and divides
+    in one window sum, and r is never built.
+
+    ``half`` is consumed: it is extended and overwritten in place to the
+    low half of the quotient, a palindrome of length
+    length + (times-1)s - (t-1)s, and returned, or it is spent and None is
+    returned when the division is not exact.  The power series of
+    r / [t]_{q^s} = p (1 - q^{times s}) / (1 - q^{ts}) is p less q^{times s} p
+    summed with period ts, y[i] = p[i] - p[i - times s] + y[i - ts].
+
+    The series is summed only up to M = floor(D/2), D = deg(r) =
+    length - 1 + (times-1)s, over p's first M + 1 coefficients (its low
+    half, its mirror, then zeros), and the division is exact iff
+    y[j] = y[target-j] for floor(target/2) < j <= M, target = D - (t-1)s,
+    reading y at a negative index as 0 (the mirror test).  Proof: r is a
+    palindrome of degree D, a product of two, and y is the series of
+    r / [t]_{q^s}; nothing else of r is read.  Let Q be the palindrome of
+    degree target with Q[j] = y[j] for j <= floor(target/2), and Q[j] = 0
+    past target.  If the test holds, Q[j] = y[target-j] = y[j] up to M as
     well (for j > target both are 0), so Q [t]_{q^s} agrees with
-    p [t]_{q^s} = r up to M.  Both are symmetric about D/2, and each
+    y [t]_{q^s} = r up to M.  Both are symmetric about D/2, and each
     j > M mirrors to D - j <= M, so Q [t]_{q^s} = r.  Conversely, an
     exact quotient of two palindromes is a palindrome equal to the
     series, and the series of a polynomial of degree target is 0 past
     it, so the test holds.  So a divisor longer than the quotient, with
     M > target, needs no other sum.  A palindrome shorter than the
-    divisor (target < 0) is divisible only when it is zero.
+    divisor (target < 0) is divisible only when it is zero, which r is
+    iff p is.  times = t returns ``half`` as it is.
     """
     if t <= 0:
         raise ZeroDivisionError("division by zero polynomial")
-    if t == 1:
+    if times == t:
         return half
-    target = length - 1 - (t - 1) * stride
+    n = length + (times - 1) * stride
+    target = n - 1 - (t - 1) * stride
     if target < 0:
         if any(half):
             return None
         half.clear()
         return half
-    m = len(half)
-    p = _window_sum(half, stride, t * stride)
+    m = len(_extend(half, length, n))
+    y = _window_sum(half, times * stride, t * stride)
     h = target // 2 + 1
     lo = target - m + 1
-    mirror = p[max(lo, 0):target - h + 1]         # p[target - j], j from M down to h,
+    mirror = y[max(lo, 0):target - h + 1]         # y[target - j], j from M down to h,
     mirror[:0] = repeat(0, -lo)                   # and 0 at each negative index
-    if mirror != p[:h - 1:-1]:
+    if mirror != y[:h - 1:-1]:
         return None
-    del p[h:]
-    return p
+    del y[h:]
+    return y
 
 
 def _pack(coeffs, width):

@@ -121,6 +121,29 @@ class TestChainedSweep:
             assert r.degree == verdict.degree
             assert (r.min_coeff, r.max_coeff) == verdict.coeff_range
 
+    def test_an_unpaired_row_is_one_fused_kernel_call(self, monkeypatch):
+        # (4, 10) from (3, 10): [F_4] = [3] does not divide [F_13] = [233],
+        # so the row multiplies by [233] and divides by [3] in one step
+        num, den = _rational_factors(3, 10)
+        last = [(qpoly.q_ratio_coeffs(num, den), num, den)]
+        calls = []
+        real_mul, real_div = kernels.mul_qnumber, kernels.div_qnumber
+
+        def mul_qnumber(*args):
+            calls.append(("mul",) + args[1:3])
+            return real_mul(*args)
+
+        def div_qnumber(half, t, stride, length, times=1):
+            calls.append(("div", t, stride, times))
+            return real_div(half, t, stride, length, times=times)
+        monkeypatch.setattr(kernels, "mul_qnumber", mul_qnumber)
+        monkeypatch.setattr(kernels, "div_qnumber", div_qnumber)
+        row = _chained_row(4, 10, 2, last)
+        assert calls == [("div", fib(4), 1, fib(13))]
+        monkeypatch.undo()
+        verdict = q_fibo_catalan_rational(4, 10)
+        assert row == (4, 10, 2, True, verdict.degree, *verdict.coeff_range)
+
     def test_one_cyclotomic_split_per_row(self, monkeypatch):
         calls = []
         real_split = qpoly.cyclotomic_split

@@ -182,6 +182,16 @@ class TestCatalanCommand:
         code, _, err = run(capsys, "catalan", "coxeter", "Z9", "2")
         assert code == 2
 
+    # a wrong count of positionals is a usage error for every catalan
+    # command, before any verdict is computed
+    @pytest.mark.parametrize("argv", [
+        ("sweep", "99", "bogus", "--max", "3"), ("sweep", "3"),
+        ("rational", "3"), ("ordinary", "3", "4"), ("coxeter", "F4")])
+    def test_extra_or_missing_positionals_are_usage_errors(self, capsys, argv):
+        code, out, err = run(capsys, "catalan", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: usage: catalan {argv[0]}")
+
     # a verdict keeps its quotient as the engine's low half; only a
     # quotient short enough to print (at most 512 coefficients) is unfolded
     @pytest.mark.parametrize("argv, unfolds", [

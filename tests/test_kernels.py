@@ -6,7 +6,7 @@ import random
 from operator import gt, indexOf, lt
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from fibl import kernels
 from fibl.qpoly import IntPoly, long_division
@@ -466,6 +466,35 @@ def test_div_qnumber_on_halves_rejects_every_changed_coefficient(t, s):
             half[j] += bump
             got = kernels.div_qnumber(half, t, s, len(r))
             assert got is None or q1_value(got, len(q)) != q1_value(low_half(q), len(q))
+
+
+# div_qnumber with ``times`` = u divides p [u]_{q^s} by [t]_{q^s} in one
+# window sum and never builds the dividend.  The oracle is long division
+# of the dense product.  t | u or not; p divisible by [t] or not; zero
+# ends, zero lists, and divisors longer than the dividend (target < 0).
+@given(palindromes() | qnumber_factors.map(qnumber_product)
+       | st.integers(min_value=0, max_value=3).map(lambda k: [0] * k),
+       st.integers(min_value=1, max_value=12), half_t, half_s,
+       st.booleans(), st.booleans(), st.integers(min_value=0, max_value=2))
+@example([1, 0, 0, 1], 3, 6, 1, False, False, 0)       # [2]_{q^3} [3] / [6] = 1, 6 does not divide 3
+@example([1, 1], 2, 3, 1, False, False, 0)             # [2][2] / [3]: not exact
+@example([1, 1], 1, 5, 1, False, False, 1)             # [2] / [5]: target < 0
+@example([0, 0], 1, 5, 1, False, False, 0)             # 0 / [5]: target < 0, exact
+@example([1, 2, 1], 2, 2, 3, True, True, 0)            # u = 2t and [t] | p
+def test_fused_division_agrees_with_long_division(p, k, t, s, multiple, divisible, pad):
+    u = t * k if multiple else k
+    if divisible:
+        p = kernels.mul_dense(p, naive_qnumber(t, s)) or p
+    p = [0] * pad + p + [0] * pad
+    assert p == p[::-1]
+    want = divide_by_long_division(kernels.mul_dense(p, naive_qnumber(u, s)), t, s)
+    n = len(p) + (u - t) * s                    # the quotient's length
+    got = kernels.div_qnumber(low_half(p), t, s, len(p), times=u)
+    if want is None:
+        assert got is None
+    else:
+        assert len(got) == max(n + 1, 0) // 2
+        assert kernels.trim(kernels.unfold(got, n) if n > 0 else got) == want
 
 
 def test_unfold():

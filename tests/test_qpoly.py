@@ -228,9 +228,9 @@ class TestRatioEngine:
             events.append(("mul", t, stride))
             return mul(coeffs, t, stride, length)
 
-        def spy_div(half, t, stride, length):
-            events.append(("div", t))
-            return div(half, t, stride, length)
+        def spy_div(half, t, stride, length, times=1):
+            events.append(("div", t) if times == 1 else ("div", t, "times", times))
+            return div(half, t, stride, length, times=times)
         monkeypatch.setattr(kernels, "mul_qnumber", spy_mul)
         monkeypatch.setattr(kernels, "div_qnumber", spy_div)
         got = q_ratio_coeffs([6, 10], [5, 3, 2, 1])
@@ -271,68 +271,92 @@ class TestRatioEngine:
             q_ratio_coeffs([6], [2], [(([1, 1, 1], 6), [6], [3])])
 
 
-def test_ratio_engine_sums_the_low_half_of_each_window(monkeypatch):
-    """The largest row of `catalan sweep --max 9`, (m, n) = (8, 9): every
-    partial product of the chain is palindromic and passed as its low
-    half, so each window sum inside mul_qnumber covers ceil(n/2) of the
-    product's n coefficients."""
-    num = [fib(k) for k in range(10, 17)]
-    den = [fib(k) for k in range(1, 9)]
-    real_mul, real_sum = kernels.mul_qnumber, kernels._window_sum
-    inside, seen = [], []
+# Ratios whose engine runs take every kind of kernel step: a window
+# multiplied in, a window and an unpaired [t] in one fused step, and a
+# plain division.  (6, 10) and (8, 9) are rows of `catalan sweep` built
+# from scratch; [24][4] / ([12][8]) divides [8] after its last window.
+ENGINE_RATIOS = [
+    ([fib(k) for k in range(11, 16)], [fib(k) for k in range(1, 7)]),
+    ([fib(k) for k in range(10, 17)], [fib(k) for k in range(1, 9)]),
+    ([24, 4], [12, 8]),
+]
+
+
+def _spy_engine_steps(monkeypatch, change=None):
+    """Route the engine's kernel calls through spies; returns the list of
+    steps, each (kind, n) for a product or dividend of n coefficients.
+    ``change(step, out)``, if given, may alter each step's output."""
+    real_mul, real_div = kernels.mul_qnumber, kernels.div_qnumber
+    steps = []
+
+    def step(kind, n, call):
+        steps.append((kind, n))
+        out = call()
+        if change is not None and out is not None:
+            change(len(steps) - 1, out)
+        return out
 
     def mul_qnumber(coeffs, t, stride=1, length=None):
-        assert len(coeffs) == (length + 1) // 2
-        inside.append((length + (t - 1) * stride + 1) // 2)
-        try:
-            return real_mul(coeffs, t, stride, length)
-        finally:
-            inside.pop()
+        assert length is not None and len(coeffs) == (length + 1) // 2
+        return step("mul", length + (t - 1) * stride,
+                    lambda: real_mul(coeffs, t, stride, length))
 
-    def window_sum(a, b, step):
-        if inside:
-            seen.append((len(a), inside[-1]))
-        return real_sum(a, b, step)
+    def div_qnumber(half, t, stride, length, times=1):
+        assert len(half) == (length + 1) // 2
+        return step("fused" if times > 1 else "div", length + (times - 1) * stride,
+                    lambda: real_div(half, t, stride, length, times=times))
 
     monkeypatch.setattr(kernels, "mul_qnumber", mul_qnumber)
-    monkeypatch.setattr(kernels, "_window_sum", window_sum)
-    got = q_ratio_coeffs(num, den)
-    assert len(seen) == len(num)
-    assert all(length == half for length, half in seen)
+    monkeypatch.setattr(kernels, "div_qnumber", div_qnumber)
+    return steps
 
-    chains = []
-    for indices in (num, den):
-        chain = [1]
-        for t in indices:
-            chain = kernels.mul_dense(chain, list(q_number(t).coeffs))
-        chains.append(IntPoly(chain))
-    res = long_division(*chains)
-    assert res.remainder.is_zero()
-    assert kernels.unfold(*got) == list(res.quotient.coeffs)
+
+def test_ratio_engine_sums_the_low_half_of_each_window(monkeypatch):
+    """Every partial product is palindromic and passed as its low half, and
+    each kernel step, of every kind, sums one window over the low half of
+    its own product or dividend: ceil(n/2) of its n coefficients.  A fused
+    step's dividend p [u] is never built, yet its window spans that
+    dividend's low half."""
+    kinds = set()
+    for num, den in ENGINE_RATIOS:
+        steps = _spy_engine_steps(monkeypatch)
+        real_sum, sums = kernels._window_sum, []
+
+        def window_sum(a, shift, step):
+            sums.append((len(a), (steps[-1][1] + 1) // 2))
+            return real_sum(a, shift, step)
+
+        monkeypatch.setattr(kernels, "_window_sum", window_sum)
+        got = q_ratio_coeffs(num, den)
+        monkeypatch.undo()
+        assert len(sums) == len(steps)
+        assert all(length == half for length, half in sums)
+        kinds.update(kind for kind, _ in steps)
+        assert kernels.unfold(*got) == list(exact_div(_q_number_product(num),
+                                                      _q_number_product(den)).coeffs)
+    assert kinds == {"mul", "fused", "div"}
 
 
 @pytest.mark.parametrize("bump", (-1, 1))
 def test_ratio_engine_rejects_a_changed_partial_product(monkeypatch, bump):
-    """One coefficient of one partial product's low half off by one, at
-    either end or inside: a later exact division or the check at q = 1
-    raises, so the changed quotient is never returned."""
-    num = [fib(k) for k in range(10, 17)]
-    den = [fib(k) for k in range(1, 9)]
-    real_mul = kernels.mul_qnumber
-    for call in range(len(num)):
-        for where in (0, 1, 2):
-            seen = []
-
-            def mul_qnumber(coeffs, t, stride=1, length=None):
-                out = real_mul(coeffs, t, stride, length)
-                if len(seen) == call:
-                    out[(len(out) - 1) * where // 2] += bump
-                seen.append(t)
-                return out
-            monkeypatch.setattr(kernels, "mul_qnumber", mul_qnumber)
-            with pytest.raises(NotPolynomialError, match="^internal error"):
-                q_ratio_coeffs(num, den)
-            assert len(seen) > call
+    """One coefficient of one step's output, multiply, fused or plain
+    division, off by one, at either end or inside: a later exact division
+    or the check at q = 1 raises, so the changed quotient is never
+    returned."""
+    for num, den in ENGINE_RATIOS:
+        steps = _spy_engine_steps(monkeypatch)
+        q_ratio_coeffs(num, den)
+        monkeypatch.undo()
+        for call in range(len(steps)):
+            for where in (0, 1, 2):
+                def change(step, out):
+                    if step == call:
+                        out[(len(out) - 1) * where // 2] += bump
+                seen = _spy_engine_steps(monkeypatch, change)
+                with pytest.raises(NotPolynomialError, match="^internal error"):
+                    q_ratio_coeffs(num, den)
+                assert len(seen) > call
+                monkeypatch.undo()
 
 
 class TestFactorial:
