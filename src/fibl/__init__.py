@@ -3,16 +3,16 @@
 Modules
 -------
 fib
-    Arbitrary-precision Fibonacci numbers (index extended to -1) and the
-    spiral exponents of the n = 2 tiling identity.
+    Arbitrary-precision Fibonacci numbers (index extended to -1).
 qpoly
     Exact dense polynomial arithmetic in q: q-numbers, the ratio engine,
-    q-Fibonomials by ratio and by recurrence, unimodality, and the
-    spiral/convolution identity checks.
+    q-Fibonomials by ratio and by recurrence, unimodality, and the q
+    weight ring.
 tilings
     The two weighted tiling models (rectangle path-domino and staircase)
-    whose generating functions realize the q-Fibonomials, and the lattice
-    transfers that sum them and run both two-term recurrences.
+    whose generating functions realize the q-Fibonomials, the lattice
+    transfer that sums them, and the recurrence, spiral and convolution
+    written once over a weight ring.
 elliptic
     Theta functions by the Jacobi triple product series, elliptic numbers
     and weights, the numeric verification checks, and the symbolic

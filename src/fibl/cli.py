@@ -535,7 +535,8 @@ def _cmd_enumerate(ns) -> int:
 
 def _cmd_spiral(ns) -> int:
     with _degree_cap(ns.cap):
-        reports = [qpoly.spiral_identity_check(ns.m), qpoly.spiral_identity_check_q1(ns.m)]
+        reports = [tilings.spiral_check(qpoly.Q_RING, ns.m),
+                   qpoly.spiral_identity_check_q1(ns.m)]
     return _emit_reports(ns, reports)
 
 
@@ -653,7 +654,7 @@ def _suite_theta(ns) -> list[VerificationReport]:
 
 
 def _suite_spiral(ns) -> list[VerificationReport]:
-    reports = [qpoly.spiral_identity_check(m) for m in range(1, 13)]
+    reports = [tilings.spiral_check(qpoly.Q_RING, m) for m in range(1, 13)]
     reports += [qpoly.spiral_identity_check_q1(m) for m in range(1, 41)]
     return reports
 
@@ -727,11 +728,12 @@ def _suite_elliptic_all(ns) -> list[VerificationReport]:
             lambda p, n=n: ell.elliptic_strip_check(n, p), ns.seed, n_samples, **kw)
     for m in range(1, 6):
         reports += ell.run_sampled_checks(
-            lambda p, m=m: ell.elliptic_spiral_check(m, p), ns.seed, n_samples, **kw)
+            lambda p, m=m: tilings.spiral_check(ell.EllipticRing(p), m),
+            ns.seed, n_samples, **kw)
     for m in range(1, 5):
         for n in range(1, 5):
             reports += ell.run_sampled_checks(
-                lambda p, m=m, n=n: ell.elliptic_convolution_check(m, n, p),
+                lambda p, m=m, n=n: tilings.convolution_check(ell.EllipticRing(p), m, n),
                 ns.seed, n_samples, **kw)
     for n in range(1, 7):
         for k in range(0, n + 1):

@@ -11,11 +11,14 @@ elliptic weight is the product of omega1(i, j) over its (D, i, j) domino
 labels and omega2(i, j) over its (S, i, j) labels, from the tiling
 model's one strip rule in ``fibl.tilings``.  The tiling sums run
 ``fibl.tilings.rect_transfer`` over each strip's sum of elliptic weights
-(the (n, k) staircase as point (k, n - k)), the recurrence over their
-closed forms.  All identity checks here are numeric at sampled parameter
-points, with relative tolerances carried by EllipticParams; the ordered
-degeneration p -> 0, a -> 0, b -> 0 to the q-analogs is symbolic
-(limit_chain).
+(the (n, k) staircase as point (k, n - k)).  The recurrence, the spiral
+and the convolution are ``fibl.tilings``' shared identities over
+EllipticRing, one ring per parameter point; the addition, splitting,
+strip, theorem and staircase checks are written here.  All identity
+checks are numeric at sampled parameter points, with relative tolerances
+carried by EllipticParams; the ordered degeneration p -> 0, a -> 0, b -> 0
+to the q-analogs is symbolic (limit_chain), and its q ring is
+``fibl.qpoly.Q_RING``.
 
 Two numeric regimes, selected per parameter set: double precision
 (complex) and an extended mode of B bits, where EllipticParams holds a,
@@ -41,7 +44,7 @@ from typing import Callable, Optional, Sequence
 from fibl.errors import DegenerateParametersError
 from fibl.fib import fib
 from fibl.report import DEFAULT_SEED, VerificationReport, numeric_report
-from fibl.tilings import (SPECIAL, PathDominoTiling, StaircaseTiling,
+from fibl.tilings import (SPECIAL, PathDominoTiling, StaircaseTiling, recurrence,
                           rect_transfer, tiling_tiles, _check_staircase,
                           _rect_strip_tiles, _strip_choices)
 
@@ -617,29 +620,29 @@ def elliptic_fibonomial(m: int, n: int, params: EllipticParams):
     return num / den
 
 
-def _recurrence_strip(params: EllipticParams, index: int, length: int, forced: bool):
-    """qpoly._recurrence_strip with omega2(index, length) for the q-power
-    of a forced column; exactly 1 for an empty strip, as _strip_sum gives."""
-    if not length:
-        return 1
-    if forced:
-        return (omega2(index, length, params)
-                * elliptic_number_base(fib(length - 1), fib(index), params))
-    return elliptic_number_base(fib(length + 1), fib(index), params)
+class EllipticRing:
+    """The elliptic weight ring of ``fibl.tilings``' shared identities at
+    one parameter point: complex or B-bit values, read from the cached
+    elliptic numbers, omega2 and factorial ratios, and compared at the
+    point's tolerance."""
 
+    __slots__ = ("params",)
+    one = 1
 
-def elliptic_fibonomial_recurrence(m: int, n: int, params: EllipticParams):
-    """Elliptic Fibonomial via the two-term recurrence,
+    def __init__(self, params: EllipticParams):
+        self.params = params
 
-    G(m, n) = [F_{m+1}]_{q^{F_n}} G(m, n-1)
-              + omega2(m, n) [F_{n-1}]_{q^{F_m}} G(m-1, n),
+    def fibonomial(self, m: int, n: int):
+        return elliptic_fibonomial(m, n, self.params)
 
-    with G(m, 0) = G(0, n) = 1: rect_transfer over the closed forms of the
-    strips the last step fixes; independent of the ratio route.
-    """
-    if m < 0 or n < 0:
-        raise ValueError("need m, n >= 0")
-    return rect_transfer(m, n, partial(_recurrence_strip, params), 1)
+    def times_number(self, v, n: int, base: int):
+        return v * elliptic_number_base(n, base, self.params)
+
+    def times_omega2(self, v, i: int, j: int):
+        return v * omega2(i, j, self.params)
+
+    def report(self, identity: str, inputs: dict, lhs, rhs) -> VerificationReport:
+        return numeric_report("elliptic-" + identity, inputs, lhs, rhs, self.params.eq_tol)
 
 
 def _tiles_weight(tiles, params: EllipticParams):
@@ -766,7 +769,7 @@ def elliptic_theorem_check(m: int, n: int, params: EllipticParams) -> Verificati
     """
     ratio = elliptic_fibonomial(m, n, params)
     values = {"ratio": ratio,
-              "recurrence": elliptic_fibonomial_recurrence(m, n, params),
+              "recurrence": recurrence(EllipticRing(params), m, n),
               "tiling_sum": rect_transfer(m, n, partial(_strip_sum, params), 1)}
     worst = 0.0
     for u, v in combinations(values.values(), 2):
@@ -788,50 +791,6 @@ def elliptic_strip_check(n: int, params: EllipticParams) -> VerificationReport:
     total = _strip_sum(params, 1, n - 1, False)
     lhs = elliptic_number(fib(n), params)
     return numeric_report("elliptic-strip", {"n": n}, lhs, total, params.eq_tol)
-
-
-def elliptic_spiral_check(m: int, params: EllipticParams) -> VerificationReport:
-    """[F_{m+2}][F_{m+1}] = sum_k Omega_k^m [F_k]^2 with
-    Omega_k^m = prod_{i=k}^{m} omega2(i, 2) and the square taken as
-    [F_k] * [F_k]_{q^{F_2}} (F_2 = 1, so literally the square)."""
-    if m < 1:
-        raise ValueError("need m >= 1")
-    lhs = elliptic_number(fib(m + 2), params) * elliptic_number(fib(m + 1), params)
-    rhs = 0
-    for k in range(1, m + 2):
-        big_omega = 1
-        for i in range(k, m + 1):
-            big_omega = big_omega * omega2(i, 2, params)
-        sq = (elliptic_number(fib(k), params)
-              * elliptic_number_base(fib(k), fib(2), params))
-        rhs = rhs + big_omega * sq
-    return numeric_report("elliptic-spiral", {"m": m}, lhs, rhs, params.eq_tol)
-
-
-def elliptic_convolution_check(m: int, n: int, params: EllipticParams) -> VerificationReport:
-    """The convolution expansion over the last east step's height:
-
-    [m over n] = sum_{j=0}^{n} (prod_{i<j} [F_{m+1}]_{q^{F_{n-i}}})
-                 [F_{n-1-j}]_{q^{F_m}} omega2(m, n-j) [m-1 over n-j],
-
-    with [F_0] = 0 killing j = n-1 and omega2(m, 0) = 1, [F_{-1}] = 1 at
-    j = n.
-    """
-    if m < 1 or n < 1:
-        raise ValueError("need m, n >= 1")
-    lhs = elliptic_fibonomial(m, n, params)
-    rhs = 0
-    prod = 1
-    for j in range(n + 1):
-        if j > 0:
-            prod = prod * elliptic_number_base(fib(m + 1), fib(n - j + 1), params)
-        term = (prod
-                * elliptic_number_base(fib(n - 1 - j), fib(m), params)
-                * omega2(m, n - j, params)
-                * elliptic_fibonomial(m - 1, n - j, params))
-        rhs = rhs + term
-    return numeric_report("elliptic-convolution", {"m": m, "n": n}, lhs, rhs,
-                          params.eq_tol)
 
 
 def elliptic_staircase_check(n: int, k: int, params: EllipticParams) -> VerificationReport:

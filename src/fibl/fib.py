@@ -1,4 +1,4 @@
-"""Arbitrary-precision Fibonacci numbers and the spiral exponents.
+"""Arbitrary-precision Fibonacci numbers.
 
 The index convention extends one step left of the usual sequence:
 F(-1) = 1, F(0) = 0, F(1) = 1, F(n) = F(n-1) + F(n-2).  The -1 index is
@@ -30,14 +30,3 @@ def fib(n: int) -> int:
         _TABLE = table = tuple(grown)
     return table[idx]
 
-
-def spiral_exponent(k: int, m: int) -> int:
-    """Return c_k^m = F_{k+1} + F_{k+2} + ... + F_{m+1}.
-
-    These are the weight exponents of the forced special dominos along the
-    n = 2 family of path-domino tilings; k = m + 1 gives the empty sum.
-    """
-    if not 1 <= k <= m + 1:
-        raise ValueError(f"need 1 <= k <= m+1, got k={k}, m={m}")
-    # telescoping partial sums: sum_{i=k}^{m} F_{i+1} = F_{m+3} - F_{k+2}
-    return fib(m + 3) - fib(k + 2)

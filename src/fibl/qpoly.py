@@ -5,9 +5,8 @@ arbitrary-precision integers; every q-analog quantity in the package is one
 of these.  The module provides the q-number [n] = 1 + q + ... + q^{n-1},
 the ratio engine that builds every product or quotient of q-numbers
 (q_ratio_coeffs), the q-Fibonomial by two independent routes (the ratio
-engine, and the two-term recurrence run by ``fibl.tilings.rect_transfer``
-over closed-form strip sums), long division, and the polynomial identity
-checks.
+engine, and ``fibl.tilings.recurrence`` over the q weight ring Q_RING),
+long division, and the q entry points of the shared identities.
 
 Degrees are guarded by a configurable cap (default 10**7) so runaway
 inputs fail fast with a ResourceLimitError instead of exhausting memory:
@@ -25,7 +24,7 @@ from typing import Iterable, NamedTuple
 
 from fibl import kernels
 from fibl.errors import NotPolynomialError, ResourceLimitError
-from fibl.fib import fib, spiral_exponent
+from fibl.fib import fib
 from fibl.report import VerificationReport, exact_report
 
 DEFAULT_DEGREE_CAP = 10**7
@@ -181,9 +180,6 @@ class IntPoly:
         """Value at q = 1 (the integer shadow of the q-analog)."""
         return sum(self._c)
 
-    def __call__(self, x):
-        return self.evaluate(x)
-
     def to_json(self) -> dict:
         """Sparse JSON form: exponents and coefficients as decimal strings."""
         return {
@@ -220,10 +216,6 @@ class DivisionResult(NamedTuple):
     remainder: IntPoly
 
 
-def substitute_power(poly: IntPoly, m: int) -> IntPoly:
-    return poly.substitute_power(m)
-
-
 def q_number(n: int) -> IntPoly:
     """The q-analog [n] = 1 + q + ... + q^{n-1}; [0] is the zero polynomial."""
     if n < 0:
@@ -232,11 +224,6 @@ def q_number(n: int) -> IntPoly:
         return _ZERO
     _ensure_cap(n - 1)
     return IntPoly._wrap([1] * n)
-
-
-def q_number_base(n: int, base: int) -> IntPoly:
-    """[n] with q replaced by q^base: ones at exponents 0, base, ..., (n-1)*base."""
-    return q_number(n).substitute_power(base)
 
 
 def long_division(num: IntPoly, den: IntPoly) -> DivisionResult:
@@ -480,30 +467,14 @@ def fibonomial_int(m: int, n: int) -> int:
     return q
 
 
-def _recurrence_strip(index: int, length: int, forced: bool) -> IntPoly:
-    """A rectangle strip's q-weight sum in closed form:
-    [F_{length+1}]_{q^{F_index}} for row ``index``,
-    q^{F_{index+1} F_length} [F_{length-1}]_{q^{F_index}} for the forced
-    column ``index``."""
-    if forced:
-        return q_number_base(fib(length - 1), fib(index)).shift(fib(index + 1) * fib(length))
-    return q_number_base(fib(length + 1), fib(index))
-
-
 def q_fibonomial_recurrence(m: int, n: int) -> IntPoly:
-    """The q-Fibonomial via the two-term recurrence over the (m, n) grid.
-
-    G(m, n) = [F_{m+1}]_{q^{F_n}} G(m, n-1)
-              + q^{F_n F_{m+1}} [F_{n-1}]_{q^{F_m}} G(m-1, n),
-    with G(m, 0) = G(0, n) = 1: rect_transfer over the closed forms of the
-    strips the last step fixes, on a lattice kept across calls (the degree
-    cap is checked on every call); independent of the ratio route.
-    """
-    from fibl.tilings import _q_lattice, rect_transfer     # tilings imports qpoly
-    if m < 0 or n < 0:
-        raise ValueError("q_fibonomial_recurrence needs m, n >= 0")
+    """The q-Fibonomial via the two-term recurrence,
+    ``fibl.tilings.recurrence`` over Q_RING, on a lattice kept across calls
+    (the degree cap is checked on every call); independent of the ratio
+    route."""
+    from fibl.tilings import _q_lattice, recurrence     # tilings imports qpoly
     _ensure_cap(_fibonomial_degree(m, n))
-    return rect_transfer(m, n, _recurrence_strip, _ONE, _q_lattice(1))
+    return recurrence(Q_RING, m, n, _q_lattice(1))
 
 
 def is_unimodal(poly: IntPoly) -> bool:
@@ -515,21 +486,6 @@ def is_unimodal(poly: IntPoly) -> bool:
 # ---------------------------------------------------------------------------
 # Identity checks
 
-def spiral_identity_check(m: int) -> VerificationReport:
-    """Exact check of [F_{m+2}][F_{m+1}] = sum_k q^{c_k^m} [F_k]^2.
-
-    Both sides of the n = 2 tiling identity, expanded as polynomials.
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    lhs = ratio_poly((fib(m + 2), fib(m + 1)), ())
-    rhs = _ZERO
-    for k in range(1, m + 2):
-        sq = ratio_poly((fib(k), fib(k)), ())
-        rhs = rhs + sq.shift(spiral_exponent(k, m))
-    return exact_report("q-spiral", {"m": m}, lhs, rhs)
-
-
 def spiral_identity_check_q1(m: int) -> VerificationReport:
     """Integer shadow of the spiral identity: F_{m+2} F_{m+1} = sum F_k^2."""
     if m < 1:
@@ -540,39 +496,44 @@ def spiral_identity_check_q1(m: int) -> VerificationReport:
 
 
 def convolution_identity_check_q(m: int, n: int) -> VerificationReport:
-    """Exact polynomial check of the q-degenerated convolution formula.
-
-    qFib(m, n) = sum_{j=0}^{n} (prod_{i<j} [F_{m+1}]_{q^{F_{n-i}}})
-                 * [F_{n-1-j}]_{q^{F_m}} * q^{F_{m+1} F_{n-j}} * qFib(m-1, n-j)
-    with the conventions [F_0] = 0 (the j = n-1 term vanishes) and, at
-    j = n, weight exponent F_{m+1} F_0 = 0 and [F_{-1}] = [1] = 1.
-
-    The sum is nested Horner-style from j = n down to j = 0,
-    acc <- T_j + [F_{m+1}]_{q^{F_{n-j}}} acc, where T_j is term j without
-    its leading product, so each (m, n) takes about 2n window-kernel
-    passes.  Every term's full degree is checked against the degree cap,
-    in ascending j, before any term is built.
-    """
+    """Exact check of the q-degenerated convolution formula,
+    ``fibl.tilings.convolution_check`` over Q_RING, where omega2(m, n - j)
+    is q^{F_{m+1} F_{n-j}}.  Every term's full degree is checked against
+    the degree cap, in ascending j, before any term is built."""
+    from fibl.tilings import convolution_check
     if m < 1 or n < 1:
-        raise ValueError("m, n must be >= 1")
-    lhs = q_fibonomial(m, n)
+        raise ValueError("need m, n >= 1")
     up = fib(m + 1)
     for j in range(n + 1):
         if j != n - 1:                     # [F_0] = 0
             lead = (up - 1) * sum(fib(n - i) for i in range(j))
             own = (fib(n - 1 - j) - 1) * fib(m)
             _ensure_cap(q_fibonomial(m - 1, n - j).degree + up * fib(n - j) + lead + own)
-    acc = [1]                              # term n: qFib(m-1, 0) = 1 at shift 0
-    for j in range(n - 1, -1, -1):
-        acc = kernels.mul_qnumber(acc, up, fib(n - j))
-        if j == n - 1:
-            continue                       # [F_0] = 0 drops term n - 1
-        term = kernels.mul_qnumber(list(q_fibonomial(m - 1, n - j)._c), fib(n - 1 - j), fib(m))
-        shift = up * fib(n - j)
-        end = shift + len(term)
-        acc += [0] * (end - len(acc))
-        acc[shift:end] = map(add, acc[shift:end], term)
-    return exact_report("q-convolution", {"m": m, "n": n}, lhs, IntPoly(acc))
+    return convolution_check(Q_RING, m, n)
+
+
+class QRing:
+    """The q weight ring of ``fibl.tilings``' shared identities, over
+    IntPoly: the limit p -> 0, a -> 0, b -> 0 of the elliptic ring, where
+    [n]_{q^base} stays itself and omega2(i, j) becomes q^{F_{i+1} F_j}.
+    A product by a q-number is one window sum."""
+
+    one = _ONE
+
+    def fibonomial(self, m: int, n: int) -> IntPoly:
+        return q_fibonomial(m, n)
+
+    def times_number(self, v: IntPoly, n: int, base: int) -> IntPoly:
+        return IntPoly._wrap(kernels.mul_qnumber(list(v._c), n, base))
+
+    def times_omega2(self, v: IntPoly, i: int, j: int) -> IntPoly:
+        return v.shift(fib(i + 1) * fib(j))
+
+    def report(self, identity: str, inputs: dict, lhs, rhs) -> VerificationReport:
+        return exact_report("q-" + identity, inputs, lhs, rhs)
+
+
+Q_RING = QRing()
 
 
 def reset_caches() -> None:

@@ -39,10 +39,17 @@ with its north step at x is rectangle row s - x of length x, or, forced,
 column x of height s - x.  Only ``*`` and ``+`` are used, so both weight
 rings run through the transfer: the q generating functions over
 dense IntPoly strip sums, on a lattice kept across calls, the elliptic
-tiling sums over complex ones.  The two-term recurrences of both rings
-run it over the strips' closed forms instead of their sums.  Tilings are
-listed only for ``fibl enumerate``, the tests (as the transfer's oracle)
-and the Catalan counterexample.
+tiling sums over complex ones.
+
+The two-term recurrence (the transfer over the strips' closed forms), the
+n = 2 spiral and the convolution over the last east step are written once
+here, each as a function of a weight ring: ``fibl.qpoly.Q_RING``, the
+limit p, a, b -> 0 of ``fibl.elliptic.EllipticRing``.  What stays per ring:
+the strip sums (q counts exponents into a dense table, as adding dense
+monomials is far slower), the theorem and staircase checks, whose reports
+differ between the rings, and the q convolution's up-front degree-cap
+check.  Tilings are listed only for ``fibl enumerate``, the tests (as the
+transfer's oracle) and the Catalan counterexample.
 
 Enumeration is streaming and deterministic: paths in lexicographic step
 order (E < N, N < W), strip tilings in lexicographic tile order (D < M).
@@ -55,7 +62,7 @@ the same way.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product
 from typing import Callable, Iterator, NamedTuple, Optional
 
@@ -313,6 +320,77 @@ def rect_transfer(m: int, n: int, table: Callable, one, lattice: Optional[dict] 
                 total = total + g[x - 1, y] * table(x, y, True)
             g[x, y] = total
     return g[m, n]
+
+
+# ---------------------------------------------------------------------------
+# Identities over a weight ring: its unit ``one``, ``fibonomial(m, n)``,
+# ``times_number(v, n, base)`` = v [n]_{q^base}, ``times_omega2(v, i, j)`` =
+# v omega2(i, j), ``report(identity, inputs, lhs, rhs)``, and ``*`` and ``+``
+# on its values
+
+def recurrence_strip(ring, index: int, length: int, forced: bool):
+    """A rectangle strip's weight sum in closed form: [F_{length+1}]_{q^{F_index}}
+    for row ``index``, omega2(index, length) [F_{length-1}]_{q^{F_index}} for
+    the forced column ``index``; the unit for an empty strip."""
+    if not length:
+        return ring.one
+    if forced:
+        return ring.times_omega2(ring.times_number(ring.one, fib(length - 1), fib(index)),
+                                 index, length)
+    return ring.times_number(ring.one, fib(length + 1), fib(index))
+
+
+def recurrence(ring, m: int, n: int, lattice: Optional[dict] = None):
+    """The Fibonomial via the two-term recurrence over the (m, n) grid,
+
+    G(m, n) = [F_{m+1}]_{q^{F_n}} G(m, n-1)
+              + omega2(m, n) [F_{n-1}]_{q^{F_m}} G(m-1, n),
+
+    with G(m, 0) = G(0, n) = 1: rect_transfer over the closed forms of the
+    strips the last step fixes, independent of the ratio route.
+    """
+    if m < 0 or n < 0:
+        raise ValueError("need m, n >= 0")
+    return rect_transfer(m, n, partial(recurrence_strip, ring), ring.one, lattice)
+
+
+def spiral_check(ring, m: int) -> VerificationReport:
+    """The n = 2 spiral, [F_{m+2}][F_{m+1}] = sum_k Omega_k^m [F_k][F_k]_{q^{F_2}}
+    over 1 <= k <= m + 1, with Omega_k^m = prod_{i=k}^{m} omega2(i, 2) (F_2 = 1,
+    so the last factor is literally the square).  The sum is nested
+    Horner-style from k = 1 up, acc <- omega2(k - 1, 2) acc + [F_k][F_k],
+    from [F_1][F_1] = 1."""
+    if m < 1:
+        raise ValueError("need m >= 1")
+    lhs = ring.times_number(ring.times_number(ring.one, fib(m + 2), 1), fib(m + 1), 1)
+    rhs = ring.one
+    for k in range(2, m + 2):
+        square = ring.times_number(ring.times_number(ring.one, fib(k), 1), fib(k), fib(2))
+        rhs = ring.times_omega2(rhs, k - 1, 2) + square
+    return ring.report("spiral", {"m": m}, lhs, rhs)
+
+
+def convolution_check(ring, m: int, n: int) -> VerificationReport:
+    """The convolution over the last east step's height,
+
+    [m over n] = sum_{j=0}^{n} (prod_{i<j} [F_{m+1}]_{q^{F_{n-i}}})
+                 [F_{n-1-j}]_{q^{F_m}} omega2(m, n-j) [m-1 over n-j],
+
+    nested Horner-style from j = n down to j = 0,
+    acc <- T_j + [F_{m+1}]_{q^{F_{n-j}}} acc, where T_j is term j without
+    its leading product: T_n = 1, as omega2(m, 0) = [F_{-1}] = 1, and
+    T_{n-1} = 0, as [F_0] = 0.  So each (m, n) takes 2n - 1 products by
+    a q-number.
+    """
+    if m < 1 or n < 1:
+        raise ValueError("need m, n >= 1")
+    acc = ring.one
+    for j in range(n - 1, -1, -1):
+        acc = ring.times_number(acc, fib(m + 1), fib(n - j))
+        if j < n - 1:
+            term = ring.times_number(ring.fibonomial(m - 1, n - j), fib(n - 1 - j), fib(m))
+            acc = ring.times_omega2(term, m, n - j) + acc
+    return ring.report("convolution", {"m": m, "n": n}, ring.fibonomial(m, n), acc)
 
 
 def rect_generating_function(m: int, n: int) -> IntPoly:

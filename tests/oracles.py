@@ -10,7 +10,7 @@ from pathlib import Path
 
 from fibl.errors import NotPolynomialError
 from fibl.fib import fib
-from fibl.qpoly import IntPoly, long_division, ratio_poly
+from fibl.qpoly import IntPoly, long_division, q_number, ratio_poly
 from fibl.tilings import PathDominoTiling, StaircaseTiling, _strip_options
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -27,6 +27,11 @@ def exact_div(num: IntPoly, den: IntPoly) -> IntPoly:
         exc.remainder = res.remainder
         raise exc
     return res.quotient
+
+
+def q_number_base(n: int, base: int) -> IntPoly:
+    """[n] with q replaced by q^base: ones at exponents 0, base, ..., (n-1)*base."""
+    return q_number(n).substitute_power(base)
 
 
 def q_fib_factorial(n: int) -> IntPoly:

@@ -93,7 +93,7 @@ def test_criterion_05_unimodality_to_10():
 
 def test_criterion_06_spiral_identity():
     c = _Criterion(6, "spiral identity for m <= 12 and q=1 shadow for m <= 40", 10.0)
-    ok = all(qpoly.spiral_identity_check(m).passed for m in range(1, 13))
+    ok = all(tilings.spiral_check(qpoly.Q_RING, m).passed for m in range(1, 13))
     ok &= all(qpoly.spiral_identity_check_q1(m).passed for m in range(1, 41))
     c.finish(ok)
 
@@ -135,12 +135,12 @@ def test_criterion_09_elliptic_checks():
         ok &= all(r.passed for r in reps)
     for m in range(1, 6):
         reps = ell.run_sampled_checks(
-            lambda p, m=m: ell.elliptic_spiral_check(m, p), SEED, 20)
+            lambda p, m=m: tilings.spiral_check(ell.EllipticRing(p), m), SEED, 20)
         ok &= all(r.passed for r in reps)
     for m in range(1, 5):
         for n in range(1, 5):
             reps = ell.run_sampled_checks(
-                lambda p, m=m, n=n: ell.elliptic_convolution_check(m, n, p),
+                lambda p, m=m, n=n: tilings.convolution_check(ell.EllipticRing(p), m, n),
                 SEED, 20)
             ok &= all(r.passed for r in reps)
     for n in range(1, 7):

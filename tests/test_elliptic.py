@@ -19,10 +19,10 @@ from fibl.fib import fib
 from fibl.qpoly import q_number
 from fibl.report import numeric_report
 from fibl.tilings import (DOMINO, MONOMINO, SPECIAL, PathDominoTiling,
-                          catalan_partial_tilings, iter_rect_tilings,
-                          iter_staircase_tilings, rect_path_profile,
+                          catalan_partial_tilings, convolution_check, iter_rect_tilings,
+                          iter_staircase_tilings, recurrence_strip, rect_path_profile,
                           rect_transfer, staircase_path_profile,
-                          tile_exponent, tiling_tiles)
+                          spiral_check, tile_exponent, tiling_tiles)
 
 SEED = 0x5EED
 
@@ -901,7 +901,7 @@ class TestStripSpiral:
         for i in range(3):
             p = params_at(i)
             for m in range(1, 6):
-                assert ell.elliptic_spiral_check(m, p).passed
+                assert spiral_check(ell.EllipticRing(p), m).passed
 
 
 class TestConvolution:
@@ -909,7 +909,7 @@ class TestConvolution:
         for i in range(3):
             p = params_at(i)
             for (m, n) in ((1, 1), (2, 3), (3, 3), (4, 2)):
-                assert ell.elliptic_convolution_check(m, n, p).passed
+                assert convolution_check(ell.EllipticRing(p), m, n).passed
 
     def test_vanishing_summand(self):
         # the j = n-1 term carries [F_0] = 0
@@ -935,7 +935,7 @@ class TestStaircase:
 
 class TestStripLemma:
     """Each rectangle strip's elliptic weight sum is the closed form that
-    elliptic_fibonomial_recurrence multiplies, and an empty strip's is
+    recurrence multiplies over the elliptic ring, and an empty strip's is
     exactly 1 on both sides."""
 
     @pytest.mark.parametrize("bits", [None, 128])
@@ -946,7 +946,7 @@ class TestStripLemma:
                 for forced in (False, True):
                     case = (index, length, forced)
                     got = ell._strip_sum(p, *case)
-                    want = ell._recurrence_strip(p, *case)
+                    want = recurrence_strip(ell.EllipticRing(p), *case)
                     assert numeric_report("strip", {}, got, want, p.eq_tol).passed, case
                     if not length:
                         assert got == want == 1, case

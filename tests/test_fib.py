@@ -4,7 +4,7 @@ import threading
 import pytest
 from hypothesis import given, strategies as st
 
-from fibl.fib import fib, spiral_exponent
+from fibl.fib import fib
 
 
 def test_sequence_prefix():
@@ -67,32 +67,6 @@ def test_addition_check_examples():
 def test_addition_check_full_range():
     assert all(_addition_law(m, n)
                for m in range(1, 201) for n in range(1, 201))
-
-
-def test_spiral_exponent_examples():
-    for m in range(0, 10):
-        assert spiral_exponent(m + 1, m) == 0      # empty sum
-    assert spiral_exponent(1, 2) == 3              # F_2 + F_3
-    assert spiral_exponent(2, 4) == 10             # F_3 + F_4 + F_5
-
-
-def test_spiral_exponent_matches_direct_summation():
-    for m in range(0, 20):
-        for k in range(1, m + 2):
-            assert spiral_exponent(k, m) == sum(fib(i + 1) for i in range(k, m + 1))
-
-
-def test_spiral_exponent_recurrence():
-    for m in range(1, 31):
-        for k in range(1, m + 1):
-            assert spiral_exponent(k, m) == spiral_exponent(k + 1, m) + fib(k + 1)
-
-
-def test_spiral_exponent_domain():
-    with pytest.raises(ValueError):
-        spiral_exponent(0, 3)
-    with pytest.raises(ValueError):
-        spiral_exponent(5, 3)
 
 
 def test_q1_spiral_identity():

@@ -7,12 +7,11 @@ from hypothesis import example, given, strategies as st
 from fibl import kernels, qpoly, tilings
 from fibl.errors import NotPolynomialError, ResourceLimitError
 from fibl.fib import fib
-from fibl.qpoly import (IntPoly, convolution_identity_check_q, cyclotomic_split,
+from fibl.qpoly import (Q_RING, IntPoly, convolution_identity_check_q, cyclotomic_split,
                         fibonomial_int, is_unimodal, long_division, q_fibonomial,
-                        q_fibonomial_recurrence, q_number, q_number_base, q_ratio_coeffs,
-                        spiral_identity_check, substitute_power)
+                        q_fibonomial_recurrence, q_number, q_ratio_coeffs)
 from fibl.report import exact_report
-from oracles import exact_div, poly_from_json, q_fib_factorial
+from oracles import exact_div, poly_from_json, q_fib_factorial, q_number_base
 
 
 def P(*coeffs):
@@ -102,16 +101,16 @@ class TestQNumber:
 
 class TestSubstitutePower:
     def test_examples(self):
-        assert substitute_power(q_number(3), 1) == q_number(3)
-        assert substitute_power(q_number(3), 2) == P(1, 0, 1, 0, 1)
+        assert q_number(3).substitute_power(1) == q_number(3)
+        assert q_number(3).substitute_power(2) == P(1, 0, 1, 0, 1)
 
     def test_product_identity_instance(self):
         # [2] * [3]_{q^2} = [6]
-        assert q_number(2) * substitute_power(q_number(3), 2) == q_number(6)
+        assert q_number(2) * q_number(3).substitute_power(2) == q_number(6)
 
     @given(st.integers(min_value=1, max_value=30), st.integers(min_value=1, max_value=30))
     def test_q_number_product_law(self, m, n):
-        assert q_number(m) * substitute_power(q_number(n), m) == q_number(m * n)
+        assert q_number(m) * q_number(n).substitute_power(m) == q_number(m * n)
 
 
 class TestExactDiv:
@@ -468,7 +467,7 @@ class TestQNumberIdentities:
     def test_product_identity_to_30(self):
         for m in range(1, 31):
             for n in range(1, 31):
-                assert q_number(m * n) == q_number(m) * substitute_power(q_number(n), m)
+                assert q_number(m * n) == q_number(m) * q_number(n).substitute_power(m)
 
     def test_fib_splitting_identity(self):
         # [F_{m+n}] = [F_n][F_{m+1}]_{q^{F_n}} + q^{F_n F_{m+1}} [F_m][F_{n-1}]_{q^{F_m}}
@@ -497,17 +496,17 @@ class TestUnimodality:
 
 class TestSpiral:
     def test_m1_both_sides(self):
-        rep = spiral_identity_check(1)
+        rep = tilings.spiral_check(Q_RING, 1)
         assert rep.passed
         assert rep.lhs == q_number(2) == P(1, 1)
 
     def test_m2_both_sides(self):
-        rep = spiral_identity_check(2)
+        rep = tilings.spiral_check(Q_RING, 2)
         assert rep.passed
         assert rep.lhs == P(1, 2, 2, 1)
 
     def test_through_12(self):
-        assert all(spiral_identity_check(m).passed for m in range(1, 13))
+        assert all(tilings.spiral_check(Q_RING, m).passed for m in range(1, 13))
 
 
 def _convolution_rhs_by_products(m, n):
@@ -575,7 +574,7 @@ def test_ring_axioms(a, b, c):
 @given(small, st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=5))
 def test_substitution_is_multiplicative(a, m, n):
     p = IntPoly(a)
-    assert substitute_power(substitute_power(p, m), n) == substitute_power(p, m * n)
+    assert p.substitute_power(m).substitute_power(n) == p.substitute_power(m * n)
 
 
 @given(small, small)

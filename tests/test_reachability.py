@@ -65,8 +65,8 @@ ALLOWED_UNREACHED = {
     "elliptic._limit_factors.<locals>.<lambda>":
         "limit_chain's factor lists, rebased",
     "elliptic.limit_chain":
-        "the symbolic degeneration p, a, b -> 0 that acceptance criterion 10 tests; "
-        "ROADMAP item 5 checks the q ring against it",
+        "the symbolic degeneration p, a, b -> 0 that acceptance criterion 10 tests "
+        "and that the tests check the q ring against",
     "elliptic.elliptic_weight":
         "the elliptic weight of one listed tiling, which the tests sum over "
         "enumerated tilings as the tiling transfer's oracle",
@@ -74,7 +74,6 @@ ALLOWED_UNREACHED = {
         "scan_unimodal's loop for a sequence that is no palindrome; the commands "
         "scan only palindromes, and the tests use the loop as the reference",
     "qpoly.IntPoly.__bool__": "IntPoly's value protocol, for library callers",
-    "qpoly.IntPoly.__call__": "IntPoly's value protocol: evaluation, as evaluate",
     "qpoly.IntPoly.__hash__": "IntPoly's value protocol: usable as a key; tests check it",
     "qpoly.IntPoly.__len__": "IntPoly's value protocol; perfbench's tracer reads len() "
                              "of each product",
@@ -84,10 +83,12 @@ ALLOWED_UNREACHED = {
     "qpoly.IntPoly.coeff": "IntPoly's coefficient access, which __sub__ uses",
     "qpoly.IntPoly.evaluate": "evaluation at a point; the limit_chain tests compare with it",
     "qpoly.IntPoly.monomial": "q_weight's single power of q",
+    "qpoly.IntPoly.substitute_power": "q -> q^m, which the tests' q_number_base oracle "
+                                      "builds on; tests check it",
     "qpoly.degree_cap": "reads the degree cap; the tests check that --cap restores it",
+    "qpoly.q_number": "[n] as n ones, the tests' reference for the window kernels "
+                      "and the q ring's products",
     "qpoly.reset_caches": "drops the memo tables; the tests use it between runs",
-    "qpoly.substitute_power": "the module-level form of IntPoly.substitute_power, "
-                              "which the tests use",
     "report.VerificationReport.sort_key": "the report order that cli._sorted_reports "
                                           "reproduces; the tests compare against it",
     "tilings.q_weight": "one tiling's q-weight, which acceptance criterion 4 tests",

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -6,7 +7,8 @@ from fibl import elliptic as ell
 from fibl import qpoly, tilings
 from fibl.errors import ResourceLimitError
 from fibl.fib import fib
-from fibl.qpoly import IntPoly, fibonomial_int, q_fibonomial, q_number
+from fibl.qpoly import Q_RING, IntPoly, fibonomial_int, q_fibonomial, q_number
+from fibl.report import numeric_report
 from fibl.tilings import (PathDominoTiling, catalan_partial_tiling_counterexample,
                           enumerate_rect_tilings, enumerate_staircase_tilings,
                           iter_rect_tilings, iter_staircase_tilings,
@@ -55,10 +57,10 @@ class TestStrips:
                         want = q_number(fib(length + 1)).substitute_power(fib(index))
                     case = (index, length, forced)
                     assert tilings._strip_table(*case) == want, case
-                    assert qpoly._recurrence_strip(*case) == want, case
-        assert qpoly._recurrence_strip(1, 2, False) == IntPoly([1, 1])
-        assert qpoly._recurrence_strip(1, 7, False) == q_number(21)
-        assert qpoly._recurrence_strip(3, 1, True) == IntPoly.zero()
+                    assert tilings.recurrence_strip(Q_RING, *case) == want, case
+        assert tilings.recurrence_strip(Q_RING, 1, 2, False) == IntPoly([1, 1])
+        assert tilings.recurrence_strip(Q_RING, 1, 7, False) == q_number(21)
+        assert tilings.recurrence_strip(Q_RING, 3, 1, True) == IntPoly.zero()
 
 
 class TestRectEnumeration:
@@ -284,7 +286,7 @@ class TestTransferGeneratingFunctions:
 
     def test_q_strip_sum_matches_per_path_product(self):
         for length in range(0, 12):
-            assert qpoly._recurrence_strip(1, length, False) == _per_path_product(
+            assert tilings.recurrence_strip(Q_RING, 1, length, False) == _per_path_product(
                 [[(1, length, False)]], tilings._rect_strip_tiles)
 
 
@@ -370,6 +372,71 @@ class TestBijection:
         rep = model_bijection_check(2, 2)
         assert rep.lhs == IntPoly([1, 2, 2, 1])
         assert rep.tolerance is None
+
+
+class _TransposedOmega2:
+    """A ring whose times_omega2 reads omega2(j, i) for omega2(i, j)."""
+
+    def __init__(self, ring):
+        self.ring = ring
+
+    def __getattr__(self, name):
+        return getattr(self.ring, name)
+
+    def times_omega2(self, v, i, j):
+        return self.ring.times_omega2(v, j, i)
+
+
+class TestSharedIdentities:
+    """The recurrence, spiral and convolution, written once over a weight
+    ring, run on the q ring and on the elliptic ring of one point."""
+
+    def test_q_ring_is_the_elliptic_limit(self):
+        one = Q_RING.one
+        for q in (2, Fraction(1, 3)):
+            for n in range(0, 11):
+                for base in range(1, 4):
+                    got = Q_RING.times_number(one, n, base).evaluate(q)
+                    assert got == ell.limit_chain(("number", n), q ** base), (q, n, base)
+            for i in range(1, 7):
+                for j in range(0, 7):
+                    got = Q_RING.times_omega2(one, i, j).evaluate(q)
+                    assert got == ell.limit_chain(("omega2", i, j), q), (q, i, j)
+
+    def test_q_spiral_weights_are_the_spiral_exponents(self):
+        """Omega_k^m, the spiral's product of omega2(i, 2) over k <= i <= m,
+        is q^{c_k^m} in the q ring, c_k^m = F_{k+1} + ... + F_{m+1}, which
+        telescopes to F_{m+3} - F_{k+2}; k = m + 1 is the empty product."""
+        for m in range(0, 20):
+            for k in range(1, m + 2):
+                omega = Q_RING.one
+                for i in range(k, m + 1):
+                    omega = Q_RING.times_omega2(omega, i, 2)
+                c = sum(fib(i + 1) for i in range(k, m + 1))
+                assert omega == IntPoly.monomial(c) and c == fib(m + 3) - fib(k + 2), (k, m)
+        assert Q_RING.times_omega2(Q_RING.times_omega2(Q_RING.one, 1, 2), 2, 2) \
+            == IntPoly.monomial(3)                  # F_2 + F_3
+
+    def test_q_reports_fail_under_transposed_omega2(self):
+        bad = _TransposedOmega2(Q_RING)
+        for m, n in ((3, 2), (2, 3), (3, 3)):
+            assert tilings.recurrence(Q_RING, m, n) == q_fibonomial(m, n)
+            assert tilings.recurrence(bad, m, n) != q_fibonomial(m, n), (m, n)
+            assert tilings.convolution_check(Q_RING, m, n).passed
+            assert not tilings.convolution_check(bad, m, n).passed, (m, n)
+        for m in range(1, 6):
+            assert tilings.spiral_check(Q_RING, m).passed
+            assert not tilings.spiral_check(bad, m).passed, m
+
+    def test_elliptic_reports_fail_under_transposed_omega2(self):
+        p = ell.sample_params(3)
+        good, bad = ell.EllipticRing(p), _TransposedOmega2(ell.EllipticRing(p))
+        for ring, passed in ((good, True), (bad, False)):
+            rec = numeric_report("recurrence", {}, ell.elliptic_fibonomial(3, 3, p),
+                                 tilings.recurrence(ring, 3, 3), p.eq_tol)
+            assert rec.passed is passed
+            assert tilings.spiral_check(ring, 3).passed is passed
+            assert tilings.convolution_check(ring, 3, 3).passed is passed
 
 
 class TestCatalanCounterexample:
