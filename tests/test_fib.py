@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fibl.fib import fib
+from fibl.qpoly import Q_RING, IntPoly
 
 
 def test_sequence_prefix():
@@ -67,6 +68,46 @@ def test_addition_check_examples():
 def test_addition_check_full_range():
     assert all(_addition_law(m, n)
                for m in range(1, 201) for n in range(1, 201))
+
+
+def _spiral_weight(k, m):
+    """Omega_k^m = prod_{i=k}^{m} omega2(i, 2) in the q ring, the spiral's
+    weight on [F_k]^2; k = m + 1 is the empty product."""
+    omega = Q_RING.one
+    for i in range(k, m + 1):
+        omega = Q_RING.times_omega2(omega, i, 2)
+    return omega
+
+
+def _monomial_exponent(p):
+    assert p.coeffs[-1] == 1 and p.coeffs.count(0) == p.degree, p
+    return p.degree
+
+
+def test_spiral_exponent_examples():
+    for m in range(0, 10):
+        assert _spiral_weight(m + 1, m) == IntPoly.monomial(0)    # empty product
+    assert _spiral_weight(1, 2) == IntPoly.monomial(3)            # F_2 + F_3
+    assert _spiral_weight(2, 4) == IntPoly.monomial(10)           # F_3 + F_4 + F_5
+
+
+def test_spiral_exponent_matches_direct_summation():
+    """c_k^m = F_{k+1} + ... + F_{m+1}, which telescopes to F_{m+3} - F_{k+2}."""
+    for m in range(0, 20):
+        for k in range(1, m + 2):
+            c = sum(fib(i + 1) for i in range(k, m + 1))
+            assert _spiral_weight(k, m) == IntPoly.monomial(c), (k, m)
+            assert c == fib(m + 3) - fib(k + 2), (k, m)
+
+
+def test_spiral_exponent_recurrence():
+    """c_k^m = c_{k+1}^m + F_{k+1}, walking k down from the empty product."""
+    for m in range(1, 31):
+        omega = Q_RING.one
+        for k in range(m, 0, -1):
+            step = Q_RING.times_omega2(omega, k, 2)
+            assert _monomial_exponent(step) == _monomial_exponent(omega) + fib(k + 1), (k, m)
+            omega = step
 
 
 def test_q1_spiral_identity():

@@ -403,20 +403,6 @@ class TestSharedIdentities:
                     got = Q_RING.times_omega2(one, i, j).evaluate(q)
                     assert got == ell.limit_chain(("omega2", i, j), q), (q, i, j)
 
-    def test_q_spiral_weights_are_the_spiral_exponents(self):
-        """Omega_k^m, the spiral's product of omega2(i, 2) over k <= i <= m,
-        is q^{c_k^m} in the q ring, c_k^m = F_{k+1} + ... + F_{m+1}, which
-        telescopes to F_{m+3} - F_{k+2}; k = m + 1 is the empty product."""
-        for m in range(0, 20):
-            for k in range(1, m + 2):
-                omega = Q_RING.one
-                for i in range(k, m + 1):
-                    omega = Q_RING.times_omega2(omega, i, 2)
-                c = sum(fib(i + 1) for i in range(k, m + 1))
-                assert omega == IntPoly.monomial(c) and c == fib(m + 3) - fib(k + 2), (k, m)
-        assert Q_RING.times_omega2(Q_RING.times_omega2(Q_RING.one, 1, 2), 2, 2) \
-            == IntPoly.monomial(3)                  # F_2 + F_3
-
     def test_q_reports_fail_under_transposed_omega2(self):
         bad = _TransposedOmega2(Q_RING)
         for m, n in ((3, 2), (2, 3), (3, 3)):
