@@ -619,14 +619,14 @@ def _cmd_elliptic(ns) -> int:
     try:
         if ns.what == "number":
             (n,) = _int_args(ns.args, 1, "elliptic number N")
-            val = ell.elliptic_number(n, params)
+            val = ell.EllipticRing(params).number(n)
         elif ns.what == "fibonomial":
             m, n = _int_args(ns.args, 2, "elliptic fibonomial M N")
-            val = ell.elliptic_fibonomial(m, n, params)
+            val = ell.EllipticRing(params).fibonomial(m, n)
         else:
             if len(ns.args) != 1:
                 raise ValueError("usage: elliptic theta X")
-            val = ell.theta_value(complex(ns.args[0]), params)
+            val = ell.theta(complex(ns.args[0]), params.p, params.trunc_eps)
         cval = complex(val)
     except OverflowError as exc:
         raise DegenerateParametersError(f"value overflows ({exc})") from None
@@ -709,37 +709,33 @@ def _suite_q_all(ns) -> list[VerificationReport]:
 def _suite_elliptic_all(ns) -> list[VerificationReport]:
     from fibl import elliptic as ell
     bits = _parse_precision(ns.precision)
-    kw = dict(precision_bits=bits, eq_tol=ns.tol)
+    # one ring per derived seed, so that every check at a point shares its values
+    kw = dict(precision_bits=bits, eq_tol=ns.tol, rings={})
     reports = list(_suite_theta(ns))
     n_samples = max(1, ns.samples // 10)
     for m in range(1, 7):
         for n in range(1, 7):
             reports += ell.run_sampled_checks(
-                lambda p, m=m, n=n: ell.elliptic_addition_check(m, n, p),
-                ns.seed, 1, **kw)
+                partial(ell.elliptic_addition_check, m, n), ns.seed, 1, **kw)
             reports += ell.run_sampled_checks(
-                lambda p, m=m, n=n: ell.fib_splitting_check(m, n, p),
-                ns.seed, 1, **kw)
+                partial(ell.fib_splitting_check, m, n), ns.seed, 1, **kw)
             reports += ell.run_sampled_checks(
-                lambda p, m=m, n=n: ell.elliptic_theorem_check(m, n, p),
-                ns.seed, n_samples, **kw)
+                partial(ell.elliptic_theorem_check, m, n), ns.seed, n_samples, **kw)
     for n in range(1, 9):
         reports += ell.run_sampled_checks(
-            lambda p, n=n: ell.elliptic_strip_check(n, p), ns.seed, n_samples, **kw)
+            partial(ell.elliptic_strip_check, n), ns.seed, n_samples, **kw)
     for m in range(1, 6):
         reports += ell.run_sampled_checks(
-            lambda p, m=m: tilings.spiral_check(ell.EllipticRing(p), m),
-            ns.seed, n_samples, **kw)
+            lambda ring, m=m: tilings.spiral_check(ring, m), ns.seed, n_samples, **kw)
     for m in range(1, 5):
         for n in range(1, 5):
             reports += ell.run_sampled_checks(
-                lambda p, m=m, n=n: tilings.convolution_check(ell.EllipticRing(p), m, n),
+                lambda ring, m=m, n=n: tilings.convolution_check(ring, m, n),
                 ns.seed, n_samples, **kw)
     for n in range(1, 7):
         for k in range(0, n + 1):
             reports += ell.run_sampled_checks(
-                lambda p, n=n, k=k: ell.elliptic_staircase_check(n, k, p),
-                ns.seed, n_samples, **kw)
+                partial(ell.elliptic_staircase_check, n, k), ns.seed, n_samples, **kw)
     return reports
 
 

@@ -11,10 +11,13 @@ elliptic weight is the product of omega1(i, j) over its (D, i, j) domino
 labels and omega2(i, j) over its (S, i, j) labels, from the tiling
 model's one strip rule in ``fibl.tilings``.  The tiling sums run
 ``fibl.tilings.rect_transfer`` over each strip's sum of elliptic weights
-(the (n, k) staircase as point (k, n - k)).  The recurrence, the spiral
-and the convolution are ``fibl.tilings``' shared identities over
-EllipticRing, one ring per parameter point; the addition, splitting,
-strip, theorem and staircase checks are written here.  All identity
+(the (n, k) staircase as point (k, n - k)).  EllipticRing(params)
+owns one parameter point's values: its elliptic numbers at each base,
+weights, Fibonacci factorials, strip sums and lattices, each computed
+once.  The recurrence, the spiral and the convolution are
+``fibl.tilings``' shared identities over that ring; the addition,
+splitting, strip, theorem and staircase checks here are functions of a
+ring too, so the checks at one sampled point read one ring.  All identity
 checks are numeric at sampled parameter points, with relative tolerances
 carried by EllipticParams; the ordered degeneration p -> 0, a -> 0, b -> 0
 to the q-analogs is symbolic (limit_chain), and its q ring is
@@ -37,7 +40,7 @@ import cmath
 import math
 import random
 from collections import namedtuple
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import combinations, islice
 from typing import Callable, Optional, Sequence
 
@@ -108,18 +111,6 @@ class EllipticParams(namedtuple("EllipticParams", "a b q p trunc_eps eq_tol min_
         ones are; the tuple's own ``_replace`` would skip both."""
         return EllipticParams(**{**self._asdict(), **changes})
 
-    def rebase(self, exponent: int) -> "EllipticParams":
-        """Same parameters with q replaced by q**exponent.
-
-        In extended mode q is a B-bit number of the parameters' private
-        context, so the power is taken at B bits, not through a double.
-        """
-        if exponent < 1:
-            raise ValueError("base exponent must be >= 1")
-        if exponent == 1:
-            return self
-        return self.replace(q=self.q ** exponent)
-
 
 @lru_cache(maxsize=None)
 def _context(bits: int):
@@ -165,24 +156,30 @@ def sample_params(seed: int, *, precision_bits: Optional[int] = None,
         precision_bits=precision_bits)
 
 
-def run_sampled_checks(check: Callable[[EllipticParams], VerificationReport],
+def run_sampled_checks(check: Callable[[EllipticRing], VerificationReport],
                        master_seed: int, samples: int,
                        max_resamples: int = MAX_RESAMPLES,
+                       rings: Optional[dict] = None,
                        **sample_kwargs) -> list[VerificationReport]:
-    """Run ``check`` at ``samples`` seeded parameter points.
+    """Run ``check`` on the rings of ``samples`` seeded parameter points.
 
     Degenerate points (a theta denominator under the min_denom guard) are
     resampled with a derived seed, up to max_resamples per point; the
-    resample count is recorded on the report.
+    resample count is recorded on the report.  ``rings`` maps derived
+    seeds to the rings of calls with the same ``sample_kwargs`` and gains
+    this call's, so that the checks at one point read one ring.
     """
+    rings = {} if rings is None else rings
     reports = []
     for i in range(samples):
         attempt = 0
         while True:
             seed = derive_seed(master_seed, i, attempt)
-            params = sample_params(seed, **sample_kwargs)
+            ring = rings.get(seed)
+            if ring is None:
+                ring = rings[seed] = EllipticRing(sample_params(seed, **sample_kwargs))
             try:
-                rep = check(params)
+                rep = check(ring)
             except DegenerateParametersError:
                 attempt += 1
                 if attempt > max_resamples:
@@ -191,7 +188,7 @@ def run_sampled_checks(check: Callable[[EllipticParams], VerificationReport],
                 continue
             rep.seed = seed
             rep.resamples = attempt
-            rep.notes["params"] = dict(zip("abqp", params))
+            rep.notes["params"] = dict(zip("abqp", ring.params))
             reports.append(rep)
             break
     return reports
@@ -523,12 +520,6 @@ def _nome_rows(key: tuple, terms: int) -> list:
     return rows[:terms]
 
 
-def theta_value(x, params: EllipticParams):
-    """theta(x; p) for the nome of ``params``; in extended mode at the B
-    bits of the context that p carries."""
-    return theta(x, params.p, params.trunc_eps)
-
-
 def theta_multi(xs: Sequence, p, eps: float = DEFAULT_TRUNC_EPS):
     """Product of theta values over the argument list (empty product is 1)."""
     out = 1
@@ -541,133 +532,141 @@ def _theta_quotient(num_args, den_args, params: EllipticParams):
     den = theta_multi(den_args, params.p, params.trunc_eps)
     if abs(den) < params.min_denom:
         raise DegenerateParametersError(
-            f"theta denominator magnitude {abs(den):.3e} below min_denom")
+            f"theta denominator magnitude {float(abs(den)):.3e} below min_denom")
     return theta_multi(num_args, params.p, params.trunc_eps) / den
 
 
 # ---------------------------------------------------------------------------
 # Elliptic numbers and weights
 
-@lru_cache(maxsize=8192)
-def elliptic_number(n: int, params: EllipticParams):
-    """[n]_{a,b;q,p}: four theta factors over four; [1] = 1, [0] = 0.
-
-    Cached per (n, params), as omega1 and omega2 are: the checks of one
-    parameter point ask for the same numbers many times.  A degenerate
-    point raises on every call; the cache keeps no exception."""
-    if n < 0:
-        raise ValueError("elliptic number index must be >= 0")
-    a, b, q = params.a, params.b, params.q
-    qn = q ** n
-    return _theta_quotient(
-        [qn, a * qn, b * q, a / b * q],
-        [q, a * q, b * qn, a / b * qn],
-        params)
-
-
-def elliptic_number_base(n: int, base_exp: int, params: EllipticParams):
-    """[n]_{a,b;q^base_exp,p}: the elliptic number in the rebased variable."""
-    return elliptic_number(n, params.rebase(base_exp))
-
-
-@lru_cache(maxsize=8192)
-def weight_v(m: int, n: int, params: EllipticParams):
-    """The addition-formula weight v_{a,b;q,p}(m, n); v(0, n) = 1.
-    Cached per (m, n, params), as elliptic_number is."""
-    a, b, q = params.a, params.b, params.q
-    ab = a / b
-    return _theta_quotient(
-        [a * q ** (2 * m + n), b, b * q ** n, ab * q ** n, ab],
-        [a * q ** n, b * q ** m, b * q ** (m + n), ab * q ** m, ab * q ** (m + n)],
-        params) * q ** m
-
-
-@lru_cache(maxsize=8192)
-def omega1(i: int, j: int, params: EllipticParams):
-    """Weight of a regular domino: v_{a,b;q^{F_j},p}(F_i, F_{i-1})."""
-    if i < 1 or j < 1:
-        raise ValueError("omega1 needs i, j >= 1")
-    return weight_v(fib(i), fib(i - 1), params.rebase(fib(j)))
-
-
-@lru_cache(maxsize=8192)
-def omega2(i: int, j: int, params: EllipticParams):
-    """Weight of a special domino: v_{a,b;q,p}(F_{i+1} F_j, F_i F_{j-1}).
-
-    j = 0 uses F_0 = 0 and F_{-1} = 1, giving v(0, F_i) = 1 exactly.
-    """
-    if i < 1 or j < 0:
-        raise ValueError("omega2 needs i >= 1, j >= 0")
-    return weight_v(fib(i + 1) * fib(j), fib(i) * fib(j - 1), params)
-
-
-def elliptic_fib_factorial(n: int, params: EllipticParams):
-    """prod_{k=1}^{n} [F_k]_{a,b;q,p}."""
-    out = 1
-    for k in range(1, n + 1):
-        out = out * elliptic_number(fib(k), params)
-    return out
-
-
-def elliptic_fibonomial(m: int, n: int, params: EllipticParams):
-    """Elliptic Fibonomial via the factorial ratio."""
-    if m < 0 or n < 0:
-        raise ValueError("need m, n >= 0")
-    num = elliptic_fib_factorial(m + n, params)
-    den = elliptic_fib_factorial(m, params) * elliptic_fib_factorial(n, params)
-    if abs(den) < params.min_denom:
-        raise DegenerateParametersError("factorial denominator below min_denom")
-    return num / den
-
-
 class EllipticRing:
-    """The elliptic weight ring of ``fibl.tilings``' shared identities at
-    one parameter point: complex or B-bit values, read from the cached
-    elliptic numbers, omega2 and factorial ratios, and compared at the
-    point's tolerance."""
+    """One parameter point's values, and the elliptic weight ring of
+    ``fibl.tilings``' shared identities there: the elliptic numbers
+    [n]_{a,b;q^base,p}, the weights v, omega1 and omega2, the Fibonacci
+    factorials, the strip sums and the recurrence and tiling lattices,
+    each computed once and kept in a dict keyed by small ints; complex or
+    B-bit, compared at the point's tolerance.  A value is kept only once
+    computed, so a degenerate point raises on every call."""
 
-    __slots__ = ("params",)
+    __slots__ = ("params", "_numbers", "_v", "_omega1", "_omega2", "_factorials",
+                 "_strips", "recurrence_lattice", "tiling_lattice")
     one = 1
 
     def __init__(self, params: EllipticParams):
         self.params = params
+        self._numbers, self._v, self._omega1, self._omega2, self._strips = {}, {}, {}, {}, {}
+        self._factorials = [1]              # prod_{k=1}^{n} [F_k] at n
+        self.recurrence_lattice, self.tiling_lattice = {}, {}
+
+    def _q(self, base: int):
+        """q ** base, at B bits in extended mode."""
+        if base < 1:
+            raise ValueError("base exponent must be >= 1")
+        return self.params.q ** base if base > 1 else self.params.q
+
+    def number(self, n: int, base: int = 1):
+        """[n]_{a,b;q^base,p}: four theta factors over four; [1] = 1, [0] = 0."""
+        value = self._numbers.get((n, base))
+        if value is None:
+            if n < 0:
+                raise ValueError("elliptic number index must be >= 0")
+            a, b, q = self.params.a, self.params.b, self._q(base)
+            qn = q ** n
+            value = self._numbers[n, base] = _theta_quotient(
+                [qn, a * qn, b * q, a / b * q],
+                [q, a * q, b * qn, a / b * qn],
+                self.params)
+        return value
+
+    def v(self, m: int, n: int, base: int = 1):
+        """The addition-formula weight v_{a,b;q^base,p}(m, n); v(0, n) = 1."""
+        value = self._v.get((m, n, base))
+        if value is None:
+            a, b, q = self.params.a, self.params.b, self._q(base)
+            ab = a / b
+            value = self._v[m, n, base] = _theta_quotient(
+                [a * q ** (2 * m + n), b, b * q ** n, ab * q ** n, ab],
+                [a * q ** n, b * q ** m, b * q ** (m + n), ab * q ** m, ab * q ** (m + n)],
+                self.params) * q ** m
+        return value
+
+    def omega1(self, i: int, j: int):
+        """Weight of a regular domino: v_{a,b;q^{F_j},p}(F_i, F_{i-1})."""
+        value = self._omega1.get((i, j))
+        if value is None:
+            if i < 1 or j < 1:
+                raise ValueError("omega1 needs i, j >= 1")
+            value = self._omega1[i, j] = self.v(fib(i), fib(i - 1), fib(j))
+        return value
+
+    def omega2(self, i: int, j: int):
+        """Weight of a special domino: v_{a,b;q,p}(F_{i+1} F_j, F_i F_{j-1}).
+
+        j = 0 uses F_0 = 0 and F_{-1} = 1, giving v(0, F_i) = 1 exactly.
+        """
+        value = self._omega2.get((i, j))
+        if value is None:
+            if i < 1 or j < 0:
+                raise ValueError("omega2 needs i >= 1, j >= 0")
+            value = self._omega2[i, j] = self.v(fib(i + 1) * fib(j), fib(i) * fib(j - 1))
+        return value
+
+    def factorial(self, n: int):
+        """prod_{k=1}^{n} [F_k]_{a,b;q,p}, multiplied left to right."""
+        facts = self._factorials
+        while len(facts) <= n:
+            facts.append(facts[-1] * self.number(fib(len(facts))))
+        return facts[n]
 
     def fibonomial(self, m: int, n: int):
-        return elliptic_fibonomial(m, n, self.params)
+        """Elliptic Fibonomial via the factorial ratio."""
+        if m < 0 or n < 0:
+            raise ValueError("need m, n >= 0")
+        num = self.factorial(m + n)
+        den = self.factorial(m) * self.factorial(n)
+        if abs(den) < self.params.min_denom:
+            raise DegenerateParametersError("factorial denominator below min_denom")
+        return num / den
 
     def times_number(self, v, n: int, base: int):
-        return v * elliptic_number_base(n, base, self.params)
+        return v * self.number(n, base)
 
     def times_omega2(self, v, i: int, j: int):
-        return v * omega2(i, j, self.params)
+        return v * self.omega2(i, j)
 
     def report(self, identity: str, inputs: dict, lhs, rhs) -> VerificationReport:
         return numeric_report("elliptic-" + identity, inputs, lhs, rhs, self.params.eq_tol)
 
+    def tiles_weight(self, tiles):
+        """Product of omega1(i, j) over the (D, i, j) labels and omega2(i, j)
+        over the (S, i, j) labels, in label order."""
+        w = 1
+        for kind, i, j in tiles:
+            w = w * (self.omega2 if kind == SPECIAL else self.omega1)(i, j)
+        return w
 
-def _tiles_weight(tiles, params: EllipticParams):
-    """Product of omega1(i, j) over the (D, i, j) labels and omega2(i, j)
-    over the (S, i, j) labels, in label order."""
-    w = 1
-    for kind, i, j in tiles:
-        w = w * (omega2 if kind == SPECIAL else omega1)(i, j, params)
-    return w
+    def strip_sum(self, index: int, length: int, forced: bool):
+        """Sum of elliptic weights over one rectangle strip's tilings, in
+        tiling order; 0 when the strip has no tiling.  The strip sums
+        ``fibl.tilings.rect_transfer`` multiplies."""
+        value = self._strips.get((index, length, forced))
+        if value is None:
+            value = 0
+            for strip in _strip_choices(length, forced):
+                value = value + self.tiles_weight(_rect_strip_tiles(index, length, forced, strip))
+            self._strips[index, length, forced] = value
+        return value
+
+    def tiling_sum(self, m: int, n: int):
+        """Sum of elliptic weights over the m x n rectangle's tilings, and so
+        the (m + n, m) staircase's, by rect_transfer on the tiling lattice."""
+        return rect_transfer(m, n, self.strip_sum, 1, self.tiling_lattice)
 
 
-def elliptic_weight(t: PathDominoTiling | StaircaseTiling, params: EllipticParams):
+def elliptic_weight(t: PathDominoTiling | StaircaseTiling, ring: EllipticRing):
     """Product of elliptic tile weights of a tiling of either model, over
     the domino labels of ``fibl.tilings.tiling_tiles``."""
-    return _tiles_weight(tiling_tiles(t), params)
-
-
-def _strip_sum(params: EllipticParams, index: int, length: int, forced: bool):
-    """Sum of elliptic weights over one rectangle strip's tilings, in
-    tiling order; 0 when the strip has no tiling.  The strip sums
-    ``fibl.tilings.rect_transfer`` multiplies."""
-    total = 0
-    for strip in _strip_choices(length, forced):
-        total = total + _tiles_weight(_rect_strip_tiles(index, length, forced, strip), params)
-    return total
+    return ring.tiles_weight(tiling_tiles(t))
 
 
 # ---------------------------------------------------------------------------
@@ -742,65 +741,58 @@ def theta_property_suite(params: EllipticParams, samples: int,
     return reports
 
 
-def elliptic_addition_check(m: int, n: int, params: EllipticParams) -> VerificationReport:
+def elliptic_addition_check(m: int, n: int, ring: EllipticRing) -> VerificationReport:
     """[m+n] = [m] + v(m, n) [n]."""
-    lhs = elliptic_number(m + n, params)
-    rhs = elliptic_number(m, params) + weight_v(m, n, params) * elliptic_number(n, params)
-    return numeric_report("elliptic-addition", {"m": m, "n": n}, lhs, rhs, params.eq_tol)
+    lhs = ring.number(m + n)
+    rhs = ring.number(m) + ring.v(m, n) * ring.number(n)
+    return ring.report("addition", {"m": m, "n": n}, lhs, rhs)
 
 
-def fib_splitting_check(m: int, n: int, params: EllipticParams) -> VerificationReport:
+def fib_splitting_check(m: int, n: int, ring: EllipticRing) -> VerificationReport:
     """[F_{m+n}] = [F_n][F_{m+1}]_{q^{F_n}} + omega2(m,n)[F_m][F_{n-1}]_{q^{F_m}}."""
-    lhs = elliptic_number(fib(m + n), params)
-    rhs = (elliptic_number(fib(n), params)
-           * elliptic_number_base(fib(m + 1), fib(n), params)
-           + omega2(m, n, params) * elliptic_number(fib(m), params)
-           * elliptic_number_base(fib(n - 1), fib(m), params))
-    return numeric_report("elliptic-fib-splitting", {"m": m, "n": n}, lhs, rhs,
-                          params.eq_tol)
+    lhs = ring.number(fib(m + n))
+    rhs = (ring.number(fib(n)) * ring.number(fib(m + 1), fib(n))
+           + ring.omega2(m, n) * ring.number(fib(m)) * ring.number(fib(n - 1), fib(m)))
+    return ring.report("fib-splitting", {"m": m, "n": n}, lhs, rhs)
 
 
-def elliptic_theorem_check(m: int, n: int, params: EllipticParams) -> VerificationReport:
+def elliptic_theorem_check(m: int, n: int, ring: EllipticRing) -> VerificationReport:
     """Factorial ratio vs recurrence vs tiling sum.
 
-    The tiling sum is rect_transfer over the strips' elliptic weight sums.
-    The report's lhs is the ratio and rhs the tiling sum; rel_diff is the
+    The recurrence and the tiling sum run on the ring's two lattices.  The
+    report's lhs is the ratio and rhs the tiling sum; rel_diff is the
     worst pairwise disagreement among the three routes.
     """
-    ratio = elliptic_fibonomial(m, n, params)
+    ratio = ring.fibonomial(m, n)
     values = {"ratio": ratio,
-              "recurrence": recurrence(EllipticRing(params), m, n),
-              "tiling_sum": rect_transfer(m, n, partial(_strip_sum, params), 1)}
+              "recurrence": recurrence(ring, m, n, ring.recurrence_lattice),
+              "tiling_sum": ring.tiling_sum(m, n)}
     worst = 0.0
     for u, v in combinations(values.values(), 2):
         scale = max(abs(u), abs(v))
         if scale:
             worst = max(worst, float(abs(u - v) / scale))
-    rep = numeric_report("elliptic-fibonomial", {"m": m, "n": n}, ratio,
-                         values["tiling_sum"], params.eq_tol)
+    rep = ring.report("fibonomial", {"m": m, "n": n}, ratio, values["tiling_sum"])
     rep.rel_diff = worst
-    rep.passed = worst <= params.eq_tol
+    rep.passed = worst <= ring.params.eq_tol
     rep.notes["routes"] = sorted(values)
     return rep
 
 
-def elliptic_strip_check(n: int, params: EllipticParams) -> VerificationReport:
+def elliptic_strip_check(n: int, ring: EllipticRing) -> VerificationReport:
     """Sum over (n-1)-strip tilings of prod omega1(i, 1) equals [F_n]."""
     if n < 1:
         raise ValueError("need n >= 1")
-    total = _strip_sum(params, 1, n - 1, False)
-    lhs = elliptic_number(fib(n), params)
-    return numeric_report("elliptic-strip", {"n": n}, lhs, total, params.eq_tol)
+    total = ring.strip_sum(1, n - 1, False)
+    return ring.report("strip", {"n": n}, ring.number(fib(n)), total)
 
 
-def elliptic_staircase_check(n: int, k: int, params: EllipticParams) -> VerificationReport:
+def elliptic_staircase_check(n: int, k: int, ring: EllipticRing) -> VerificationReport:
     """Sum of elliptic weights over (n, k)-staircase tilings, rectangle
     point (k, n - k), equals the elliptic Fibonomial with parts (n-k, k)."""
     _check_staircase(n, k)
-    total = rect_transfer(k, n - k, partial(_strip_sum, params), 1)
-    lhs = elliptic_fibonomial(n - k, k, params)
-    return numeric_report("elliptic-staircase", {"n": n, "k": k}, lhs, total,
-                          params.eq_tol)
+    total = ring.tiling_sum(k, n - k)
+    return ring.report("staircase", {"n": n, "k": k}, ring.fibonomial(n - k, k), total)
 
 
 # ---------------------------------------------------------------------------

@@ -45,10 +45,12 @@ The two-term recurrence (the transfer over the strips' closed forms), the
 n = 2 spiral and the convolution over the last east step are written once
 here, each as a function of a weight ring: ``fibl.qpoly.Q_RING``, the
 limit p, a, b -> 0 of ``fibl.elliptic.EllipticRing``.  What stays per ring:
-the strip sums (q counts exponents into a dense table, as adding dense
-monomials is far slower), the theorem and staircase checks, whose reports
-differ between the rings, and the q convolution's up-front degree-cap
-check.  Tilings are listed only for ``fibl enumerate``, the tests (as the
+the strip sums and the lattices they fill (q counts exponents into a dense
+table, as adding dense monomials is far slower, on lattices kept here; an
+EllipticRing keeps its own, one parameter point each), the theorem and
+staircase checks, whose reports differ between the rings (the elliptic
+ones take an EllipticRing, in ``fibl.elliptic``), and the q convolution's
+up-front degree-cap check.  Tilings are listed only for ``fibl enumerate``, the tests (as the
 transfer's oracle) and the Catalan counterexample.
 
 Enumeration is streaming and deterministic: paths in lexicographic step

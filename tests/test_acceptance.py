@@ -124,29 +124,29 @@ def test_criterion_09_elliptic_checks():
     for m in range(1, 7):                       # ratio, recurrence and tiling sum
         for n in range(1, 7):
             reps = ell.run_sampled_checks(
-                lambda p, m=m, n=n: ell.elliptic_theorem_check(m, n, p),
+                lambda ring, m=m, n=n: ell.elliptic_theorem_check(m, n, ring),
                 SEED, 20)
             ok &= all(r.passed and r.rel_diff <= DOUBLE_TOL for r in reps)
             ok &= all(r.notes["routes"] == ["ratio", "recurrence", "tiling_sum"]
                       for r in reps)
     for n in range(1, 9):
         reps = ell.run_sampled_checks(
-            lambda p, n=n: ell.elliptic_strip_check(n, p), SEED, 20)
+            lambda ring, n=n: ell.elliptic_strip_check(n, ring), SEED, 20)
         ok &= all(r.passed for r in reps)
     for m in range(1, 6):
         reps = ell.run_sampled_checks(
-            lambda p, m=m: tilings.spiral_check(ell.EllipticRing(p), m), SEED, 20)
+            lambda ring, m=m: tilings.spiral_check(ring, m), SEED, 20)
         ok &= all(r.passed for r in reps)
     for m in range(1, 5):
         for n in range(1, 5):
             reps = ell.run_sampled_checks(
-                lambda p, m=m, n=n: tilings.convolution_check(ell.EllipticRing(p), m, n),
+                lambda ring, m=m, n=n: tilings.convolution_check(ring, m, n),
                 SEED, 20)
             ok &= all(r.passed for r in reps)
     for n in range(1, 7):
         for k in range(0, n + 1):
             reps = ell.run_sampled_checks(
-                lambda p, n=n, k=k: ell.elliptic_staircase_check(n, k, p),
+                lambda ring, n=n, k=k: ell.elliptic_staircase_check(n, k, ring),
                 SEED, 20)
             ok &= all(r.passed for r in reps)
     c.finish(ok)

@@ -368,7 +368,7 @@ class TestEllipticCommand:
 
     def test_override_reaches_extended_arithmetic(self, capsys):
         params = ell.sample_params(DEFAULT_SEED, precision_bits=128)
-        want = complex(ell.elliptic_fibonomial(3, 4, params.replace(q=0.5 + 0.1j)))
+        want = complex(ell.EllipticRing(params.replace(q=0.5 + 0.1j)).fibonomial(3, 4))
         argv = ("elliptic", "fibonomial", "3", "4", "--q", "0.5+0.1j")
         code, out, _ = run(capsys, *argv, "--precision", "ext:128")
         assert code == 0
@@ -400,6 +400,13 @@ class TestEllipticCommand:
         assert (code, out) == (4, "")
         assert err.startswith(f"degenerate parameters: {why} (") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("precision", ["double", "ext:128"])
+    def test_vanishing_denominator_is_degenerate(self, capsys, precision):
+        # q = 1 puts theta(q) = 0 in every elliptic number's denominator
+        argv = ("elliptic", "number", "3", "--q", "1", "--precision", precision)
+        assert run(capsys, *argv) == (4, "", "degenerate parameters: theta denominator "
+                                             "magnitude 0.000e+00 below min_denom\n")
+
 
 class TestVerifyCommand:
     def test_counterexample_suite(self, capsys):
@@ -420,6 +427,16 @@ class TestVerifyCommand:
         assert code == 0
         assert (hashlib.sha256(out.encode()).hexdigest()
                 == "e310e058904e9f0ab2e15d88739101188b876a9322cce138d5df7bc741635aec")
+
+    @pytest.mark.parametrize("seed, digest", [
+        ("0", "1c9b25b99fbc50023deffaf5db1a8e2860a0e11c0cb6b7a0359805257020a995"),
+        ("1", "fd987bd00033c58dc0e3d65deff51086c004cb7d78cf9f106e9c8f3b2461a142"),
+    ])
+    def test_extended_elliptic_all_csv_bytes(self, capsys, seed, digest):
+        code, out, _ = run(capsys, "verify", "elliptic-all", "--samples", "10",
+                           "--precision", "ext:128", "--seed", seed, "--format", "csv")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_spiral_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "spiral")

@@ -8,7 +8,6 @@ from fibl import qpoly, tilings
 from fibl.errors import ResourceLimitError
 from fibl.fib import fib
 from fibl.qpoly import Q_RING, IntPoly, fibonomial_int, q_fibonomial, q_number
-from fibl.report import numeric_report
 from fibl.tilings import (PathDominoTiling, catalan_partial_tiling_counterexample,
                           enumerate_rect_tilings, enumerate_staircase_tilings,
                           iter_rect_tilings, iter_staircase_tilings,
@@ -294,7 +293,7 @@ class TestTransferGeneratingFunctions:
 @pytest.mark.parametrize("call", [
     lambda n, k: staircase_generating_function(n, k),
     lambda n, k: enumerate_staircase_tilings(n, k, cap=0),
-    lambda n, k: ell.elliptic_staircase_check(n, k, ell.sample_params(0)),
+    lambda n, k: ell.elliptic_staircase_check(n, k, ell.EllipticRing(ell.sample_params(0))),
 ], ids=["generating-function", "enumerate", "elliptic-check"])
 def test_bad_staircase_size_is_a_value_error(call, n, k):
     """Checked before any cap (the enumeration cap is 0 here) and before
@@ -415,11 +414,11 @@ class TestSharedIdentities:
             assert not tilings.spiral_check(bad, m).passed, m
 
     def test_elliptic_reports_fail_under_transposed_omega2(self):
-        p = ell.sample_params(3)
-        good, bad = ell.EllipticRing(p), _TransposedOmega2(ell.EllipticRing(p))
+        good = ell.EllipticRing(ell.sample_params(3))
+        bad = _TransposedOmega2(good)
         for ring, passed in ((good, True), (bad, False)):
-            rec = numeric_report("recurrence", {}, ell.elliptic_fibonomial(3, 3, p),
-                                 tilings.recurrence(ring, 3, 3), p.eq_tol)
+            rec = good.report("recurrence", {}, good.fibonomial(3, 3),
+                              tilings.recurrence(ring, 3, 3))
             assert rec.passed is passed
             assert tilings.spiral_check(ring, 3).passed is passed
             assert tilings.convolution_check(ring, 3, 3).passed is passed
