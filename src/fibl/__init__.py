@@ -5,17 +5,17 @@ Modules
 fib
     Arbitrary-precision Fibonacci numbers (index extended to -1).
 qpoly
-    Exact dense polynomial arithmetic in q: q-numbers, the ratio engine,
-    q-Fibonomials by ratio and by recurrence, unimodality, and the q
-    weight ring.
+    Exact dense polynomial arithmetic in q under a degree cap: q-numbers,
+    the ratio engine, q-Fibonomials by ratio and by recurrence.
 tilings
-    The two weighted tiling models (rectangle path-domino and staircase)
-    whose generating functions realize the q-Fibonomials, the lattice
-    transfer that sums them, and the recurrence, spiral and convolution
-    written once over a weight ring.
+    The two weighted tiling models (rectangle path-domino and staircase),
+    the lattice transfer that sums them, the tiling sum, recurrence,
+    spiral and convolution written once over a weight ring, and the q
+    weight ring with its strip sums and lattices.
 elliptic
-    Theta functions by the Jacobi triple product series, elliptic numbers
-    and weights, the numeric verification checks, and the symbolic
+    Theta functions by the Jacobi triple product series, the elliptic
+    weight ring of one parameter point with its values, strip sums and
+    lattices, the numeric verification checks, and the symbolic
     degeneration back to q.
 catalan
     Rational q-Fibo-Catalan polynomiality verdicts, positivity sweeps and

@@ -535,7 +535,7 @@ def _cmd_enumerate(ns) -> int:
 
 def _cmd_spiral(ns) -> int:
     with _degree_cap(ns.cap):
-        reports = [tilings.spiral_check(qpoly.Q_RING, ns.m),
+        reports = [tilings.spiral_check(tilings.Q_RING, ns.m),
                    qpoly.spiral_identity_check_q1(ns.m)]
     return _emit_reports(ns, reports)
 
@@ -654,14 +654,14 @@ def _suite_theta(ns) -> list[VerificationReport]:
 
 
 def _suite_spiral(ns) -> list[VerificationReport]:
-    reports = [tilings.spiral_check(qpoly.Q_RING, m) for m in range(1, 13)]
+    reports = [tilings.spiral_check(tilings.Q_RING, m) for m in range(1, 13)]
     reports += [qpoly.spiral_identity_check_q1(m) for m in range(1, 41)]
     return reports
 
 
 def _suite_convolution(ns) -> list[VerificationReport]:
     top = ns.max if ns.max else 6
-    return [qpoly.convolution_identity_check_q(m, n)
+    return [tilings.convolution_check(tilings.Q_RING, m, n)
             for m in range(1, top + 1) for n in range(1, top + 1)]
 
 

@@ -9,19 +9,18 @@ at |p| <= 0.35 and eps = 1e-17.  On top of it sit the elliptic number
 over five, times q^m) and the tile weights omega1/omega2.  A tiling's
 elliptic weight is the product of omega1(i, j) over its (D, i, j) domino
 labels and omega2(i, j) over its (S, i, j) labels, from the tiling
-model's one strip rule in ``fibl.tilings``.  The tiling sums run
-``fibl.tilings.rect_transfer`` over each strip's sum of elliptic weights
-(the (n, k) staircase as point (k, n - k)).  EllipticRing(params)
+model's one strip rule in ``fibl.tilings``.  EllipticRing(params)
 owns one parameter point's values: its elliptic numbers at each base,
 weights, Fibonacci factorials, strip sums and lattices, each computed
-once.  The recurrence, the spiral and the convolution are
-``fibl.tilings``' shared identities over that ring; the addition,
-splitting, strip, theorem and staircase checks here are functions of a
-ring too, so the checks at one sampled point read one ring.  All identity
-checks are numeric at sampled parameter points, with relative tolerances
-carried by EllipticParams; the ordered degeneration p -> 0, a -> 0, b -> 0
-to the q-analogs is symbolic (limit_chain), and its q ring is
-``fibl.qpoly.Q_RING``.
+once.  The tiling sum (``fibl.tilings.tiling_sum`` over each strip's
+sum of elliptic weights, the (n, k) staircase as point (k, n - k)), the
+recurrence, the spiral and the convolution are ``fibl.tilings``' shared
+identities over that ring; the addition, splitting, strip, theorem and
+staircase checks here are functions of a ring too, so the checks at one
+sampled point read one ring.  All identity checks are numeric at sampled
+parameter points, with relative tolerances carried by EllipticParams;
+the ordered degeneration p -> 0, a -> 0, b -> 0 to the q-analogs is
+symbolic (limit_chain), and its q ring is ``fibl.tilings.Q_RING``.
 
 Two numeric regimes, selected per parameter set: double precision
 (complex) and an extended mode of B bits, where EllipticParams holds a,
@@ -48,7 +47,7 @@ from fibl.errors import DegenerateParametersError
 from fibl.fib import fib
 from fibl.report import DEFAULT_SEED, VerificationReport, numeric_report
 from fibl.tilings import (SPECIAL, PathDominoTiling, StaircaseTiling, recurrence,
-                          rect_transfer, tiling_tiles, _check_staircase,
+                          tiling_sum, tiling_tiles, _check_staircase,
                           _rect_strip_tiles, _strip_choices)
 
 DEFAULT_TRUNC_EPS = 1e-17
@@ -224,10 +223,11 @@ def theta(x, p, eps: float = DEFAULT_TRUNC_EPS):
       number), rounded once to an mpc of that context (``_theta_ext``).
 
     theta(1; p) and theta(p; p) are exactly 0, and theta(x; 0) is 1 - x
-    rounded once.  x = 0, |p| >= 1, more than _MAX_THETA_TERMS terms a
-    side, and, in the Gaussian kernel, more than _MAX_THETA_WORK terms
-    times W + g bits a side raise ValueError.  Values do not depend on the
-    caches' state.
+    rounded once.  x = 0 and |p| >= 1 raise ValueError, and so do, in the
+    Gaussian kernel, more than _MAX_THETA_TERMS terms a side or more than
+    _MAX_THETA_WORK terms times W + g bits a side.  The float series needs
+    no cap: at |p| <= 0.3617 its nome has at most 38 rows even at eps =
+    5e-324.  Values do not depend on the caches' state.
     """
     if not (isinstance(x, (complex, float, int)) and isinstance(p, (complex, float, int))):
         return _theta_ext(x, p, eps)
@@ -244,8 +244,6 @@ def theta(x, p, eps: float = DEFAULT_TRUNC_EPS):
     if rows is None:
         ma, mb, e = _series(_exact(x), _gaussian(p, _DOUBLE_WIDTH), _DOUBLE_WIDTH, eps)
         return complex(_float(ma, e), _float(mb, e))
-    if len(rows) >= _MAX_THETA_TERMS:        # T_0 is not a row
-        raise ValueError(_NOT_CONVERGED)
     ax = abs(x)
     if ax <= absp:
         y, w, log_y = p / x, x, log_p - math.log(ax)
@@ -648,7 +646,7 @@ class EllipticRing:
     def strip_sum(self, index: int, length: int, forced: bool):
         """Sum of elliptic weights over one rectangle strip's tilings, in
         tiling order; 0 when the strip has no tiling.  The strip sums
-        ``fibl.tilings.rect_transfer`` multiplies."""
+        ``fibl.tilings.tiling_sum`` multiplies."""
         value = self._strips.get((index, length, forced))
         if value is None:
             value = 0
@@ -656,11 +654,6 @@ class EllipticRing:
                 value = value + self.tiles_weight(_rect_strip_tiles(index, length, forced, strip))
             self._strips[index, length, forced] = value
         return value
-
-    def tiling_sum(self, m: int, n: int):
-        """Sum of elliptic weights over the m x n rectangle's tilings, and so
-        the (m + n, m) staircase's, by rect_transfer on the tiling lattice."""
-        return rect_transfer(m, n, self.strip_sum, 1, self.tiling_lattice)
 
 
 def elliptic_weight(t: PathDominoTiling | StaircaseTiling, ring: EllipticRing):
@@ -765,8 +758,8 @@ def elliptic_theorem_check(m: int, n: int, ring: EllipticRing) -> VerificationRe
     """
     ratio = ring.fibonomial(m, n)
     values = {"ratio": ratio,
-              "recurrence": recurrence(ring, m, n, ring.recurrence_lattice),
-              "tiling_sum": ring.tiling_sum(m, n)}
+              "recurrence": recurrence(ring, m, n),
+              "tiling_sum": tiling_sum(ring, m, n)}
     worst = 0.0
     for u, v in combinations(values.values(), 2):
         scale = max(abs(u), abs(v))
@@ -791,7 +784,7 @@ def elliptic_staircase_check(n: int, k: int, ring: EllipticRing) -> Verification
     """Sum of elliptic weights over (n, k)-staircase tilings, rectangle
     point (k, n - k), equals the elliptic Fibonomial with parts (n-k, k)."""
     _check_staircase(n, k)
-    total = ring.tiling_sum(k, n - k)
+    total = tiling_sum(ring, k, n - k)
     return ring.report("staircase", {"n": n, "k": k}, ring.fibonomial(n - k, k), total)
 
 

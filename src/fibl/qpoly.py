@@ -5,13 +5,16 @@ arbitrary-precision integers; every q-analog quantity in the package is one
 of these.  The module provides the q-number [n] = 1 + q + ... + q^{n-1},
 the ratio engine that builds every product or quotient of q-numbers
 (q_ratio_coeffs), the q-Fibonomial by two independent routes (the ratio
-engine, and ``fibl.tilings.recurrence`` over the q weight ring Q_RING),
-long division, and the q entry points of the shared identities.
+engine, and ``fibl.tilings.recurrence`` over the q weight ring
+``fibl.tilings.Q_RING``), long division, and the integer shadow of the
+spiral identity.
 
 Degrees are guarded by a configurable cap (default 10**7) so runaway
 inputs fail fast with a ResourceLimitError instead of exhausting memory:
 q-number degrees grow like Fibonacci numbers, i.e. exponentially in the
-index.
+index.  Every IntPoly product, shift and substitution, every q-number,
+and every product of the q weight ring checks the degree of its result
+before it builds it.
 """
 
 from __future__ import annotations
@@ -82,13 +85,11 @@ class IntPoly:
         return _ONE
 
     @classmethod
-    def monomial(cls, exponent: int, coeff: int = 1) -> "IntPoly":
+    def monomial(cls, exponent: int) -> "IntPoly":
         if exponent < 0:
             raise ValueError("exponent must be >= 0")
         _ensure_cap(exponent)
-        if coeff == 0:
-            return _ZERO
-        return cls._wrap([0] * exponent + [coeff])
+        return cls._wrap([0] * exponent + [1])
 
     @property
     def coeffs(self) -> tuple:
@@ -469,12 +470,12 @@ def fibonomial_int(m: int, n: int) -> int:
 
 def q_fibonomial_recurrence(m: int, n: int) -> IntPoly:
     """The q-Fibonomial via the two-term recurrence,
-    ``fibl.tilings.recurrence`` over Q_RING, on a lattice kept across calls
-    (the degree cap is checked on every call); independent of the ratio
-    route."""
-    from fibl.tilings import _q_lattice, recurrence     # tilings imports qpoly
+    ``fibl.tilings.recurrence`` over ``fibl.tilings.Q_RING``, on its lattice
+    kept across calls (the degree cap is checked on every call);
+    independent of the ratio route."""
+    from fibl.tilings import Q_RING, recurrence     # tilings imports qpoly
     _ensure_cap(_fibonomial_degree(m, n))
-    return recurrence(Q_RING, m, n, _q_lattice(1))
+    return recurrence(Q_RING, m, n)
 
 
 def is_unimodal(poly: IntPoly) -> bool:
@@ -493,49 +494,3 @@ def spiral_identity_check_q1(m: int) -> VerificationReport:
     lhs = fib(m + 2) * fib(m + 1)
     rhs = sum(fib(k) ** 2 for k in range(1, m + 2))
     return exact_report("q-spiral-at-1", {"m": m}, lhs, rhs)
-
-
-def convolution_identity_check_q(m: int, n: int) -> VerificationReport:
-    """Exact check of the q-degenerated convolution formula,
-    ``fibl.tilings.convolution_check`` over Q_RING, where omega2(m, n - j)
-    is q^{F_{m+1} F_{n-j}}.  Every term's full degree is checked against
-    the degree cap, in ascending j, before any term is built."""
-    from fibl.tilings import convolution_check
-    if m < 1 or n < 1:
-        raise ValueError("need m, n >= 1")
-    up = fib(m + 1)
-    for j in range(n + 1):
-        if j != n - 1:                     # [F_0] = 0
-            lead = (up - 1) * sum(fib(n - i) for i in range(j))
-            own = (fib(n - 1 - j) - 1) * fib(m)
-            _ensure_cap(q_fibonomial(m - 1, n - j).degree + up * fib(n - j) + lead + own)
-    return convolution_check(Q_RING, m, n)
-
-
-class QRing:
-    """The q weight ring of ``fibl.tilings``' shared identities, over
-    IntPoly: the limit p -> 0, a -> 0, b -> 0 of the elliptic ring, where
-    [n]_{q^base} stays itself and omega2(i, j) becomes q^{F_{i+1} F_j}.
-    A product by a q-number is one window sum."""
-
-    one = _ONE
-
-    def fibonomial(self, m: int, n: int) -> IntPoly:
-        return q_fibonomial(m, n)
-
-    def times_number(self, v: IntPoly, n: int, base: int) -> IntPoly:
-        return IntPoly._wrap(kernels.mul_qnumber(list(v._c), n, base))
-
-    def times_omega2(self, v: IntPoly, i: int, j: int) -> IntPoly:
-        return v.shift(fib(i + 1) * fib(j))
-
-    def report(self, identity: str, inputs: dict, lhs, rhs) -> VerificationReport:
-        return exact_report("q-" + identity, inputs, lhs, rhs)
-
-
-Q_RING = QRing()
-
-
-def reset_caches() -> None:
-    """Drop the memoized ratio-route q-Fibonomials (mainly for tests)."""
-    q_fibonomial.cache_clear()

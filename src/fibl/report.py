@@ -88,28 +88,24 @@ def inputs_key(inputs: dict) -> str:
     return repr(sorted(inputs.items()))
 
 
-def exact_report(name: str, inputs: dict, lhs, rhs, *, expected: str = "equal",
-                 **extra) -> VerificationReport:
+def exact_report(name: str, inputs: dict, lhs, rhs, *,
+                 expected: str = "equal") -> VerificationReport:
     """Report on an exact (integer or polynomial) comparison."""
     equal = lhs == rhs
     passed = equal if expected == "equal" else not equal
     return VerificationReport(
         identity_name=name, inputs=inputs, lhs=lhs, rhs=rhs,
-        passed=passed, expected=expected, **extra)
+        passed=passed, expected=expected)
 
 
-def numeric_report(name: str, inputs: dict, lhs, rhs, tol: float, *,
-                   expected: str = "equal", **extra) -> VerificationReport:
+def numeric_report(name: str, inputs: dict, lhs, rhs, tol: float) -> VerificationReport:
     """Report on a complex-valued comparison at relative tolerance ``tol``."""
     ad = abs(lhs - rhs)
     scale = max(abs(lhs), abs(rhs))
     rd = float(ad / scale) if scale > 0 else 0.0
-    close = rd <= tol
-    passed = close if expected == "equal" else not close
     return VerificationReport(
         identity_name=name, inputs=inputs, lhs=lhs, rhs=rhs,
-        passed=passed, abs_diff=float(ad), rel_diff=rd, tolerance=tol,
-        expected=expected, **extra)
+        passed=rd <= tol, abs_diff=float(ad), rel_diff=rd, tolerance=tol)
 
 
 def _jsonable(v):

@@ -37,21 +37,19 @@ serves every target of both models: the (n, k) staircase sum is point
 (k, n - k), as under (s, x) -> (x, s - x) a staircase row of length s - 1
 with its north step at x is rectangle row s - x of length x, or, forced,
 column x of height s - x.  Only ``*`` and ``+`` are used, so both weight
-rings run through the transfer: the q generating functions over
-dense IntPoly strip sums, on a lattice kept across calls, the elliptic
-tiling sums over complex ones.
+rings run through the transfer: the q generating functions over dense
+IntPoly strip sums, the elliptic tiling sums over complex ones.
 
-The two-term recurrence (the transfer over the strips' closed forms), the
-n = 2 spiral and the convolution over the last east step are written once
-here, each as a function of a weight ring: ``fibl.qpoly.Q_RING``, the
-limit p, a, b -> 0 of ``fibl.elliptic.EllipticRing``.  What stays per ring:
-the strip sums and the lattices they fill (q counts exponents into a dense
-table, as adding dense monomials is far slower, on lattices kept here; an
-EllipticRing keeps its own, one parameter point each), the theorem and
-staircase checks, whose reports differ between the rings (the elliptic
-ones take an EllipticRing, in ``fibl.elliptic``), and the q convolution's
-up-front degree-cap check.  Tilings are listed only for ``fibl enumerate``, the tests (as the
-transfer's oracle) and the Catalan counterexample.
+The tiling sum, the two-term recurrence (the transfer over the strips'
+closed forms), the n = 2 spiral and the convolution over the last east
+step are written once here, each as a function of a weight ring:
+``Q_RING`` here, the limit p, a, b -> 0 of ``fibl.elliptic.EllipticRing``.
+Each ring owns its strip sums and lattices, and its products enforce its
+limits: Q_RING's check the degree cap before they build anything.  Only
+the theorem and staircase checks, whose reports differ, stay per ring
+(the elliptic ones in ``fibl.elliptic``).  Tilings are listed only for
+``fibl enumerate``, the tests (as the transfer's oracle) and the Catalan
+counterexample.
 
 Enumeration is streaming and deterministic: paths in lexicographic step
 order (E < N, N < W), strip tilings in lexicographic tile order (D < M).
@@ -68,9 +66,11 @@ from functools import lru_cache, partial
 from itertools import product
 from typing import Callable, Iterator, NamedTuple, Optional
 
+from fibl import kernels
 from fibl.errors import ResourceLimitError
 from fibl.fib import fib
-from fibl.qpoly import IntPoly, _ensure_cap, _fibonomial_degree, fibonomial_int, ratio_poly
+from fibl.qpoly import (IntPoly, _ensure_cap, _fibonomial_degree, fibonomial_int, q_fibonomial,
+                        ratio_poly)
 from fibl.report import VerificationReport, exact_report
 
 DEFAULT_ENUMERATION_CAP = 10**8
@@ -160,35 +160,6 @@ def tile_exponent(kind: str, i: int, j: int) -> int:
     """The q-weight exponent of a labelled domino: F_i F_j, or F_{i+1} F_j
     for a special one (the q-limits of omega1(i, j) and omega2(i, j))."""
     return fib(i + 1 if kind == SPECIAL else i) * fib(j)
-
-
-@lru_cache(maxsize=4096)
-def _strip_table(index: int, length: int, forced: bool) -> IntPoly:
-    """A rectangle strip's q-weight sum, dense: coefficient e counts its
-    tilings of weight q^e; zero when it has no tiling."""
-    counts: dict[int, int] = {}
-    for strip in _strip_choices(length, forced):
-        e = sum(tile_exponent(*tile) for tile in _rect_strip_tiles(index, length, forced, strip))
-        counts[e] = counts.get(e, 0) + 1
-    return _poly_from_counts(counts)
-
-
-_Q_LATTICES: list[dict] = [{}, {}]
-
-
-def _q_lattice(model: int) -> dict:
-    """The q lattice points G(x, y) kept across calls: of the tiling sums
-    (model 0), which both models read, and of the recurrence (1).  Beyond
-    2048 points a fresh lattice replaces the old one, which a running
-    transfer may still fill."""
-    if len(_Q_LATTICES[model]) > 2048:
-        _Q_LATTICES[model] = {}
-    return _Q_LATTICES[model]
-
-
-def reset_caches() -> None:
-    """Drop the q lattices (mainly for tests)."""
-    _Q_LATTICES[:] = [{}, {}]
 
 
 def _check_cap(expected: int, cap: int) -> None:
@@ -296,7 +267,7 @@ def enumerate_rect_tilings(m: int, n: int,
     return count
 
 
-def rect_transfer(m: int, n: int, table: Callable, one, lattice: Optional[dict] = None):
+def rect_transfer(g: dict, m: int, n: int, table: Callable, one):
     """The weight sum over all tilings of the m x n rectangle, and so of
     the (m + n, m) staircase, in any ring.
 
@@ -310,9 +281,9 @@ def rect_transfer(m: int, n: int, table: Callable, one, lattice: Optional[dict] 
     east step into column x fixes that column's below-path height and a
     north step into row y its above-path length; G(x, 0) = 1.  No strip
     depends on (m, n), so G(x, y) is the x x y rectangle's sum and one
-    ``lattice`` (a dict keyed (x, y), filled in place) serves every target.
+    lattice ``g``, a ring's dict keyed (x, y) and filled in place, serves
+    every target.
     """
-    g = {} if lattice is None else lattice
     for y in range(n + 1):
         for x in range(m + 1):
             if (x, y) in g:
@@ -327,8 +298,16 @@ def rect_transfer(m: int, n: int, table: Callable, one, lattice: Optional[dict] 
 # ---------------------------------------------------------------------------
 # Identities over a weight ring: its unit ``one``, ``fibonomial(m, n)``,
 # ``times_number(v, n, base)`` = v [n]_{q^base}, ``times_omega2(v, i, j)`` =
-# v omega2(i, j), ``report(identity, inputs, lhs, rhs)``, and ``*`` and ``+``
-# on its values
+# v omega2(i, j), ``strip_sum(index, length, forced)``, a strip's weight sum,
+# the ``tiling_lattice`` and ``recurrence_lattice`` dicts it keeps,
+# ``report(identity, inputs, lhs, rhs)``, and ``*`` and ``+`` on its values
+
+def tiling_sum(ring, m: int, n: int):
+    """The weight sum over the m x n rectangle's tilings, and so over the
+    (m + n, m) staircase's: rect_transfer over the ring's strip sums, on
+    its tiling lattice."""
+    return rect_transfer(ring.tiling_lattice, m, n, ring.strip_sum, ring.one)
+
 
 def recurrence_strip(ring, index: int, length: int, forced: bool):
     """A rectangle strip's weight sum in closed form: [F_{length+1}]_{q^{F_index}}
@@ -342,18 +321,20 @@ def recurrence_strip(ring, index: int, length: int, forced: bool):
     return ring.times_number(ring.one, fib(length + 1), fib(index))
 
 
-def recurrence(ring, m: int, n: int, lattice: Optional[dict] = None):
+def recurrence(ring, m: int, n: int):
     """The Fibonomial via the two-term recurrence over the (m, n) grid,
 
     G(m, n) = [F_{m+1}]_{q^{F_n}} G(m, n-1)
               + omega2(m, n) [F_{n-1}]_{q^{F_m}} G(m-1, n),
 
     with G(m, 0) = G(0, n) = 1: rect_transfer over the closed forms of the
-    strips the last step fixes, independent of the ratio route.
+    strips the last step fixes, on the ring's recurrence lattice,
+    independent of the ratio route.
     """
     if m < 0 or n < 0:
         raise ValueError("need m, n >= 0")
-    return rect_transfer(m, n, partial(recurrence_strip, ring), ring.one, lattice)
+    return rect_transfer(ring.recurrence_lattice, m, n, partial(recurrence_strip, ring),
+                         ring.one)
 
 
 def spiral_check(ring, m: int) -> VerificationReport:
@@ -395,18 +376,87 @@ def convolution_check(ring, m: int, n: int) -> VerificationReport:
     return ring.report("convolution", {"m": m, "n": n}, ring.fibonomial(m, n), acc)
 
 
+# ---------------------------------------------------------------------------
+# The q weight ring
+
+class QRing:
+    """The q weight ring of the shared identities, over IntPoly: the limit
+    p -> 0, a -> 0, b -> 0 of ``fibl.elliptic.EllipticRing``, where
+    [n]_{q^base} stays itself and omega2(i, j) becomes q^{F_{i+1} F_j}.
+    Its strip sums and lattices are kept across calls; a lattice past 2048
+    points is replaced by a fresh one, which a running transfer may still
+    fill.  A product checks its degree against the cap before it builds
+    anything; one by a q-number is one window sum."""
+
+    __slots__ = ("_strips", "_tiling", "_recurrence")
+    one = IntPoly.one()
+
+    def __init__(self):
+        self._strips, self._tiling, self._recurrence = {}, {}, {}
+
+    @property
+    def tiling_lattice(self) -> dict:
+        """The tiling sums' points G(x, y), which both models read."""
+        if len(self._tiling) > 2048:
+            self._tiling = {}
+        return self._tiling
+
+    @property
+    def recurrence_lattice(self) -> dict:
+        if len(self._recurrence) > 2048:
+            self._recurrence = {}
+        return self._recurrence
+
+    def fibonomial(self, m: int, n: int) -> IntPoly:
+        return q_fibonomial(m, n)
+
+    def times_number(self, v: IntPoly, n: int, base: int) -> IntPoly:
+        _ensure_cap(v.degree + (n - 1) * base)
+        return IntPoly._wrap(kernels.mul_qnumber(list(v.coeffs), n, base))
+
+    def times_omega2(self, v: IntPoly, i: int, j: int) -> IntPoly:
+        return v.shift(fib(i + 1) * fib(j))
+
+    def strip_sum(self, index: int, length: int, forced: bool) -> IntPoly:
+        """A rectangle strip's q-weight sum, dense: coefficient e counts its
+        tilings of weight q^e (counting exponents is far faster than adding
+        dense monomials); zero when it has no tiling."""
+        value = self._strips.get((index, length, forced))
+        if value is None:
+            counts: dict[int, int] = {}
+            for strip in _strip_choices(length, forced):
+                e = sum(tile_exponent(*tile)
+                        for tile in _rect_strip_tiles(index, length, forced, strip))
+                counts[e] = counts.get(e, 0) + 1
+            value = self._strips[index, length, forced] = _poly_from_counts(counts)
+        return value
+
+    def report(self, identity: str, inputs: dict, lhs, rhs) -> VerificationReport:
+        return exact_report("q-" + identity, inputs, lhs, rhs)
+
+
+Q_RING = QRing()
+
+
+def reset_caches() -> None:
+    """Drop every q table: the ratio route's memoized q-Fibonomials and
+    Q_RING's strip sums and lattices (mainly for tests)."""
+    q_fibonomial.cache_clear()
+    Q_RING.__init__()           # fresh, empty tables
+
+
 def rect_generating_function(m: int, n: int) -> IntPoly:
     """Sum of q-weights over all tilings of the m x n rectangle.
 
-    Must coincide with q_fibonomial(m, n).  It is rect_transfer over the
-    strips' enumerated q-weight sums, on a lattice shared by all calls,
+    Must coincide with q_fibonomial(m, n).  It is the tiling sum over
+    Q_RING's enumerated strip sums, on its lattice shared by all calls,
     never q-factorials: independent of the ratio route, it shares its loop
     but not its strip sums with q_fibonomial_recurrence.  It lists no
     tilings, so no enumeration cap applies; the degree cap is checked on
     every call, even for a point already built.
     """
     _ensure_cap(_fibonomial_degree(m, n))
-    return rect_transfer(m, n, _strip_table, IntPoly.one(), _q_lattice(0))
+    return tiling_sum(Q_RING, m, n)
 
 
 def validate_rect_tiling(t: PathDominoTiling) -> None:
@@ -584,7 +634,7 @@ def staircase_generating_function(n: int, k: int) -> IntPoly:
     rect_generating_function."""
     _check_staircase(n, k)
     _ensure_cap(_fibonomial_degree(n - k, k))
-    return rect_transfer(k, n - k, _strip_table, IntPoly.one(), _q_lattice(0))
+    return tiling_sum(Q_RING, k, n - k)
 
 
 def validate_staircase_tiling(t: StaircaseTiling) -> None:

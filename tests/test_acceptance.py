@@ -93,14 +93,14 @@ def test_criterion_05_unimodality_to_10():
 
 def test_criterion_06_spiral_identity():
     c = _Criterion(6, "spiral identity for m <= 12 and q=1 shadow for m <= 40", 10.0)
-    ok = all(tilings.spiral_check(qpoly.Q_RING, m).passed for m in range(1, 13))
+    ok = all(tilings.spiral_check(tilings.Q_RING, m).passed for m in range(1, 13))
     ok &= all(qpoly.spiral_identity_check_q1(m).passed for m in range(1, 41))
     c.finish(ok)
 
 
 def test_criterion_07_q_convolution():
     c = _Criterion(7, "q-convolution identity for all 1 <= m, n <= 6", 30.0)
-    ok = all(qpoly.convolution_identity_check_q(m, n).passed
+    ok = all(tilings.convolution_check(tilings.Q_RING, m, n).passed
              for m in range(1, 7) for n in range(1, 7))
     c.finish(ok)
 

@@ -230,7 +230,6 @@ class TestDegreeCapOverride:
 
     @pytest.mark.parametrize("warm", [False, True])
     def test_cap_holds_for_cached_values(self, capsys, warm):
-        qpoly.reset_caches()
         tilings.reset_caches()
         if warm:
             assert run(capsys, "fibonomial", "9", "9")[0] == 0
@@ -479,7 +478,7 @@ class TestVerifyCommand:
         assert code == 0
         assert calls["bijection"] == 36
         assert products["bijection"] == 0
-        points = sum(len(lattice) for lattice in tilings._Q_LATTICES)
+        points = len(tilings.Q_RING.tiling_lattice) + len(tilings.Q_RING.recurrence_lattice)
         assert 0 < products["gf"] <= 2 * points
 
     def test_json_output_deterministic(self, capsys, tmp_path):
@@ -608,7 +607,7 @@ def test_reports_are_emitted_in_sort_key_order():
     reports = ell.theta_property_suite(ell.sample_params(3), 5, seed=3)
     reports += [exact_report(name, {"m": m}, 1, 1)
                 for name in ("q-spiral", "q-spiral-at-1") for m in (2, 10, 1, 2)]
-    reports += [qpoly.convolution_identity_check_q(m, n) for m, n in ((2, 1), (1, 2))]
+    reports += [tilings.convolution_check(tilings.Q_RING, m, n) for m, n in ((2, 1), (1, 2))]
     for order in (reports, reports[::-1]):
         want = sorted(order, key=lambda r: r.sort_key())
         assert [id(r) for r in _sorted_reports(order)] == [id(r) for r in want]

@@ -22,7 +22,7 @@ from fibl.tilings import (DOMINO, MONOMINO, SPECIAL, PathDominoTiling,
                           catalan_partial_tilings, convolution_check, iter_rect_tilings,
                           iter_staircase_tilings, recurrence, recurrence_strip,
                           rect_path_profile, staircase_path_profile,
-                          spiral_check, tile_exponent, tiling_tiles)
+                          spiral_check, tile_exponent, tiling_sum, tiling_tiles)
 
 SEED = 0x5EED
 
@@ -242,8 +242,12 @@ def _double_bound(x, p, eps=ell.DEFAULT_TRUNC_EPS) -> float:
 
 
 def _depth_is(x, p, eps, n) -> bool:
-    """Whether ell.theta sums n terms a side at its deepest: it raises
+    """Whether ell.theta sums n terms a side at its deepest: in floats, over
+    its nome's n - 1 rows T_1 .. T_{n-1}; in the Gaussian kernel, it raises
     with _MAX_THETA_TERMS = n - 1 and not with n."""
+    rows = ell._double_nome(p, eps)[2]
+    if rows is not None:
+        return len(rows) == n - 1
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ell, "_MAX_THETA_TERMS", n - 1)
         try:
@@ -464,12 +468,13 @@ class TestThetaKernel:
     @pytest.mark.parametrize("cap", [16, 17, 18])
     @pytest.mark.parametrize("bits", [None, 128])
     def test_term_cap_is_the_references(self, monkeypatch, cap, bits):
-        """The cap counts series terms a side in both regimes: with
-        p = 0.67 and eps 1e-17 a side at |z| = 1, the deepest one, keeps
-        17 terms above eps 2^-g, so the cap of 16 raises, at any x.  In
-        double precision p = 0.67 is past G0 and runs the Gaussian kernel;
-        p = 0.3 at eps 1e-62 keeps 17 terms as well, summed in floats, the
-        17th only by the guard's 2^-g."""
+        """The cap counts the Gaussian kernel's series terms a side in both
+        regimes: with p = 0.67 and eps 1e-17 a side at |z| = 1, the deepest
+        one, keeps 17 terms above eps 2^-g, so the cap of 16 raises, at any
+        x.  In double precision p = 0.67 is past G0 and runs the Gaussian
+        kernel; p = 0.3 at eps 1e-62 keeps 17 terms as well, summed in
+        floats over the nome's 16 rows, the 17th only by the guard's 2^-g,
+        and takes no cap, as the float series never runs that deep."""
         monkeypatch.setattr(ell, "_MAX_THETA_TERMS", cap)
         cases = [(0.67, ell.DEFAULT_TRUNC_EPS)]
         if bits is None:
@@ -478,11 +483,14 @@ class TestThetaKernel:
         for p, eps in cases:
             tol = eps * 2.0 ** -_guard(p)
             assert [m for m in range(40) if p ** (m * (m - 1) // 2) >= tol] == list(range(17))
+            floats = bits is None and _guard(p) <= ell._FLOAT_GUARD
+            if floats:
+                assert len(ell._double_nome(p, eps)[2]) == 16
             for x in (2.0, 0.7 + 0.7j, 3e12):
                 with mpmath.workprec(bits or 53):
                     if bits:
                         x, p = mpmath.mpc(x), mpmath.mpf(p)
-                    if cap == 16:
+                    if cap == 16 and not floats:
                         with pytest.raises(ValueError, match="did not converge"):
                             ell.theta(x, p, eps)
                         continue
@@ -1004,9 +1012,9 @@ class TestEllipticTransfer:
         for i in range(2):
             ring = ring_at(i, precision_bits=bits)
             unit = 2.0 ** -(bits or 53)
-            cases = [(ring.tiling_sum(m, n), iter_rect_tilings(m, n), (m, n))
+            cases = [(tiling_sum(ring, m, n), iter_rect_tilings(m, n), (m, n))
                      for m in range(0, 5) for n in range(0, 5)]
-            cases += [(ring.tiling_sum(k, n - k), iter_staircase_tilings(n, k),
+            cases += [(tiling_sum(ring, k, n - k), iter_staircase_tilings(n, k),
                        (n, k)) for n in range(0, 7) for k in range(0, n + 1)]
             for got, tilings, size in cases:
                 weights = [ell.elliptic_weight(t, ring) for t in tilings]
@@ -1021,12 +1029,12 @@ class TestEllipticTransfer:
         """A point read from a lattice that a larger target filled is the
         value of a lattice of its own, bit for bit, on both lattices."""
         shared = ring_at(1, precision_bits=bits)
-        shared.tiling_sum(5, 5)
-        recurrence(shared, 5, 5, shared.recurrence_lattice)
+        tiling_sum(shared, 5, 5)
+        recurrence(shared, 5, 5)
         for m in range(0, 6):
             for n in range(0, 6):
                 alone = ring_at(1, precision_bits=bits)
-                assert shared.tiling_sum(m, n) == alone.tiling_sum(m, n), (m, n)
+                assert tiling_sum(shared, m, n) == tiling_sum(alone, m, n), (m, n)
                 assert shared.recurrence_lattice[m, n] == recurrence(alone, m, n), (m, n)
 
 
@@ -1054,7 +1062,7 @@ class TestNonFiniteSides:
     def test_nan_route_fails_the_theorem_check(self):
         ring = _NanRecurrenceRing(params_at(0))
         assert cmath.isnan(recurrence(ring, 2, 2))
-        assert cmath.isfinite(ring.fibonomial(2, 2)) and cmath.isfinite(ring.tiling_sum(2, 2))
+        assert cmath.isfinite(ring.fibonomial(2, 2)) and cmath.isfinite(tiling_sum(ring, 2, 2))
         assert not ell.elliptic_theorem_check(2, 2, ring).passed
 
 
@@ -1216,7 +1224,7 @@ class TestExtendedPrecision:
         assert complex(p.a) == 0.5 + 0.25j
         ring = ell.EllipticRing(p)
         for value in (ring.number(5), ring.number(5, 3), ring.v(2, 3, 2), ring.omega1(3, 2),
-                      ring.fibonomial(3, 2), ring.tiling_sum(2, 2)):
+                      ring.fibonomial(3, 2), tiling_sum(ring, 2, 2)):
             assert value.context.prec == 160
 
     def test_reports_ignore_the_global_precision(self):

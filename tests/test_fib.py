@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fibl.fib import fib
-from fibl.qpoly import Q_RING, IntPoly
+from fibl.qpoly import IntPoly
+from fibl.tilings import Q_RING
 
 
 def test_sequence_prefix():

@@ -7,10 +7,10 @@ from hypothesis import example, given, strategies as st
 from fibl import kernels, qpoly, tilings
 from fibl.errors import NotPolynomialError, ResourceLimitError
 from fibl.fib import fib
-from fibl.qpoly import (Q_RING, IntPoly, convolution_identity_check_q, cyclotomic_split,
-                        fibonomial_int, is_unimodal, long_division, q_fibonomial,
-                        q_fibonomial_recurrence, q_number, q_ratio_coeffs)
+from fibl.qpoly import (IntPoly, cyclotomic_split, fibonomial_int, is_unimodal, long_division,
+                        q_fibonomial, q_fibonomial_recurrence, q_number, q_ratio_coeffs)
 from fibl.report import exact_report
+from fibl.tilings import Q_RING, convolution_check
 from oracles import exact_div, poly_from_json, q_fib_factorial, q_number_base
 
 
@@ -429,7 +429,6 @@ class TestFibonomial:
                 assert min(q_fibonomial(m, n).coeffs) >= 0
 
     def test_recurrence_memo_thread_safe(self):
-        qpoly.reset_caches()
         tilings.reset_caches()
         results = []
 
@@ -449,12 +448,12 @@ class TestFibonomial:
         for m in range(0, 14):
             for n in range(0, 14 - m):
                 assert q_fibonomial_recurrence(m, n) == q_fibonomial(m, n), (m, n)
-        assert 0 < len(tilings._Q_LATTICES[1]) <= 2048 + 196
+        assert 0 < len(Q_RING.recurrence_lattice) <= 2048 + 196
         tilings.reset_caches()
-        assert tilings._Q_LATTICES[1] == {}
-        tilings._Q_LATTICES[1].update({(-i, 0): None for i in range(2049)})
+        assert Q_RING.recurrence_lattice == {}
+        Q_RING.recurrence_lattice.update({(-i, 0): None for i in range(2049)})
         assert q_fibonomial_recurrence(3, 4) == q_fibonomial(3, 4)
-        assert len(tilings._Q_LATTICES[1]) == 4 * 5
+        assert len(Q_RING.recurrence_lattice) == 4 * 5
 
 
 class TestQNumberIdentities:
@@ -508,6 +507,26 @@ class TestSpiral:
     def test_through_12(self):
         assert all(tilings.spiral_check(Q_RING, m).passed for m in range(1, 13))
 
+    def test_fails_fast_past_the_cap(self, monkeypatch):
+        """A product by a q-number checks its degree before the window sum,
+        so no kernel builds a list past the cap: at m = 20 the first factor
+        [F_22] already has degree 17,710."""
+        built = []
+        mul = kernels.mul_qnumber
+
+        def spy_mul(*args, **kwargs):
+            built.append(mul(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(kernels, "mul_qnumber", spy_mul)
+        old = qpoly.set_degree_cap(1000)
+        try:
+            with pytest.raises(ResourceLimitError, match="exceeds the degree cap 1000"):
+                tilings.spiral_check(Q_RING, 20)
+        finally:
+            qpoly.set_degree_cap(old)
+        assert not any(isinstance(out, list) for out in built)
+
 
 def _convolution_rhs_by_products(m, n):
     """The convolution formula's right side, built as IntPoly products of
@@ -527,14 +546,14 @@ class TestConvolution:
     def test_rhs_matches_product_form(self):
         for m in range(1, 9):
             for n in range(1, 9):
-                rep = convolution_identity_check_q(m, n)
+                rep = convolution_check(Q_RING, m, n)
                 assert rep.rhs == _convolution_rhs_by_products(m, n), (m, n)
                 assert rep.passed
 
     def test_examples(self):
-        assert convolution_identity_check_q(1, 1).passed
-        assert convolution_identity_check_q(2, 2).passed
-        assert convolution_identity_check_q(4, 3).passed
+        assert convolution_check(Q_RING, 1, 1).passed
+        assert convolution_check(Q_RING, 2, 2).passed
+        assert convolution_check(Q_RING, 4, 3).passed
 
     def test_horner_nesting_takes_two_passes_per_step(self, monkeypatch):
         calls = []
@@ -544,16 +563,16 @@ class TestConvolution:
             calls.append((t, stride))
             return mul(coeffs, t, stride)
         for n in range(1, 9):
-            convolution_identity_check_q(5, n)      # warms the q_fibonomial cache
+            convolution_check(Q_RING, 5, n)      # warms the q_fibonomial cache
             monkeypatch.setattr(kernels, "mul_qnumber", spy_mul)
             calls.clear()
-            assert convolution_identity_check_q(5, n).passed
+            assert convolution_check(Q_RING, 5, n).passed
             monkeypatch.setattr(kernels, "mul_qnumber", mul)
             # one [F_6]_{q^{F_{n-j}}} pass per j < n, one [F_{n-1-j}]_{q^{F_5}} pass per term
             assert len(calls) == 2 * n - 1, (n, calls)
 
     def test_report_contents(self):
-        rep = convolution_identity_check_q(2, 2)
+        rep = convolution_check(Q_RING, 2, 2)
         assert rep.lhs == P(1, 2, 2, 1)
         assert rep.tolerance is None
 

@@ -83,16 +83,18 @@ ALLOWED_UNREACHED = {
     "qpoly.IntPoly.coeff": "IntPoly's coefficient access, which __sub__ uses",
     "qpoly.IntPoly.evaluate": "evaluation at a point; the limit_chain tests compare with it",
     "qpoly.IntPoly.monomial": "q_weight's single power of q",
+    "qpoly.IntPoly.one": "the unit, which Q_RING reads once, at import; the tests use it",
     "qpoly.IntPoly.substitute_power": "q -> q^m, which the tests' q_number_base oracle "
                                       "builds on; tests check it",
     "qpoly.degree_cap": "reads the degree cap; the tests check that --cap restores it",
     "qpoly.q_number": "[n] as n ones, the tests' reference for the window kernels "
                       "and the q ring's products",
-    "qpoly.reset_caches": "drops the memo tables; the tests use it between runs",
     "report.VerificationReport.sort_key": "the report order that cli._sorted_reports "
                                           "reproduces; the tests compare against it",
+    "tilings.QRing.__init__": "makes Q_RING's empty tables, once, at import; "
+                              "reset_caches makes them afresh",
     "tilings.q_weight": "one tiling's q-weight, which acceptance criterion 4 tests",
-    "tilings.reset_caches": "drops the q lattices; the tests use it between runs",
+    "tilings.reset_caches": "drops every q table; the tests use it between runs",
     "tilings.validate_rect_tiling": "the independent geometric checker that acceptance "
                                     "criterion 4 tests",
     "tilings.validate_staircase_tiling": "the staircase checker that ROADMAP item 9's "
@@ -135,7 +137,7 @@ def _drop_memo_tables():
             for value in list(vars(module).values()):
                 if callable(getattr(value, "cache_clear", None)):
                     value.cache_clear()
-    tilings.reset_caches()          # the q lattices are dicts, not lru caches
+    tilings.reset_caches()          # Q_RING's tables are dicts, not lru caches
 
 
 def test_every_unreached_function_is_allowlisted(capsys, tmp_path):
