@@ -26,6 +26,7 @@ from fibl.errors import NotPolynomialError
 from fibl.qpoly import (IntPoly, _ensure_cap, long_division, q_fibonomial, q_ratio_coeffs,
                         ratio_poly)
 from fibl.report import VerificationReport, exact_report
+from fibl.tilings import Q_RING
 
 # long-division fallback for remainders is skipped above this work estimate
 _REMAINDER_WORK_LIMIT = 5 * 10**7
@@ -248,8 +249,8 @@ def q_fibo_catalan_divisibility_check(m: int, n: int) -> VerificationReport:
     """Exact check of [F_n] * qFib(m, n) = [F_{m+n}] * qFib(m, n-1)."""
     if m < 1 or n < 1:
         raise ValueError("need m, n >= 1")
-    lhs = IntPoly(kernels.mul_qnumber(list(q_fibonomial(m, n).coeffs), fib(n)))
-    rhs = IntPoly(kernels.mul_qnumber(list(q_fibonomial(m, n - 1).coeffs), fib(m + n)))
+    lhs = Q_RING.times_number(q_fibonomial(m, n), fib(n), 1)
+    rhs = Q_RING.times_number(q_fibonomial(m, n - 1), fib(m + n), 1)
     return exact_report("catalan-divisibility", {"m": m, "n": n}, lhs, rhs)
 
 

@@ -30,7 +30,9 @@ from typing import Iterable, Iterator, Optional
 from fibl import catalan as cat
 from fibl import qpoly, tilings
 from fibl.errors import DegenerateParametersError, NotPolynomialError, ResourceLimitError
-from fibl.report import DEFAULT_SEED, SCHEMA, VerificationReport, inputs_key, json_text
+from fibl.fib import fib
+from fibl.report import (DEFAULT_SEED, SCHEMA, VerificationReport, exact_report, inputs_key,
+                         json_text)
 
 # fibl.elliptic is imported by the elliptic commands and suites only, so the
 # exact commands start without it; its names are looked up at call time.
@@ -535,6 +537,9 @@ def _cmd_enumerate(ns) -> int:
 
 def _cmd_spiral(ns) -> int:
     with _degree_cap(ns.cap):
+        if ns.m >= 1:       # the lhs [F_{m+2}] [F_{m+1}]'s two products, before either is built
+            qpoly._ensure_cap(fib(ns.m + 2) - 1)
+            qpoly._ensure_cap(fib(ns.m + 3) - 2)
         reports = [tilings.spiral_check(tilings.Q_RING, ns.m),
                    qpoly.spiral_identity_check_q1(ns.m)]
     return _emit_reports(ns, reports)
@@ -610,8 +615,7 @@ def _int_args(args, count, usage):
 def _cmd_elliptic(ns) -> int:
     from fibl import elliptic as ell
     bits = _parse_precision(ns.precision)
-    params = ell.sample_params(ns.seed, precision_bits=bits,
-                               eq_tol=ns.tol, min_denom=None)
+    params = ell.sample_params(ns.seed, precision_bits=bits, eq_tol=ns.tol)
     overrides = {k: getattr(ns, k) for k in ("a", "b", "q", "p")
                  if getattr(ns, k) is not None}
     if overrides:
@@ -648,9 +652,9 @@ def _cpx(z) -> dict:
 
 def _suite_theta(ns) -> list[VerificationReport]:
     from fibl import elliptic as ell
-    bits = _parse_precision(ns.precision)
-    params = ell.sample_params(ns.seed, precision_bits=bits, eq_tol=ns.tol)
-    return ell.theta_property_suite(params, ns.samples, seed=ns.seed)
+    return ell.theta_property_suite(ns.samples, ns.seed,
+                                    precision_bits=_parse_precision(ns.precision),
+                                    eq_tol=ns.tol)
 
 
 def _suite_spiral(ns) -> list[VerificationReport]:
@@ -660,7 +664,10 @@ def _suite_spiral(ns) -> list[VerificationReport]:
 
 
 def _suite_convolution(ns) -> list[VerificationReport]:
-    top = ns.max if ns.max else 6
+    return _convolution_reports(ns.max if ns.max else 6)
+
+
+def _convolution_reports(top: int) -> list[VerificationReport]:
     return [tilings.convolution_check(tilings.Q_RING, m, n)
             for m in range(1, top + 1) for n in range(1, top + 1)]
 
@@ -676,7 +683,6 @@ def _suite_counterexample(ns) -> list[VerificationReport]:
 
 
 def _suite_q_all(ns) -> list[VerificationReport]:
-    from fibl.report import exact_report
     top = ns.max if ns.max else 8
     reports = []
     for m in range(1, top):
@@ -695,14 +701,11 @@ def _suite_q_all(ns) -> list[VerificationReport]:
                                         gf, qpoly.q_fibonomial(n - k, k)))
     reports += _suite_bijection(ns)
     reports += _suite_spiral(ns)
-    reports += _suite_convolution(SimpleNamespace(**{**vars(ns), "max": min(top, 6)}))
+    reports += _convolution_reports(min(top, 6))
     for m in range(1, 11):
         for n in range(m, 11):
-            poly = qpoly.q_fibonomial(m, n)
-            reports.append(VerificationReport(
-                identity_name="unimodality", inputs={"m": m, "n": n},
-                lhs="unimodal", rhs="unimodal",
-                passed=qpoly.is_unimodal(poly)))
+            found = "unimodal" if qpoly.is_unimodal(qpoly.q_fibonomial(m, n)) else "not-unimodal"
+            reports.append(exact_report("unimodality", {"m": m, "n": n}, "unimodal", found))
     return reports
 
 
@@ -744,40 +747,39 @@ _COXETER_SAMPLES = (("A", 3, 3), ("A", 4, 3), ("B", 3, 5), ("D", 4, 5),
                     ("E8", None, 1), ("F4", None, 5), ("G2", None, 7))
 
 
+def _shape(is_polynomial: bool, nonnegative: bool) -> str:
+    """What a verdict found, as the Catalan reports state it."""
+    return ("polynomial," + ("non-negative" if nonnegative else "mixed-sign")
+            if is_polynomial else "not-polynomial")
+
+
 def _suite_catalan_all(ns) -> list[VerificationReport]:
-    from fibl.report import exact_report
-    reports = []
     max_mn = ns.max if ns.max else 15
     rows = cat.q_fibo_catalan_positivity_sweep(max_mn)
-    ok = all(r.is_polynomial and r.min_coeff >= 0 for r in rows)
-    reports.append(VerificationReport(
-        identity_name="catalan-sweep", inputs={"max": max_mn},
-        lhs="polynomial,non-negative", rhs="polynomial,non-negative", passed=ok,
-        notes={"pairs": len(rows)}))
+    found = _shape(all(r.is_polynomial for r in rows),
+                   all(r.min_coeff >= 0 for r in rows if r.is_polynomial))
+    sweep = exact_report("catalan-sweep", {"max": max_mn}, "polynomial,non-negative", found)
+    sweep.notes["pairs"] = len(rows)
+    reports = [sweep]
     for m in range(1, 11):
         for n in range(1, 11):
             reports.append(cat.q_fibo_catalan_divisibility_check(m, n))
     for family, rank, a in _COXETER_SAMPLES:
         ct = cat.CoxeterType(family, rank)
         verdict = cat.coxeter_q_fibo_catalan(ct, a)
-        reports.append(VerificationReport(
-            identity_name="coxeter-positive", inputs={"type": ct.label(), "a": a},
-            lhs="polynomial,non-negative",
-            rhs=("polynomial,non-negative" if verdict.is_polynomial
-                 and verdict.all_coeffs_nonnegative else "other"),
-            passed=bool(verdict.is_polynomial and verdict.all_coeffs_nonnegative)))
+        reports.append(exact_report(
+            "coxeter-positive", {"type": ct.label(), "a": a}, "polynomial,non-negative",
+            _shape(verdict.is_polynomial, verdict.all_coeffs_nonnegative)))
     f4 = cat.coxeter_q_fibo_catalan(cat.CoxeterType("F4"), 2)
-    reports.append(VerificationReport(
-        identity_name="coxeter-f4-counterexample", inputs={"type": "F4", "a": 2},
-        lhs="not-polynomial", rhs="not-polynomial" if not f4.is_polynomial else "polynomial",
-        passed=not f4.is_polynomial, expected="equal",
-        notes={"remainder_degree": f4.remainder_degree}))
+    counterexample = exact_report("coxeter-f4-counterexample", {"type": "F4", "a": 2},
+                                  "not-polynomial",
+                                  _shape(f4.is_polynomial, f4.all_coeffs_nonnegative))
+    counterexample.notes["remainder_degree"] = f4.remainder_degree
+    reports.append(counterexample)
     for n in range(1, 6):
         v = cat.q_fibo_catalan_ordinary(n)
-        reports.append(VerificationReport(
-            identity_name="catalan-ordinary-polynomial", inputs={"n": n},
-            lhs="polynomial", rhs="polynomial" if v.is_polynomial else "other",
-            passed=v.is_polynomial))
+        reports.append(exact_report("catalan-ordinary-polynomial", {"n": n}, "polynomial",
+                                    "polynomial" if v.is_polynomial else "not-polynomial"))
     reports += _suite_counterexample(ns)
     return reports
 

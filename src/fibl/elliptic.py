@@ -17,10 +17,11 @@ sum of elliptic weights, the (n, k) staircase as point (k, n - k)), the
 recurrence, the spiral and the convolution are ``fibl.tilings``' shared
 identities over that ring; the addition, splitting, strip, theorem and
 staircase checks here are functions of a ring too, so the checks at one
-sampled point read one ring.  All identity checks are numeric at sampled
-parameter points, with relative tolerances carried by EllipticParams;
-the ordered degeneration p -> 0, a -> 0, b -> 0 to the q-analogs is
-symbolic (limit_chain), and its q ring is ``fibl.tilings.Q_RING``.
+sampled point read one ring.  All identity checks are numeric at seeded
+parameter points, drawn and redrawn by one loop (``_sample_points``) at
+the tolerances of one policy (``tolerances``); the ordered degeneration
+p -> 0, a -> 0, b -> 0 to the q-analogs is symbolic (limit_chain), and
+its q ring is ``fibl.tilings.Q_RING``.
 
 Two numeric regimes, selected per parameter set: double precision
 (complex) and an extended mode of B bits, where EllipticParams holds a,
@@ -133,64 +134,76 @@ def _random_complex(rng: random.Random, lo: float, hi: float) -> complex:
     return complex(mag * math.cos(phase), mag * math.sin(phase))
 
 
+def tolerances(precision_bits: Optional[int], eq_tol: Optional[float] = None):
+    """The numeric policy of a precision, (trunc_eps, eq_tol, min_denom):
+    theta's truncation and the checks' relative tolerance, 1e-17 and 1e-7
+    in double precision and 1e-44 and 1e-20 at any B bits, eq_tol given
+    overriding the latter; and the degeneracy guard on a theta denominator
+    or on the theta suite's addition sides, 1e-9 in both."""
+    trunc_eps, tol = ((EXTENDED_TRUNC_EPS, EXTENDED_EQ_TOL) if precision_bits
+                      else (DEFAULT_TRUNC_EPS, DEFAULT_EQ_TOL))
+    return trunc_eps, tol if eq_tol is None else eq_tol, DEFAULT_MIN_DENOM
+
+
 def sample_params(seed: int, *, precision_bits: Optional[int] = None,
-                  trunc_eps: Optional[float] = None,
-                  eq_tol: Optional[float] = None,
-                  min_denom: Optional[float] = None) -> EllipticParams:
+                  eq_tol: Optional[float] = None) -> EllipticParams:
     """Seeded random parameters: |q| in [0.4, 0.9], |a|, |b| in [0.3, 1.5],
-    |p| in [0.05, 0.35], uniformly random phases."""
+    |p| in [0.05, 0.35], uniformly random phases; tolerances from
+    ``tolerances``."""
     rng = random.Random(seed)
     a = _random_complex(rng, 0.3, 1.5)
     b = _random_complex(rng, 0.3, 1.5)
     q = _random_complex(rng, 0.4, 0.9)
     p = _random_complex(rng, 0.05, 0.35)
-    if precision_bits:
-        trunc_eps = EXTENDED_TRUNC_EPS if trunc_eps is None else trunc_eps
-        eq_tol = EXTENDED_EQ_TOL if eq_tol is None else eq_tol
-    return EllipticParams(
-        a=a, b=b, q=q, p=p,
-        trunc_eps=trunc_eps if trunc_eps is not None else DEFAULT_TRUNC_EPS,
-        eq_tol=eq_tol if eq_tol is not None else DEFAULT_EQ_TOL,
-        min_denom=min_denom if min_denom is not None else DEFAULT_MIN_DENOM,
-        precision_bits=precision_bits)
+    return EllipticParams(a, b, q, p, *tolerances(precision_bits, eq_tol),
+                          precision_bits=precision_bits)
+
+
+def _sample_points(draw: Callable[[int], list[VerificationReport]], master_seed: int,
+                  samples: int) -> list[VerificationReport]:
+    """The reports of ``draw`` at ``samples`` seeded points, in order:
+    point i is drawn at derive_seed(master_seed, i, attempt), attempt 0
+    first, and redrawn at the next attempt while the draw raises
+    DegenerateParametersError, up to MAX_RESAMPLES times.  Each report of
+    a point records its seed and resample count."""
+    reports = []
+    for i in range(samples):
+        for attempt in range(MAX_RESAMPLES + 1):
+            seed = derive_seed(master_seed, i, attempt)
+            try:
+                batch = draw(seed)
+            except DegenerateParametersError:
+                continue
+            for rep in batch:
+                rep.seed, rep.resamples = seed, attempt
+            reports += batch
+            break
+        else:
+            raise DegenerateParametersError(
+                f"resample budget ({MAX_RESAMPLES}) exhausted at sample {i}")
+    return reports
 
 
 def run_sampled_checks(check: Callable[[EllipticRing], VerificationReport],
-                       master_seed: int, samples: int,
-                       max_resamples: int = MAX_RESAMPLES,
-                       rings: Optional[dict] = None,
-                       **sample_kwargs) -> list[VerificationReport]:
-    """Run ``check`` on the rings of ``samples`` seeded parameter points.
-
-    Degenerate points (a theta denominator under the min_denom guard) are
-    resampled with a derived seed, up to max_resamples per point; the
-    resample count is recorded on the report.  ``rings`` maps derived
-    seeds to the rings of calls with the same ``sample_kwargs`` and gains
-    this call's, so that the checks at one point read one ring.
-    """
+                       master_seed: int, samples: int, rings: Optional[dict] = None, *,
+                       precision_bits: Optional[int] = None,
+                       eq_tol: Optional[float] = None) -> list[VerificationReport]:
+    """Run ``check`` on the rings of ``samples`` seeded parameter points
+    (``_sample_points``), a degenerate point (a theta denominator under the
+    min_denom guard) resampled.  ``rings`` maps derived seeds to the rings
+    of calls at the same precision and eq_tol and gains this call's, so
+    that the checks at one point read one ring."""
     rings = {} if rings is None else rings
-    reports = []
-    for i in range(samples):
-        attempt = 0
-        while True:
-            seed = derive_seed(master_seed, i, attempt)
-            ring = rings.get(seed)
-            if ring is None:
-                ring = rings[seed] = EllipticRing(sample_params(seed, **sample_kwargs))
-            try:
-                rep = check(ring)
-            except DegenerateParametersError:
-                attempt += 1
-                if attempt > max_resamples:
-                    raise DegenerateParametersError(
-                        f"resample budget ({max_resamples}) exhausted at sample {i}")
-                continue
-            rep.seed = seed
-            rep.resamples = attempt
-            rep.notes["params"] = dict(zip("abqp", ring.params))
-            reports.append(rep)
-            break
-    return reports
+
+    def draw(seed: int) -> list[VerificationReport]:
+        ring = rings.get(seed)
+        if ring is None:
+            ring = rings[seed] = EllipticRing(
+                sample_params(seed, precision_bits=precision_bits, eq_tol=eq_tol))
+        rep = check(ring)
+        rep.notes["params"] = dict(zip("abqp", ring.params))
+        return [rep]
+    return _sample_points(draw, master_seed, samples)
 
 
 # ---------------------------------------------------------------------------
@@ -665,13 +678,16 @@ def elliptic_weight(t: PathDominoTiling | StaircaseTiling, ring: EllipticRing):
 # ---------------------------------------------------------------------------
 # Checks
 
-def theta_property_suite(params: EllipticParams, samples: int,
-                         seed: int = DEFAULT_SEED) -> list[VerificationReport]:
+def theta_property_suite(samples: int, seed: int = DEFAULT_SEED, *,
+                         precision_bits: Optional[int] = None,
+                         eq_tol: Optional[float] = None) -> list[VerificationReport]:
     """Check the four basic theta identities at seeded random points:
 
     p = 0 reduction, inversion theta(1/x) = -theta(x)/x, quasi-periodicity
     theta(px) = -theta(x)/x, and the four-versus-four addition formula.
-    Four reports per sample point; degenerate points are resampled.
+    Four reports per sample point, at the tolerances of ``tolerances``; a
+    point whose addition sides are both under min_denom is resampled
+    (``_sample_points``).
 
     The suite cannot see the constant 1/(p; p)_inf: each identity has as
     many theta factors at nome p on one side as on the other, and the
@@ -685,53 +701,31 @@ def theta_property_suite(params: EllipticParams, samples: int,
     """
     if samples < 1:
         raise ValueError("need samples >= 1")
-    reports = []
-    for i in range(samples):
-        attempt = 0
-        while True:
-            rng = random.Random(derive_seed(seed, i, attempt))
-            x = _random_complex(rng, 0.4, 1.5)
-            y = _random_complex(rng, 0.4, 1.5)
-            u = _random_complex(rng, 0.4, 1.5)
-            z = _random_complex(rng, 0.4, 1.5)
-            p = _random_complex(rng, 0.05, 0.35)
-            inputs = {"x": x, "y": y, "u": u, "z": z, "p": p}
-            if params.precision_bits:
-                # the report holds global-context mpcs, which print at
-                # mpmath's default 15 digits; the arithmetic runs on B-bit
-                # copies.  Both hold the sampled doubles exactly.
-                import mpmath
-                inputs = {k: mpmath.mpc(v) for k, v in inputs.items()}
-                x, y, u, z, p = map(_context(params.precision_bits).mpc, (x, y, u, z, p))
-            eps = params.trunc_eps
-            batch = []
-            batch.append(numeric_report(
-                "theta-zero-nome", inputs, theta(x, p * 0, eps), 1 - x,
-                params.eq_tol))
-            tx = theta(x, p, eps)
-            batch.append(numeric_report(
-                "theta-inversion", inputs, theta(1 / x, p, eps), -tx / x,
-                params.eq_tol))
-            batch.append(numeric_report(
-                "theta-quasi-periodicity", inputs, theta(p * x, p, eps),
-                -tx / x, params.eq_tol))
-            lhs = theta_multi([x * y, x / y, u * z, u / z], p, eps)
-            rhs = (theta_multi([u * y, u / y, x * z, x / z], p, eps)
-                   + (x / z) * theta_multi([z * y, z / y, u * x, u / x], p, eps))
-            if max(abs(lhs), abs(rhs)) < params.min_denom:
-                attempt += 1
-                if attempt > MAX_RESAMPLES:
-                    raise DegenerateParametersError(
-                        f"resample budget exhausted at sample {i}")
-                continue
-            batch.append(numeric_report(
-                "theta-addition", inputs, lhs, rhs, params.eq_tol))
-            for rep in batch:
-                rep.seed = derive_seed(seed, i, attempt)
-                rep.resamples = attempt
-            reports.extend(batch)
-            break
-    return reports
+    eps, eq_tol, min_denom = tolerances(precision_bits, eq_tol)
+
+    def draw(point_seed: int) -> list[VerificationReport]:
+        rng = random.Random(point_seed)
+        x, y, u, z = (_random_complex(rng, 0.4, 1.5) for _ in range(4))
+        p = _random_complex(rng, 0.05, 0.35)
+        inputs = {"x": x, "y": y, "u": u, "z": z, "p": p}
+        if precision_bits:
+            # the report holds global-context mpcs, which print at mpmath's
+            # default 15 digits; the arithmetic runs on B-bit copies.  Both
+            # hold the sampled doubles exactly.
+            import mpmath
+            inputs = {k: mpmath.mpc(v) for k, v in inputs.items()}
+            x, y, u, z, p = map(_context(precision_bits).mpc, (x, y, u, z, p))
+        sides = [("theta-zero-nome", theta(x, p * 0, eps), 1 - x)]
+        tx = theta(x, p, eps)
+        sides += [("theta-inversion", theta(1 / x, p, eps), -tx / x),
+                  ("theta-quasi-periodicity", theta(p * x, p, eps), -tx / x),
+                  ("theta-addition", theta_multi([x * y, x / y, u * z, u / z], p, eps),
+                   theta_multi([u * y, u / y, x * z, x / z], p, eps)
+                   + (x / z) * theta_multi([z * y, z / y, u * x, u / x], p, eps))]
+        if max(map(abs, sides[-1][1:])) < min_denom:
+            raise DegenerateParametersError("theta addition sides below min_denom")
+        return [numeric_report(name, inputs, lhs, rhs, eq_tol) for name, lhs, rhs in sides]
+    return _sample_points(draw, seed, samples)
 
 
 def elliptic_addition_check(m: int, n: int, ring: EllipticRing) -> VerificationReport:

@@ -107,12 +107,10 @@ def test_criterion_07_q_convolution():
 
 def test_criterion_08_theta_suite_both_precisions():
     c = _Criterion(8, "theta identities at 50 points, double and extended", 5.0)
-    pd = ell.sample_params(SEED)
-    rd = ell.theta_property_suite(pd, 50, seed=SEED)
+    rd = ell.theta_property_suite(50, SEED)
     ok = len(rd) == 200 and all(r.passed for r in rd)
     ok &= max(r.rel_diff for r in rd) <= DOUBLE_TOL
-    pe = ell.sample_params(SEED, precision_bits=128)
-    re_ = ell.theta_property_suite(pe, 50, seed=SEED)
+    re_ = ell.theta_property_suite(50, SEED, precision_bits=128)
     ok &= len(re_) == 200 and all(r.passed for r in re_)
     ok &= max(r.rel_diff for r in re_) <= EXTENDED_TOL
     c.finish(ok)

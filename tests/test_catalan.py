@@ -11,7 +11,7 @@ from fibl.catalan import (_REMAINDER_WORK_LIMIT, CoxeterType, _chained_row,
                           q_fibo_catalan_rational, sweep_csv_lines)
 from fibl.errors import ResourceLimitError
 from fibl.fib import fib
-from fibl.qpoly import IntPoly, long_division
+from fibl.qpoly import IntPoly, long_division, q_fibonomial
 from oracles import coxeter_catalan_q1, exact_div, q_fib_factorial
 
 
@@ -192,6 +192,18 @@ class TestDivisibilityIdentity:
         for m in range(1, 11):
             for n in range(1, 11):
                 assert q_fibo_catalan_divisibility_check(m, n).passed
+
+    def test_products_obey_the_degree_cap(self):
+        """The products by [F_n] and [F_{m+n}] are checked against the cap,
+        also when the q-Fibonomials they multiply are under it."""
+        degree = q_fibonomial(4, 4).degree
+        old = qpoly.set_degree_cap(degree)
+        try:
+            with pytest.raises(ResourceLimitError,
+                               match=f"degree {degree + fib(4) - 1} exceeds the degree cap"):
+                q_fibo_catalan_divisibility_check(4, 4)
+        finally:
+            qpoly.set_degree_cap(old)
 
 
 class TestCoxeter:

@@ -17,6 +17,7 @@ import fibl
 from fibl import elliptic as ell
 from fibl import kernels, qpoly, tilings
 from fibl.cli import main
+from fibl.fib import fib
 from fibl.report import DEFAULT_SEED, SCHEMA, VerificationReport, json_text
 
 
@@ -340,6 +341,18 @@ class TestSpiralCommand:
         assert code == 0
         assert "PASS" in out and "FAIL" not in out
 
+    @pytest.mark.parametrize("m, degree", [("33", fib(36) - 2), ("36", fib(38) - 1)])
+    def test_past_the_cap_fails_before_any_product(self, capsys, monkeypatch, m, degree):
+        """The lhs [F_{m+2}] [F_{m+1}] is checked before its first product:
+        at m = 33 the factor [F_35] (degree 9,227,464) is under the cap and
+        the lhs (degree F_36 - 2) over it; at m = 36 [F_38] is over it."""
+        calls = []
+        monkeypatch.setattr(kernels, "mul_qnumber", lambda *args: calls.append(args[1:]))
+        assert run(capsys, "spiral", m) == (
+            3, "", f"resource cap exceeded: polynomial degree {degree} exceeds the degree cap "
+                   f"{qpoly.DEFAULT_DEGREE_CAP}\n")
+        assert calls == []
+
 
 class TestEllipticCommand:
     def test_number(self, capsys):
@@ -436,6 +449,45 @@ class TestVerifyCommand:
                            "--precision", "ext:128", "--seed", seed, "--format", "csv")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("argv, digest", [
+        ("verify theta --samples 50 --seed 1 --format csv",
+         "75d5a9dceed9f010a9020c2750cea8d863bb21811287091d4dd5491f22d7ad78"),
+        ("verify elliptic-all --samples 10 --seed 0 --format csv",
+         "1764a0fac543fa112e02679efd7ba7526e36ad24a30e93d559e9a80ba1aec53f"),
+    ])
+    def test_double_elliptic_csv_bytes(self, capsys, argv, digest):
+        code, out, _ = run(capsys, *argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_theta_resample_budget_is_degenerate(self, capsys, monkeypatch):
+        monkeypatch.setattr(ell, "DEFAULT_MIN_DENOM", math.inf)
+        assert run(capsys, "verify", "theta", "--samples", "2") == (
+            4, "", "degenerate parameters: resample budget (100) exhausted at sample 0\n")
+
+    def test_failing_unimodality_report_shows_what_was_found(self, capsys, monkeypatch):
+        monkeypatch.setattr(qpoly, "is_unimodal", lambda poly: False)
+        code, out, _ = run(capsys, "verify", "q-all", "--max", "2", "--format", "json")
+        reports = [r for r in json.loads(out)["reports"] if r["identity"] == "unimodality"]
+        assert code == 1 and len(reports) == 55
+        assert all((r["lhs"], r["rhs"], r["passed"]) == ("unimodal", "not-unimodal", False)
+                   for r in reports)
+
+    @pytest.mark.parametrize("row, found", [
+        ((1, 2, 1, True, 3, -1, 1), "polynomial,mixed-sign"),
+        ((1, 2, 1, False, None, None, None), "not-polynomial"),
+    ])
+    def test_failing_catalan_sweep_report_shows_what_was_found(self, capsys, monkeypatch,
+                                                               row, found):
+        from fibl import catalan
+        monkeypatch.setattr(catalan, "q_fibo_catalan_positivity_sweep",
+                            lambda max_mn: [catalan.SweepRow(*row)])
+        code, out, _ = run(capsys, "verify", "catalan-all", "--format", "json")
+        (sweep,) = [r for r in json.loads(out)["reports"] if r["identity"] == "catalan-sweep"]
+        assert code == 1
+        assert (sweep["lhs"], sweep["rhs"], sweep["passed"]) == (
+            "polynomial,non-negative", found, False)
 
     def test_spiral_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "spiral")
@@ -604,7 +656,7 @@ def test_elliptic_theta_past_the_float_guard(capsys):
 def test_reports_are_emitted_in_sort_key_order():
     from fibl.cli import _sorted_reports
     from fibl.report import exact_report
-    reports = ell.theta_property_suite(ell.sample_params(3), 5, seed=3)
+    reports = ell.theta_property_suite(5, 3)
     reports += [exact_report(name, {"m": m}, 1, 1)
                 for name in ("q-spiral", "q-spiral-at-1") for m in (2, 10, 1, 2)]
     reports += [tilings.convolution_check(tilings.Q_RING, m, n) for m, n in ((2, 1), (1, 2))]
@@ -638,7 +690,7 @@ def test_sorted_reports_on_a_large_theta_suite_and_mixed_identities():
     input order."""
     from fibl.cli import _sorted_reports
     from fibl.report import VerificationReport, exact_report
-    reports = ell.theta_property_suite(ell.sample_params(0), 300, seed=7)
+    reports = ell.theta_property_suite(300, 7)
     assert len(reports) == 1200
     shared = {"m": 3}
     reports += [exact_report(name, inputs, 1, 1)

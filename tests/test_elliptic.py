@@ -446,7 +446,7 @@ class TestThetaKernel:
         # a theta-suite sample makes 16 theta calls: 15 at p, and one at 0,
         # which needs no table
         ell._nome_table.cache_clear()
-        rep = ell.theta_property_suite(ell.sample_params(3, precision_bits=128), 1)[0]
+        rep = ell.theta_property_suite(1, precision_bits=128)[0]
         info = ell._nome_table.cache_info()
         assert rep.resamples == 0 and (info.misses, info.hits) == (1, 14)
 
@@ -666,23 +666,55 @@ def test_double_suite_agrees_with_the_references(capsys, monkeypatch):
 
 class TestThetaSuite:
     def test_twenty_samples_make_eighty_reports(self):
-        p = ell.sample_params(1)
-        reports = ell.theta_property_suite(p, 20, seed=1)
+        reports = ell.theta_property_suite(20, 1)
         assert len(reports) == 80
         assert all(r.passed for r in reports)
 
     def test_reports_carry_seed_and_tolerance(self):
-        p = ell.sample_params(2)
-        reports = ell.theta_property_suite(p, 3, seed=2)
+        reports = ell.theta_property_suite(3, 2)
         assert all(r.seed is not None for r in reports)
-        assert all(r.tolerance == p.eq_tol for r in reports)
+        assert all(r.tolerance == ell.tolerances(None)[1] for r in reports)
 
     def test_extended_precision(self):
-        p = ell.sample_params(1, precision_bits=128)
-        reports = ell.theta_property_suite(p, 10, seed=1)
+        reports = ell.theta_property_suite(10, 1, precision_bits=128)
         assert len(reports) == 40
         assert all(r.passed for r in reports)
         assert max(r.rel_diff for r in reports) <= 1e-20
+
+    @pytest.mark.parametrize("bits", [None, 128])
+    def test_resample_exhaustion(self, monkeypatch, bits):
+        """Points whose addition sides are all under min_denom are redrawn
+        MAX_RESAMPLES times, then the suite gives up, as the ring checks do."""
+        draws = []
+        monkeypatch.setattr(ell, "DEFAULT_MIN_DENOM", math.inf)
+        monkeypatch.setattr(ell, "derive_seed", lambda *args: draws.append(args) or 0)
+        with pytest.raises(DegenerateParametersError,
+                           match=r"^resample budget \(100\) exhausted at sample 0$"):
+            ell.theta_property_suite(2, 5, precision_bits=bits)
+        assert draws == [(5, 0, attempt) for attempt in range(101)]
+
+
+class TestTolerancePolicy:
+    @pytest.mark.parametrize("bits, want", [(None, (1e-17, 1e-7, 1e-9)),
+                                            (53, (1e-44, 1e-20, 1e-9)),
+                                            (128, (1e-44, 1e-20, 1e-9))])
+    def test_defaults_and_override(self, bits, want):
+        assert ell.tolerances(bits) == want
+        assert ell.tolerances(bits, 1e-3) == (want[0], 1e-3, want[2])
+
+    @pytest.mark.parametrize("bits", [None, 128])
+    def test_sampled_points_and_theta_suite_read_it(self, monkeypatch, bits):
+        asked = []
+
+        def policy(precision_bits, eq_tol=None):
+            asked.append((precision_bits, eq_tol))
+            return 1e-30, 0.25, 1e-6
+
+        monkeypatch.setattr(ell, "tolerances", policy)
+        p = ell.sample_params(1, precision_bits=bits, eq_tol=0.5)
+        assert (p.trunc_eps, p.eq_tol, p.min_denom) == (1e-30, 0.25, 1e-6)
+        assert {r.tolerance for r in ell.theta_property_suite(2, precision_bits=bits)} == {0.25}
+        assert asked == [(bits, 0.5), (bits, None)]
 
 
 class TestEllipticNumber:
@@ -1118,13 +1150,15 @@ class TestSampling:
         def always_degenerate(ring):
             raise DegenerateParametersError("forced")
 
-        with pytest.raises(DegenerateParametersError):
-            ell.run_sampled_checks(always_degenerate, SEED, 1, max_resamples=3)
+        with pytest.raises(DegenerateParametersError,
+                           match=r"^resample budget \(100\) exhausted at sample 0$"):
+            ell.run_sampled_checks(always_degenerate, SEED, 1)
 
-    def test_resample_exhaustion_at_extended_precision(self):
+    def test_resample_exhaustion_at_extended_precision(self, monkeypatch):
+        monkeypatch.setattr(ell, "DEFAULT_MIN_DENOM", 1e12)
         with pytest.raises(DegenerateParametersError, match="resample budget"):
             ell.run_sampled_checks(partial(ell.elliptic_addition_check, 2, 3), SEED, 1,
-                                   max_resamples=3, precision_bits=128, min_denom=1e12)
+                                   precision_bits=128)
 
     def test_resample_count_reported(self):
         calls = {"n": 0}
@@ -1237,7 +1271,7 @@ class TestExtendedPrecision:
             reps = [ell.elliptic_addition_check(3, 4, ring), ell.fib_splitting_check(3, 2, ring),
                     ell.elliptic_theorem_check(2, 3, ring), ell.elliptic_strip_check(5, ring),
                     ell.elliptic_staircase_check(5, 2, ring)]
-            return [r.to_dict() for r in reps + ell.theta_property_suite(p, 2)]
+            return [r.to_dict() for r in reps + ell.theta_property_suite(2, precision_bits=128)]
 
         want = reports()
         with mpmath.workprec(300):
