@@ -32,7 +32,7 @@ from fibl import qpoly, tilings
 from fibl.errors import DegenerateParametersError, NotPolynomialError, ResourceLimitError
 from fibl.fib import fib
 from fibl.report import (DEFAULT_SEED, SCHEMA, VerificationReport, exact_report, inputs_key,
-                         json_text)
+                         json_text, mapping_json, report_json)
 
 # fibl.elliptic is imported by the elliptic commands and suites only, so the
 # exact commands start without it; its names are looked up at call time.
@@ -351,15 +351,19 @@ def _write(pieces: Iterable[str], out: Optional[str]) -> None:
         fh.write("".join(batch))
 
 
-def _json_pieces(command: str, config: dict, key: str, items: Iterable[dict]) -> Iterator[str]:
-    """json_text({"command": command, "config": config, key: list(items),
-    "schema": SCHEMA}) + "\n", one piece per item.  ``key`` sorts between
-    "config" and "schema", so the pieces come in the document's key order."""
+# the newline and indent of each item of a document's list
+_ITEM_NL = "\n    "
+
+
+def _json_pieces(command: str, config: dict, key: str, texts: Iterable[str]) -> Iterator[str]:
+    """json_text({"command": command, "config": config, key: items, "schema":
+    SCHEMA}) + "\n", a piece per item text (its json_text at _ITEM_NL);
+    ``key`` must sort between "config" and "schema"."""
     head = json_text({"command": command, "config": config})
     yield head[:-2] + ",\n  " + json_text(key) + ": ["      # head ends "\n}"
     first = True
-    for item in items:
-        yield ("\n    " if first else ",\n    ") + json_text(item, "\n    ")
+    for text in texts:
+        yield (_ITEM_NL if first else "," + _ITEM_NL) + text
         first = False
     yield ("]" if first else "\n  ]") + ',\n  "schema": ' + json_text(SCHEMA) + "\n}\n"
 
@@ -450,8 +454,10 @@ def _emit_reports(ns, reports: list[VerificationReport], extra_config=None) -> i
     reports = _sorted_reports(reports)
     failed = sum(not r.passed for r in reports)
     if ns.format == "json":
+        inputs_text, poly_texts = _once_per_dict(partial(mapping_json, nl=_ITEM_NL + "  ")), {}
         pieces = _json_pieces(ns.command, _config_dict(ns, extra_config), "reports",
-                              (r.to_dict() for r in reports))
+                              (report_json(r, _ITEM_NL, inputs_text(r.inputs), poly_texts)
+                               for r in reports))
     elif ns.format == "csv":
         pieces = _csv_lines(reports)
     else:
@@ -570,7 +576,7 @@ def _cmd_catalan(ns) -> int:
         rows = cat.q_fibo_catalan_positivity_sweep(max_mn)
         if ns.format == "json":
             _write(_json_pieces("catalan-sweep", _config_dict(ns, {"max": max_mn}), "rows",
-                                (row._asdict() for row in rows)), ns.out)
+                                (json_text(row._asdict(), _ITEM_NL) for row in rows)), ns.out)
         else:
             _write((line + "\n" for line in cat.sweep_csv_lines(rows)), ns.out)
         bad = [r for r in rows if not r.is_polynomial or (r.min_coeff or 0) < 0]

@@ -81,15 +81,20 @@ class EllipticParams(namedtuple("EllipticParams", "a b q p trunc_eps eq_tol min_
     With precision_bits = B set, a, b, q and p are stored as mpcs of the
     private B-bit context, converted here (so also under ``replace``);
     everything computed from them is B-bit.  precision_bits None means
-    double precision.
+    double precision.  A tolerance left out, or None, is the precision's
+    from ``tolerances``.
     """
 
     __slots__ = ()
 
     def __new__(cls, a: complex, b: complex, q: complex, p: complex,
-                trunc_eps: float = DEFAULT_TRUNC_EPS, eq_tol: float = DEFAULT_EQ_TOL,
-                min_denom: float = DEFAULT_MIN_DENOM,
+                trunc_eps: Optional[float] = None, eq_tol: Optional[float] = None,
+                min_denom: Optional[float] = None,
                 precision_bits: Optional[int] = None) -> "EllipticParams":
+        knobs = (trunc_eps, eq_tol, min_denom)
+        if None in knobs:
+            policy = tolerances(precision_bits)
+            trunc_eps, eq_tol, min_denom = (d if k is None else k for k, d in zip(knobs, policy))
         values = (a, b, q, p)
         finite = cmath.isfinite
         if precision_bits:

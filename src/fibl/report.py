@@ -10,7 +10,7 @@ silently masking the claim.
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, compress
 from json.encoder import encode_basestring_ascii
 from typing import Any, Optional
 
@@ -63,22 +63,6 @@ class VerificationReport:
         self.resamples = resamples
         self.notes = {} if notes is None else notes
 
-    def to_dict(self) -> dict:
-        return {
-            "identity": self.identity_name,
-            "inputs": {k: _jsonable(v) for k, v in sorted(self.inputs.items())},
-            "lhs": _jsonable(self.lhs),
-            "rhs": _jsonable(self.rhs),
-            "abs_diff": self.abs_diff,
-            "rel_diff": self.rel_diff,
-            "tolerance": self.tolerance,
-            "expected": self.expected,
-            "passed": self.passed,
-            "seed": self.seed,
-            "resamples": self.resamples,
-            "notes": {k: _jsonable(v) for k, v in sorted(self.notes.items())},
-        }
-
     def sort_key(self) -> str:
         return self.identity_name + "|" + inputs_key(self.inputs)
 
@@ -108,24 +92,77 @@ def numeric_report(name: str, inputs: dict, lhs, rhs, tol: float) -> Verificatio
         passed=rd <= tol, abs_diff=float(ad), rel_diff=rd, tolerance=tol)
 
 
-def _jsonable(v):
-    if v is None or isinstance(v, (bool, int, float, str)):
-        return v
-    if isinstance(v, complex):
-        return {"re": v.real, "im": v.imag}
-    if hasattr(v, "imag") and hasattr(v, "real"):       # mpmath mpc/mpf
-        return {"re": float(v.real), "im": float(v.imag)}
-    if hasattr(v, "term_count"):        # an IntPoly: count its terms before any JSON
-        terms = v.term_count()
-        if terms > _INLINE_TERMS:
-            return {"var": "q", "degree": v.degree, "terms": terms, "summary": "elided"}
+# a report's JSON keys in sorted order, each with its ": "
+_REPORT_KEYS = tuple(f'"{k}": ' for k in ("abs_diff", "expected", "identity", "inputs", "lhs",
+                                           "notes", "passed", "rel_diff", "resamples", "rhs",
+                                           "seed", "tolerance"))
+
+
+def report_json(r: VerificationReport, nl: str = "\n", inputs_text: Optional[str] = None,
+                poly_texts: Optional[dict] = None) -> str:
+    """Report ``r`` as json_text writes its document at ``nl``, the newline
+    and indent of its first line.  ``inputs_text`` is mapping_json(r.inputs,
+    nl + "  ") if the caller has it; ``poly_texts`` is _value_json's table,
+    kept across the reports of one document."""
+    f = nl + "  "
+    poly_texts = {} if poly_texts is None else poly_texts
+    values = (json_text(r.abs_diff, f), json_text(r.expected, f), json_text(r.identity_name, f),
+              mapping_json(r.inputs, f) if inputs_text is None else inputs_text,
+              _value_json(r.lhs, f, poly_texts), mapping_json(r.notes, f), json_text(r.passed, f),
+              json_text(r.rel_diff, f), json_text(r.resamples, f),
+              _value_json(r.rhs, f, poly_texts), json_text(r.seed, f), json_text(r.tolerance, f))
+    return "{" + f + ("," + f).join(map(str.__add__, _REPORT_KEYS, values)) + nl + "}"
+
+
+def mapping_json(d: dict, nl: str) -> str:
+    """An inputs or notes dict, whose keys are str, as JSON at ``nl``."""
+    if not d:
+        return "{}"
+    f = nl + "  "
+    items = [encode_basestring_ascii(k) + ": " + _value_json(v, f, {})
+             for k, v in sorted(d.items())]
+    return "{" + f + ("," + f).join(items) + nl + "}"
+
+
+def _value_json(v, nl: str, poly_texts: dict) -> str:
+    """A report's side, or an inputs or notes value, as JSON at ``nl``.
+    ``poly_texts`` maps the coefficients of IntPolys written at ``nl`` to
+    their texts: a suite compares few distinct polynomials in many reports."""
+    scalar = _SCALAR_TEXT.get(type(v))
+    if scalar is not None:
+        return scalar(v)
+    if isinstance(v, (int, float, str)):        # subclasses print as their base type
+        return json_text(v)
+    f = nl + "  "
+    if hasattr(v, "imag") and hasattr(v, "real"):       # complex, mpmath mpc and mpf
+        return ("{" + f + '"im": ' + _float_text(float(v.imag)) + ","
+                + f + '"re": ' + _float_text(float(v.real)) + nl + "}")
+    if hasattr(v, "term_count"):        # an IntPoly
+        text = poly_texts.get(v.coeffs)
+        if text is None:
+            text = poly_texts[v.coeffs] = _poly_json(v, nl)
+        return text
     if hasattr(v, "to_json"):
-        return v.to_json()
+        return json_text(v.to_json(), nl)
     if isinstance(v, (list, tuple)):
-        return [_jsonable(x) for x in v]
+        items = [_value_json(x, f, {}) for x in v]
+        return "[" + f + ("," + f).join(items) + nl + "]" if items else "[]"
     if isinstance(v, dict):
-        return {str(k): _jsonable(x) for k, x in v.items()}
-    return str(v)
+        return mapping_json({str(k): x for k, x in v.items()}, nl)
+    return encode_basestring_ascii(str(v))
+
+
+def _poly_json(p, nl: str) -> str:
+    """IntPoly.to_json's rows at ``nl`` in one join, or a summary."""
+    terms = p.term_count()
+    if terms > _INLINE_TERMS:
+        return json_text({"var": "q", "degree": p.degree, "terms": terms, "summary": "elided"}, nl)
+    c = p.coeffs
+    f, row, cell = nl + "  ", nl + "    ", nl + "      "
+    pattern = "[" + cell + '"%s",' + cell + '"%s"' + row + "]"
+    rows = ("," + row).join(map(pattern.__mod__, compress(enumerate(c), c)))
+    return ("{" + f + '"coeffs": ' + ("[" + row + rows + f + "]" if rows else "[]") + ","
+            + f + '"var": "q"' + nl + "}")
 
 
 def json_text(doc, _nl: str = "\n") -> str:
@@ -137,8 +174,8 @@ def json_text(doc, _nl: str = "\n") -> str:
     one generator step per token.  Here a list of scalars of one type is
     written with one join, and so is a list of equal-length lists of
     ``str``: the ``[exponent, coefficient]`` pairs of ``IntPoly.to_json``,
-    most of a q report's bytes.  ``_nl`` is the newline and indent of the
-    line the value starts on.
+    most of a ``fibonomial`` document's bytes (reports: ``report_json``).
+    ``_nl`` is the newline and indent of the line the value starts on.
     """
     scalar = _SCALAR_TEXT.get(type(doc))
     if scalar is not None:

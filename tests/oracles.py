@@ -2,7 +2,8 @@
 
 Each oracle computes a quantity the package computes too, by a route of
 its own (long division, the integer shadow at q = 1, the strip options
-listed one by one), or reads a fixture or a serialized form back.
+listed one by one, a report's document built as a dict), or reads a
+fixture or a serialized form back.
 """
 
 import json
@@ -14,6 +15,9 @@ from fibl.qpoly import IntPoly, long_division, q_number, ratio_poly
 from fibl.tilings import PathDominoTiling, StaircaseTiling, _strip_options
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+
+# polynomial sides with more than this many terms are summarized, not inlined
+INLINE_TERMS = 64
 
 
 def exact_div(num: IntPoly, den: IntPoly) -> IntPoly:
@@ -102,3 +106,46 @@ def staircase_tiling_from_json(obj: dict) -> StaircaseTiling:
 def load_golden(name: str) -> dict:
     """One of the JSON fixtures under tests/golden."""
     return json.loads((GOLDEN / name).read_text())
+
+
+def to_dict(report) -> dict:
+    """A report's document as a dict, whose json_text report_json must
+    print: its fields under their JSON keys, each side and each inputs and
+    notes value made JSON by ``jsonable``."""
+    return {
+        "identity": report.identity_name,
+        "inputs": {k: jsonable(v) for k, v in sorted(report.inputs.items())},
+        "lhs": jsonable(report.lhs),
+        "rhs": jsonable(report.rhs),
+        "abs_diff": report.abs_diff,
+        "rel_diff": report.rel_diff,
+        "tolerance": report.tolerance,
+        "expected": report.expected,
+        "passed": report.passed,
+        "seed": report.seed,
+        "resamples": report.resamples,
+        "notes": {k: jsonable(v) for k, v in sorted(report.notes.items())},
+    }
+
+
+def jsonable(v):
+    """The JSON form of a report value: complex and mpmath numbers as "re"
+    and "im", an IntPoly as IntPoly.to_json or, past INLINE_TERMS terms, a
+    summary, lists and dicts item by item, and anything else as its str."""
+    if v is None or isinstance(v, (bool, int, float, str)):
+        return v
+    if isinstance(v, complex):
+        return {"re": v.real, "im": v.imag}
+    if hasattr(v, "imag") and hasattr(v, "real"):       # mpmath mpc/mpf
+        return {"re": float(v.real), "im": float(v.imag)}
+    if hasattr(v, "term_count"):        # an IntPoly: count its terms before any JSON
+        terms = v.term_count()
+        if terms > INLINE_TERMS:
+            return {"var": "q", "degree": v.degree, "terms": terms, "summary": "elided"}
+    if hasattr(v, "to_json"):
+        return v.to_json()
+    if isinstance(v, (list, tuple)):
+        return [jsonable(x) for x in v]
+    if isinstance(v, dict):
+        return {str(k): jsonable(x) for k, x in v.items()}
+    return str(v)

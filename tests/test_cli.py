@@ -19,6 +19,7 @@ from fibl import kernels, qpoly, tilings
 from fibl.cli import main
 from fibl.fib import fib
 from fibl.report import DEFAULT_SEED, SCHEMA, VerificationReport, json_text
+from oracles import to_dict
 
 
 def run(capsys, *argv):
@@ -754,7 +755,7 @@ def _whole_document(ns, reports, extra_config=None) -> str:
     if ns.format == "json":
         return json_text({"schema": SCHEMA, "command": ns.command,
                           "config": cli._config_dict(ns, extra_config),
-                          "reports": [r.to_dict() for r in reports]}) + "\n"
+                          "reports": [to_dict(r) for r in reports]}) + "\n"
     if ns.format == "csv":
         lines = ["identity,inputs,expected,passed,abs_diff,rel_diff,tolerance"]
         lines += [f'{r.identity_name},"{cli._csv_inputs(r.inputs)}",{r.expected},{r.passed},'

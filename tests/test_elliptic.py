@@ -17,7 +17,7 @@ from fibl import elliptic as ell
 from fibl.errors import DegenerateParametersError
 from fibl.fib import fib
 from fibl.qpoly import q_number
-from fibl.report import numeric_report
+from fibl.report import numeric_report, report_json
 from fibl.tilings import (DOMINO, MONOMINO, SPECIAL, PathDominoTiling,
                           catalan_partial_tilings, convolution_check, iter_rect_tilings,
                           iter_staircase_tilings, recurrence, recurrence_strip,
@@ -1204,6 +1204,22 @@ class TestSampling:
 
 
 class TestParamsReplace:
+    @pytest.mark.parametrize("bits", [None, 128])
+    def test_left_out_tolerances_are_the_precisions(self, bits):
+        policy = ell.tolerances(bits)
+        assert policy[:2] == ((1e-44, 1e-20) if bits else (1e-17, 1e-7))
+        p = ell.EllipticParams(0.5, 0.7, 0.6, 0.1, precision_bits=bits)
+        assert p[4:7] == policy
+        assert p.replace(a=0.3)[4:7] == policy
+        given = ell.EllipticParams(0.5, 0.7, 0.6, 0.1, eq_tol=1e-12, precision_bits=bits)
+        assert given[4:7] == (policy[0], 1e-12, policy[2])
+        assert given.replace(q=0.4)[4:7] == (policy[0], 1e-12, policy[2])
+        other = 128 if bits is None else None       # replace keeps the stored tolerances ...
+        assert p.replace(precision_bits=other)[4:7] == policy
+        # ... and None takes the new precision's
+        assert (p.replace(precision_bits=other, trunc_eps=None, eq_tol=None, min_denom=None)[4:7]
+                == ell.tolerances(other))
+
     def test_replace_converts_to_the_parameters_context(self):
         p = params_at(0, precision_bits=128)
         r = p.replace(q=0.5 + 0.1j, p=0.25)
@@ -1271,7 +1287,7 @@ class TestExtendedPrecision:
             reps = [ell.elliptic_addition_check(3, 4, ring), ell.fib_splitting_check(3, 2, ring),
                     ell.elliptic_theorem_check(2, 3, ring), ell.elliptic_strip_check(5, ring),
                     ell.elliptic_staircase_check(5, 2, ring)]
-            return [r.to_dict() for r in reps + ell.theta_property_suite(2, precision_bits=128)]
+            return [report_json(r) for r in reps + ell.theta_property_suite(2, precision_bits=128)]
 
         want = reports()
         with mpmath.workprec(300):

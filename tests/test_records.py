@@ -2,13 +2,14 @@
 frozen, no per-object ``__dict__``, equality and hashing by value, and
 reprs that stay short."""
 
+import json
 from functools import lru_cache
 
 import pytest
 
 from fibl.catalan import CoxeterType, PolynomialityVerdict, SweepRow, q_fibo_catalan_rational
 from fibl.qpoly import DivisionResult, IntPoly
-from fibl.report import VerificationReport, exact_report
+from fibl.report import VerificationReport, exact_report, report_json
 from fibl.tilings import PathDominoTiling, StaircaseTiling
 
 FROZEN = [
@@ -51,7 +52,7 @@ def test_report_rejects_undeclared_attributes():
     with pytest.raises(AttributeError):
         report.comment = "not a field"
     report.seed = 7                 # a declared field can still be set
-    assert report.to_dict()["seed"] == 7
+    assert json.loads(report_json(report))["seed"] == 7
 
 
 def test_report_defaults_and_keywords():
