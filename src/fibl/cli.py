@@ -386,17 +386,17 @@ def _once_per_dict(fmt):
 def _head_text(inputs: dict) -> Optional[str]:
     """repr((k, v)) for the least key k of ``inputs``, the text that
     ``inputs_key`` begins with, when k is a str and v an int, float,
-    complex, str or mpc; else None.  Proof that distinct heads order as
-    their whole texts do: key reprs are str literals, never a proper
-    prefix of one another, and where one value repr of these types is a
-    proper prefix of another it goes on with a digit, ".", "e" or "j"
-    (1 in 12, 1.5 or 1j; inf in infj), never ")", as a str, an mpc and a
-    parenthesized complex end at their first closing character."""
+    complex or str; else None.  Proof that distinct heads order as their
+    whole texts do: key reprs are str literals, never a proper prefix of
+    one another, and where one value repr of these types is a proper
+    prefix of another it goes on with a digit, ".", "e" or "j" (1 in 12,
+    1.5 or 1j; inf in infj), never ")", as a str and a parenthesized
+    complex end at their first closing character."""
     if not inputs:
         return None
     k = min(inputs)
     v = inputs[k]
-    if type(k) is str and (type(v) in (int, float, complex, str) or hasattr(v, "_mpc_")):
+    if type(k) is str and type(v) in (int, float, complex, str):
         return repr((k, v))
     return None
 

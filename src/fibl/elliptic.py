@@ -25,13 +25,12 @@ its q ring is ``fibl.tilings.Q_RING``.
 
 Two numeric regimes, selected per parameter set: double precision
 (complex) and an extended mode of B bits, where EllipticParams holds a,
-b, q and p as numbers of a private mpmath context of precision B, so every
-value computed from them is B-bit whatever the global mpmath context
-says; nothing here changes that global setting.  Both sum the series from
-its largest term, with what depends on the nome alone cached per nome: in
-complex floats while its guard bits g are at most 7 (see ``theta``),
-otherwise on Gaussian integer mantissas at one fixed binary exponent,
-rounded once, so mpmath's arithmetic never runs per term.
+b, q and p as ``fibl.extended.ExtComplex`` numbers of B bits, so every
+value computed from them is B-bit.  Both sum the series from its largest
+term, with what depends on the nome alone cached per nome: in complex
+floats while its guard bits g are at most 7 (see ``theta``), otherwise
+on Gaussian integer mantissas at one fixed binary exponent, rounded once
+into a complex or an ExtComplex.
 """
 
 from __future__ import annotations
@@ -45,6 +44,8 @@ from itertools import combinations, islice
 from typing import Callable, Optional, Sequence
 
 from fibl.errors import DegenerateParametersError
+from fibl.extended import (ExtComplex, _exact, _float, _make, _normal, _power, _quotient, _round,
+                           _times)
 from fibl.fib import fib
 from fibl.report import DEFAULT_SEED, VerificationReport, numeric_report
 from fibl.tilings import (SPECIAL, PathDominoTiling, StaircaseTiling, recurrence,
@@ -70,7 +71,6 @@ _FLOAT_GUARD = 7            # G0: the most guard bits the double series sums in 
 _DOUBLE_WIDTH = 53 + 16     # W of the Gaussian kernel at 53 bits
 _LN2 = math.log(2)
 _GUARD_BITS = math.pi ** 2 / (2 * _LN2)     # g |log p|, see _series_guard
-_ONE = ((0, 1, 0, 1), (0, 0, 0, 0))         # the _mpc_ of 1
 _NOT_CONVERGED = "theta truncation did not converge; |p| too close to 1"
 
 
@@ -78,8 +78,8 @@ class EllipticParams(namedtuple("EllipticParams", "a b q p trunc_eps eq_tol min_
                                                   "precision_bits")):
     """The parameter quadruple (a, b, q, p) plus numeric policy knobs.
 
-    With precision_bits = B set, a, b, q and p are stored as mpcs of the
-    private B-bit context, converted here (so also under ``replace``);
+    With precision_bits = B set, a, b, q and p are stored as B-bit
+    ExtComplex numbers, converted here (so also under ``replace``);
     everything computed from them is B-bit.  precision_bits None means
     double precision.  A tolerance left out, or None, is the precision's
     from ``tolerances``.
@@ -96,12 +96,10 @@ class EllipticParams(namedtuple("EllipticParams", "a b q p trunc_eps eq_tol min_
             policy = tolerances(precision_bits)
             trunc_eps, eq_tol, min_denom = (d if k is None else k for k, d in zip(knobs, policy))
         values = (a, b, q, p)
-        finite = cmath.isfinite
-        if precision_bits:
-            ctx = _context(precision_bits)
-            values, finite = tuple(map(ctx.mpc, values)), ctx.isfinite
-        if not all(map(finite, values)):
+        if not all(type(v) is ExtComplex or cmath.isfinite(v) for v in values):
             raise ValueError("a, b, q, p must be finite")
+        if precision_bits:
+            values = tuple(ExtComplex(v, precision_bits) for v in values)
         a, b, q, p = values
         if abs(p) >= 1:
             raise ValueError("need |p| < 1")
@@ -115,17 +113,6 @@ class EllipticParams(namedtuple("EllipticParams", "a b q p trunc_eps eq_tol min_
         """These parameters with ``changes``, converted and checked as new
         ones are; the tuple's own ``_replace`` would skip both."""
         return EllipticParams(**{**self._asdict(), **changes})
-
-
-@lru_cache(maxsize=None)
-def _context(bits: int):
-    """The private mpmath context of the B-bit extended mode.  Its numbers
-    compute at B bits wherever they go, so the global mpmath context
-    neither sets nor is set by an elliptic computation."""
-    import mpmath
-    ctx = mpmath.MPContext()
-    ctx.prec = bits
-    return ctx
 
 
 def derive_seed(master: int, index: int, attempt: int = 0) -> int:
@@ -236,9 +223,9 @@ def theta(x, p, eps: float = DEFAULT_TRUNC_EPS):
       most 32 (N + k + 4) 2^g u / (|1 - y| |1 - p/y|) by the guard bound,
       2^g <= 128.  Above G0 the sum may cancel by up to g bits, and the
       Gaussian integer kernel runs at 53 bits, rounded once to a complex;
-    * extended (x or p an mpmath number): that kernel at B bits, the
-      precision of x's mpmath context (p's when x is not an mpmath
-      number), rounded once to an mpc of that context (``_theta_ext``).
+    * extended (x or p an ExtComplex): that kernel at B bits, the
+      precision of x (of p when x is not an ExtComplex), rounded once to
+      a B-bit ExtComplex (``_theta_ext``).
 
     theta(1; p) and theta(p; p) are exactly 0, and theta(x; 0) is 1 - x
     rounded once.  x = 0 and |p| >= 1 raise ValueError, and so do, in the
@@ -300,61 +287,32 @@ def _double_nome(p, eps: float):
     return p, log_p, rows[::-1], 1 / euler
 
 
-def _float(m: int, e: int) -> float:
-    """m 2^e rounded once to a float; an infinity past the double range."""
-    try:
-        return m / (1 << -e) if e < 0 else float(m << min(e, 1100))
-    except OverflowError:
-        return math.copysign(math.inf, m)
-
-
-def _exact(z):
-    """A complex, float, int or mpc z exactly as (a, b, e), z = (a + ib) 2^e."""
-    if hasattr(z, "_mpc_"):
-        parts = [(-man if sign else man, exp) for sign, man, exp, _ in z._mpc_]
-    else:
-        parts = [(n, 1 - d.bit_length()) for n, d in
-                 (float(z.real).as_integer_ratio(), float(z.imag).as_integer_ratio())]
-    e = min((exp for man, exp in parts if man), default=0)
-    a, b = (man << (exp - e) if man else 0 for man, exp in parts)
-    return a, b, e
-
-
-def _normal(a: int, b: int, e: int, width: int):
-    """(a + ib) 2^e with max(|a|, |b|) shifted to ``width`` bits (floor)."""
-    k = max(a.bit_length(), b.bit_length()) - width
-    return (a >> k, b >> k, e + k) if k >= 0 else (a << -k, b << -k, e + k)
-
-
 def _gaussian(z, width: int):
-    """A complex or an mpc z as (a, b, e), z ~ (a + ib) 2^e, a and b at
-    most ``width`` bits."""
+    """A complex or an ExtComplex z as (a, b, e), z ~ (a + ib) 2^e, a and
+    b at most ``width`` bits."""
     return _normal(*_exact(z), width)
 
 
 def _theta_ext(x, p, eps: float):
     """The extended regime of theta: ``_series`` at mantissa width
-    W = B + 16, rounded once to a B-bit mpc of x's context (p's when x is
-    not an mpmath number), which converts the other argument."""
-    from mpmath.libmp import fzero, from_man_exp, round_nearest
-
-    ctx = x.context if hasattr(x, "context") else p.context
-    x, p = (z if hasattr(z, "_mpc_") else ctx.mpc(z) for z in (x, p))
-    prec = ctx.prec
-    width = prec + 16
-    if not (x._mpc_[0][1] or x._mpc_[1][1]):         # zero mantissas
+    W = B + 16, rounded once to a B-bit ExtComplex, B the precision of x
+    (of p when x is not an ExtComplex), which converts the other
+    argument."""
+    bits = (x if type(x) is ExtComplex else p).bits
+    x, p = ExtComplex(x, bits), ExtComplex(p, bits)
+    if not x:
         raise ValueError("theta argument must be nonzero")
+    width = bits + 16
     pa, pb, pe = nome = _gaussian(p, width)
     pn = pa * pa + pb * pb
     if not pn:
         return 1 - x
     if pe >= 0 or pn >> (-2 * pe):                  # |p|^2 >= 1
         raise ValueError("need |p| < 1")
-    if x._mpc_ in (_ONE, p._mpc_):
-        return ctx.make_mpc((fzero, fzero))
+    if x == 1 or x == p:
+        return ExtComplex(0, bits)
     ma, mb, e = _series(_exact(x), nome, width, eps)
-    return ctx.make_mpc((from_man_exp(ma, e, prec, round_nearest),
-                         from_man_exp(mb, e, prec, round_nearest)))
+    return _make(*_round(ma, mb, e, bits), bits)
 
 
 def _series(x, nome, width: int, eps: float):
@@ -485,32 +443,6 @@ def _fixed(a: int, b: int, e: int, frac: int):
     """(a + ib) 2^e as Gaussian integers at exponent -frac."""
     k = e + frac
     return (a << k, b << k) if k >= 0 else (a >> -k, b >> -k)
-
-
-def _times(a: int, b: int, e: int, c: int, d: int, f: int, width: int):
-    """The product of two Gaussian mantissas, cut back to W bits."""
-    return _normal(a * c - b * d, a * d + b * c, e + f, width)
-
-
-def _quotient(a: int, b: int, e: int, c: int, d: int, f: int, width: int):
-    """(a + ib) 2^e / ((c + id) 2^f) to W bits: (a + ib)(c - id) over
-    c^2 + d^2, the quotient shifted to about W + 1 bits first."""
-    n = c * c + d * d
-    ra, rb = a * c + b * d, b * c - a * d
-    k = width + 1 + n.bit_length() - max(ra.bit_length(), rb.bit_length())
-    return _normal((ra << k) // n, (rb << k) // n, e - f - k, width)
-
-
-def _power(a: int, b: int, e: int, n: int, width: int):
-    """((a + ib) 2^e)^n, n >= 0, by squaring, each product cut to W bits."""
-    out = 1, 0, 0
-    while n:
-        if n & 1:
-            out = _times(*out, a, b, e, width)
-        n >>= 1
-        if n:
-            a, b, e = _times(a, b, e, a, b, e, width)
-    return out
 
 
 @lru_cache(maxsize=32)
@@ -714,12 +646,9 @@ def theta_property_suite(samples: int, seed: int = DEFAULT_SEED, *,
         p = _random_complex(rng, 0.05, 0.35)
         inputs = {"x": x, "y": y, "u": u, "z": z, "p": p}
         if precision_bits:
-            # the report holds global-context mpcs, which print at mpmath's
-            # default 15 digits; the arithmetic runs on B-bit copies.  Both
-            # hold the sampled doubles exactly.
-            import mpmath
-            inputs = {k: mpmath.mpc(v) for k, v in inputs.items()}
-            x, y, u, z, p = map(_context(precision_bits).mpc, (x, y, u, z, p))
+            # the reports hold the sampled doubles; the arithmetic runs on
+            # B-bit copies, which hold them exactly
+            x, y, u, z, p = (ExtComplex(v, precision_bits) for v in (x, y, u, z, p))
         sides = [("theta-zero-nome", theta(x, p * 0, eps), 1 - x)]
         tx = theta(x, p, eps)
         sides += [("theta-inversion", theta(1 / x, p, eps), -tx / x),

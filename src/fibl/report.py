@@ -134,7 +134,7 @@ def _value_json(v, nl: str, poly_texts: dict) -> str:
     if isinstance(v, (int, float, str)):        # subclasses print as their base type
         return json_text(v)
     f = nl + "  "
-    if hasattr(v, "imag") and hasattr(v, "real"):       # complex, mpmath mpc and mpf
+    if hasattr(v, "imag") and hasattr(v, "real"):       # complex and ExtComplex
         return ("{" + f + '"im": ' + _float_text(float(v.imag)) + ","
                 + f + '"re": ' + _float_text(float(v.real)) + nl + "}")
     if hasattr(v, "term_count"):        # an IntPoly

@@ -3,13 +3,20 @@
 Each oracle computes a quantity the package computes too, by a route of
 its own (long division, the integer shadow at q = 1, the strip options
 listed one by one, a report's document built as a dict), or reads a
-fixture or a serialized form back.
+fixture or a serialized form back.  The numeric oracles run in mpmath,
+which the package does not use: a B-bit value goes in exactly
+(``to_mpc``), and theta is the factor-by-factor product at 300 bits
+(``theta_product``).
 """
 
 import json
 from pathlib import Path
 
+import mpmath
+from mpmath.libmp import from_man_exp
+
 from fibl.errors import NotPolynomialError
+from fibl.extended import ExtComplex
 from fibl.fib import fib
 from fibl.qpoly import IntPoly, long_division, q_number, ratio_poly
 from fibl.tilings import PathDominoTiling, StaircaseTiling, _strip_options
@@ -128,15 +135,46 @@ def to_dict(report) -> dict:
     }
 
 
+def to_mpc(z):
+    """An ExtComplex, complex, float or int z as an mpmath mpc, exactly,
+    whatever mpmath's working precision."""
+    if isinstance(z, ExtComplex):
+        parts = from_man_exp(z.a, z.e), from_man_exp(z.b, z.e)
+    elif isinstance(z, int):
+        parts = from_man_exp(z, 0), from_man_exp(0, 0)
+    else:
+        z = complex(z)
+        parts = [from_man_exp(n, 1 - d.bit_length()) for n, d in
+                 (z.real.as_integer_ratio(), z.imag.as_integer_ratio())]
+    return mpmath.mp.make_mpc(tuple(parts))
+
+
+def theta_product(x, p, bits: int = 300):
+    """theta(x; p) = prod_{j >= 0} (1 - p^j x)(1 - p^{j+1}/x), factor by
+    factor at ``bits`` bits of mpmath, to the first J with
+    |p|^J max(|x|, 1/|x|) < 2^-bits; x and p as ``to_mpc`` takes them."""
+    with mpmath.workprec(bits):
+        x, p = to_mpc(x), to_mpc(p)
+        bound = max(abs(x), 1 / abs(x))
+        tol = mpmath.mpf(2) ** -bits
+        out, pj = mpmath.mpc(1), mpmath.mpc(1)
+        while True:
+            out *= (1 - pj * x) * (1 - pj * p / x)
+            pj *= p
+            if abs(pj) * bound < tol:
+                return out
+
+
 def jsonable(v):
-    """The JSON form of a report value: complex and mpmath numbers as "re"
-    and "im", an IntPoly as IntPoly.to_json or, past INLINE_TERMS terms, a
-    summary, lists and dicts item by item, and anything else as its str."""
+    """The JSON form of a report value: complex numbers, and others with a
+    real and an imag that float() takes, as "re" and "im", an IntPoly as
+    IntPoly.to_json or, past INLINE_TERMS terms, a summary, lists and
+    dicts item by item, and anything else as its str."""
     if v is None or isinstance(v, (bool, int, float, str)):
         return v
     if isinstance(v, complex):
         return {"re": v.real, "im": v.imag}
-    if hasattr(v, "imag") and hasattr(v, "real"):       # mpmath mpc/mpf
+    if hasattr(v, "imag") and hasattr(v, "real"):       # ExtComplex, mpmath's mpc and mpf
         return {"re": float(v.real), "im": float(v.imag)}
     if hasattr(v, "term_count"):        # an IntPoly: count its terms before any JSON
         terms = v.term_count()

@@ -15,6 +15,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from fibl import elliptic as ell
 from fibl.errors import DegenerateParametersError
+from fibl.extended import ExtComplex
 from fibl.fib import fib
 from fibl.qpoly import q_number
 from fibl.report import numeric_report, report_json
@@ -23,6 +24,7 @@ from fibl.tilings import (DOMINO, MONOMINO, SPECIAL, PathDominoTiling,
                           iter_staircase_tilings, recurrence, recurrence_strip,
                           rect_path_profile, staircase_path_profile,
                           spiral_check, tile_exponent, tiling_sum, tiling_tiles)
+from oracles import to_mpc
 
 SEED = 0x5EED
 
@@ -199,6 +201,7 @@ def _series_reference(x, p, eps, bits):
 def _within(got, wants, bits) -> bool:
     """Whether got lies within 2^-(B-8) of one of the values ``wants``."""
     with mpmath.workprec(bits + 64):
+        got = to_mpc(got)
         return any(abs(got - w) <= mpmath.mpf(2) ** -(bits - 8) * abs(w) for w in wants)
 
 
@@ -311,17 +314,15 @@ class TestThetaKernel:
                 wants = _series_reference(x, p, eps, 53 + 64)
                 assert min(abs(got - w) for w in wants) <= _double_bound(x, p, eps)
                 if abs(got) > 1e-300 and _guard(p) > ell._FLOAT_GUARD:
-                    with mpmath.workprec(53):
-                        ext = ell.theta(mpmath.mpc(x), mpmath.mpc(p), eps)
+                    ext = ell.theta(ExtComplex(x, 53), ExtComplex(p, 53), eps)
                     assert _bits(got) == _bits(ext)
                 if clear:
                     assert _depth_is(x, p, eps, n)
             return
         eps = ell.EXTENDED_TRUNC_EPS
-        with mpmath.workprec(bits):
-            xm, pm = mpmath.mpc(x), mpmath.mpc(p)
-            got = ell.theta(xm, pm, eps)
-            assert isinstance(got, mpmath.mpc)
+        got = ell.theta(ExtComplex(x, bits), ExtComplex(p, bits), eps)
+        assert type(got) is ExtComplex and got.bits == bits
+        xm, pm = to_mpc(x), to_mpc(p)
         with mpmath.workprec(bits + 64):
             # well-conditioned points only: no factor 1 - p^j x or
             # 1 - p^(j+1)/x within 1e-3 of zero
@@ -347,26 +348,25 @@ class TestThetaKernel:
                    for _ in range(40)]
         eps = ell.EXTENDED_TRUNC_EPS
         for x, p in points:
-            with mpmath.workprec(bits):
-                x, p = mpmath.mpc(x), mpmath.mpc(p)
-                got = ell.theta(x, p, eps)
-                if x == 1:
-                    assert got.real == 0 and got.imag == 0
-                    continue
-                if p == 0:
-                    assert got._mpc_ == (1 - x)._mpc_
-                    continue
+            got = ell.theta(ExtComplex(x, bits), ExtComplex(p, bits), eps)
+            if x == 1:
+                assert got == 0
+                continue
+            if p == 0:
+                with mpmath.workprec(bits):
+                    assert to_mpc(got) == 1 - to_mpc(x)
+                continue
+            x, p = to_mpc(x), to_mpc(p)
             assert _within(got, _series_reference(x, p, eps, bits + 64), bits)
             if bits <= 128:
                 with mpmath.workprec(bits + 64):
                     assert _within(got, [_theta_reference(x, p, eps)], bits)
-        with mpmath.workprec(bits):     # a nome with B bits on either side of 2^-W
-            tiny = mpmath.mpc(1, 3) / 7 * mpmath.mpf(2) ** -(bits + 4)
-            got = ell.theta(mpmath.mpc(1), tiny, eps)
-            assert got.real == 0 and got.imag == 0
-            x = mpmath.mpc(0.7, -1.3)
-            assert _within(ell.theta(x, tiny, eps), _series_reference(x, tiny, eps, bits + 64),
-                           bits)
+        # a nome with B bits on either side of 2^-W
+        tiny = ExtComplex(1 + 3j, bits) / 7 * 2.0 ** -(bits + 4)
+        assert ell.theta(ExtComplex(1, bits), tiny, eps) == 0
+        x = 0.7 - 1.3j
+        assert _within(ell.theta(ExtComplex(x, bits), tiny, eps),
+                       _series_reference(x, to_mpc(tiny), eps, bits + 64), bits)
 
     @pytest.mark.parametrize("bits", [None, 128])
     def test_zero_nome(self, bits):
@@ -374,25 +374,23 @@ class TestThetaKernel:
         if bits is None:
             assert _bits(ell.theta(x, p)) == _bits(_theta_reference(x, p)) == _bits(1 - x)
             return
-        with mpmath.workprec(bits):
-            x, p = mpmath.mpc(x), mpmath.mpc(0)
-            before = ell._nome_table.cache_info()
-            got = ell.theta(x, p, ell.EXTENDED_TRUNC_EPS)
-            assert ell._nome_table.cache_info() == before      # no table at p = 0
-            assert got._mpc_ == (1 - x)._mpc_
-            assert got == _theta_reference(x, p, ell.EXTENDED_TRUNC_EPS)
+        x, p = ExtComplex(x, bits), ExtComplex(0, bits)
+        before = ell._nome_table.cache_info()
+        got = ell.theta(x, p, ell.EXTENDED_TRUNC_EPS)
+        assert ell._nome_table.cache_info() == before      # no table at p = 0
+        assert got == 1 - x and type(got) is ExtComplex
+        assert got == _theta_reference(x, p, ell.EXTENDED_TRUNC_EPS)
 
     @pytest.mark.parametrize("bits", [53, 128, 160])
     def test_theta_at_one_is_exactly_zero(self, bits):
         """theta(1; p), and theta(p; p) as well, are exactly 0 at B bits,
         for nomes small and large, real and complex, and with an x or p
-        that is not an mpmath number."""
-        ctx = ell._context(bits)
-        for p in (ctx.mpc(0.3, -0.1), ctx.mpc(0.0035, 0.0002), ctx.mpc(-0.9),
-                  ctx.mpc(1e-30, 1e-31), ctx.mpc(0.6, 0.6)):
-            for x, nome in ((ctx.mpc(1), p), (p, p), (1, p), (p, complex(p))):
+        that is not an ExtComplex."""
+        for p in (ExtComplex(v, bits) for v in (0.3 - 0.1j, 0.0035 + 0.0002j, -0.9,
+                                                1e-30 + 1e-31j, 0.6 + 0.6j)):
+            for x, nome in ((ExtComplex(1, bits), p), (p, p), (1, p), (p, complex(p))):
                 got = ell.theta(x, nome, ell.EXTENDED_TRUNC_EPS)
-                assert got.real == 0 and got.imag == 0 and got.context is ctx
+                assert got == 0 and type(got) is ExtComplex and got.bits == bits
 
     def test_nome_table_does_not_depend_on_history(self, monkeypatch):
         """One (x, p) gives the same bits with a cold nome table, a warm
@@ -401,14 +399,13 @@ class TestThetaKernel:
         rows past a small row cap computed as they are read; the rows are
         the same whichever call grew them.  At eps = 1e-10 the truncation
         shows in the bits."""
-        ctx = ell._context(128)
-        x, far, p = ctx.mpc(0.7, -1.3), ctx.mpc(3e12, -1e12), ctx.mpc(0.2, 0.25)
+        x, far, p = (ExtComplex(z, 128) for z in (0.7 - 1.3j, 3e12 - 1e12j, 0.2 + 0.25j))
         eps, deep = 1e-10, 1e-60
-        width = ctx.prec + 16
+        width = 128 + 16
         key = ell._gaussian(p, width) + (width,)
 
         def run(*args):
-            return [ell.theta(z, p, eps)._mpc_ for z in args]
+            return [ell.theta(z, p, eps) for z in args]
 
         def rows_after(z, e):
             ell._nome_table.cache_clear()
@@ -432,16 +429,15 @@ class TestThetaKernel:
         ell._nome_table.cache_clear()
         assert run(x, far, x, far) == [cold_x, cold_far, cold_x, cold_far]
         assert ell._nome_table(*key) == rows[:3]
-        assert ell.theta(x, p, ell.EXTENDED_TRUNC_EPS)._mpc_ != cold_x
+        assert ell.theta(x, p, ell.EXTENDED_TRUNC_EPS) != cold_x
 
     def test_nome_cache_is_bounded_and_shared(self):
-        ctx = ell._context(128)
-        x, eps = ctx.mpc(0.7, -1.3), ell.EXTENDED_TRUNC_EPS
+        x, eps = ExtComplex(0.7 - 1.3j, 128), ell.EXTENDED_TRUNC_EPS
         ell._nome_table.cache_clear()
         size = ell._nome_table.cache_info().maxsize
         assert size is not None
         for i in range(size + 5):
-            ell.theta(x, ctx.mpc(0.01 * (i + 1), 0.1), eps)
+            ell.theta(x, ExtComplex(complex(0.01 * (i + 1), 0.1), 128), eps)
         assert ell._nome_table.cache_info().currsize == size
         # a theta-suite sample makes 16 theta calls: 15 at p, and one at 0,
         # which needs no table
@@ -462,8 +458,8 @@ class TestThetaKernel:
                 ell.theta(x, p)
             assert str(got.value) == str(want.value)
             return
-        with mpmath.workprec(bits), pytest.raises(ValueError):
-            ell.theta(mpmath.mpc(x), mpmath.mpc(p), ell.EXTENDED_TRUNC_EPS)
+        with pytest.raises(ValueError):
+            ell.theta(ExtComplex(x, bits), ExtComplex(p, bits), ell.EXTENDED_TRUNC_EPS)
 
     @pytest.mark.parametrize("cap", [16, 17, 18])
     @pytest.mark.parametrize("bits", [None, 128])
@@ -487,14 +483,12 @@ class TestThetaKernel:
             if floats:
                 assert len(ell._double_nome(p, eps)[2]) == 16
             for x in (2.0, 0.7 + 0.7j, 3e12):
-                with mpmath.workprec(bits or 53):
-                    if bits:
-                        x, p = mpmath.mpc(x), mpmath.mpf(p)
-                    if cap == 16 and not floats:
-                        with pytest.raises(ValueError, match="did not converge"):
-                            ell.theta(x, p, eps)
-                        continue
-                    got, wants = ell.theta(x, p, eps), _series_reference(x, p, eps, (bits or 53) + 64)
+                args = (ExtComplex(x, bits), ExtComplex(p, bits)) if bits else (x, p)
+                if cap == 16 and not floats:
+                    with pytest.raises(ValueError, match="did not converge"):
+                        ell.theta(*args, eps)
+                    continue
+                got, wants = ell.theta(*args, eps), _series_reference(x, p, eps, (bits or 53) + 64)
                 if bits:
                     assert _within(got, wants, bits)
                 else:
@@ -510,10 +504,10 @@ class TestThetaKernel:
         (want,) = _series_reference(x, near, eps, 192)
         got = ell.theta(x, near)
         assert abs(got - want) <= 1e-12 * abs(want)
-        ctx = ell._context(128)
-        got = ell.theta(ctx.mpc(x), ctx.mpc(near), eps)
+        got = ell.theta(ExtComplex(x, 128), ExtComplex(near, 128), eps)
         assert _within(got, [want], 128)
-        for args in ((x, far, ell.DEFAULT_TRUNC_EPS), (ctx.mpc(x), ctx.mpc(far), eps)):
+        for args in ((x, far, ell.DEFAULT_TRUNC_EPS),
+                     (ExtComplex(x, 128), ExtComplex(far, 128), eps)):
             start = time.perf_counter()
             with pytest.raises(ValueError, match="did not converge"):
                 ell.theta(*args)
@@ -549,13 +543,12 @@ class TestThetaDoubleKernel:
         """Suite-shaped points (x a product or quotient of two sampled
         arguments), against the Gaussian kernel at 200 bits."""
         rng = random.Random(22)
-        ctx = ell._context(200)
         worst = 0.0
         for i in range(1000):
             u, v = (ell._random_complex(rng, 0.4, 1.5) for _ in range(2))
             x = u * v if i % 2 else u / v
             p = ell._random_complex(rng, 0.05, 0.35)
-            want = ell.theta(ctx.mpc(x), ctx.mpc(p), 1e-60)
+            want = ell.theta(ExtComplex(x, 200), ExtComplex(p, 200), 1e-60)
             worst = max(worst, float(abs(ell.theta(x, p) - want) / abs(want)))
         assert worst <= 1e-14
 
@@ -595,8 +588,7 @@ class TestThetaDoubleKernel:
         x, p, eps = 0.5 + 0.5j, cmath.rect(0.97, 0.4), ell.DEFAULT_TRUNC_EPS
         assert _guard(p) == 234
         got = ell.theta(x, p)
-        with mpmath.workprec(53):
-            assert _bits(got) == _bits(ell.theta(mpmath.mpc(x), mpmath.mpc(p), eps))
+        assert _bits(got) == _bits(ell.theta(ExtComplex(x, 53), ExtComplex(p, 53), eps))
         assert _within(got, _series_reference(x, p, eps, 53 + 64), 53)
         monkeypatch.setattr(ell, "_TABLE_ROWS", 3)
         ell._nome_table.cache_clear()
@@ -1224,7 +1216,7 @@ class TestParamsReplace:
         p = params_at(0, precision_bits=128)
         r = p.replace(q=0.5 + 0.1j, p=0.25)
         for value in r[:4]:
-            assert value.context.prec == 128
+            assert type(value) is ExtComplex and value.bits == 128
         assert (complex(r.q), complex(r.p)) == (0.5 + 0.1j, 0.25)
         assert (r.a, r.b, r.eq_tol, r.precision_bits) == (p.a, p.b, p.eq_tol, 128)
         assert type(r) is ell.EllipticParams
@@ -1265,21 +1257,21 @@ class TestExtendedPrecision:
         ring = ell.EllipticRing(ell.sample_params(9, precision_bits=160))
         rep = _multiplication_report(3, 4, ring)
         assert rep.passed and rep.rel_diff < 1e-30
-        assert ring._q(3).context.prec == 160
+        assert ring._q(3).bits == 160
 
     def test_params_carry_their_own_context(self):
         p = ell.sample_params(9, precision_bits=160).replace(a=0.5 + 0.25j)
         for value in (p.a, p.b, p.q, p.p):
-            assert value.context.prec == 160
+            assert value.bits == 160
         assert complex(p.a) == 0.5 + 0.25j
         ring = ell.EllipticRing(p)
         for value in (ring.number(5), ring.number(5, 3), ring.v(2, 3, 2), ring.omega1(3, 2),
                       ring.fibonomial(3, 2), tiling_sum(ring, 2, 2)):
-            assert value.context.prec == 160
+            assert type(value) is ExtComplex and value.bits == 160
 
     def test_reports_ignore_the_global_precision(self):
         """ext:B reports are the same under any ambient mpmath precision,
-        and computing them leaves the global precision as it was."""
+        which the package neither reads nor sets."""
         p = params_at(1, precision_bits=128)
 
         def reports():

@@ -46,6 +46,7 @@ COMMANDS = [
     ["catalan", "ordinary", "3"],
     ["catalan", "coxeter", "Z9", "2"],                              # exit 2: usage error
     ["elliptic", "number", "3"],
+    ["elliptic", "number", "3", "--precision", "ext:128"],
     ["elliptic", "fibonomial", "2", "2", "--format", "json"],
     ["elliptic", "theta", "0.5", "--p", "0.9"],
     ["elliptic", "theta", "0.5", "--precision", "ext:128"],
@@ -70,6 +71,9 @@ ALLOWED_UNREACHED = {
     "elliptic.elliptic_weight":
         "the elliptic weight of one listed tiling, which the tests sum over "
         "enumerated tilings as the tiling transfer's oracle",
+    "extended.ExtComplex.__le__": "the order of B-bit reals, whole for library callers; "
+                                  "tests/test_extended.py checks it",
+    "extended.ExtComplex.__repr__": "ExtComplex's text in assertion messages and at the prompt",
     "kernels._rises_then_falls":
         "scan_unimodal's loop for a sequence that is no palindrome; the commands "
         "scan only palindromes, and the tests use the loop as the reference",

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import fibl.cli as cli
+from fibl.extended import ExtComplex
 from fibl.qpoly import IntPoly
 from fibl.report import SCHEMA, VerificationReport, exact_report, json_text, report_json
 from oracles import to_dict
@@ -73,6 +74,11 @@ EDGE = {
         "x", {"x": mpmath.mpc(0.5, -0.25), "y": mpmath.mpf(2)}, mpmath.mpc("0.1", "1e-30"),
         mpmath.mpc(-3, 0), True, abs_diff=1e-39, rel_diff=2e-39, tolerance=1e-20),
     "mpf-side": VerificationReport("x", {}, mpmath.mpf("0.1"), mpmath.mpf(-2), False),
+    "ext-sides": VerificationReport(
+        "x", {"x": 0.5 - 0.25j}, ExtComplex(1 / 3 + 0.1j, 128) ** 3,
+        ExtComplex(2.0 ** 1000 - 1j, 128) ** 5, True, abs_diff=1e-39, rel_diff=2e-39,
+        tolerance=1e-20, notes={"params": {"a": ExtComplex(complex(-0.0, 2.0 ** -1074), 256),
+                                           "p": 1 / ExtComplex(2.0 ** 1000, 128) ** 2}}),
     "zero-poly": exact_report("x", {"m": 0}, IntPoly(), IntPoly([0, 0])),
     "signed-poly": exact_report("x", {"m": 2}, IntPoly([0, -3, 0, 0, 7, -1]),
                                 IntPoly([5, 0, -10**30])),
