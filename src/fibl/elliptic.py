@@ -12,16 +12,17 @@ labels and omega2(i, j) over its (S, i, j) labels, from the tiling
 model's one strip rule in ``fibl.tilings``.  EllipticRing(params)
 owns one parameter point's values: its elliptic numbers at each base,
 weights, Fibonacci factorials, strip sums and lattices, each computed
-once.  The tiling sum (``fibl.tilings.tiling_sum`` over each strip's
-sum of elliptic weights, the (n, k) staircase as point (k, n - k)), the
-recurrence, the spiral and the convolution are ``fibl.tilings``' shared
-identities over that ring; the addition, splitting, strip, theorem and
-staircase checks here are functions of a ring too, so the checks at one
-sampled point read one ring.  All identity checks are numeric at seeded
-parameter points, drawn and redrawn by one loop (``_sample_points``) at
-the tolerances of one policy (``tolerances``); the ordered degeneration
-p -> 0, a -> 0, b -> 0 to the q-analogs is symbolic (limit_chain), and
-its q ring is ``fibl.tilings.Q_RING``.
+once, and supplies their arithmetic.  The strip sums (a transfer along
+each strip over the omegas), the tiling sum (the (n, k) staircase as
+point (k, n - k)), the recurrence, the spiral and the convolution are
+``fibl.tilings``' shared identities over that ring; the addition,
+splitting, strip, theorem and staircase checks here are functions of a
+ring too, so the checks at one sampled point read one ring.  All
+identity checks are numeric at seeded parameter points, drawn and
+redrawn by one loop (``_sample_points``) at the tolerances of one policy
+(``tolerances``); the ordered degeneration p -> 0, a -> 0, b -> 0 to the
+q-analogs is symbolic (limit_chain), and its q ring is
+``fibl.tilings.Q_RING``.
 
 Two numeric regimes, selected per parameter set: double precision
 (complex) and an extended mode of B bits, where EllipticParams holds a,
@@ -48,9 +49,8 @@ from fibl.extended import (ExtComplex, _exact, _float, _make, _normal, _power, _
                            _times)
 from fibl.fib import fib
 from fibl.report import DEFAULT_SEED, VerificationReport, numeric_report
-from fibl.tilings import (SPECIAL, PathDominoTiling, StaircaseTiling, recurrence,
-                          tiling_sum, tiling_tiles, _check_staircase,
-                          _rect_strip_tiles, _strip_choices)
+from fibl.tilings import (SPECIAL, PathDominoTiling, StaircaseTiling, recurrence, strip_sum,
+                          tiling_sum, tiling_tiles, _check_staircase)
 
 DEFAULT_TRUNC_EPS = 1e-17
 DEFAULT_EQ_TOL = 1e-7
@@ -491,18 +491,19 @@ class EllipticRing:
     """One parameter point's values, and the elliptic weight ring of
     ``fibl.tilings``' shared identities there: the elliptic numbers
     [n]_{a,b;q^base,p}, the weights v, omega1 and omega2, the Fibonacci
-    factorials, the strip sums and the recurrence and tiling lattices,
-    each computed once and kept in a dict keyed by small ints; complex or
-    B-bit, compared at the point's tolerance.  A value is kept only once
-    computed, so a degenerate point raises on every call."""
+    factorials, and the strip sums and lattice points that the shared
+    identities fill, each computed once and kept in a dict keyed by small
+    ints; complex or B-bit, compared at the point's tolerance.  It supplies
+    products by its numbers and omegas and lists no tilings.  A value is
+    kept only once computed, so a degenerate point raises on every call."""
 
     __slots__ = ("params", "_numbers", "_v", "_omega1", "_omega2", "_factorials",
-                 "_strips", "recurrence_lattice", "tiling_lattice")
-    one = 1
+                 "strips", "recurrence_lattice", "tiling_lattice")
+    one, zero = 1, 0
 
     def __init__(self, params: EllipticParams):
         self.params = params
-        self._numbers, self._v, self._omega1, self._omega2, self._strips = {}, {}, {}, {}, {}
+        self._numbers, self._v, self._omega1, self._omega2, self.strips = {}, {}, {}, {}, {}
         self._factorials = [1]              # prod_{k=1}^{n} [F_k] at n
         self.recurrence_lattice, self.tiling_lattice = {}, {}
 
@@ -579,37 +580,24 @@ class EllipticRing:
     def times_number(self, v, n: int, base: int):
         return v * self.number(n, base)
 
+    def times_omega1(self, v, i: int, j: int):
+        return v * self.omega1(i, j)
+
     def times_omega2(self, v, i: int, j: int):
         return v * self.omega2(i, j)
 
     def report(self, identity: str, inputs: dict, lhs, rhs) -> VerificationReport:
         return numeric_report("elliptic-" + identity, inputs, lhs, rhs, self.params.eq_tol)
 
-    def tiles_weight(self, tiles):
-        """Product of omega1(i, j) over the (D, i, j) labels and omega2(i, j)
-        over the (S, i, j) labels, in label order."""
-        w = 1
-        for kind, i, j in tiles:
-            w = w * (self.omega2 if kind == SPECIAL else self.omega1)(i, j)
-        return w
-
-    def strip_sum(self, index: int, length: int, forced: bool):
-        """Sum of elliptic weights over one rectangle strip's tilings, in
-        tiling order; 0 when the strip has no tiling.  The strip sums
-        ``fibl.tilings.tiling_sum`` multiplies."""
-        value = self._strips.get((index, length, forced))
-        if value is None:
-            value = 0
-            for strip in _strip_choices(length, forced):
-                value = value + self.tiles_weight(_rect_strip_tiles(index, length, forced, strip))
-            self._strips[index, length, forced] = value
-        return value
-
 
 def elliptic_weight(t: PathDominoTiling | StaircaseTiling, ring: EllipticRing):
-    """Product of elliptic tile weights of a tiling of either model, over
-    the domino labels of ``fibl.tilings.tiling_tiles``."""
-    return ring.tiles_weight(tiling_tiles(t))
+    """The elliptic weight of one tiling of either model: the product of
+    omega1(i, j) over its (D, i, j) labels and omega2(i, j) over its
+    (S, i, j) labels, in the order of ``fibl.tilings.tiling_tiles``."""
+    w = 1
+    for kind, i, j in tiling_tiles(t):
+        w = w * (ring.omega2 if kind == SPECIAL else ring.omega1)(i, j)
+    return w
 
 
 # ---------------------------------------------------------------------------
@@ -704,7 +692,7 @@ def elliptic_strip_check(n: int, ring: EllipticRing) -> VerificationReport:
     """Sum over (n-1)-strip tilings of prod omega1(i, 1) equals [F_n]."""
     if n < 1:
         raise ValueError("need n >= 1")
-    total = ring.strip_sum(1, n - 1, False)
+    total = strip_sum(ring, 1, n - 1, False)
     return ring.report("strip", {"n": n}, ring.number(fib(n)), total)
 
 

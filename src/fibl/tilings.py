@@ -28,28 +28,31 @@ the transpositions that are invisible at the q level (the rectangle's
 vertical dominos, the staircase's special ones).  Both weight layers read
 the labels: here ``tile_exponent`` gives q^{F_i F_j}, or q^{F_{i+1} F_j}
 for S, the q-limit of those omegas; ``fibl.elliptic.elliptic_weight``
-multiplies the omegas.  Each step of a path fixes one strip, so the one
-transfer, ``rect_transfer``, runs over lattice points: the sum over all
-paths reaching a point is built once, from the sums one step back, each
-times the sum of the strip that step fixes.  No strip depends on the
-target, so a point is the sum of a smaller rectangle, and one lattice
-serves every target of both models: the (n, k) staircase sum is point
-(k, n - k), as under (s, x) -> (x, s - x) a staircase row of length s - 1
-with its north step at x is rectangle row s - x of length x, or, forced,
-column x of height s - x.  Only ``*`` and ``+`` are used, so both weight
-rings run through the transfer: the q generating functions over dense
-IntPoly strip sums, the elliptic tiling sums over complex ones.
+multiplies the omegas.  A strip's weight sum is a transfer along the
+strip, ``strip_sum``: P(c) = P(c - 1) + omega1(c, index) P(c - 2) over
+those labels, O(length) ring operations in either ring.  Each step of a
+path fixes one strip, so the transfer over paths, ``rect_transfer``,
+runs over lattice points: the sum over all paths reaching a point is
+built once, from the sums one step back, each times the sum of the strip
+that step fixes.  No strip depends on the target, so a point is the sum
+of a smaller rectangle, and one lattice serves every target of both
+models: the (n, k) staircase sum is point (k, n - k), as under
+(s, x) -> (x, s - x) a staircase row of length s - 1 with its north step
+at x is rectangle row s - x of length x, or, forced, column x of height
+s - x.  Only ``*`` and ``+`` are used, so both weight rings run through
+the transfer: the q generating functions over dense IntPoly strip sums,
+the elliptic tiling sums over complex ones.
 
 The tiling sum, the two-term recurrence (the transfer over the strips'
 closed forms), the n = 2 spiral and the convolution over the last east
 step are written once here, each as a function of a weight ring:
 ``Q_RING`` here, the limit p, a, b -> 0 of ``fibl.elliptic.EllipticRing``.
-Each ring owns its strip sums and lattices, and its products enforce its
-limits: Q_RING's check the degree cap before they build anything.  Only
-the theorem and staircase checks, whose reports differ, stay per ring
-(the elliptic ones in ``fibl.elliptic``).  Tilings are listed only for
-``fibl enumerate``, the tests (as the transfer's oracle) and the Catalan
-counterexample.
+A ring supplies only arithmetic and keeps the strip sums and lattices,
+and its products enforce its limits: Q_RING's check the degree cap
+before they build anything.  Only the theorem and staircase checks,
+whose reports differ, stay per ring (the elliptic ones in
+``fibl.elliptic``).  Tilings are listed only for ``fibl enumerate``, the
+tests (as the transfers' oracle) and the Catalan counterexample.
 
 Enumeration is streaming and deterministic: paths in lexicographic step
 order (E < N, N < W), strip tilings in lexicographic tile order (D < M).
@@ -166,15 +169,6 @@ def _check_cap(expected: int, cap: int) -> None:
     if expected > cap:
         raise ResourceLimitError(
             f"enumeration of {expected} tilings exceeds the cap {cap}", cap=cap)
-
-
-def _poly_from_counts(counts: dict[int, int]) -> IntPoly:
-    if not counts:
-        return IntPoly.zero()
-    out = [0] * (max(counts) + 1)
-    for e, c in counts.items():
-        out[e] = c
-    return IntPoly(out)
 
 
 # ---------------------------------------------------------------------------
@@ -296,17 +290,41 @@ def rect_transfer(g: dict, m: int, n: int, table: Callable, one):
 
 
 # ---------------------------------------------------------------------------
-# Identities over a weight ring: its unit ``one``, ``fibonomial(m, n)``,
-# ``times_number(v, n, base)`` = v [n]_{q^base}, ``times_omega2(v, i, j)`` =
-# v omega2(i, j), ``strip_sum(index, length, forced)``, a strip's weight sum,
-# the ``tiling_lattice`` and ``recurrence_lattice`` dicts it keeps,
-# ``report(identity, inputs, lhs, rhs)``, and ``*`` and ``+`` on its values
+# Identities over a weight ring: its ``one`` and ``zero``,
+# ``fibonomial(m, n)``, ``times_number(v, n, base)`` = v [n]_{q^base},
+# ``times_omega1(v, i, j)`` = v omega1(i, j), ``times_omega2(v, i, j)`` =
+# v omega2(i, j), the ``strips``, ``tiling_lattice`` and
+# ``recurrence_lattice`` dicts it keeps, ``report(identity, inputs, lhs,
+# rhs)``, and ``*`` and ``+`` on its values
+
+def strip_sum(ring, index: int, length: int, forced: bool):
+    """The weight sum over one rectangle strip's tilings, kept in the
+    ring's ``strips``: row ``index`` of length L is P(L), with P(0) =
+    P(1) = 1 and P(c) = P(c - 1) + omega1(c, index) P(c - 2), as cell c
+    ends a monomino or the domino (D, c, index) of ``_rect_strip_tiles``;
+    forced column ``index`` of height L >= 2 is omega2(index, L) P(L - 2),
+    its special domino (S, index, L) over the same labels counted from the
+    bottom (a domino with top cell in row j is (D, j, index)).  The unit
+    at L = 0, the ring's zero at L = 1."""
+    key = index, length, forced
+    value = ring.strips.get(key)
+    if value is None:
+        if length < 2:
+            value = ring.zero if forced and length else ring.one
+        elif forced:
+            value = ring.times_omega2(strip_sum(ring, index, length - 2, False), index, length)
+        else:
+            value = strip_sum(ring, index, length - 1, False) + ring.times_omega1(
+                strip_sum(ring, index, length - 2, False), length, index)
+        ring.strips[key] = value
+    return value
+
 
 def tiling_sum(ring, m: int, n: int):
     """The weight sum over the m x n rectangle's tilings, and so over the
-    (m + n, m) staircase's: rect_transfer over the ring's strip sums, on
-    its tiling lattice."""
-    return rect_transfer(ring.tiling_lattice, m, n, ring.strip_sum, ring.one)
+    (m + n, m) staircase's: rect_transfer over ``strip_sum``, on the
+    ring's tiling lattice."""
+    return rect_transfer(ring.tiling_lattice, m, n, partial(strip_sum, ring), ring.one)
 
 
 def recurrence_strip(ring, index: int, length: int, forced: bool):
@@ -382,17 +400,18 @@ def convolution_check(ring, m: int, n: int) -> VerificationReport:
 class QRing:
     """The q weight ring of the shared identities, over IntPoly: the limit
     p -> 0, a -> 0, b -> 0 of ``fibl.elliptic.EllipticRing``, where
-    [n]_{q^base} stays itself and omega2(i, j) becomes q^{F_{i+1} F_j}.
-    Its strip sums and lattices are kept across calls; a lattice past 2048
-    points is replaced by a fresh one, which a running transfer may still
-    fill.  A product checks its degree against the cap before it builds
-    anything; one by a q-number is one window sum."""
+    [n]_{q^base} stays itself, omega1(i, j) becomes q^{F_i F_j} and
+    omega2(i, j) q^{F_{i+1} F_j}.  Its strip sums and lattices are kept
+    across calls; a lattice past 2048 points is replaced by a fresh one,
+    which a running transfer may still fill.  A product checks its degree
+    against the cap before it builds anything; one by a q-number is one
+    window sum, one by an omega a shift."""
 
-    __slots__ = ("_strips", "_tiling", "_recurrence")
-    one = IntPoly.one()
+    __slots__ = ("strips", "_tiling", "_recurrence")
+    one, zero = IntPoly.one(), IntPoly.zero()
 
     def __init__(self):
-        self._strips, self._tiling, self._recurrence = {}, {}, {}
+        self.strips, self._tiling, self._recurrence = {}, {}, {}
 
     @property
     def tiling_lattice(self) -> dict:
@@ -414,22 +433,11 @@ class QRing:
         _ensure_cap(v.degree + (n - 1) * base)
         return IntPoly._wrap(kernels.mul_qnumber(list(v.coeffs), n, base))
 
+    def times_omega1(self, v: IntPoly, i: int, j: int) -> IntPoly:
+        return v.shift(fib(i) * fib(j))
+
     def times_omega2(self, v: IntPoly, i: int, j: int) -> IntPoly:
         return v.shift(fib(i + 1) * fib(j))
-
-    def strip_sum(self, index: int, length: int, forced: bool) -> IntPoly:
-        """A rectangle strip's q-weight sum, dense: coefficient e counts its
-        tilings of weight q^e (counting exponents is far faster than adding
-        dense monomials); zero when it has no tiling."""
-        value = self._strips.get((index, length, forced))
-        if value is None:
-            counts: dict[int, int] = {}
-            for strip in _strip_choices(length, forced):
-                e = sum(tile_exponent(*tile)
-                        for tile in _rect_strip_tiles(index, length, forced, strip))
-                counts[e] = counts.get(e, 0) + 1
-            value = self._strips[index, length, forced] = _poly_from_counts(counts)
-        return value
 
     def report(self, identity: str, inputs: dict, lhs, rhs) -> VerificationReport:
         return exact_report("q-" + identity, inputs, lhs, rhs)
@@ -449,7 +457,7 @@ def rect_generating_function(m: int, n: int) -> IntPoly:
     """Sum of q-weights over all tilings of the m x n rectangle.
 
     Must coincide with q_fibonomial(m, n).  It is the tiling sum over
-    Q_RING's enumerated strip sums, on its lattice shared by all calls,
+    Q_RING's strip transfers, on its lattice shared by all calls,
     never q-factorials: independent of the ratio route, it shares its loop
     but not its strip sums with q_fibonomial_recurrence.  It lists no
     tilings, so no enumeration cap applies; the degree cap is checked on
@@ -746,7 +754,7 @@ def catalan_partial_tiling_counterexample(size: int = 6) -> VerificationReport:
         e = weight_exponent(t)      # row 1's special domino weighs as in any forced row
         counts[e] = counts.get(e, 0) + 1
         total += 1
-    tiling_sum = _poly_from_counts(counts)
+    tiling_sum = IntPoly([counts.get(e, 0) for e in range(max(counts) + 1)])
     catalan_poly = ratio_poly((fib(k) for k in range(n + 2, 2 * n + 1)),
                               (fib(k) for k in range(1, n + 1)))
     rep = exact_report("catalan-partial-tiling-counterexample", {"size": size},

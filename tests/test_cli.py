@@ -442,8 +442,8 @@ class TestVerifyCommand:
                 == "01a3781f466bade5e23ee555445aa8f6368add097b804c673e44d6faf03f098c")
 
     @pytest.mark.parametrize("seed, digest", [
-        ("0", "d48ab96b9fb753951e3f668f128abeb9e00e8be873cc36a341a5790b6fb6e5c1"),
-        ("1", "bbb5702b54cfc593a070f62396230a74f6d2b121da30db47ba782edf3558633d"),
+        ("0", "4d31b0eb94a58f8825a8a7087969abadcb4c91dae93719eab8be6c96cc6805b9"),
+        ("1", "3bd478245db24f40790d74643374ac633991bc221714c0be77ac8ee525dc4b38"),
     ])
     def test_extended_elliptic_all_csv_bytes(self, capsys, seed, digest):
         code, out, _ = run(capsys, "verify", "elliptic-all", "--samples", "10",
@@ -455,7 +455,7 @@ class TestVerifyCommand:
         ("verify theta --samples 50 --seed 1 --format csv",
          "75d5a9dceed9f010a9020c2750cea8d863bb21811287091d4dd5491f22d7ad78"),
         ("verify elliptic-all --samples 10 --seed 0 --format csv",
-         "1764a0fac543fa112e02679efd7ba7526e36ad24a30e93d559e9a80ba1aec53f"),
+         "81c92af8372d00c471f0000a7f8f4abf5ddb3c309f5f4fbf23348c077dd85fae"),
     ])
     def test_double_elliptic_csv_bytes(self, capsys, argv, digest):
         code, out, _ = run(capsys, *argv.split())

@@ -23,7 +23,7 @@ from fibl.tilings import (DOMINO, MONOMINO, SPECIAL, PathDominoTiling,
                           catalan_partial_tilings, convolution_check, iter_rect_tilings,
                           iter_staircase_tilings, recurrence, recurrence_strip,
                           rect_path_profile, staircase_path_profile,
-                          spiral_check, tile_exponent, tiling_sum, tiling_tiles)
+                          spiral_check, strip_sum, tile_exponent, tiling_sum, tiling_tiles)
 from oracles import to_mpc
 
 SEED = 0x5EED
@@ -1017,7 +1017,7 @@ class TestStripLemma:
             for length in range(0, 9):
                 for forced in (False, True):
                     case = (index, length, forced)
-                    got = ring.strip_sum(*case)
+                    got = strip_sum(ring, *case)
                     want = recurrence_strip(ring, *case)
                     assert ring.report("strip", {}, got, want).passed, case
                     if not length:
@@ -1063,10 +1063,10 @@ class TestEllipticTransfer:
 
 
 class _NanRecurrenceRing(ell.EllipticRing):
-    """A ring whose products by omega2, which only the recurrence route
-    takes, are NaN."""
+    """A ring whose products by an elliptic number, which of the three
+    routes only the recurrence takes, are NaN."""
 
-    def times_omega2(self, v, i, j):
+    def times_number(self, v, n, base):
         return complex(math.nan, math.nan)
 
 

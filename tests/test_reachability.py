@@ -88,6 +88,8 @@ ALLOWED_UNREACHED = {
     "qpoly.IntPoly.evaluate": "evaluation at a point; the limit_chain tests compare with it",
     "qpoly.IntPoly.monomial": "q_weight's single power of q",
     "qpoly.IntPoly.one": "the unit, which Q_RING reads once, at import; the tests use it",
+    "qpoly.IntPoly.zero": "the zero, which Q_RING reads once, at import, for a forced "
+                          "strip of height 1; the tests use it",
     "qpoly.IntPoly.substitute_power": "q -> q^m, which the tests' q_number_base oracle "
                                       "builds on; tests check it",
     "qpoly.degree_cap": "reads the degree cap; the tests check that --cap restores it",
@@ -101,7 +103,7 @@ ALLOWED_UNREACHED = {
     "tilings.reset_caches": "drops every q table; the tests use it between runs",
     "tilings.validate_rect_tiling": "the independent geometric checker that acceptance "
                                     "criterion 4 tests",
-    "tilings.validate_staircase_tiling": "the staircase checker that ROADMAP item 9's "
+    "tilings.validate_staircase_tiling": "the staircase checker that ROADMAP item 10's "
                                          "tiling-level bijection will use",
 }
 
