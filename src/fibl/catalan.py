@@ -39,8 +39,6 @@ _FIXED_EXPONENTS = {
     "G2": (1, 5),
 }
 
-FAMILIES = ("A", "B", "D", "E6", "E7", "E8", "F4", "G2")
-
 
 def coxeter_exponents(family: str, rank: Optional[int] = None) -> tuple[int, ...]:
     """Exponent list of a crystallographic Coxeter group.
@@ -124,18 +122,20 @@ class PolynomialityVerdict:
         return None if self.length is None else self.length - 1
 
 
-def _ratio_verdict(num_factors: Iterable[int], den_factors: Iterable[int]) -> PolynomialityVerdict:
+def _ratio_verdict(num_factors: Iterable[int], den_factors: Iterable[int],
+                   start: Optional[list] = None) -> PolynomialityVerdict:
     """Decide whether prod [t] over num_factors / prod [t] over den_factors is a polynomial.
 
     The ratio engine's cyclotomic count decides and the engine builds an
     exact quotient; an inexact one's remainder is recovered by long
     division when that is affordable.  The degree cap applies to every
-    partial numerator degree.
+    partial numerator degree.  ``start`` is the engine's chain start (see
+    ``q_ratio_coeffs``), which only a ratio that the count accepts pops.
     """
     num = list(num_factors)
     _check_partial_degrees(num)
     try:
-        half, length = q_ratio_coeffs(num, den_factors)
+        half, length = q_ratio_coeffs(num, den_factors, start)
     except NotPolynomialError as exc:
         if exc.split is None:
             raise
@@ -198,9 +198,10 @@ def q_fibo_catalan_positivity_sweep(max_mn: int) -> list[SweepRow]:
     for every pair, in output order, before any quotient is built.
 
     At a fixed n the quotients for m <= n are prefix ratios,
-    Q(m + 1, n) = Q(m, n) [F_{m+n}] / [F_{m+1}], so each one starts the
-    ratio engine from the last polynomial quotient at that n (over any
-    pairs skipped for their gcd) and only the last is kept.
+    Q(m + 1, n) = Q(m, n) [F_{m+n}] / [F_{m+1}], so each row is the
+    verdict of ``_ratio_verdict`` at the chain start of the last
+    polynomial quotient at that n (over any pairs skipped for their gcd),
+    and only the last is kept.
     """
     if max_mn < 2:
         raise ValueError("need max >= 2")
@@ -221,22 +222,18 @@ def q_fibo_catalan_positivity_sweep(max_mn: int) -> list[SweepRow]:
 
 
 def _chained_row(m: int, n: int, g: int, last: list) -> SweepRow:
-    """Sweep row (m, n), m <= n.  ``last`` holds at most the (quotient,
-    num, den) of the last polynomial row at this n; the ratio engine pops
-    it and rewrites that quotient's half in place, and a polynomial row
-    is pushed in its place.  The quotient stays in the engine's half
-    form: its range is that of its low half."""
+    """Sweep row (m, n), m <= n, from ``_ratio_verdict`` chained at
+    ``last``, which holds at most the (quotient, num, den) of the last
+    polynomial row at this n: the engine pops it and rewrites that
+    quotient's half in place, and a polynomial row is pushed in its
+    place.  The quotient stays in the engine's half form: its range is
+    that of its low half."""
     num, den = _rational_factors(m, n)
-    try:
-        quotient = q_ratio_coeffs(num, den, last)
-    except NotPolynomialError as exc:
-        if exc.split is None:
-            raise
+    verdict = _ratio_verdict(num, den, last)
+    if not verdict.is_polynomial:
         return SweepRow(m, n, g, False, None, None, None)
-    half, length = quotient
-    lo, hi = kernels.coeff_min_max(half)
-    last.append((quotient, num, den))
-    return SweepRow(m, n, g, True, length - 1, lo, hi)
+    last.append(((verdict.half, verdict.length), num, den))
+    return SweepRow(m, n, g, True, verdict.degree, *verdict.coeff_range)
 
 
 def sweep_csv_lines(rows: list[SweepRow]) -> list[str]:

@@ -6,7 +6,8 @@ theta(x; p) (p; p)_inf = sum_n (-1)^n p^{n(n-1)/2} x^n (Gasper-Rahman
 (1.6.1), DLMF 20.5), whose terms fall like |p|^{n^2/2}: 6 to 10 a side
 at |p| <= 0.35 and eps = 1e-17.  On top of it sit the elliptic number
 [n]_{a,b;q,p} (four theta factors over four), the weight function v (five
-over five, times q^m) and the tile weights omega1/omega2.  A tiling's
+over five, times q^m) and the tile weights omega1/omega2, which are v
+at Fibonacci arguments and are kept as entries of v's table.  A tiling's
 elliptic weight is the product of omega1(i, j) over its (D, i, j) domino
 labels and omega2(i, j) over its (S, i, j) labels, from the tiling
 model's one strip rule in ``fibl.tilings``.  EllipticRing(params)
@@ -476,7 +477,11 @@ def theta_multi(xs: Sequence, p, eps: float = DEFAULT_TRUNC_EPS):
     return out
 
 
-def _theta_quotient(num_args, den_args, params: EllipticParams):
+def _theta_quotient(num_args: list, den_args: list, params: EllipticParams):
+    """prod theta(num_args) / prod theta(den_args).  Degenerate: a denominator
+    under min_denom, or in double precision an argument that underflowed to 0."""
+    if not params.precision_bits and (0 in num_args or 0 in den_args):
+        raise DegenerateParametersError("a theta argument underflows to 0")
     den = theta_multi(den_args, params.p, params.trunc_eps)
     if abs(den) < params.min_denom:
         raise DegenerateParametersError(
@@ -490,20 +495,21 @@ def _theta_quotient(num_args, den_args, params: EllipticParams):
 class EllipticRing:
     """One parameter point's values, and the elliptic weight ring of
     ``fibl.tilings``' shared identities there: the elliptic numbers
-    [n]_{a,b;q^base,p}, the weights v, omega1 and omega2, the Fibonacci
-    factorials, and the strip sums and lattice points that the shared
-    identities fill, each computed once and kept in a dict keyed by small
-    ints; complex or B-bit, compared at the point's tolerance.  It supplies
+    [n]_{a,b;q^base,p}, the weights v, the Fibonacci factorials, and the
+    strip sums and lattice points that the shared identities fill, each
+    computed once and kept in a dict keyed by small ints; omega1 and
+    omega2 are v at Fibonacci arguments, read from v's table.  Values are
+    complex or B-bit, compared at the point's tolerance.  It supplies
     products by its numbers and omegas and lists no tilings.  A value is
     kept only once computed, so a degenerate point raises on every call."""
 
-    __slots__ = ("params", "_numbers", "_v", "_omega1", "_omega2", "_factorials",
-                 "strips", "recurrence_lattice", "tiling_lattice")
+    __slots__ = ("params", "_numbers", "_v", "_factorials", "strips", "recurrence_lattice",
+                 "tiling_lattice")
     one, zero = 1, 0
 
     def __init__(self, params: EllipticParams):
         self.params = params
-        self._numbers, self._v, self._omega1, self._omega2, self.strips = {}, {}, {}, {}, {}
+        self._numbers, self._v, self.strips = {}, {}, {}
         self._factorials = [1]              # prod_{k=1}^{n} [F_k] at n
         self.recurrence_lattice, self.tiling_lattice = {}, {}
 
@@ -541,24 +547,18 @@ class EllipticRing:
 
     def omega1(self, i: int, j: int):
         """Weight of a regular domino: v_{a,b;q^{F_j},p}(F_i, F_{i-1})."""
-        value = self._omega1.get((i, j))
-        if value is None:
-            if i < 1 or j < 1:
-                raise ValueError("omega1 needs i, j >= 1")
-            value = self._omega1[i, j] = self.v(fib(i), fib(i - 1), fib(j))
-        return value
+        if i < 1 or j < 1:
+            raise ValueError("omega1 needs i, j >= 1")
+        return self.v(fib(i), fib(i - 1), fib(j))
 
     def omega2(self, i: int, j: int):
         """Weight of a special domino: v_{a,b;q,p}(F_{i+1} F_j, F_i F_{j-1}).
 
         j = 0 uses F_0 = 0 and F_{-1} = 1, giving v(0, F_i) = 1 exactly.
         """
-        value = self._omega2.get((i, j))
-        if value is None:
-            if i < 1 or j < 0:
-                raise ValueError("omega2 needs i >= 1, j >= 0")
-            value = self._omega2[i, j] = self.v(fib(i + 1) * fib(j), fib(i) * fib(j - 1))
-        return value
+        if i < 1 or j < 0:
+            raise ValueError("omega2 needs i >= 1, j >= 0")
+        return self.v(fib(i + 1) * fib(j), fib(i) * fib(j - 1))
 
     def factorial(self, n: int):
         """prod_{k=1}^{n} [F_k]_{a,b;q,p}, multiplied left to right."""

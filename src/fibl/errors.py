@@ -34,5 +34,6 @@ class NotPolynomialError(ArithmeticError):
 
 
 class DegenerateParametersError(ArithmeticError):
-    """An elliptic evaluation hit a denominator below the min_denom guard
-    (or exhausted its resampling budget)."""
+    """An elliptic evaluation hit a denominator below the min_denom guard,
+    a theta argument that underflowed to 0 in double precision, or a value
+    that overflows (or a sampled suite exhausted its resampling budget)."""

@@ -56,6 +56,11 @@ tests (as the transfers' oracle) and the Catalan counterexample.
 
 Enumeration is streaming and deterministic: paths in lexicographic step
 order (E < N, N < W), strip tilings in lexicographic tile order (D < M).
+The paths come from ``itertools.combinations``, whose tuples are in
+lexicographic order: a rectangle path's E step positions, a staircase
+path's rows with a plain N (no W before it).  Where two tuples first
+differ, the smaller has its E or plain N where the other has N or W, so
+the tuples are in the order of the strings.
 The enumerators' counts are bounded by a configurable cap (default
 10**8), rejected up front by comparing the exact integer Fibonomial
 against the cap.  The generating functions list no tilings, so the
@@ -66,7 +71,7 @@ the same way.
 from __future__ import annotations
 
 from functools import lru_cache, partial
-from itertools import product
+from itertools import combinations, product
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from fibl import kernels
@@ -128,29 +133,20 @@ def _strip_options(length: int) -> tuple[str, ...]:
     """All monomino/domino tilings of a 1 x length strip, lex order (D < M)."""
     if length < 0:
         raise ValueError("strip length must be >= 0")
-    if length == 0:
-        return ("",)
-    if length == 1:
-        return ("M",)
-    out = []
-    for rest in _strip_options(length - 2):
-        out.append(DOMINO + rest)
-    for rest in _strip_options(length - 1):
-        out.append(MONOMINO + rest)
-    out.sort()
-    return tuple(out)
+    if length < 2:
+        return (MONOMINO * length,)
+    return (tuple(DOMINO + rest for rest in _strip_options(length - 2))
+            + tuple(MONOMINO + rest for rest in _strip_options(length - 1)))
 
 
 @lru_cache(maxsize=256)
 def _strip_choices(length: int, forced: bool) -> tuple[str, ...]:
     """Tilings of one strip of a path.  A forced strip starts with the
     special domino against the path, so a one-cell forced strip has none."""
-    if not forced:
+    if not forced or length == 0:
         return _strip_options(length)
     if length == 1:
         return ()
-    if length == 0:
-        return ("",)
     return tuple(SPECIAL + rest for rest in _strip_options(length - 2))
 
 
@@ -175,20 +171,10 @@ def _check_cap(expected: int, cap: int) -> None:
 # Rectangle model
 
 def _iter_rect_paths(m: int, n: int) -> Iterator[str]:
-    """Monotone paths as E/N strings in lexicographic order (E < N)."""
-    def rec(prefix: list, e_left: int, n_left: int):
-        if e_left == 0 and n_left == 0:
-            yield "".join(prefix)
-            return
-        if e_left:
-            prefix.append("E")
-            yield from rec(prefix, e_left - 1, n_left)
-            prefix.pop()
-        if n_left:
-            prefix.append("N")
-            yield from rec(prefix, e_left, n_left - 1)
-            prefix.pop()
-    return rec([], m, n)
+    """Monotone paths as E/N strings in lexicographic order (E < N), from
+    the positions of their E steps."""
+    return ("".join("E" if step in east else "N" for step in range(m + n))
+            for east in map(set, combinations(range(m + n), m)))
 
 
 def rect_path_profile(path: str, m: int, n: int) -> tuple[list, list]:
@@ -253,9 +239,13 @@ def enumerate_rect_tilings(m: int, n: int,
     checked against ``cap`` so oversized requests fail before enumeration.
     """
     _check_cap(fibonomial_int(m, n), cap)
+    return _count(iter_rect_tilings(m, n), sink)
+
+
+def _count(tilings: Iterator, sink: Optional[Callable]) -> int:
+    """The number of ``tilings``, each passed to ``sink`` if one is given."""
     count = 0
-    for t in iter_rect_tilings(m, n):
-        count += 1
+    for count, t in enumerate(tilings, 1):
         if sink is not None:
             sink(t)
     return count
@@ -540,27 +530,13 @@ def _check_staircase(n: int, k: int) -> None:
 
 def _iter_staircase_paths(n: int, k: int) -> Iterator[str]:
     """W/N paths from (k,0) to (0,n), every W followed by N, inside the
-    staircase; lexicographic step order (N < W)."""
-    def rec(prefix: list, row: int, x: int, w_left: int):
-        # row = next north step's row index (1-based); x = current x position
-        if row > n:
-            if w_left == 0:
-                yield "".join(prefix)
-            return
-        # option N (unforced north step): stays at x; needs x <= n - row
-        if x <= n - row:
-            prefix.append("N")
-            yield from rec(prefix, row + 1, x, w_left)
-            prefix.pop()
-        # option WN (west step, then its forced north step)
-        if w_left and x - 1 >= 0 and x - 1 <= n - row:
-            prefix.append("W")
-            prefix.append("N")
-            yield from rec(prefix, row + 1, x - 1, w_left - 1)
-            prefix.pop()
-            prefix.pop()
+    staircase; lexicographic step order (N < W), from the n - k rows whose
+    north step is plain (no W before it).  Every choice stays inside: with
+    p <= n - k plain rows up to row r, row r's north step is at
+    x = k - r + p <= n - r."""
     _check_staircase(n, k)
-    return rec([], 1, k, k)
+    return ("".join("N" if row in plain else "WN" for row in range(1, n + 1))
+            for plain in map(set, combinations(range(1, n + 1), n - k)))
 
 
 def staircase_path_profile(path: str, n: int, k: int) -> tuple[list, list]:
@@ -627,12 +603,7 @@ def enumerate_staircase_tilings(n: int, k: int,
     Fibonomial with parts (n - k, k)."""
     _check_staircase(n, k)
     _check_cap(fibonomial_int(n - k, k), cap)
-    count = 0
-    for t in iter_staircase_tilings(n, k):
-        count += 1
-        if sink is not None:
-            sink(t)
-    return count
+    return _count(iter_staircase_tilings(n, k), sink)
 
 
 def staircase_generating_function(n: int, k: int) -> IntPoly:

@@ -154,14 +154,17 @@ class TestChainedSweep:
         monkeypatch.setattr(qpoly, "cyclotomic_split", cyclotomic_split)
         rows = q_fibo_catalan_positivity_sweep(9)
         assert len(calls) == sum(r.m <= r.n for r in rows)
-        # a row the count rejects leaves the chain's start in place
+        # a row the count rejects leaves the chain's start in place; like
+        # every rejected verdict it finds its remainder degree, by a long
+        # division whose two sides the ratio engine builds, one split each
         num, den = _rational_factors(2, 6)
         start = (qpoly.q_ratio_coeffs(num, den), num, den)
         last = [start]
         calls.clear()
         row = _chained_row(3, 6, 3, last)
         assert sweep_csv_lines([row])[1] == "3,6,3,false,,,"
-        assert last == [start] and len(calls) == 1
+        assert last == [start] and len(calls) == 3
+        assert calls[0] == _rational_factors(3, 6)
 
     def test_cap_is_checked_for_every_pair_before_any_quotient(self, monkeypatch):
         calls = []

@@ -419,6 +419,18 @@ class TestEllipticCommand:
         assert run(capsys, *argv) == (4, "", "degenerate parameters: theta denominator "
                                              "magnitude 0.000e+00 below min_denom\n")
 
+    @pytest.mark.parametrize("argv", [("number", "2000", "--q", "0.5"),      # q^2000 ~ 1e-602
+                                      ("fibonomial", "12", "12", "--q", "0.4")])
+    def test_underflowing_theta_argument_is_degenerate(self, capsys, argv):
+        """In double precision a power of q that underflows to 0 gives a
+        theta argument of 0: the point is degenerate, not the usage."""
+        assert run(capsys, "elliptic", *argv) == (
+            4, "", "degenerate parameters: a theta argument underflows to 0\n")
+
+    def test_zero_theta_argument_is_a_usage_error(self, capsys):
+        assert run(capsys, "elliptic", "theta", "0") == (
+            2, "", "error: theta argument must be nonzero\n")
+
 
 class TestVerifyCommand:
     def test_counterexample_suite(self, capsys):

@@ -797,7 +797,7 @@ class TestWeightV:
                 ring.v(2, 3)
             with pytest.raises(DegenerateParametersError):
                 ring.omega1(2, 3)
-        assert ring._v == {} and ring._omega1 == {}
+        assert ring._v == {}
 
     def test_v_zero_is_one(self):
         for i in range(4):
@@ -821,6 +821,16 @@ class TestWeightV:
 
 
 class TestOmega:
+    @pytest.mark.parametrize("bits", [None, 128])
+    def test_omegas_are_v_at_fibonacci_arguments(self, bits):
+        """omega1 and omega2 are entries of v's table, not copies of them."""
+        ring = ring_at(0, precision_bits=bits)
+        for i in range(1, 7):
+            for j in range(1, 7):
+                assert ring.omega1(i, j) is ring.v(fib(i), fib(i - 1), fib(j))
+            for j in range(0, 7):
+                assert ring.omega2(i, j) is ring.v(fib(i + 1) * fib(j), fib(i) * fib(j - 1))
+
     def test_omega2_at_zero_column(self):
         for i in range(4):
             ring = ring_at(i)

@@ -1,12 +1,13 @@
 import cmath
 import json
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
 from fibl import elliptic as ell
 from fibl import qpoly, tilings
-from fibl.errors import ResourceLimitError
+from fibl.errors import DegenerateParametersError, ResourceLimitError
 from fibl.fib import fib
 from fibl.qpoly import IntPoly, fibonomial_int, q_fibonomial, q_number
 from fibl.tilings import (PathDominoTiling, catalan_partial_tiling_counterexample,
@@ -104,6 +105,14 @@ class TestRectEnumeration:
             expected = {"E" * (k - 1) + "NN" + "E" * (m - k + 1)
                         for k in range(1, m + 2)}
             assert realized == expected
+
+    def test_paths_in_lexicographic_order(self):
+        """The paths as sorting every E/N string with m E's orders them."""
+        for m in range(7):
+            for n in range(7):
+                want = sorted("".join(s) for s in product("EN", repeat=m + n)
+                              if s.count("E") == m)
+                assert list(tilings._iter_rect_paths(m, n)) == want, (m, n)
 
     def test_below_height_one_obstruction(self):
         realized = {t.path for t in iter_rect_tilings(1, 1)}
@@ -327,6 +336,21 @@ class TestStaircaseEnumeration:
             for k in range(0, n + 1):
                 assert staircase_generating_function(n, k) == q_fibonomial(n - k, k)
 
+    def test_paths_in_lexicographic_order(self):
+        """The paths as sorting every W/N string that the profile accepts
+        orders them."""
+        for n in range(10):
+            for k in range(n + 1):
+                want = []
+                for west in combinations(range(n + k), k):
+                    path = "".join("W" if i in west else "N" for i in range(n + k))
+                    try:
+                        tilings.staircase_path_profile(path, n, k)
+                    except ValueError:
+                        continue
+                    want.append(path)
+                assert list(tilings._iter_staircase_paths(n, k)) == sorted(want), (n, k)
+
     def test_every_west_step_followed_by_north(self):
         for t in iter_staircase_tilings(5, 3):
             assert "WW" not in t.path and not t.path.endswith("W")
@@ -452,7 +476,7 @@ def _elliptic_strip_misses(ring, true_ring, bits):
 # of large index: 36 of the 176 rows and columns have a NaN weight at seed
 # 15 (ROADMAP item 2, theta with its own exponent, mends it).  At seed 3,
 # |q| = 0.71, the argument a q^4454 of omega2(8, 10) underflows to 0 in
-# double precision and theta raises; 128 bits hold both.
+# double precision, a degenerate point there; 128 bits hold both.
 ELLIPTIC_STRIP_POINTS = [(None, 15, 36), (128, 3, 0), (128, 15, 0)]
 
 
@@ -486,6 +510,22 @@ class TestStripTransfer:
     def test_elliptic_ring_mutants(self, bits, seed, non_finite, mutant):
         ring = ell.EllipticRing(ell.sample_params(seed, precision_bits=bits))
         assert _elliptic_strip_misses(mutant(ring), ring, bits)[0] != []
+
+    def test_underflowing_argument_is_degenerate(self):
+        with pytest.raises(DegenerateParametersError, match="^a theta argument underflows to 0$"):
+            tilings.strip_sum(ell.EllipticRing(ell.sample_params(3)), 8, 10, True)
+
+    def test_underflowing_point_is_redrawn(self):
+        # sample 0 of master seed 0 is drawn first at seed 0, where
+        # omega2(8, 10) underflows as at seed 3
+        with pytest.raises(DegenerateParametersError):
+            tilings.strip_sum(ell.EllipticRing(ell.sample_params(0)), 8, 10, True)
+
+        def check(ring):
+            value = tilings.strip_sum(ring, 8, 10, True)
+            return ring.report("strip-underflow", {}, value, value)
+        (rep,) = ell.run_sampled_checks(check, 0, 1)
+        assert rep.resamples > 0 and rep.seed == ell.derive_seed(0, 0, rep.resamples)
 
 
 class TestSharedIdentities:
