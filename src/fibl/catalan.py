@@ -23,10 +23,10 @@ from typing import Iterable, NamedTuple, Optional
 from fibl import kernels
 from fibl.fib import fib
 from fibl.errors import NotPolynomialError
-from fibl.qpoly import (IntPoly, _ensure_cap, long_division, q_fibonomial, q_ratio_coeffs,
+from fibl.qpoly import (DEFAULT_DEGREE_CAP, IntPoly, _ensure_cap, long_division, q_ratio_coeffs,
                         ratio_poly)
 from fibl.report import VerificationReport, exact_report
-from fibl.tilings import Q_RING
+from fibl.tilings import Q_RING, QRing
 
 # long-division fallback for remainders is skipped above this work estimate
 _REMAINDER_WORK_LIMIT = 5 * 10**7
@@ -122,18 +122,18 @@ class PolynomialityVerdict:
         return None if self.length is None else self.length - 1
 
 
-def _ratio_verdict(num_factors: Iterable[int], den_factors: Iterable[int],
+def _ratio_verdict(num_factors: Iterable[int], den_factors: Iterable[int], cap: int,
                    start: Optional[list] = None) -> PolynomialityVerdict:
     """Decide whether prod [t] over num_factors / prod [t] over den_factors is a polynomial.
 
     The ratio engine's cyclotomic count decides and the engine builds an
     exact quotient; an inexact one's remainder is recovered by long
-    division when that is affordable.  The degree cap applies to every
-    partial numerator degree.  ``start`` is the engine's chain start (see
-    ``q_ratio_coeffs``), which only a ratio that the count accepts pops.
+    division when that is affordable.  The degree cap ``cap`` applies to
+    every partial numerator degree.  ``start`` is the engine's chain start
+    (see ``q_ratio_coeffs``), which only a ratio that the count accepts pops.
     """
     num = list(num_factors)
-    _check_partial_degrees(num)
+    _check_partial_degrees(num, cap)
     try:
         half, length = q_ratio_coeffs(num, den_factors, start)
     except NotPolynomialError as exc:
@@ -145,10 +145,10 @@ def _ratio_verdict(num_factors: Iterable[int], den_factors: Iterable[int],
                                 all_coeffs_nonnegative=lohi[0] >= 0, coeff_range=lohi)
 
 
-def _check_partial_degrees(num: list) -> None:
+def _check_partial_degrees(num: list, cap: int) -> None:
     """Apply the degree cap to every partial numerator degree."""
     for degree in accumulate(t - 1 for t in num):
-        _ensure_cap(degree)
+        _ensure_cap(degree, cap)
 
 
 def _remainder_degree(num: list, divided: list, rest: list) -> Optional[int]:
@@ -162,11 +162,11 @@ def _remainder_degree(num: list, divided: list, rest: list) -> Optional[int]:
     return res.remainder.degree
 
 
-def q_fibo_catalan_rational(m: int, n: int) -> PolynomialityVerdict:
+def q_fibo_catalan_rational(m: int, n: int, cap: int = DEFAULT_DEGREE_CAP) -> PolynomialityVerdict:
     """Verdict for prod_{k<=m+n-1} [F_k] / (prod_{k<=m} [F_k] prod_{k<=n} [F_k])."""
     if m < 1 or n < 1:
         raise ValueError("need m, n >= 1")
-    return _ratio_verdict(*_rational_factors(m, n))
+    return _ratio_verdict(*_rational_factors(m, n), cap)
 
 
 def _rational_factors(m: int, n: int) -> tuple[list, list]:
@@ -189,7 +189,7 @@ class SweepRow(NamedTuple):
     max_coeff: Optional[int]
 
 
-def q_fibo_catalan_positivity_sweep(max_mn: int) -> list[SweepRow]:
+def q_fibo_catalan_positivity_sweep(max_mn: int, cap: int = DEFAULT_DEGREE_CAP) -> list[SweepRow]:
     """Verdict summaries for all 1 <= m, n <= max_mn with gcd(m, n) in {1, 2}.
 
     Quotients are summarized (degree and coefficient range), not retained:
@@ -208,20 +208,20 @@ def q_fibo_catalan_positivity_sweep(max_mn: int) -> list[SweepRow]:
     pairs = [(m, n) for m in range(1, max_mn + 1) for n in range(m, max_mn + 1)
              if math.gcd(m, n) in (1, 2)]
     for m, n in pairs:
-        _check_partial_degrees(_rational_factors(m, n)[0])
+        _check_partial_degrees(_rational_factors(m, n)[0], cap)
     rows = {}
     for n in range(1, max_mn + 1):
         last = []
         for m in range(1, n + 1):
             g = math.gcd(m, n)
             if g in (1, 2):
-                rows[(m, n)] = _chained_row(m, n, g, last)
+                rows[(m, n)] = _chained_row(m, n, g, last, cap)
     return [rows[min(m, n), max(m, n)]._replace(m=m, n=n)
             for m in range(1, max_mn + 1) for n in range(1, max_mn + 1)
             if math.gcd(m, n) in (1, 2)]
 
 
-def _chained_row(m: int, n: int, g: int, last: list) -> SweepRow:
+def _chained_row(m: int, n: int, g: int, last: list, cap: int) -> SweepRow:
     """Sweep row (m, n), m <= n, from ``_ratio_verdict`` chained at
     ``last``, which holds at most the (quotient, num, den) of the last
     polynomial row at this n: the engine pops it and rewrites that
@@ -229,7 +229,7 @@ def _chained_row(m: int, n: int, g: int, last: list) -> SweepRow:
     place.  The quotient stays in the engine's half form: its range is
     that of its low half."""
     num, den = _rational_factors(m, n)
-    verdict = _ratio_verdict(num, den, last)
+    verdict = _ratio_verdict(num, den, cap, last)
     if not verdict.is_polynomial:
         return SweepRow(m, n, g, False, None, None, None)
     last.append(((verdict.half, verdict.length), num, den))
@@ -242,30 +242,31 @@ def sweep_csv_lines(rows: list[SweepRow]) -> list[str]:
         ",".join("" if v is None else str(v).lower() for v in r) for r in rows]
 
 
-def q_fibo_catalan_divisibility_check(m: int, n: int) -> VerificationReport:
+def q_fibo_catalan_divisibility_check(m: int, n: int, ring: QRing = Q_RING) -> VerificationReport:
     """Exact check of [F_n] * qFib(m, n) = [F_{m+n}] * qFib(m, n-1)."""
     if m < 1 or n < 1:
         raise ValueError("need m, n >= 1")
-    lhs = Q_RING.times_number(q_fibonomial(m, n), fib(n), 1)
-    rhs = Q_RING.times_number(q_fibonomial(m, n - 1), fib(m + n), 1)
+    lhs = ring.times_number(ring.fibonomial(m, n), fib(n), 1)
+    rhs = ring.times_number(ring.fibonomial(m, n - 1), fib(m + n), 1)
     return exact_report("catalan-divisibility", {"m": m, "n": n}, lhs, rhs)
 
 
-def coxeter_q_fibo_catalan(w: CoxeterType, a: int) -> PolynomialityVerdict:
+def coxeter_q_fibo_catalan(w: CoxeterType, a: int,
+                           cap: int = DEFAULT_DEGREE_CAP) -> PolynomialityVerdict:
     """Verdict for prod_i [F_{a+e_i}] / [F_{e_i+1}] over the exponents of w."""
     if a < 1:
         raise ValueError("need a >= 1")
     exps = w.exponents
     return _ratio_verdict(
         (fib(a + e) for e in exps),
-        (fib(e + 1) for e in exps))
+        (fib(e + 1) for e in exps), cap)
 
 
-def q_fibo_catalan_ordinary(n: int) -> PolynomialityVerdict:
+def q_fibo_catalan_ordinary(n: int, cap: int = DEFAULT_DEGREE_CAP) -> PolynomialityVerdict:
     """Verdict for the ordinary q-Fibo-Catalan
     prod_{k<=2n} [F_k] / (prod_{k<=n+1} [F_k] prod_{k<=n} [F_k])."""
     if n < 1:
         raise ValueError("need n >= 1")
     return _ratio_verdict(
         (fib(k) for k in range(n + 2, 2 * n + 1)),
-        (fib(k) for k in range(1, n + 1)))
+        (fib(k) for k in range(1, n + 1)), cap)

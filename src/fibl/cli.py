@@ -12,8 +12,9 @@ never held whole.  --out is opened only then, so a run that fails before
 its output leaves no file.
 
 Exit codes: 0 pass, 1 check failure, 2 usage error, 3 resource cap,
-4 degenerate parameters.  A reader that closes stdout early does not
-change the exit code and leaves nothing on stderr.
+4 degenerate parameters; a RuntimeError is a bug in fibl and surfaces.
+A reader that closes stdout early does not change the exit code and
+leaves nothing on stderr.
 """
 
 from __future__ import annotations
@@ -493,24 +494,16 @@ def _emit_payload(ns, payload: dict, text_line: str) -> int:
 # ---------------------------------------------------------------------------
 # Commands
 
-@contextlib.contextmanager
-def _degree_cap(cap: Optional[int]):
-    """Apply a --cap degree override for one command, then restore the old cap."""
-    if cap is None:
-        yield
-        return
-    old = qpoly.set_degree_cap(cap)
-    try:
-        yield
-    finally:
-        qpoly.set_degree_cap(old)
+def _q_ring(ns) -> tilings.QRing:
+    """The q weight ring of one command: Q_RING, or a ring of its own at
+    the --cap degree cap."""
+    return tilings.Q_RING if ns.cap is None else tilings.QRing(ns.cap)
 
 
 def _cmd_fibonomial(ns) -> int:
     if ns.m < 0 or ns.n < 0:
         raise ValueError("m and n must be >= 0")
-    with _degree_cap(ns.cap):
-        poly = qpoly.q_fibonomial(ns.m, ns.n)
+    poly = qpoly.q_fibonomial(ns.m, ns.n, _q_ring(ns).cap)
     if ns.eval_q1:
         val = poly.eval_q1()
         return _emit_payload(ns, {"m": ns.m, "n": ns.n, "value_at_1": val}, str(val))
@@ -542,45 +535,44 @@ def _cmd_enumerate(ns) -> int:
 
 
 def _cmd_spiral(ns) -> int:
-    with _degree_cap(ns.cap):
-        if ns.m >= 1:       # the lhs [F_{m+2}] [F_{m+1}]'s two products, before either is built
-            qpoly._ensure_cap(fib(ns.m + 2) - 1)
-            qpoly._ensure_cap(fib(ns.m + 3) - 2)
-        reports = [tilings.spiral_check(tilings.Q_RING, ns.m),
-                   qpoly.spiral_identity_check_q1(ns.m)]
+    ring = _q_ring(ns)
+    if ns.m >= 1:       # the lhs [F_{m+2}] [F_{m+1}]'s two products, before either is built
+        qpoly._ensure_cap(fib(ns.m + 2) - 1, ring.cap)
+        qpoly._ensure_cap(fib(ns.m + 3) - 2, ring.cap)
+    reports = [tilings.spiral_check(ring, ns.m), qpoly.spiral_identity_check_q1(ns.m)]
     return _emit_reports(ns, reports)
 
 
 def _cmd_catalan(ns) -> int:
-    with _degree_cap(ns.cap):
-        if ns.what == "rational":
-            m, n = _int_args(ns.args, 2, "catalan rational M N")
-            verdict = cat.q_fibo_catalan_rational(m, n)
-            return _emit_verdict(ns, verdict, {"m": m, "n": n, "gcd": math.gcd(m, n)})
-        if ns.what == "ordinary":
-            (n,) = _int_args(ns.args, 1, "catalan ordinary N")
-            verdict = cat.q_fibo_catalan_ordinary(n)
-            return _emit_verdict(ns, verdict, {"n": n})
-        if ns.what == "coxeter":
-            if len(ns.args) != 2:
-                raise ValueError("usage: catalan coxeter FAMILY A (e.g. F4 2, A4 3)")
-            ct = _parse_coxeter(ns.args[0])
-            a = int(ns.args[1])
-            verdict = cat.coxeter_q_fibo_catalan(ct, a)
-            return _emit_verdict(ns, verdict, {"type": ct.label(), "a": a,
-                                               "coprime": math.gcd(a, ct.coxeter_number) == 1})
-        # sweep
-        if ns.args:
-            raise ValueError("usage: catalan sweep [--max N]")
-        max_mn = ns.max if ns.max else 15
-        rows = cat.q_fibo_catalan_positivity_sweep(max_mn)
-        if ns.format == "json":
-            _write(_json_pieces("catalan-sweep", _config_dict(ns, {"max": max_mn}), "rows",
-                                (json_text(row._asdict(), _ITEM_NL) for row in rows)), ns.out)
-        else:
-            _write((line + "\n" for line in cat.sweep_csv_lines(rows)), ns.out)
-        bad = [r for r in rows if not r.is_polynomial or (r.min_coeff or 0) < 0]
-        return EXIT_CHECK_FAILED if bad else EXIT_OK
+    cap = _q_ring(ns).cap
+    if ns.what == "rational":
+        m, n = _int_args(ns.args, 2, "catalan rational M N")
+        verdict = cat.q_fibo_catalan_rational(m, n, cap)
+        return _emit_verdict(ns, verdict, {"m": m, "n": n, "gcd": math.gcd(m, n)})
+    if ns.what == "ordinary":
+        (n,) = _int_args(ns.args, 1, "catalan ordinary N")
+        verdict = cat.q_fibo_catalan_ordinary(n, cap)
+        return _emit_verdict(ns, verdict, {"n": n})
+    if ns.what == "coxeter":
+        if len(ns.args) != 2:
+            raise ValueError("usage: catalan coxeter FAMILY A (e.g. F4 2, A4 3)")
+        ct = _parse_coxeter(ns.args[0])
+        a = int(ns.args[1])
+        verdict = cat.coxeter_q_fibo_catalan(ct, a, cap)
+        return _emit_verdict(ns, verdict, {"type": ct.label(), "a": a,
+                                           "coprime": math.gcd(a, ct.coxeter_number) == 1})
+    # sweep
+    if ns.args:
+        raise ValueError("usage: catalan sweep [--max N]")
+    max_mn = ns.max if ns.max else 15
+    rows = cat.q_fibo_catalan_positivity_sweep(max_mn, cap)
+    if ns.format == "json":
+        _write(_json_pieces("catalan-sweep", _config_dict(ns, {"max": max_mn}), "rows",
+                            (json_text(row._asdict(), _ITEM_NL) for row in rows)), ns.out)
+    else:
+        _write((line + "\n" for line in cat.sweep_csv_lines(rows)), ns.out)
+    bad = [r for r in rows if not r.is_polynomial or (r.min_coeff or 0) < 0]
+    return EXIT_CHECK_FAILED if bad else EXIT_OK
 
 
 def _emit_verdict(ns, verdict, inputs: dict) -> int:
@@ -656,71 +648,71 @@ def _cpx(z) -> dict:
 # ---------------------------------------------------------------------------
 # Verification suites
 
-def _suite_theta(ns) -> list[VerificationReport]:
+def _suite_theta(ns, ring) -> list[VerificationReport]:
     from fibl import elliptic as ell
     return ell.theta_property_suite(ns.samples, ns.seed,
                                     precision_bits=_parse_precision(ns.precision),
                                     eq_tol=ns.tol)
 
 
-def _suite_spiral(ns) -> list[VerificationReport]:
-    reports = [tilings.spiral_check(tilings.Q_RING, m) for m in range(1, 13)]
+def _suite_spiral(ns, ring) -> list[VerificationReport]:
+    reports = [tilings.spiral_check(ring, m) for m in range(1, 13)]
     reports += [qpoly.spiral_identity_check_q1(m) for m in range(1, 41)]
     return reports
 
 
-def _suite_convolution(ns) -> list[VerificationReport]:
-    return _convolution_reports(ns.max if ns.max else 6)
+def _suite_convolution(ns, ring) -> list[VerificationReport]:
+    return _convolution_reports(ring, ns.max if ns.max else 6)
 
 
-def _convolution_reports(top: int) -> list[VerificationReport]:
-    return [tilings.convolution_check(tilings.Q_RING, m, n)
+def _convolution_reports(ring, top: int) -> list[VerificationReport]:
+    return [tilings.convolution_check(ring, m, n)
             for m in range(1, top + 1) for n in range(1, top + 1)]
 
 
-def _suite_bijection(ns) -> list[VerificationReport]:
+def _suite_bijection(ns, ring) -> list[VerificationReport]:
     top = ns.max if ns.max else 6
-    return [tilings.model_bijection_check(m, n)
+    return [tilings.model_bijection_check(m, n, ring)
             for m in range(1, top) for n in range(1, top) if m + n <= top]
 
 
-def _suite_counterexample(ns) -> list[VerificationReport]:
+def _suite_counterexample(ns, ring) -> list[VerificationReport]:
     return [tilings.catalan_partial_tiling_counterexample(6)]
 
 
-def _suite_q_all(ns) -> list[VerificationReport]:
+def _suite_q_all(ns, ring) -> list[VerificationReport]:
     top = ns.max if ns.max else 8
     reports = []
     for m in range(1, top):
         for n in range(1, top):
             if m + n > top:
                 continue
-            gf = tilings.rect_generating_function(m, n)
-            qf = qpoly.q_fibonomial(m, n)
-            rec = qpoly.q_fibonomial_recurrence(m, n)
+            gf = tilings.rect_generating_function(m, n, ring)
+            qf = ring.fibonomial(m, n)
+            rec = qpoly.q_fibonomial_recurrence(m, n, ring)
             reports.append(exact_report("rect-gf-vs-ratio", {"m": m, "n": n}, gf, qf))
             reports.append(exact_report("recurrence-vs-ratio", {"m": m, "n": n}, rec, qf))
     for n in range(0, top + 1):
         for k in range(0, n + 1):
-            gf = tilings.staircase_generating_function(n, k)
+            gf = tilings.staircase_generating_function(n, k, ring)
             reports.append(exact_report("staircase-gf-vs-ratio", {"n": n, "k": k},
-                                        gf, qpoly.q_fibonomial(n - k, k)))
-    reports += _suite_bijection(ns)
-    reports += _suite_spiral(ns)
-    reports += _convolution_reports(min(top, 6))
+                                        gf, ring.fibonomial(n - k, k)))
+    reports += _suite_bijection(ns, ring)
+    reports += _suite_spiral(ns, ring)
+    reports += _convolution_reports(ring, min(top, 6))
     for m in range(1, 11):
         for n in range(m, 11):
-            found = "unimodal" if qpoly.is_unimodal(qpoly.q_fibonomial(m, n)) else "not-unimodal"
+            found = "unimodal" if qpoly.is_unimodal(ring.fibonomial(m, n)) else "not-unimodal"
             reports.append(exact_report("unimodality", {"m": m, "n": n}, "unimodal", found))
     return reports
 
 
-def _suite_elliptic_all(ns) -> list[VerificationReport]:
+def _suite_elliptic_all(ns, ring) -> list[VerificationReport]:
     from fibl import elliptic as ell
     bits = _parse_precision(ns.precision)
     # one ring per derived seed, so that every check at a point shares its values
     kw = dict(precision_bits=bits, eq_tol=ns.tol, rings={})
-    reports = list(_suite_theta(ns))
+    reports = list(_suite_theta(ns, ring))
     n_samples = max(1, ns.samples // 10)
     for m in range(1, 7):
         for n in range(1, 7):
@@ -759,9 +751,9 @@ def _shape(is_polynomial: bool, nonnegative: bool) -> str:
             if is_polynomial else "not-polynomial")
 
 
-def _suite_catalan_all(ns) -> list[VerificationReport]:
+def _suite_catalan_all(ns, ring) -> list[VerificationReport]:
     max_mn = ns.max if ns.max else 15
-    rows = cat.q_fibo_catalan_positivity_sweep(max_mn)
+    rows = cat.q_fibo_catalan_positivity_sweep(max_mn, ring.cap)
     found = _shape(all(r.is_polynomial for r in rows),
                    all(r.min_coeff >= 0 for r in rows if r.is_polynomial))
     sweep = exact_report("catalan-sweep", {"max": max_mn}, "polynomial,non-negative", found)
@@ -769,24 +761,24 @@ def _suite_catalan_all(ns) -> list[VerificationReport]:
     reports = [sweep]
     for m in range(1, 11):
         for n in range(1, 11):
-            reports.append(cat.q_fibo_catalan_divisibility_check(m, n))
+            reports.append(cat.q_fibo_catalan_divisibility_check(m, n, ring))
     for family, rank, a in _COXETER_SAMPLES:
         ct = cat.CoxeterType(family, rank)
-        verdict = cat.coxeter_q_fibo_catalan(ct, a)
+        verdict = cat.coxeter_q_fibo_catalan(ct, a, ring.cap)
         reports.append(exact_report(
             "coxeter-positive", {"type": ct.label(), "a": a}, "polynomial,non-negative",
             _shape(verdict.is_polynomial, verdict.all_coeffs_nonnegative)))
-    f4 = cat.coxeter_q_fibo_catalan(cat.CoxeterType("F4"), 2)
+    f4 = cat.coxeter_q_fibo_catalan(cat.CoxeterType("F4"), 2, ring.cap)
     counterexample = exact_report("coxeter-f4-counterexample", {"type": "F4", "a": 2},
                                   "not-polynomial",
                                   _shape(f4.is_polynomial, f4.all_coeffs_nonnegative))
     counterexample.notes["remainder_degree"] = f4.remainder_degree
     reports.append(counterexample)
     for n in range(1, 6):
-        v = cat.q_fibo_catalan_ordinary(n)
+        v = cat.q_fibo_catalan_ordinary(n, ring.cap)
         reports.append(exact_report("catalan-ordinary-polynomial", {"n": n}, "polynomial",
                                     "polynomial" if v.is_polynomial else "not-polynomial"))
-    reports += _suite_counterexample(ns)
+    reports += _suite_counterexample(ns, ring)
     return reports
 
 
@@ -801,8 +793,7 @@ def _cmd_verify(ns) -> int:
         "bijection": _suite_bijection,
         "counterexample": _suite_counterexample,
     }
-    with _degree_cap(ns.cap):
-        reports = handlers[ns.suite](ns)
+    reports = handlers[ns.suite](ns, _q_ring(ns))
     if not reports:
         raise ValueError(f"suite {ns.suite} has no checks at --max {ns.max}")
     return _emit_reports(ns, reports, {"suite": ns.suite})

@@ -9,12 +9,12 @@ engine, and ``fibl.tilings.recurrence`` over the q weight ring
 ``fibl.tilings.Q_RING``), long division, and the integer shadow of the
 spiral identity.
 
-Degrees are guarded by a configurable cap (default 10**7) so runaway
-inputs fail fast with a ResourceLimitError instead of exhausting memory:
-q-number degrees grow like Fibonacci numbers, i.e. exponentially in the
-index.  Every IntPoly product, shift and substitution, every q-number,
-and every product of the q weight ring checks the degree of its result
-before it builds it.
+Degrees are guarded by a cap (default 10**7), an argument of each
+computation, so runaway inputs fail fast with a ResourceLimitError instead
+of exhausting memory: q-number degrees grow like Fibonacci numbers.  Both
+q-Fibonomial routes check their result's degree before they build
+anything, as the q weight ring does for each of its products; IntPoly's
+own arithmetic checks nothing, so every caller bounds it first.
 """
 
 from __future__ import annotations
@@ -31,28 +31,11 @@ from fibl.fib import fib
 from fibl.report import VerificationReport, exact_report
 
 DEFAULT_DEGREE_CAP = 10**7
-_degree_cap = DEFAULT_DEGREE_CAP
 
 
-def degree_cap() -> int:
-    return _degree_cap
-
-
-def set_degree_cap(cap: int) -> int:
-    """Set the global degree cap, returning the previous value."""
-    global _degree_cap
-    if cap < 1:
-        raise ValueError("degree cap must be positive")
-    old = _degree_cap
-    _degree_cap = cap
-    return old
-
-
-def _ensure_cap(deg: int) -> None:
-    if deg > _degree_cap:
-        raise ResourceLimitError(
-            f"polynomial degree {deg} exceeds the degree cap {_degree_cap}",
-            cap=_degree_cap)
+def _ensure_cap(deg: int, cap: int) -> None:
+    if deg > cap:
+        raise ResourceLimitError(f"polynomial degree {deg} exceeds the degree cap {cap}", cap=cap)
 
 
 class IntPoly:
@@ -88,7 +71,6 @@ class IntPoly:
     def monomial(cls, exponent: int) -> "IntPoly":
         if exponent < 0:
             raise ValueError("exponent must be >= 0")
-        _ensure_cap(exponent)
         return cls._wrap([0] * exponent + [1])
 
     @property
@@ -145,7 +127,6 @@ class IntPoly:
     def __mul__(self, other: "IntPoly") -> "IntPoly":
         if not self._c or not other._c:
             return _ZERO
-        _ensure_cap(len(self._c) + len(other._c) - 2)
         return IntPoly._wrap(kernels.mul_dense(self._c, other._c))
 
     def shift(self, exponent: int) -> "IntPoly":
@@ -154,7 +135,6 @@ class IntPoly:
             raise ValueError("shift exponent must be >= 0")
         if not self._c:
             return _ZERO
-        _ensure_cap(self.degree + exponent)
         return IntPoly._wrap([0] * exponent + list(self._c))
 
     def substitute_power(self, m: int) -> "IntPoly":
@@ -163,7 +143,6 @@ class IntPoly:
             raise ValueError("substitution power must be >= 1")
         if m == 1 or not self._c:
             return self
-        _ensure_cap(self.degree * m)
         out = [0] * (self.degree * m + 1)
         for i, v in enumerate(self._c):
             if v:
@@ -223,7 +202,6 @@ def q_number(n: int) -> IntPoly:
         raise ValueError(f"q_number needs n >= 0, got {n}")
     if n == 0:
         return _ZERO
-    _ensure_cap(n - 1)
     return IntPoly._wrap([1] * n)
 
 
@@ -323,6 +301,7 @@ def q_ratio_coeffs(num: Iterable[int], den: Iterable[int],
     entry is popped from ``start`` and its half is consumed: the engine
     works in that list and returns it, so the caller must not read the
     half it handed over, which no longer holds that quotient.
+    Lists that are no prefixes are the caller's bug: RuntimeError.
 
     Polynomiality is proved by the cyclotomic count over the full lists,
     by every division being exact and by the value at q = 1 of the full
@@ -343,7 +322,7 @@ def q_ratio_coeffs(num: Iterable[int], den: Iterable[int],
     if start:
         (out, length), num0, den0 = start.pop()
         if num[:len(num0)] != list(num0) or den[:len(den0)] != list(den0):
-            raise ValueError("the start's factor lists must be prefixes of num and den")
+            raise RuntimeError("the start's factor lists must be prefixes of num and den")
         for t in num0:
             phi.update(_cyclotomic_indices(t))
         for t in den0:
@@ -419,18 +398,18 @@ def ratio_poly(num: Iterable[int], den: Iterable[int]) -> IntPoly:
 # ---------------------------------------------------------------------------
 # q-Fibonomials
 
-def q_fibonomial(m: int, n: int) -> IntPoly:
+def q_fibonomial(m: int, n: int, cap: int = DEFAULT_DEGREE_CAP) -> IntPoly:
     """The q-Fibonomial prod_{k=hi+1}^{m+n} [F_k] / prod_{k=1}^{lo} [F_k].
 
     Here lo, hi = min(m, n), max(m, n).  The ratio engine re-proves
     polynomiality on every computation; since F_k | F_j iff k | j, most
     denominator factors pair away rather than being divided out.  Results are
-    memoized, but the degree cap is checked on every call, so a capped
-    call fails whether or not the value is cached.
+    memoized for every cap, but ``cap`` is checked against the degree on
+    every call, so a capped call fails whether or not the value is cached.
     """
     if m < 0 or n < 0:
         raise ValueError("q_fibonomial needs m, n >= 0")
-    _ensure_cap(_fibonomial_degree(m, n))
+    _ensure_cap(_fibonomial_degree(m, n), cap)
     return _q_fibonomial_cached(m, n)
 
 
@@ -468,14 +447,15 @@ def fibonomial_int(m: int, n: int) -> int:
     return q
 
 
-def q_fibonomial_recurrence(m: int, n: int) -> IntPoly:
+def q_fibonomial_recurrence(m: int, n: int, ring=None) -> IntPoly:
     """The q-Fibonomial via the two-term recurrence,
-    ``fibl.tilings.recurrence`` over ``fibl.tilings.Q_RING``, on its lattice
-    kept across calls (the degree cap is checked on every call);
-    independent of the ratio route."""
+    ``fibl.tilings.recurrence`` over the q weight ring ``ring``
+    (``fibl.tilings.Q_RING`` when None), on its lattice kept across calls
+    (its degree cap is checked on every call); independent of the ratio route."""
     from fibl.tilings import Q_RING, recurrence     # tilings imports qpoly
-    _ensure_cap(_fibonomial_degree(m, n))
-    return recurrence(Q_RING, m, n)
+    ring = Q_RING if ring is None else ring
+    _ensure_cap(_fibonomial_degree(m, n), ring.cap)
+    return recurrence(ring, m, n)
 
 
 def is_unimodal(poly: IntPoly) -> bool:

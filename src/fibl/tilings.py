@@ -46,13 +46,14 @@ the elliptic tiling sums over complex ones.
 The tiling sum, the two-term recurrence (the transfer over the strips'
 closed forms), the n = 2 spiral and the convolution over the last east
 step are written once here, each as a function of a weight ring:
-``Q_RING`` here, the limit p, a, b -> 0 of ``fibl.elliptic.EllipticRing``.
+``QRing`` here, the limit p, a, b -> 0 of ``fibl.elliptic.EllipticRing``.
 A ring supplies only arithmetic and keeps the strip sums and lattices,
-and its products enforce its limits: Q_RING's check the degree cap
-before they build anything.  Only the theorem and staircase checks,
-whose reports differ, stay per ring (the elliptic ones in
-``fibl.elliptic``).  Tilings are listed only for ``fibl enumerate``, the
-tests (as the transfers' oracle) and the Catalan counterexample.
+and its products enforce its limits: a QRing checks its degree cap
+before it builds anything, and ``Q_RING`` is the one at the default
+cap.  Only the theorem and staircase checks, whose reports differ, stay
+per ring (the elliptic ones in ``fibl.elliptic``).  Tilings are listed
+only for ``fibl enumerate``, the tests (as the transfers' oracle) and the
+Catalan counterexample.
 
 Enumeration is streaming and deterministic: paths in lexicographic step
 order (E < N, N < W), strip tilings in lexicographic tile order (D < M).
@@ -64,8 +65,8 @@ the tuples are in the order of the strings.
 The enumerators' counts are bounded by a configurable cap (default
 10**8), rejected up front by comparing the exact integer Fibonomial
 against the cap.  The generating functions list no tilings, so the
-degree cap of ``fibl.qpoly`` is their only bound, checked up front in
-the same way.
+degree cap of the ring they take is their only bound, checked up front
+in the same way.
 """
 
 from __future__ import annotations
@@ -77,8 +78,8 @@ from typing import Callable, Iterator, NamedTuple, Optional
 from fibl import kernels
 from fibl.errors import ResourceLimitError
 from fibl.fib import fib
-from fibl.qpoly import (IntPoly, _ensure_cap, _fibonomial_degree, fibonomial_int, q_fibonomial,
-                        ratio_poly)
+from fibl.qpoly import (DEFAULT_DEGREE_CAP, IntPoly, _ensure_cap, _fibonomial_degree,
+                        fibonomial_int, q_fibonomial, ratio_poly)
 from fibl.report import VerificationReport, exact_report
 
 DEFAULT_ENUMERATION_CAP = 10**8
@@ -394,13 +395,14 @@ class QRing:
     omega2(i, j) q^{F_{i+1} F_j}.  Its strip sums and lattices are kept
     across calls; a lattice past 2048 points is replaced by a fresh one,
     which a running transfer may still fill.  A product checks its degree
-    against the cap before it builds anything; one by a q-number is one
-    window sum, one by an omega a shift."""
+    against the ring's ``cap`` before it builds anything; one by a
+    q-number is one window sum, one by an omega a shift."""
 
-    __slots__ = ("strips", "_tiling", "_recurrence")
+    __slots__ = ("cap", "strips", "_tiling", "_recurrence")
     one, zero = IntPoly.one(), IntPoly.zero()
 
-    def __init__(self):
+    def __init__(self, cap: int = DEFAULT_DEGREE_CAP):
+        self.cap = cap
         self.strips, self._tiling, self._recurrence = {}, {}, {}
 
     @property
@@ -417,17 +419,22 @@ class QRing:
         return self._recurrence
 
     def fibonomial(self, m: int, n: int) -> IntPoly:
-        return q_fibonomial(m, n)
+        return q_fibonomial(m, n, self.cap)
 
     def times_number(self, v: IntPoly, n: int, base: int) -> IntPoly:
-        _ensure_cap(v.degree + (n - 1) * base)
+        _ensure_cap(v.degree + (n - 1) * base, self.cap)
         return IntPoly._wrap(kernels.mul_qnumber(list(v.coeffs), n, base))
 
     def times_omega1(self, v: IntPoly, i: int, j: int) -> IntPoly:
-        return v.shift(fib(i) * fib(j))
+        return self._shift(v, fib(i) * fib(j))
 
     def times_omega2(self, v: IntPoly, i: int, j: int) -> IntPoly:
-        return v.shift(fib(i + 1) * fib(j))
+        return self._shift(v, fib(i + 1) * fib(j))
+
+    def _shift(self, v: IntPoly, exponent: int) -> IntPoly:
+        if v:
+            _ensure_cap(v.degree + exponent, self.cap)
+        return v.shift(exponent)
 
     def report(self, identity: str, inputs: dict, lhs, rhs) -> VerificationReport:
         return exact_report("q-" + identity, inputs, lhs, rhs)
@@ -443,18 +450,18 @@ def reset_caches() -> None:
     Q_RING.__init__()           # fresh, empty tables
 
 
-def rect_generating_function(m: int, n: int) -> IntPoly:
+def rect_generating_function(m: int, n: int, ring: QRing = Q_RING) -> IntPoly:
     """Sum of q-weights over all tilings of the m x n rectangle.
 
     Must coincide with q_fibonomial(m, n).  It is the tiling sum over
-    Q_RING's strip transfers, on its lattice shared by all calls,
+    ``ring``'s strip transfers, on its lattice shared by all calls,
     never q-factorials: independent of the ratio route, it shares its loop
     but not its strip sums with q_fibonomial_recurrence.  It lists no
-    tilings, so no enumeration cap applies; the degree cap is checked on
-    every call, even for a point already built.
+    tilings, so no enumeration cap applies; the ring's degree cap is
+    checked on every call, even for a point already built.
     """
-    _ensure_cap(_fibonomial_degree(m, n))
-    return tiling_sum(Q_RING, m, n)
+    _ensure_cap(_fibonomial_degree(m, n), ring.cap)
+    return tiling_sum(ring, m, n)
 
 
 def validate_rect_tiling(t: PathDominoTiling) -> None:
@@ -606,14 +613,14 @@ def enumerate_staircase_tilings(n: int, k: int,
     return _count(iter_staircase_tilings(n, k), sink)
 
 
-def staircase_generating_function(n: int, k: int) -> IntPoly:
+def staircase_generating_function(n: int, k: int, ring: QRing = Q_RING) -> IntPoly:
     """Sum of q-weights over all (n, k)-tilings; equals q_fibonomial(n-k, k).
     It is rectangle point (k, n - k) of rect_generating_function's lattice
     (see the module docstring); the degree cap as for
     rect_generating_function."""
     _check_staircase(n, k)
-    _ensure_cap(_fibonomial_degree(n - k, k))
-    return tiling_sum(Q_RING, k, n - k)
+    _ensure_cap(_fibonomial_degree(n - k, k), ring.cap)
+    return tiling_sum(ring, k, n - k)
 
 
 def validate_staircase_tiling(t: StaircaseTiling) -> None:
@@ -681,15 +688,15 @@ def q_weight(t: PathDominoTiling | StaircaseTiling) -> IntPoly:
 # ---------------------------------------------------------------------------
 # Cross-model checks
 
-def model_bijection_check(m: int, n: int) -> VerificationReport:
+def model_bijection_check(m: int, n: int, ring: QRing = Q_RING) -> VerificationReport:
     """The weight multiset of rectangle (m, n) tilings equals that of
     staircase (m+n, n) tilings, i.e. their generating functions agree.
     The staircase sum is rectangle point (n, m) of the same lattice, so
     the report compares G(m, n) with G(n, m): the symmetry of the
     q-Fibonomial, through the transfer over tiling sums."""
     return exact_report("model-bijection", {"m": m, "n": n},
-                        rect_generating_function(m, n),
-                        staircase_generating_function(m + n, n))
+                        rect_generating_function(m, n, ring),
+                        staircase_generating_function(m + n, n, ring))
 
 
 def catalan_partial_tilings(size: int) -> Iterator[StaircaseTiling]:

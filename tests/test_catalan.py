@@ -11,7 +11,8 @@ from fibl.catalan import (_REMAINDER_WORK_LIMIT, CoxeterType, _chained_row,
                           q_fibo_catalan_rational, sweep_csv_lines)
 from fibl.errors import ResourceLimitError
 from fibl.fib import fib
-from fibl.qpoly import IntPoly, long_division, q_fibonomial
+from fibl.qpoly import DEFAULT_DEGREE_CAP, IntPoly, long_division, q_fibonomial
+from fibl.tilings import QRing
 from oracles import coxeter_catalan_q1, exact_div, q_fib_factorial
 
 
@@ -138,7 +139,7 @@ class TestChainedSweep:
             return real_div(half, t, stride, length, times=times)
         monkeypatch.setattr(kernels, "mul_qnumber", mul_qnumber)
         monkeypatch.setattr(kernels, "div_qnumber", div_qnumber)
-        row = _chained_row(4, 10, 2, last)
+        row = _chained_row(4, 10, 2, last, DEFAULT_DEGREE_CAP)
         assert calls == [("div", fib(4), 1, fib(13))]
         monkeypatch.undo()
         verdict = q_fibo_catalan_rational(4, 10)
@@ -161,7 +162,7 @@ class TestChainedSweep:
         start = (qpoly.q_ratio_coeffs(num, den), num, den)
         last = [start]
         calls.clear()
-        row = _chained_row(3, 6, 3, last)
+        row = _chained_row(3, 6, 3, last, DEFAULT_DEGREE_CAP)
         assert sweep_csv_lines([row])[1] == "3,6,3,false,,,"
         assert last == [start] and len(calls) == 3
         assert calls[0] == _rational_factors(3, 6)
@@ -174,13 +175,9 @@ class TestChainedSweep:
             calls.append(args[1:])
             return real_mul(*args)
         monkeypatch.setattr(kernels, "mul_qnumber", mul_qnumber)
-        old = qpoly.set_degree_cap(5000)
-        try:
-            with pytest.raises(ResourceLimitError,
-                               match="^polynomial degree 6382 exceeds the degree cap 5000$"):
-                q_fibo_catalan_positivity_sweep(12)
-        finally:
-            qpoly.set_degree_cap(old)
+        with pytest.raises(ResourceLimitError,
+                           match="^polynomial degree 6382 exceeds the degree cap 5000$"):
+            q_fibo_catalan_positivity_sweep(12, cap=5000)
         assert calls == []
 
 
@@ -200,13 +197,9 @@ class TestDivisibilityIdentity:
         """The products by [F_n] and [F_{m+n}] are checked against the cap,
         also when the q-Fibonomials they multiply are under it."""
         degree = q_fibonomial(4, 4).degree
-        old = qpoly.set_degree_cap(degree)
-        try:
-            with pytest.raises(ResourceLimitError,
-                               match=f"degree {degree + fib(4) - 1} exceeds the degree cap"):
-                q_fibo_catalan_divisibility_check(4, 4)
-        finally:
-            qpoly.set_degree_cap(old)
+        with pytest.raises(ResourceLimitError,
+                           match=f"degree {degree + fib(4) - 1} exceeds the degree cap"):
+            q_fibo_catalan_divisibility_check(4, 4, QRing(degree))
 
 
 class TestCoxeter:
@@ -318,12 +311,8 @@ class TestAgainstDivisionRoute:
 @pytest.mark.skipif(not os.environ.get("FIBL_SLOW_TESTS"),
                     reason="~1.5 s, ~0.3 GB peak; set FIBL_SLOW_TESTS=1 to run")
 def test_e8_a7_polynomial_positive_slow():
-    old = qpoly.set_degree_cap(2 * 10**7)
-    try:
-        v = coxeter_q_fibo_catalan(CoxeterType("E8"), 7)
-        assert v.is_polynomial and v.all_coeffs_nonnegative
-    finally:
-        qpoly.set_degree_cap(old)
+    v = coxeter_q_fibo_catalan(CoxeterType("E8"), 7, cap=2 * 10**7)
+    assert v.is_polynomial and v.all_coeffs_nonnegative
 
 
 class TestOrdinary:

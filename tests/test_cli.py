@@ -224,11 +224,18 @@ class TestDegreeCapOverride:
         (("fibonomial", "4", "3", "--cap", "100"), 0),
         (("fibonomial", "9", "9", "--cap", "100"), 3),
     ])
-    def test_cap_is_restored(self, capsys, argv, want):
-        assert qpoly.degree_cap() == qpoly.DEFAULT_DEGREE_CAP
-        code, _, _ = run(capsys, *argv)
-        assert code == want
-        assert qpoly.degree_cap() == qpoly.DEFAULT_DEGREE_CAP
+    def test_caps_do_not_interfere(self, capsys, argv, want):
+        """Each command takes its own cap: a capped run leaves no cap behind
+        and an uncapped one none for the next, in either order, from cold
+        or warm caches."""
+        uncapped = argv[:argv.index("--cap")]
+        tilings.reset_caches()
+        capped = run(capsys, *argv)
+        assert capped[0] == want
+        plain = run(capsys, *uncapped)
+        assert plain[0] == 0
+        assert run(capsys, *argv) == capped
+        assert run(capsys, *uncapped) == plain
 
     @pytest.mark.parametrize("warm", [False, True])
     def test_cap_holds_for_cached_values(self, capsys, warm):
@@ -269,7 +276,7 @@ class TestDegreeCapOverride:
         # degree cap, as every check of these commands does
         assert "exceeds the degree cap 3" in err
         assert "enumeration" not in err
-        assert qpoly.degree_cap() == qpoly.DEFAULT_DEGREE_CAP
+        assert run(capsys, *argv) == (0, plain, "")
 
     @pytest.mark.parametrize("suite", ["q-all", "bijection"])
     def test_verify_passes_the_cap_to_tiling_sums(self, capsys, suite):
@@ -495,12 +502,23 @@ class TestVerifyCommand:
                                                                row, found):
         from fibl import catalan
         monkeypatch.setattr(catalan, "q_fibo_catalan_positivity_sweep",
-                            lambda max_mn: [catalan.SweepRow(*row)])
+                            lambda max_mn, cap: [catalan.SweepRow(*row)])
         code, out, _ = run(capsys, "verify", "catalan-all", "--format", "json")
         (sweep,) = [r for r in json.loads(out)["reports"] if r["identity"] == "catalan-sweep"]
         assert code == 1
         assert (sweep["lhs"], sweep["rhs"], sweep["passed"]) == (
             "polynomial,non-negative", found, False)
+
+    def test_library_defect_is_not_a_usage_error(self, capsys, monkeypatch):
+        """A RuntimeError, such as the ratio engine's for a chain start
+        whose factor lists are no prefixes, is a bug in fibl: main lets it
+        surface instead of reporting it as exit 2."""
+        import fibl.cli as cli
+        monkeypatch.setattr(cli, "_suite_spiral", lambda ns, ring: qpoly.q_ratio_coeffs(
+            [2, 3], [1], [(([1, 1], 3), [3], [])]))
+        with pytest.raises(RuntimeError, match="must be prefixes"):
+            main(["verify", "spiral"])
+        assert capsys.readouterr() == ("", "")
 
     def test_spiral_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "spiral")
@@ -764,8 +782,8 @@ def test_reports_sharing_inputs_are_written_as_when_formatted_apart(capsys, monk
     apart = capsys.readouterr().out
     suite = cli._suite_spiral
 
-    def shared(ns):
-        reports, dicts = suite(ns), {}
+    def shared(ns, ring):
+        reports, dicts = suite(ns, ring), {}
         for r in reports:
             r.inputs = dicts.setdefault(json.dumps(r.inputs, sort_keys=True), r.inputs)
         assert len(dicts) < len(reports)
@@ -837,7 +855,7 @@ def test_sweep_stream_is_the_whole_document(capsys, monkeypatch, chunk):
     seen = []
     sweep = catalan.q_fibo_catalan_positivity_sweep
     monkeypatch.setattr(catalan, "q_fibo_catalan_positivity_sweep",
-                        lambda top: seen.append(sweep(top)) or seen[-1])
+                        lambda top, cap: seen.append(sweep(top, cap)) or seen[-1])
     argv = ["catalan", "sweep", "--max", "8", "--format", "json"]
     code, out, _ = run(capsys, *argv)
     assert code == 0

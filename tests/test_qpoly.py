@@ -11,7 +11,7 @@ from fibl.fib import fib
 from fibl.qpoly import (IntPoly, cyclotomic_split, fibonomial_int, is_unimodal, long_division,
                         q_fibonomial, q_fibonomial_recurrence, q_number, q_ratio_coeffs)
 from fibl.report import exact_report, report_json
-from fibl.tilings import Q_RING, convolution_check
+from fibl.tilings import Q_RING, QRing, convolution_check
 from oracles import exact_div, poly_from_json, q_fib_factorial, q_number_base
 
 
@@ -79,24 +79,14 @@ class TestQNumber:
         with pytest.raises(ValueError):
             q_number(-1)
 
-    def test_degree_cap(self):
-        old = qpoly.set_degree_cap(100)
-        try:
-            with pytest.raises(ResourceLimitError) as exc:
-                q_number(500)
-            assert exc.value.cap == 100
-        finally:
-            qpoly.set_degree_cap(old)
-
-    @pytest.mark.parametrize("route", [qpoly.q_fibonomial, qpoly.q_fibonomial_recurrence])
-    def test_degree_cap_holds_for_cached_fibonomials(self, route):
+    @pytest.mark.parametrize("route, capped", [
+        pytest.param(qpoly.q_fibonomial, 100, id="q_fibonomial"),
+        pytest.param(qpoly.q_fibonomial_recurrence, QRing(100), id="q_fibonomial_recurrence"),
+    ])
+    def test_degree_cap_holds_for_cached_fibonomials(self, route, capped):
         route(6, 6)                     # cached now; degree 336
-        old = qpoly.set_degree_cap(100)
-        try:
-            with pytest.raises(ResourceLimitError):
-                route(6, 6)
-        finally:
-            qpoly.set_degree_cap(old)
+        with pytest.raises(ResourceLimitError, match="^polynomial degree 336 exceeds"):
+            route(6, 6, capped)
         assert route(6, 6).degree == qpoly._fibonomial_degree(6, 6)
 
 
@@ -265,9 +255,10 @@ class TestRatioEngine:
         assert q_ratio_coeffs([6], [2], start) == ([1, 0, 1], 5)
 
     def test_start_factors_must_be_prefixes(self):
-        with pytest.raises(ValueError):
+        # a caller's bug, which cli.main must not report as a usage error
+        with pytest.raises(RuntimeError):
             q_ratio_coeffs([2, 3], [1], [(([1, 1], 3), [3], [])])
-        with pytest.raises(ValueError):
+        with pytest.raises(RuntimeError):
             q_ratio_coeffs([6], [2], [(([1, 1, 1], 6), [6], [3])])
 
 
@@ -520,12 +511,8 @@ class TestSpiral:
             return built[-1]
 
         monkeypatch.setattr(kernels, "mul_qnumber", spy_mul)
-        old = qpoly.set_degree_cap(1000)
-        try:
-            with pytest.raises(ResourceLimitError, match="exceeds the degree cap 1000"):
-                tilings.spiral_check(Q_RING, 20)
-        finally:
-            qpoly.set_degree_cap(old)
+        with pytest.raises(ResourceLimitError, match="exceeds the degree cap 1000"):
+            tilings.spiral_check(QRing(1000), 20)
         assert not any(isinstance(out, list) for out in built)
 
 

@@ -77,7 +77,6 @@ ALLOWED_UNREACHED = {
     "kernels._rises_then_falls":
         "scan_unimodal's loop for a sequence that is no palindrome; the commands "
         "scan only palindromes, and the tests use the loop as the reference",
-    "qpoly.IntPoly.__bool__": "IntPoly's value protocol, for library callers",
     "qpoly.IntPoly.__hash__": "IntPoly's value protocol: usable as a key; tests check it",
     "qpoly.IntPoly.__len__": "IntPoly's value protocol; perfbench's tracer reads len() "
                              "of each product",
@@ -92,13 +91,10 @@ ALLOWED_UNREACHED = {
                           "strip of height 1; the tests use it",
     "qpoly.IntPoly.substitute_power": "q -> q^m, which the tests' q_number_base oracle "
                                       "builds on; tests check it",
-    "qpoly.degree_cap": "reads the degree cap; the tests check that --cap restores it",
     "qpoly.q_number": "[n] as n ones, the tests' reference for the window kernels "
                       "and the q ring's products",
     "report.VerificationReport.sort_key": "the report order that cli._sorted_reports "
                                           "reproduces; the tests compare against it",
-    "tilings.QRing.__init__": "makes Q_RING's empty tables, once, at import; "
-                              "reset_caches makes them afresh",
     "tilings.q_weight": "one tiling's q-weight, which acceptance criterion 4 tests",
     "tilings.reset_caches": "drops every q table; the tests use it between runs",
     "tilings.validate_rect_tiling": "the independent geometric checker that acceptance "

@@ -6,7 +6,7 @@ from itertools import combinations, product
 import pytest
 
 from fibl import elliptic as ell
-from fibl import qpoly, tilings
+from fibl import tilings
 from fibl.errors import DegenerateParametersError, ResourceLimitError
 from fibl.fib import fib
 from fibl.qpoly import IntPoly, fibonomial_int, q_fibonomial, q_number
@@ -14,7 +14,7 @@ from fibl.tilings import (PathDominoTiling, catalan_partial_tiling_counterexampl
                           enumerate_rect_tilings, enumerate_staircase_tilings,
                           iter_rect_tilings, iter_staircase_tilings,
                           model_bijection_check, q_weight,
-                          Q_RING, rect_generating_function,
+                          Q_RING, QRing, rect_generating_function,
                           staircase_generating_function, validate_rect_tiling,
                           validate_staircase_tiling, weight_exponent)
 from oracles import (enumerate_strips, load_golden, rect_tiling_from_json,
@@ -178,14 +178,11 @@ class TestFactoredGeneratingFunctions:
         assert fibonomial_int(5, 8) > tilings.DEFAULT_ENUMERATION_CAP
         assert rect_generating_function(5, 8) == q_fibonomial(5, 8)
         assert staircase_generating_function(13, 8) == q_fibonomial(5, 8)
-        old = qpoly.set_degree_cap(q_fibonomial(5, 5).degree - 1)
-        try:
-            with pytest.raises(ResourceLimitError):
-                rect_generating_function(5, 5)
-            with pytest.raises(ResourceLimitError):
-                staircase_generating_function(10, 5)
-        finally:
-            qpoly.set_degree_cap(old)
+        ring = QRing(q_fibonomial(5, 5).degree - 1)
+        with pytest.raises(ResourceLimitError):
+            rect_generating_function(5, 5, ring)
+        with pytest.raises(ResourceLimitError):
+            staircase_generating_function(10, 5, ring)
 
 
 def _per_path_product(paths_strips, rule) -> IntPoly:
@@ -271,20 +268,17 @@ class TestTransferGeneratingFunctions:
             assert poly == q_fibonomial(n - k, k), (n, k)
 
     def test_cap_holds_for_built_points(self):
-        # the degree cap, which is checked before the lattice is read
-        tilings.reset_caches()
-        assert rect_generating_function(5, 5) == q_fibonomial(5, 5)
-        assert staircase_generating_function(10, 5) == q_fibonomial(5, 5)
-        assert (5, 5) in Q_RING.tiling_lattice
-        old = qpoly.set_degree_cap(q_fibonomial(5, 5).degree - 1)
-        try:
-            with pytest.raises(ResourceLimitError):
-                rect_generating_function(5, 5)
-            with pytest.raises(ResourceLimitError):
-                staircase_generating_function(10, 5)
-            assert rect_generating_function(5, 4) == q_fibonomial(5, 4)
-        finally:
-            qpoly.set_degree_cap(old)
+        # the ring's degree cap, which is checked before its lattice is read
+        ring = QRing()
+        assert rect_generating_function(5, 5, ring) == q_fibonomial(5, 5)
+        assert staircase_generating_function(10, 5, ring) == q_fibonomial(5, 5)
+        assert (5, 5) in ring.tiling_lattice
+        ring.cap = q_fibonomial(5, 5).degree - 1
+        with pytest.raises(ResourceLimitError):
+            rect_generating_function(5, 5, ring)
+        with pytest.raises(ResourceLimitError):
+            staircase_generating_function(10, 5, ring)
+        assert rect_generating_function(5, 4, ring) == q_fibonomial(5, 4)
 
     def test_oversized_lattice_is_dropped(self):
         tilings.reset_caches()
@@ -546,6 +540,20 @@ class TestSharedIdentities:
                     if j:
                         got = Q_RING.times_omega1(one, i, j).evaluate(q)
                         assert got == ell.limit_chain(("omega1", i, j), q), (q, i, j)
+
+    def test_omega_products_check_the_ring_cap(self):
+        """A product by an omega checks the shifted degree against the
+        ring's cap, and leaves the zero alone."""
+        v = q_number(10)                            # degree 9
+        for times, exponent in ((QRing.times_omega2, fib(6) * fib(3)),
+                                (QRing.times_omega1, fib(5) * fib(3))):
+            degree = v.degree + exponent
+            assert times(QRing(degree), v, 5, 3) == v.shift(exponent)
+            with pytest.raises(ResourceLimitError,
+                               match=f"^polynomial degree {degree} exceeds the degree cap "
+                                     f"{degree - 1}$"):
+                times(QRing(degree - 1), v, 5, 3)
+            assert times(QRing(1), IntPoly.zero(), 5, 3) == IntPoly.zero()
 
     def test_q_reports_fail_under_transposed_omega2(self):
         bad = _TransposedOmega2(Q_RING)
